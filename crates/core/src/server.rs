@@ -119,6 +119,51 @@ impl ServerConfig {
         }
     }
 
+    /// Checks every field [`Server::new`] depends on, the machine's
+    /// included, so callers can reject a bad configuration with a message
+    /// before building anything.
+    pub fn validate(&self) -> Result<(), String> {
+        self.machine.validate()?;
+        if self.active_cores == 0 || self.active_cores as usize > self.machine.cores {
+            return Err(format!(
+                "active cores out of range: got {}, expected 1..={}",
+                self.active_cores, self.machine.cores
+            ));
+        }
+        if self.rx_entries == 0 || self.tx_entries == 0 {
+            return Err("RX and TX rings need at least one entry".into());
+        }
+        if self.endpoints_per_core == 0 {
+            return Err("need at least one endpoint per core".into());
+        }
+        if self.buffer_bytes == 0 || self.packet_bytes > self.buffer_bytes {
+            return Err(format!(
+                "packets must fit in a buffer entry: got {} B packets, {} B buffers",
+                self.packet_bytes, self.buffer_bytes
+            ));
+        }
+        if let Some(sampler) = &self.sampler {
+            if sampler.every == 0 {
+                return Err("sampling period must be positive".into());
+            }
+            if sampler.capacity == 0 {
+                return Err("sampler capacity must be positive".into());
+            }
+        }
+        if let Some(flight) = &self.flight {
+            if !(flight.quantile > 0.0 && flight.quantile < 1.0) {
+                return Err("flight-recorder quantile must be in (0, 1)".into());
+            }
+            if flight.window == 0 {
+                return Err("flight-recorder window must be positive".into());
+            }
+            if flight.max_snapshots == 0 {
+                return Err("flight-recorder snapshot budget must be positive".into());
+            }
+        }
+        Ok(())
+    }
+
     /// Tiny configuration for fast unit tests.
     pub fn tiny_for_tests() -> Self {
         let machine = MachineConfig::tiny_for_tests();
@@ -760,17 +805,11 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if `active_cores` is zero or exceeds the machine's core count,
-    /// or if `packet_bytes` exceeds `buffer_bytes`.
+    /// Panics if [`ServerConfig::validate`] rejects `cfg`.
     pub fn new(cfg: ServerConfig, workload: Box<dyn Workload>) -> Self {
-        assert!(
-            cfg.active_cores >= 1 && (cfg.active_cores as usize) <= cfg.machine.cores,
-            "active cores out of range"
-        );
-        assert!(
-            cfg.packet_bytes <= cfg.buffer_bytes,
-            "packets must fit in a buffer entry"
-        );
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         let mut root_rng = SimRng::seeded(cfg.seed);
         let mut mem = MemorySystem::new(cfg.machine);
         let nic = Nic::new(
@@ -803,21 +842,6 @@ impl Server {
         // up front keeps `EventQueue::push` reallocation-free for the whole
         // run.
         let event_capacity = (cores + 1) + cfg.rx_entries + cfg.tx_entries;
-        if let Some(sampler) = &cfg.sampler {
-            assert!(sampler.every > 0, "sampling period must be positive");
-            assert!(sampler.capacity > 0, "sampler capacity must be positive");
-        }
-        if let Some(flight) = &cfg.flight {
-            assert!(
-                flight.quantile > 0.0 && flight.quantile < 1.0,
-                "flight-recorder quantile must be in (0, 1)"
-            );
-            assert!(flight.window > 0, "flight-recorder window must be positive");
-            assert!(
-                flight.max_snapshots > 0,
-                "flight-recorder snapshot budget must be positive"
-            );
-        }
         // The flight recorder triages span windows, so it forces span
         // recording on; an explicit capacity wins.
         match (cfg.spans, &cfg.flight) {
@@ -1758,6 +1782,27 @@ mod tests {
             capacity: 16,
         });
         Server::new(cfg, Box::new(EchoWorkload::default()));
+    }
+
+    #[test]
+    fn validate_rejects_each_out_of_range_field() {
+        assert_eq!(ServerConfig::paper_default().validate(), Ok(()));
+        assert_eq!(ServerConfig::tiny_for_tests().validate(), Ok(()));
+        let rejects = |expect: &str, mutate: fn(&mut ServerConfig)| {
+            let mut cfg = ServerConfig::paper_default();
+            mutate(&mut cfg);
+            let err = cfg.validate().expect_err(expect);
+            assert!(err.contains(expect), "{err:?} should mention {expect:?}");
+        };
+        rejects("core count", |c| c.machine.cores = 65);
+        rejects("core count", |c| c.machine.cores = 0);
+        rejects("DDIO ways", |c| c.machine.ddio_ways = 20);
+        rejects("DDIO ways", |c| c.machine.ddio_ways = 0);
+        rejects("active cores", |c| c.active_cores = 100);
+        rejects("at least one entry", |c| c.rx_entries = 0);
+        rejects("at least one entry", |c| c.tx_entries = 0);
+        rejects("endpoint", |c| c.endpoints_per_core = 0);
+        rejects("buffer entry", |c| c.buffer_bytes = 0);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 use std::fmt;
 
 use crate::addr::BlockAddr;
+use crate::table::ZeroTable;
 
 /// A bitmask over cache ways; bit `i` set means way `i` may be allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -189,7 +190,10 @@ fn tag_matches(tag: u64, block: BlockAddr) -> bool {
 /// hit, an insertion, or victim selection. Because every mutation bumps the
 /// monotone tick, stamps of occupied ways are unique and comparing the
 /// combined word orders ways exactly like comparing the old per-slot `lru`
-/// field did.
+/// field did. Both arrays start all-zero: an empty tag word is an empty
+/// way, and an empty way's stamp is never read (victim selection only runs
+/// once every allowed way is occupied, and every insertion writes its way's
+/// stamp), so building a cache writes nothing.
 ///
 /// ```
 /// use sweeper_sim::cache::{CacheGeometry, LineOrigin, SetAssocCache, WayMask};
@@ -204,8 +208,8 @@ fn tag_matches(tag: u64, block: BlockAddr) -> bool {
 pub struct SetAssocCache {
     geometry: CacheGeometry,
     sets: usize,
-    tags: Vec<u64>,   // sets * ways, row-major by set; 0 = empty way
-    stamps: Vec<u64>, // parallel to `tags`: tick << 2 | rrpv
+    tags: ZeroTable<u64>,   // sets * ways, row-major by set; 0 = empty way
+    stamps: ZeroTable<u64>, // parallel to `tags`: tick << 2 | rrpv
     tick: u64,
     resident: u64,
     policy: ReplacementPolicy,
@@ -239,8 +243,8 @@ impl SetAssocCache {
         Self {
             geometry,
             sets,
-            tags: vec![0; sets * geometry.ways],
-            stamps: vec![3; sets * geometry.ways],
+            tags: ZeroTable::new(sets * geometry.ways),
+            stamps: ZeroTable::new(sets * geometry.ways),
             tick: 0,
             resident: 0,
             policy,
@@ -285,12 +289,13 @@ impl SetAssocCache {
 
     /// Hints the host CPU to pull the block's set metadata into cache.
     ///
-    /// The simulator's tag tables are tens of megabytes probed at
-    /// hash-randomized indices, so nearly every set probe is a host
-    /// last-level-cache miss. Callers that know the next few blocks they
-    /// will touch (range accesses, packet delivery) can issue prefetches up
-    /// front and let the host overlap what would otherwise be a serial chain
-    /// of misses. Purely a performance hint: no simulated state changes.
+    /// The simulator's tag and stamp tables (about 9 MiB for the paper's
+    /// LLC, plus 320 KiB per private L2) are probed at hash-randomized
+    /// indices, so nearly every set probe is a host last-level-cache miss.
+    /// Callers that know the next few blocks they will touch (range
+    /// accesses, packet delivery) can issue prefetches up front and let the
+    /// host overlap what would otherwise be a serial chain of misses. Purely
+    /// a performance hint: no simulated state changes.
     #[inline]
     pub fn prefetch(&self, block: BlockAddr) {
         let set = self.set_of(block);
@@ -702,6 +707,62 @@ mod tests {
             assert!(c.resident_lines() <= 16);
         }
         assert_eq!(c.policy(), ReplacementPolicy::Srrip);
+    }
+
+    #[test]
+    fn zeroed_stamps_pick_the_same_victims_as_stamps_of_three() {
+        // Caches used to start with every stamp at 3 (rrpv "distant"). Empty
+        // ways' stamps are never read, so starting from zero must evict
+        // exactly the same lines, including once a full set has been partly
+        // invalidated and refilled (the refilled ways get fresh stamps
+        // while their neighbours keep old ones).
+        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Srrip] {
+            let geometry = CacheGeometry {
+                size_bytes: 8 * 4 * crate::BLOCK_BYTES,
+                ways: 4,
+                latency: 1,
+            };
+            let mut zeroed = SetAssocCache::with_policy(geometry, policy);
+            let mut threes = SetAssocCache::with_policy(geometry, policy);
+            threes.stamps.fill(3);
+
+            let set = same_set_blocks(&zeroed, 12);
+            let step = |c: &mut SetAssocCache, op: u64, b: BlockAddr| match op % 5 {
+                0 | 1 => c
+                    .insert(b, op.is_multiple_of(2), LineOrigin::Cpu, WayMask::ALL)
+                    .map(|e| e.line),
+                2 => c
+                    .insert(b, true, LineOrigin::Nic, WayMask::first(2))
+                    .map(|e| e.line),
+                3 => c.lookup(b),
+                _ => c.invalidate(b),
+            };
+            // Fill one set, invalidate half of it, refill.
+            let scripted = (0..4)
+                .map(|i| (0, set[i]))
+                .chain([(4, set[1]), (4, set[3])])
+                .chain((4..8).map(|i| (0, set[i])));
+            let mut x = 0x2545_F491_4F6C_DD1Du64;
+            let random = (0..4000).map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let b = if x.is_multiple_of(3) {
+                    BlockAddr(x % 64)
+                } else {
+                    set[(x >> 8) as usize % 12]
+                };
+                (x >> 20, b)
+            });
+            for (op, b) in scripted.chain(random) {
+                assert_eq!(
+                    step(&mut zeroed, op, b),
+                    step(&mut threes, op, b),
+                    "{policy:?}"
+                );
+            }
+            assert_eq!(&zeroed.tags[..], &threes.tags[..]);
+        }
     }
 
     #[test]

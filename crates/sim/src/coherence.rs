@@ -19,12 +19,17 @@
 //! the caches use for set indexing — one multiply instead of SipHash per
 //! probe, and no per-entry boxing. Sharer sets are returned as [`SharerSet`],
 //! a `Copy` 64-bit mask iterated in place, so no coherence operation
-//! allocates. [`ReferenceDirectory`] preserves the original
-//! `HashMap`-backed implementation as the oracle for differential tests.
+//! allocates. The 16-byte slots live in a table that starts all-zero (an
+//! all-zero slot is empty), so building a directory writes nothing, and the
+//! memory system sizes it once with [`Directory::with_capacity`] for every
+//! private L2 line, so a run never rehashes it. [`ReferenceDirectory`]
+//! preserves the original `HashMap`-backed implementation as the oracle for
+//! differential tests.
 
 use std::collections::HashMap;
 
 use crate::addr::BlockAddr;
+use crate::table::{ZeroTable, Zeroable};
 
 /// Maximum cores a sharer bitmask supports.
 pub const MAX_CORES: usize = 64;
@@ -135,26 +140,48 @@ impl Iterator for SharerIter {
 
 impl ExactSizeIterator for SharerIter {}
 
-/// One open-addressed table slot. `sharers == 0` marks the slot empty —
-/// valid because the directory removes an entry the moment its last sharer
-/// leaves, so a stored entry always has a nonzero mask.
+/// One open-addressed table slot, 16 bytes. The key word packs the block
+/// address above an owner byte (0 = no dirty owner, `c + 1` = core `c`), so
+/// block addresses must fit in 56 bits. `sharers == 0` marks the slot empty
+/// — valid because the directory removes an entry the moment its last
+/// sharer leaves, so a stored entry always has a nonzero mask — and an empty
+/// slot is all-zero, so a fresh table needs no initialisation pass.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    block: u64,
+    key: u64,
     sharers: u64,
-    dirty_owner: u16,
 }
 
-const NO_OWNER: u16 = u16::MAX;
+// SAFETY: `Slot` is two `u64`s; all-zero is the valid empty slot.
+unsafe impl Zeroable for Slot {}
 
-const EMPTY_SLOT: Slot = Slot {
-    block: 0,
-    sharers: 0,
-    dirty_owner: NO_OWNER,
-};
+const OWNER_BITS: u32 = 8;
+const OWNER_MASK: u64 = (1 << OWNER_BITS) - 1;
 
-/// Initial table capacity (power of two). Grows by doubling at 7/8 load.
-const INITIAL_CAPACITY: usize = 1024;
+const EMPTY_SLOT: Slot = Slot { key: 0, sharers: 0 };
+
+impl Slot {
+    #[inline]
+    fn block(self) -> u64 {
+        self.key >> OWNER_BITS
+    }
+
+    fn owner(self) -> Option<u16> {
+        match self.key & OWNER_MASK {
+            0 => None,
+            code => Some(code as u16 - 1),
+        }
+    }
+
+    fn set_owner(&mut self, owner: Option<u16>) {
+        let code = owner.map_or(0, |core| u64::from(core) + 1);
+        self.key = self.key & !OWNER_MASK | code;
+    }
+}
+
+/// Smallest table [`Directory::new`] and [`Directory::with_capacity`] build
+/// (a power of two). The table grows by doubling at 7/8 load.
+const MIN_CAPACITY: usize = 16;
 
 /// Sparse directory over private-cache residency.
 ///
@@ -171,7 +198,7 @@ const INITIAL_CAPACITY: usize = 1024;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Directory {
-    slots: Box<[Slot]>,
+    slots: ZeroTable<Slot>,
     len: usize,
 }
 
@@ -182,12 +209,30 @@ impl Default for Directory {
 }
 
 impl Directory {
-    /// Creates an empty directory.
+    /// Creates an empty directory of the minimum size; it grows as blocks
+    /// are added.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty directory that tracks up to `entries` blocks without
+    /// growing. [`MemorySystem`](crate::hierarchy::MemorySystem) sizes its
+    /// directory for every private L2 line, so a run never rehashes it.
+    pub fn with_capacity(entries: usize) -> Self {
+        // Growth triggers once `(len + 1) * 8 > slots * 7`.
+        let slots = (entries * 8)
+            .div_ceil(7)
+            .max(MIN_CAPACITY)
+            .next_power_of_two();
         Self {
-            slots: vec![EMPTY_SLOT; INITIAL_CAPACITY].into_boxed_slice(),
+            slots: ZeroTable::new(slots),
             len: 0,
         }
+    }
+
+    /// Number of table slots (a power of two; diagnostics and tests).
+    pub fn capacity(&self) -> usize {
+        self.slots.len()
     }
 
     #[inline]
@@ -196,8 +241,8 @@ impl Directory {
     }
 
     /// Hints the host CPU to pull `block`'s probe neighborhood into cache.
-    /// The table is tens of megabytes, so an un-prefetched probe is usually
-    /// a host memory stall; see [`SetAssocCache::prefetch`]
+    /// The paper machine's table is 16 MiB, so an un-prefetched probe is
+    /// usually a host memory stall; see [`SetAssocCache::prefetch`]
     /// (crate::cache::SetAssocCache::prefetch) for the pattern. No simulated
     /// state changes.
     #[inline]
@@ -222,7 +267,7 @@ impl Directory {
             if s.sharers == 0 {
                 return None;
             }
-            if s.block == block {
+            if s.block() == block {
                 return Some(i);
             }
             i = (i + 1) & mask;
@@ -234,6 +279,10 @@ impl Directory {
     /// would read as empty and corrupt later probes).
     #[inline]
     fn find_or_claim(&mut self, block: u64) -> usize {
+        assert!(
+            block >> (64 - OWNER_BITS) == 0,
+            "block address too large for the directory key"
+        );
         // Keep load ≤ 7/8 so probe sequences stay short and one empty slot
         // always terminates the scan.
         if (self.len + 1) * 8 > self.slots.len() * 7 {
@@ -244,12 +293,11 @@ impl Directory {
         loop {
             let s = &mut self.slots[i];
             if s.sharers == 0 {
-                s.block = block;
-                s.dirty_owner = NO_OWNER;
+                s.key = block << OWNER_BITS;
                 self.len += 1;
                 return i;
             }
-            if s.block == block {
+            if s.block() == block {
                 return i;
             }
             i = (i + 1) & mask;
@@ -257,11 +305,11 @@ impl Directory {
     }
 
     fn grow(&mut self) {
-        let doubled = vec![EMPTY_SLOT; self.slots.len() * 2].into_boxed_slice();
+        let doubled = ZeroTable::new(self.slots.len() * 2);
         let old = std::mem::replace(&mut self.slots, doubled);
         let mask = self.slots.len() - 1;
         for s in old.iter().filter(|s| s.sharers != 0) {
-            let mut i = self.home(s.block);
+            let mut i = self.home(s.block());
             while self.slots[i].sharers != 0 {
                 i = (i + 1) & mask;
             }
@@ -283,7 +331,7 @@ impl Directory {
             }
             // Move `s` into the hole unless its home lies in (i, j] — then
             // the hole does not break its probe chain.
-            let home = self.home(s.block);
+            let home = self.home(s.block());
             if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(i) & mask) {
                 self.slots[i] = s;
                 i = j;
@@ -309,8 +357,8 @@ impl Directory {
         if let Some(i) = self.find(block.0) {
             let s = &mut self.slots[i];
             s.sharers &= !(1 << core);
-            if s.dirty_owner == core {
-                s.dirty_owner = NO_OWNER;
+            if s.owner() == Some(core) {
+                s.set_owner(None);
             }
             if s.sharers == 0 {
                 self.remove_at(i);
@@ -327,23 +375,20 @@ impl Directory {
         assert!((core as usize) < MAX_CORES, "core id out of range");
         let i = self.find_or_claim(block.0);
         self.slots[i].sharers = 1 << core;
-        self.slots[i].dirty_owner = core;
+        self.slots[i].set_owner(Some(core));
     }
 
     /// Downgrades a dirty owner to a plain sharer (e.g. after its data was
     /// forwarded or written back).
     pub fn clear_dirty(&mut self, block: BlockAddr) {
         if let Some(i) = self.find(block.0) {
-            self.slots[i].dirty_owner = NO_OWNER;
+            self.slots[i].set_owner(None);
         }
     }
 
     /// The core holding a dirty private copy, if any.
     pub fn dirty_owner(&self, block: BlockAddr) -> Option<u16> {
-        self.find(block.0).and_then(|i| {
-            let owner = self.slots[i].dirty_owner;
-            (owner != NO_OWNER).then_some(owner)
-        })
+        self.find(block.0).and_then(|i| self.slots[i].owner())
     }
 
     /// All cores holding the block, ascending.
@@ -391,13 +436,10 @@ impl Directory {
     /// lets the correctness harness cross-check the directory against
     /// actual private-cache residency. Iteration order is unspecified.
     pub fn iter_entries(&self) -> impl Iterator<Item = (BlockAddr, SharerSet, Option<u16>)> + '_ {
-        self.slots.iter().filter(|s| s.sharers != 0).map(|s| {
-            (
-                BlockAddr(s.block),
-                SharerSet(s.sharers),
-                (s.dirty_owner != NO_OWNER).then_some(s.dirty_owner),
-            )
-        })
+        self.slots
+            .iter()
+            .filter(|s| s.sharers != 0)
+            .map(|s| (BlockAddr(s.block()), SharerSet(s.sharers), s.owner()))
     }
 }
 
@@ -609,10 +651,10 @@ mod tests {
 
     #[test]
     fn growth_beyond_initial_capacity() {
-        // Insert far more blocks than INITIAL_CAPACITY, with the stride-2^15
-        // addresses of per-core rings that stress the hash.
+        // Insert far more blocks than the minimum table holds, with the
+        // stride-2^15 addresses of per-core rings that stress the hash.
         let mut d = Directory::new();
-        let n = 4 * super::INITIAL_CAPACITY as u64;
+        let n = 4096u64;
         for i in 0..n {
             d.add_sharer(BlockAddr(i << 15), (i % 24) as u16);
         }
@@ -627,10 +669,60 @@ mod tests {
     }
 
     #[test]
+    fn with_capacity_holds_its_entries_without_growing() {
+        for n in [0, 1, 14, 15, 100, 917, 5000] {
+            let mut d = Directory::with_capacity(n);
+            let cap = d.capacity();
+            assert!(cap.is_power_of_two() && cap >= MIN_CAPACITY);
+            for i in 0..n as u64 {
+                d.add_sharer(BlockAddr(i << 15), 0);
+            }
+            assert_eq!(d.capacity(), cap, "{n} entries fit without a grow");
+            d.add_sharer(BlockAddr(u64::MAX >> OWNER_BITS), 1);
+            assert!(d.capacity() <= 2 * cap);
+        }
+        // The paper machine's 24 cores x 20,480 L2 lines fit in 2^20 slots.
+        assert_eq!(Directory::with_capacity(24 * 20_480).capacity(), 1 << 20);
+    }
+
+    #[test]
+    fn owner_byte_round_trips_every_core_next_to_large_blocks() {
+        let mut d = Directory::new();
+        let top = u64::MAX >> OWNER_BITS;
+        for core in 0..MAX_CORES as u16 {
+            let b = BlockAddr(top - u64::from(core));
+            d.add_sharer(b, (core + 1) % MAX_CORES as u16);
+            assert_eq!(d.dirty_owner(b), None);
+            d.set_dirty_owner(b, core);
+            assert_eq!(d.dirty_owner(b), Some(core));
+            assert_eq!(d.sharers(b).to_vec(), vec![core]);
+            d.clear_dirty(b);
+            assert_eq!(d.dirty_owner(b), None);
+            assert_eq!(
+                d.sharers(b).to_vec(),
+                vec![core],
+                "clearing the owner keeps the key"
+            );
+        }
+        let entries: Vec<_> = d.iter_entries().collect();
+        assert_eq!(entries.len(), MAX_CORES);
+        assert!(entries
+            .iter()
+            .all(|&(b, s, o)| b.0 > top - 64 && s.len() == 1 && o.is_none()));
+    }
+
+    #[test]
+    #[should_panic(expected = "too large for the directory key")]
+    fn rejects_blocks_beyond_56_bits() {
+        Directory::new().add_sharer(BlockAddr(1 << 56), 0);
+    }
+
+    #[test]
     fn backward_shift_deletion_keeps_chains_reachable() {
         // Deleting from the middle of a probe chain must not orphan later
         // entries. Drive every block through one table and verify against
         // the reference after each mutation.
+        // Starting from the minimum table, this also crosses several grows.
         let mut d = Directory::new();
         let mut r = ReferenceDirectory::new();
         // A mix of colliding strides and dense addresses, interleaved
@@ -658,6 +750,7 @@ mod tests {
             }
         }
         assert_eq!(d.tracked_blocks(), r.tracked_blocks());
+        assert!(d.capacity() >= 8 * MIN_CAPACITY, "the table grew");
         for &b in &blocks {
             let block = BlockAddr(b);
             assert_eq!(d.sharers(block), r.sharers(block), "block {b}");

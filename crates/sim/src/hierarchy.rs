@@ -161,6 +161,23 @@ impl MachineConfig {
         }
     }
 
+    /// Checks the fields [`MemorySystem::new`] depends on: a core count
+    /// within the directory's 64-core sharer mask, and DDIO ways within the
+    /// LLC's associativity.
+    pub fn validate(&self) -> Result<(), String> {
+        let max = crate::coherence::MAX_CORES;
+        if !(1..=max).contains(&self.cores) {
+            return Err(format!("core count {} out of range 1..={max}", self.cores));
+        }
+        if self.ddio_ways < 1 || self.ddio_ways as usize > self.llc.ways {
+            return Err(format!(
+                "DDIO ways must be within LLC associativity: got {}, expected 1..={}",
+                self.ddio_ways, self.llc.ways
+            ));
+        }
+        Ok(())
+    }
+
     /// Returns a copy with a different DDIO way count.
     pub fn with_ddio_ways(mut self, ways: u32) -> Self {
         self.ddio_ways = ways;
@@ -314,25 +331,23 @@ impl MemorySystem {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.cores` is zero or exceeds the directory's 64-core
-    /// limit, or `cfg.ddio_ways` exceeds the LLC associativity.
+    /// Panics if [`MachineConfig::validate`] rejects `cfg`.
     pub fn new(cfg: MachineConfig) -> Self {
-        assert!(
-            cfg.cores >= 1 && cfg.cores <= crate::coherence::MAX_CORES,
-            "core count out of range"
-        );
-        assert!(
-            cfg.ddio_ways >= 1 && cfg.ddio_ways as usize <= cfg.llc.ways,
-            "DDIO ways must be within LLC associativity"
-        );
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         let l1 = (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l1)).collect();
         let l2 = (0..cfg.cores).map(|_| SetAssocCache::new(cfg.l2)).collect();
+        // The directory tracks exactly the blocks resident in some L2 (L1 is
+        // inclusive in L2, and the invariant walker checks directory against
+        // residency), so every L2 line bounds its live entries.
+        let l2_lines = (cfg.l2.size_bytes / crate::BLOCK_BYTES) as usize;
         Self {
             l1,
             l2,
             llc: SetAssocCache::with_policy(cfg.llc, cfg.llc_replacement),
             llc_occ: OccupancyCounters::default(),
-            dir: Directory::new(),
+            dir: Directory::with_capacity(cfg.cores * l2_lines),
             dram: Dram::new(cfg.dram),
             stats: MemStats::new(),
             map: AddressMap::new(),
@@ -373,6 +388,11 @@ impl MemorySystem {
     /// The shared LLC (occupancy diagnostics).
     pub fn llc(&self) -> &SetAssocCache {
         &self.llc
+    }
+
+    /// The coherence directory (diagnostics).
+    pub fn directory(&self) -> &Directory {
+        &self.dir
     }
 
     /// Enables event tracing, retaining the most recent `capacity` events.

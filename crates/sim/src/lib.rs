@@ -50,6 +50,7 @@ pub mod engine;
 pub mod hierarchy;
 pub mod span;
 pub mod stats;
+mod table;
 pub mod telemetry;
 pub mod trace;
 

@@ -151,7 +151,9 @@ proptest! {
     /// Differential test: the open-addressed [`Directory`] must behave exactly
     /// like the straightforward `HashMap`-backed [`ReferenceDirectory`] under
     /// arbitrary interleavings of every mutating operation, including bulk
-    /// `drop_block` (which exercises backward-shift deletion chains).
+    /// `drop_block` (which exercises backward-shift deletion chains). The
+    /// directory starts at its smallest table, so up to 96 live blocks also
+    /// drive it through several grows.
     #[test]
     fn open_addressed_directory_matches_hashmap_reference(
         ops in vec((0u64..96, 0u16..12, 0u8..5), 1..400)

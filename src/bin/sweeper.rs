@@ -332,6 +332,9 @@ fn fnum(s: &str) -> Result<f64, String> {
 }
 
 fn build_experiment(cli: &Cli) -> Result<Experiment, String> {
+    if cli.channels == 0 {
+        return Err("at least one memory channel is required".into());
+    }
     let ring_wrap = (cli.cores as u64 * cli.endpoints as u64 * cli.buffers as u64 * 12) / 10;
     let mut cfg = ExperimentConfig::paper_default()
         .injection(cli.policy)
@@ -377,6 +380,7 @@ fn build_experiment(cli: &Cli) -> Result<Experiment, String> {
     if cli.command == "trace" {
         cfg = cfg.memtrace(cli.events);
     }
+    cfg.server_config().validate()?;
     let exp = match cli.workload.as_str() {
         "kvs" => {
             let item = cli.packet.saturating_sub(HEADER_BYTES).max(64);
@@ -525,17 +529,19 @@ fn fig_context(cli: &Cli) -> FigContext {
     ctx
 }
 
+/// Argument and configuration errors are usage errors: one line, a pointer
+/// at the help text, and exit status 2 (distinct from runtime failures).
+fn usage_error(e: &str) -> ExitCode {
+    eprintln!("error: {e}");
+    eprintln!("{USAGE}");
+    ExitCode::from(2)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = match parse(&args) {
         Ok(cli) => cli,
-        Err(e) => {
-            // Argument errors are usage errors: one line, a pointer at the
-            // help text, and exit status 2 (distinct from runtime failures).
-            eprintln!("error: {e}");
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return usage_error(&e),
     };
     match cli.command.as_str() {
         "help" | "--help" | "-h" => {
@@ -594,10 +600,7 @@ fn main() -> ExitCode {
                 }
                 ExitCode::SUCCESS
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
+            Err(e) => usage_error(&e),
         },
         "peak" => match build_experiment(&cli) {
             Ok(exp) => {
@@ -650,10 +653,7 @@ fn main() -> ExitCode {
                 }
                 ExitCode::SUCCESS
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
+            Err(e) => usage_error(&e),
         },
         "sweep" => match build_experiment(&cli) {
             Ok(exp) => {
@@ -723,10 +723,7 @@ fn main() -> ExitCode {
                 }
                 ExitCode::SUCCESS
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
+            Err(e) => usage_error(&e),
         },
         "trace" => match build_experiment(&cli) {
             Ok(exp) => {
@@ -755,10 +752,7 @@ fn main() -> ExitCode {
                 );
                 ExitCode::SUCCESS
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
+            Err(e) => usage_error(&e),
         },
         "figures" => {
             println!("{:<10} Table I — simulated machine parameters", "table1");

@@ -63,3 +63,19 @@ fn check_rejects_unknown_figure() {
     assert_eq!(status.code(), Some(2), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "must not panic: {stderr}");
 }
+
+#[test]
+fn out_of_range_configs_are_usage_errors() {
+    // Each used to reach an assert inside the simulator and exit 101 with a
+    // backtrace; validation now rejects them before anything is built.
+    for command in ["run", "peak", "sweep"] {
+        for bad in [
+            ["--cores", "100"],
+            ["--ddio", "20"],
+            ["--buffers", "0"],
+            ["--channels", "0"],
+        ] {
+            assert_usage_error(&[command, bad[0], bad[1]]);
+        }
+    }
+}

@@ -5,9 +5,10 @@
 
 use sweeper::core::experiment::{Experiment, ExperimentConfig};
 use sweeper::core::os::{probe_page_recycling, PageZeroMode};
-use sweeper::core::server::{RunOptions, SweeperMode};
+use sweeper::core::server::{RunOptions, Server, SweeperMode};
 use sweeper::core::workload::{CoreEnv, TxAction, Workload};
 use sweeper::nic::packet::Packet;
+use sweeper::nic::traffic::ArrivalProcess;
 use sweeper::sim::cache::WayMask;
 use sweeper::sim::hierarchy::{MachineConfig, MemorySystem};
 use sweeper::workloads::kvs::{KvsConfig, MicaKvs};
@@ -41,6 +42,28 @@ fn paper_scale_runs_are_bit_identical() {
     assert_eq!(a.mem.dram_accesses(), b.mem.dram_accesses());
     assert_eq!(a.dram_latency.mean(), b.dram_latency.mean());
     assert_eq!(a.request_latency.percentile(0.99), b.request_latency.percentile(0.99));
+}
+
+#[test]
+fn paper_machine_directory_never_grows() {
+    // The memory system sizes its directory for every private L2 line, which
+    // bounds the blocks it can track, so a full KVS + Sweeper run on the
+    // paper machine must never rehash it.
+    let cfg = ExperimentConfig::paper_default()
+        .rx_buffers_per_core(1024)
+        .packet_bytes(1024)
+        .sweeper(SweeperMode::Enabled)
+        .seed(7);
+    let mut server_cfg = cfg.server_config().clone();
+    server_cfg.arrivals = ArrivalProcess::Poisson { rate: 15.0e6 };
+    let workload = Box::new(MicaKvs::new(KvsConfig::paper_default()));
+    let mut server = Server::new(server_cfg, workload);
+    let capacity = server.memory().directory().capacity();
+    let report = server.run(quick_opts());
+    assert!(!report.timed_out && report.completed >= 6_000);
+    let dir = server.memory().directory();
+    assert!(dir.tracked_blocks() > 10_000, "too few blocks tracked");
+    assert_eq!(dir.capacity(), capacity, "the directory grew");
 }
 
 #[test]
