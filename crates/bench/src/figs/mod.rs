@@ -5,10 +5,10 @@
 //! the paper's tables. Execution — parallelism, seeding, progress, timing —
 //! lives in the [`Fleet`](sweeper_core::fleet::Fleet), not in the figures.
 //!
-//! [`registry`] lists every runnable figure; the `src/bin` wrappers, the
-//! `all` binary, and the `sweeper` CLI all dispatch through it (via
-//! [`run_figure`](crate::run_figure)). `table1` is a parameter listing with
-//! no experiment points and stays a plain module.
+//! [`registry`] lists every runnable figure; the `sweeper` CLI's `figure`
+//! and `check` commands dispatch through it (via
+//! [`run_figure`](crate::run_figure) for `figure`). `table1` is a parameter
+//! listing with no experiment points and stays a plain module.
 
 pub mod ablations;
 pub mod fig1;
@@ -35,7 +35,7 @@ use crate::FigContext;
 /// peak search) override `run` and feed `render` the concatenated
 /// outcomes.
 pub trait Figure: Sync {
-    /// Registry key, e.g. `"fig5"` — matches the binary name.
+    /// Registry key, e.g. `"fig5"` — the name `sweeper figure` takes.
     fn name(&self) -> &'static str;
 
     /// One-line description shown by `sweeper figures`.

@@ -6,22 +6,24 @@
 //! [`ExperimentPoint`](sweeper_core::fleet::ExperimentPoint)s and renders
 //! the collected outcomes into the paper's tables, writing each one to
 //! `results/<name>.csv` plus a schema-tagged `results/<name>.json` sidecar
-//! (the directory is created on demand). The dedicated binaries in
-//! `src/bin/` (`fig1` … `fig10`, `table1`, `ablations`, `all`) all dispatch
-//! through [`run_figure`], so every figure inherits:
+//! (the directory is created on demand). The `sweeper` CLI's
+//! `figure <name>` command (and `figure all`) dispatches through
+//! [`run_figure`], so every figure inherits:
 //!
 //! * **parallelism** — points fan out across a
-//!   [`Fleet`](sweeper_core::fleet::Fleet) worker pool (`--jobs N` or
-//!   `SWEEPER_JOBS`, default = available parallelism) with identical
-//!   results for any worker count,
-//! * **run profiles** — `--profile full|fast|smoke` (or `SWEEPER_PROFILE`;
-//!   a non-empty legacy `SWEEPER_FAST` still selects `fast`) parsed once
-//!   into a typed [`RunProfile`],
+//!   [`Fleet`](sweeper_core::fleet::Fleet) worker pool (`--jobs N`,
+//!   default = available parallelism) with identical results for any
+//!   worker count,
+//! * **run profiles** — `--profile full|fast|smoke` parsed once into a
+//!   typed [`RunProfile`],
 //! * **output formats** — `--format text|json|csv` selects how emitted
 //!   tables print to stdout; the on-disk artifacts are written regardless,
 //! * **timing** — per-point wall time on stderr and per-figure totals.
+//!
+//! [`perf`] holds the simulator-throughput benchmark behind `sweeper perf`.
 
 pub mod figs;
+pub mod perf;
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -30,6 +32,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use sweeper_core::experiment::{Experiment, ExperimentConfig};
 use sweeper_core::fleet::Fleet;
 use sweeper_core::profile::RunProfile;
+use sweeper_core::scenario::{Scenario, ScenarioWorkload};
 use sweeper_core::server::{RunOptions, RunReport, SweeperMode};
 use sweeper_core::telemetry::{
     document, CsvTable, OutputFormat, Record, RunManifest, Value, FIGURE_TABLE_SCHEMA,
@@ -38,10 +41,11 @@ use sweeper_sim::hierarchy::InjectionPolicy;
 use sweeper_sim::stats::TrafficClass;
 use sweeper_workloads::kvs::{KvsConfig, MicaKvs, HEADER_BYTES};
 use sweeper_workloads::l3fwd::{L3Forwarder, L3fwdConfig};
+use sweeper_workloads::synthetic::{Synthetic, SyntheticConfig};
 
 /// Everything a figure needs to execute: the run-length profile and the
-/// worker fleet. Parsed once (environment + flags) and threaded through
-/// the registry.
+/// worker fleet. Parsed once from the CLI flags and threaded through the
+/// registry.
 #[derive(Debug, Clone)]
 pub struct FigContext {
     /// Run-length profile for every experiment of the figure.
@@ -53,61 +57,32 @@ pub struct FigContext {
     pub format: OutputFormat,
 }
 
-impl FigContext {
-    /// Context from the environment alone (`SWEEPER_PROFILE`/`SWEEPER_FAST`
-    /// and `SWEEPER_JOBS`).
-    pub fn from_env() -> Self {
-        Self {
-            profile: RunProfile::from_env(),
-            fleet: Fleet::from_env(),
-            format: OutputFormat::Text,
-        }
-    }
-
-    /// Context from the environment with command-line overrides — the
-    /// shared flag parser of every figure binary. Recognized flags:
-    /// `--jobs N`, `--profile full|fast|smoke`, and
-    /// `--format text|json|csv`.
-    pub fn from_env_and_args<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        let mut ctx = Self::from_env();
-        let mut it = args.into_iter();
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--jobs" => {
-                    let v = it.next().ok_or("flag --jobs needs a value")?;
-                    let jobs: usize = v.parse().map_err(|_| format!("invalid --jobs '{v}'"))?;
-                    ctx.fleet = Fleet::new(jobs);
-                }
-                "--profile" => {
-                    let v = it.next().ok_or("flag --profile needs a value")?;
-                    ctx.profile = v.parse()?;
-                }
-                "--format" => {
-                    let v = it.next().ok_or("flag --format needs a value")?;
-                    ctx.format = v.parse()?;
-                }
-                other => {
-                    return Err(format!(
-                        "unknown flag '{other}' (figure binaries take --jobs N, --profile full|fast|smoke, and --format text|json|csv)"
-                    ))
-                }
-            }
-        }
-        Ok(ctx)
-    }
-}
-
-/// Runs one registered figure (or `table1`) under `ctx`. The single entry
-/// point behind every binary and the CLI's `figure` command.
+/// Runs one registered figure, `table1`, or `all` (table1, then the
+/// registry in order) under `ctx`. The entry point behind the CLI's
+/// `figure` command.
+///
+/// # Errors
+///
+/// Returns a message listing the valid names when `name` is none of them.
 pub fn run_figure(name: &str, ctx: &FigContext) -> Result<(), String> {
     set_stdout_format(ctx.format);
+    if name == "all" {
+        let t = std::time::Instant::now();
+        let names = std::iter::once("table1").chain(figs::registry().iter().map(|f| f.name()));
+        for name in names {
+            eprintln!("\n##### {name} #####");
+            run_figure(name, ctx)?;
+        }
+        eprintln!("\nComplete evaluation finished in {:.1?}", t.elapsed());
+        return Ok(());
+    }
     if name == "table1" {
         figs::table1::run();
         return Ok(());
     }
     let figure = figs::find(name).ok_or_else(|| {
         format!(
-            "unknown figure '{name}' (available: table1, {})",
+            "unknown figure '{name}' (available: all, table1, {})",
             figs::registry()
                 .iter()
                 .map(|f| f.name())
@@ -127,22 +102,6 @@ pub fn run_figure(name: &str, ctx: &FigContext) -> Result<(), String> {
     figure.run(ctx);
     eprintln!("[{}] done in {:.1?}", figure.name(), t.elapsed());
     Ok(())
-}
-
-/// `main` of every figure binary: parse the shared flags, run the figure,
-/// exit non-zero on a usage error.
-pub fn figure_main(name: &str) {
-    let ctx = match FigContext::from_env_and_args(std::env::args().skip(1)) {
-        Ok(ctx) => ctx,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = run_figure(name, &ctx) {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
 }
 
 /// Run lengths for Poisson load sweeps under a [`RunProfile`].
@@ -292,6 +251,31 @@ pub fn kvs_experiment(
         .experiment(move || MicaKvs::new(kvs_cfg))
 }
 
+/// The experiment a [`Scenario`] describes: `cfg` (the scenario's
+/// [`Scenario::to_config`] plus the caller's run lengths and
+/// instrumentation) driven by the workload the scenario names. KVS items
+/// fill the packet after the request header; `zero_copy` makes the L3
+/// forwarder transmit in place.
+pub fn scenario_experiment(cfg: ExperimentConfig, scenario: &Scenario, zero_copy: bool) -> Experiment {
+    match scenario.workload {
+        ScenarioWorkload::Kvs => {
+            let item = scenario.packet.saturating_sub(HEADER_BYTES).max(64);
+            let kvs = KvsConfig::paper_default().with_item_bytes(item);
+            Experiment::new(cfg, move || MicaKvs::new(kvs))
+        }
+        ScenarioWorkload::L3fwd => {
+            let mut l3 = L3fwdConfig::l2_resident();
+            if zero_copy {
+                l3 = l3.with_zero_copy();
+            }
+            Experiment::new(cfg, move || L3Forwarder::new(l3))
+        }
+        ScenarioWorkload::Synthetic => {
+            Experiment::new(cfg, || Synthetic::new(SyntheticConfig::balanced()))
+        }
+    }
+}
+
 /// Builds an L3fwd experiment at paper scale (copy-out transmit path,
 /// L2-resident 16 k-rule table as in §IV-B).
 pub fn l3fwd_experiment(profile: RunProfile, point: SystemPoint, rx_buffers: usize) -> Experiment {
@@ -347,7 +331,7 @@ fn stdout_format() -> OutputFormat {
     }
 }
 
-/// Simple fixed-width table printer for the figure binaries.
+/// Simple fixed-width table printer for the figures.
 #[derive(Debug)]
 pub struct Table {
     headers: Vec<String>,
@@ -524,22 +508,6 @@ mod tests {
         assert!(exp.config().rx_footprint_bytes() > 0);
         let exp2 = l3fwd_experiment(RunProfile::Smoke, SystemPoint::ddio(2), 64);
         assert!(exp2.config().machine().ddio_ways == 2);
-    }
-
-    #[test]
-    fn fig_context_parses_flags() {
-        let ctx = FigContext::from_env_and_args(
-            ["--jobs", "3", "--profile", "smoke", "--format", "json"].map(String::from),
-        )
-        .unwrap();
-        assert_eq!(ctx.fleet.jobs(), 3);
-        assert_eq!(ctx.profile, RunProfile::Smoke);
-        assert_eq!(ctx.format, OutputFormat::Json);
-        assert!(FigContext::from_env_and_args(["--bogus".to_string()]).is_err());
-        assert!(FigContext::from_env_and_args(["--jobs".to_string()]).is_err());
-        assert!(
-            FigContext::from_env_and_args(["--format", "yaml"].map(String::from)).is_err()
-        );
     }
 
     #[test]

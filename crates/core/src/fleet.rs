@@ -12,8 +12,8 @@
 //! 2. outcomes are collected back in declaration order, so rendered tables
 //!    and CSVs are byte-identical for any `--jobs` value.
 //!
-//! The worker count comes from [`Fleet::from_env`] (`SWEEPER_JOBS`, default
-//! = available parallelism) or an explicit [`Fleet::new`]. A single-point
+//! The worker count comes from an explicit [`Fleet::new`] (the CLI's
+//! `--jobs N`) or [`Fleet::default`] (available parallelism). A single-point
 //! fleet, or `--jobs 1`, degrades to plain sequential execution on the
 //! calling thread.
 //!
@@ -207,8 +207,13 @@ pub struct Fleet {
 }
 
 impl Default for Fleet {
+    /// One worker per unit of the host's available parallelism.
     fn default() -> Self {
-        Self::from_env()
+        Self::new(
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+        )
     }
 }
 
@@ -219,21 +224,6 @@ impl Fleet {
             jobs: jobs.max(1),
             progress: true,
         }
-    }
-
-    /// Worker count from `SWEEPER_JOBS`, defaulting to the host's available
-    /// parallelism.
-    pub fn from_env() -> Self {
-        let jobs = std::env::var("SWEEPER_JOBS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&j| j >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        Self::new(jobs)
     }
 
     /// A single-worker (sequential) fleet.
@@ -504,9 +494,9 @@ mod tests {
     }
 
     #[test]
-    fn env_fleet_clamps_to_at_least_one_worker() {
+    fn fleet_clamps_to_at_least_one_worker() {
         assert!(Fleet::new(0).jobs() >= 1);
-        assert!(Fleet::from_env().jobs() >= 1);
+        assert!(Fleet::default().jobs() >= 1);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! * [`fleet`] — the parallel experiment runner: independent sweep points
 //!   fan out across a worker pool with per-point derived seeds, so results
 //!   are identical for any worker count,
-//! * [`profile`] — typed run-length profiles (full / fast / smoke)
-//!   replacing ad-hoc `SWEEPER_FAST` checks,
+//! * [`profile`] — typed run-length profiles (full / fast / smoke), set
+//!   by the CLI's `--profile` flag,
 //! * [`loadsweep`] — full load–latency ("hockey-stick") characterizations,
 //! * [`report`] — run-report rendering through pluggable sinks (stable
 //!   text, typed JSON, wide CSV — one traversal feeds all three),

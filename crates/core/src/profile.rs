@@ -1,14 +1,12 @@
 //! Run-length profiles: how much simulated work an evaluation spends.
 //!
-//! The benchmark harness used to branch on a stringly `SWEEPER_FAST`
-//! environment check at every call site. [`RunProfile`] replaces that: the
-//! profile is parsed **once** (from `--profile` or the environment) and
-//! threaded explicitly through the figure registry, the fleet runner, and
-//! the CLI.
+//! The profile is parsed **once**, from the `sweeper` CLI's `--profile`
+//! flag, and threaded explicitly through the figure registry, the fleet
+//! runner, and the CLI.
 //!
 //! * [`RunProfile::Full`] — paper-fidelity run lengths (default),
 //! * [`RunProfile::Fast`] — quartered measurement windows for CI smokes
-//!   (what `SWEEPER_FAST=1` historically selected),
+//!   and the `sweeper perf` throughput benchmark,
 //! * [`RunProfile::Smoke`] — minimal windows that only prove the plumbing;
 //!   used to size long-running tests so `cargo test -q` stays quick.
 
@@ -21,29 +19,13 @@ pub enum RunProfile {
     /// Paper-fidelity run lengths.
     #[default]
     Full,
-    /// Quartered windows for a quick CI pass (`SWEEPER_FAST=1`).
+    /// Quartered windows for a quick CI pass.
     Fast,
     /// Minimal windows for unit/integration tests.
     Smoke,
 }
 
 impl RunProfile {
-    /// Resolves the profile from the environment, parsed once at startup:
-    /// `SWEEPER_PROFILE=full|fast|smoke` wins; otherwise a non-empty
-    /// `SWEEPER_FAST` still selects [`RunProfile::Fast`] for backwards
-    /// compatibility.
-    pub fn from_env() -> Self {
-        if let Ok(v) = std::env::var("SWEEPER_PROFILE") {
-            if let Ok(p) = v.parse() {
-                return p;
-            }
-        }
-        match std::env::var("SWEEPER_FAST") {
-            Ok(v) if !v.is_empty() => Self::Fast,
-            _ => Self::Full,
-        }
-    }
-
     /// Divisor applied to measurement windows relative to [`RunProfile::Full`].
     pub fn window_divisor(self) -> u64 {
         match self {

@@ -243,12 +243,6 @@ pub fn json_record(report: &RunReport, style: ReportStyle) -> Record {
     sink.finish()
 }
 
-/// Renders `report` as stable text.
-#[deprecated(since = "0.2.0", note = "use `text_report`, or `emit` with a custom sink")]
-pub fn render(report: &RunReport, style: ReportStyle) -> String {
-    text_report(report, style)
-}
-
 /// The stable line-oriented text format.
 #[derive(Debug, Default)]
 pub struct TextSink {
@@ -507,16 +501,6 @@ mod tests {
         let text = text_report(&r, ReportStyle::brief());
         assert!(!text.contains("dram read latency"));
         assert!(text.contains("throughput"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn render_shim_matches_text_report() {
-        let r = report();
-        assert_eq!(
-            render(&r, ReportStyle::default()),
-            text_report(&r, ReportStyle::default())
-        );
     }
 
     #[test]

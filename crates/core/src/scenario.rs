@@ -16,9 +16,11 @@
 //! rate_mrps  = 20
 //! ```
 //!
-//! [`Scenario::parse`] validates keys and values; [`Scenario::to_config`]
-//! produces an [`ExperimentConfig`] plus workload selection for the CLI or
-//! a driver program.
+//! [`Scenario::parse`] validates keys and values through
+//! [`Scenario::set`], which the `sweeper` CLI also calls for each point flag
+//! (`--ddio 4` sets `ddio_ways = 4`), so a file and the flags describe a
+//! point the same way. [`Scenario::to_config`] produces the
+//! [`ExperimentConfig`] for the CLI or a driver program.
 
 use std::collections::BTreeMap;
 
@@ -36,6 +38,17 @@ pub enum ScenarioWorkload {
     L3fwd,
     /// The synthetic calibration workload.
     Synthetic,
+}
+
+impl ScenarioWorkload {
+    /// The workload's scenario-file and CLI name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Kvs => "kvs",
+            Self::L3fwd => "l3fwd",
+            Self::Synthetic => "synthetic",
+        }
+    }
 }
 
 /// A parsed scenario.
@@ -131,48 +144,61 @@ impl Scenario {
             if let Some(first) = seen.insert(key.to_string(), line_no) {
                 return Err(err(format!("duplicate key '{key}' (first at line {first})")));
             }
-            match key {
-                "workload" => {
-                    s.workload = match value {
-                        "kvs" => ScenarioWorkload::Kvs,
-                        "l3fwd" => ScenarioWorkload::L3fwd,
-                        "synthetic" => ScenarioWorkload::Synthetic,
-                        other => return Err(err(format!("unknown workload '{other}'"))),
-                    }
-                }
-                "policy" => {
-                    s.policy = match value {
-                        "dma" => InjectionPolicy::Dma,
-                        "ddio" => InjectionPolicy::Ddio,
-                        "ideal" => InjectionPolicy::Ideal,
-                        other => return Err(err(format!("unknown policy '{other}'"))),
-                    }
-                }
-                "sweeper" => {
-                    s.sweeper = match parse_bool(value).map_err(&err)? {
-                        true => SweeperMode::Enabled,
-                        false => SweeperMode::Disabled,
-                    }
-                }
-                "tx_sweep" => s.tx_sweep = parse_bool(value).map_err(&err)?,
-                "ddio_ways" => s.ddio_ways = parse_num(value, 1, 12).map_err(&err)? as u32,
-                "buffers" => s.buffers = parse_num(value, 1, 1 << 20).map_err(&err)? as usize,
-                "endpoints" => s.endpoints = parse_num(value, 1, 4096).map_err(&err)? as usize,
-                "packet" => s.packet = parse_num(value, 64, 1 << 16).map_err(&err)?,
-                "channels" => s.channels = parse_num(value, 1, 16).map_err(&err)? as usize,
-                "cores" => s.cores = parse_num(value, 1, 64).map_err(&err)? as u16,
-                "seed" => s.seed = parse_num(value, 0, u64::MAX).map_err(&err)?,
-                "rate_mrps" => {
-                    s.rate_mrps = value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|r| r.is_finite() && *r > 0.0)
-                        .ok_or_else(|| err(format!("invalid rate '{value}'")))?
-                }
-                other => return Err(err(format!("unknown key '{other}'"))),
-            }
+            s.set(key, value).map_err(err)?;
         }
         Ok(s)
+    }
+
+    /// Sets one key from its text value — the single place a scenario key
+    /// is validated, shared by [`parse`](Self::parse) and the CLI's point
+    /// flags.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for an unknown key, a bad value, or an
+    /// out-of-range number.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        match key {
+            "workload" => {
+                self.workload = match value {
+                    "kvs" => ScenarioWorkload::Kvs,
+                    "l3fwd" => ScenarioWorkload::L3fwd,
+                    "synthetic" => ScenarioWorkload::Synthetic,
+                    other => return Err(format!("unknown workload '{other}'")),
+                }
+            }
+            "policy" => {
+                self.policy = match value {
+                    "dma" => InjectionPolicy::Dma,
+                    "ddio" => InjectionPolicy::Ddio,
+                    "ideal" => InjectionPolicy::Ideal,
+                    other => return Err(format!("unknown policy '{other}'")),
+                }
+            }
+            "sweeper" => {
+                self.sweeper = match parse_bool(value)? {
+                    true => SweeperMode::Enabled,
+                    false => SweeperMode::Disabled,
+                }
+            }
+            "tx_sweep" => self.tx_sweep = parse_bool(value)?,
+            "ddio_ways" => self.ddio_ways = parse_num(value, 1, 12)? as u32,
+            "buffers" => self.buffers = parse_num(value, 1, 1 << 20)? as usize,
+            "endpoints" => self.endpoints = parse_num(value, 1, 4096)? as usize,
+            "packet" => self.packet = parse_num(value, 64, 1 << 16)?,
+            "channels" => self.channels = parse_num(value, 1, 16)? as usize,
+            "cores" => self.cores = parse_num(value, 1, 64)? as u16,
+            "seed" => self.seed = parse_num(value, 0, u64::MAX)?,
+            "rate_mrps" => {
+                self.rate_mrps = value
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|r| r.is_finite() && *r > 0.0)
+                    .ok_or_else(|| format!("invalid rate '{value}'"))?
+            }
+            other => return Err(format!("unknown key '{other}'")),
+        }
+        Ok(())
     }
 
     /// Builds the experiment configuration this scenario describes (run
@@ -194,11 +220,7 @@ impl Scenario {
     /// Renders the scenario back to parseable text (round-trips through
     /// [`parse`](Self::parse)).
     pub fn to_text(&self) -> String {
-        let workload = match self.workload {
-            ScenarioWorkload::Kvs => "kvs",
-            ScenarioWorkload::L3fwd => "l3fwd",
-            ScenarioWorkload::Synthetic => "synthetic",
-        };
+        let workload = self.workload.name();
         let policy = match self.policy {
             InjectionPolicy::Dma => "dma",
             InjectionPolicy::Ddio => "ddio",

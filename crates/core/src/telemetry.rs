@@ -44,8 +44,8 @@ pub const OUTLIER_SCHEMA: &str = "sweeper.outlier/1";
 /// Schema tag of correctness-harness (`sweeper check`) documents.
 pub const CHECK_SCHEMA: &str = "sweeper.check/1";
 
-/// Export format selected by `--format` across the CLI and the figure
-/// binaries.
+/// Export format selected by the CLI's `--format`, for single runs and
+/// figures alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OutputFormat {
     /// Human-readable text (the default).

@@ -9,36 +9,37 @@
 //! sweeper peak    --workload kvs --buffers 2048 --channels 3
 //! sweeper sweep   --lo 5 --hi 60 --points 8 --workload l3fwd --jobs 8
 //! sweeper trace   --rate 20 --events 65536 > memtrace.csv
+//! sweeper run     --scenario fig5.scn --ddio 4
 //! sweeper figures
 //! sweeper figure fig5 --jobs 8 --profile fast
+//! sweeper figure all  --jobs 8
+//! sweeper perf    --json BENCH_sim.json
 //! sweeper info
 //! ```
 //!
-//! All rates are in Mrps. Run `sweeper help` for the full flag list.
+//! A run point is one [`Scenario`]: a `--scenario` file sets it first, and
+//! each point flag (`--ddio`, `--buffers`, …) then sets one of its keys
+//! through the same validation. All rates are in Mrps. Run `sweeper help`
+//! for the full flag list.
 
 use std::process::ExitCode;
 
-use sweeper::bench::{run_figure, FigContext};
-use sweeper::core::experiment::{Experiment, ExperimentConfig, PeakCriteria};
+use sweeper::bench::{perf, run_figure, scenario_experiment, FigContext};
+use sweeper::core::experiment::{Experiment, PeakCriteria};
 use sweeper::core::fleet::Fleet;
 use sweeper::core::loadsweep::{LoadPoint, LoadSweep, RateGrid};
 use sweeper::core::profile::RunProfile;
 use sweeper::core::report::{emit, text_report, CsvSink, ReportStyle};
-use sweeper::core::scenario::{Scenario, ScenarioWorkload};
-use sweeper::core::server::{
-    FlightRecorderConfig, RunOptions, RunReport, SamplerConfig, SweeperMode,
-};
+use sweeper::core::scenario::Scenario;
+use sweeper::core::server::{FlightRecorderConfig, RunOptions, RunReport, SamplerConfig};
 use sweeper::core::telemetry::{
     check_document, document, outlier_document, perfetto_document, run_document,
     timeseries_document, OutputFormat, Record, RunManifest, Value, LOADSWEEP_SCHEMA,
 };
 use sweeper::sim::check::{CheckConfig, ViolationKind};
-use sweeper::sim::hierarchy::{InjectionPolicy, MachineConfig};
-use sweeper::workloads::kvs::{KvsConfig, MicaKvs, HEADER_BYTES};
-use sweeper::workloads::l3fwd::{L3Forwarder, L3fwdConfig};
-use sweeper::workloads::synthetic::{Synthetic, SyntheticConfig};
+use sweeper::sim::hierarchy::MachineConfig;
 
-const USAGE: &str = "usage: sweeper <run|peak|sweep|trace|check|figures|figure <NAME>|info|help> [flags] — see `sweeper help`";
+const USAGE: &str = "usage: sweeper <run|peak|sweep|trace|check|figures|figure <NAME>|perf|info|help> [flags] — see `sweeper help`";
 
 const HELP: &str = "\
 sweeper — DDIO network-data-leak simulator (MICRO'22 'Sweeper' reproduction)
@@ -53,33 +54,43 @@ COMMANDS:
     trace    simulate one operating point and dump the memory-event trace
              as CSV on stdout (report summary goes to stderr)
     figures  list the paper figures the registry can regenerate
-    figure <NAME>  regenerate one figure (table1, fig1..fig10, ablations)
+    figure <NAME>  regenerate one figure (table1, fig1..fig10, ablations,
+             outliers), or `all`: table1 then every figure in order
     check [NAME]   run every registered figure configuration (or just NAME)
              through the correctness harness and report pass/fail per
              invariant; nonzero exit on any violation
+    perf     measure simulator throughput (simulated block accesses per
+             host second) on a fixed KVS point; --json writes the
+             BENCH_sim.json record, --check gates against one
     info     print the simulated machine (Table I)
     help     show this text
 
-FLAGS (all optional):
-    --workload <kvs|l3fwd|synthetic>   workload model        [kvs]
-    --policy <dma|ddio|ideal>          injection policy      [ddio]
-    --ddio <1..12>                     DDIO LLC ways         [2]
-    --sweeper                          enable Sweeper (relinquish on RX)
-    --tx-sweep                         enable NIC-driven TX sweeping (§V-D)
-    --buffers <N>                      RX ring entries/core  [1024]
-    --endpoints <N>                    endpoints per core    [1]
-    --packet <BYTES>                   packet size           [1088]
-    --channels <3..8>                  DDR4 channels         [4]
-    --cores <N>                        active cores          [24]
-    --seed <N>                         RNG seed              [0x5eed]
-    --requests <N>                     measured requests     [20000]
-    --rate <MRPS>                      offered load (run)    [20]
-    --lo/--hi <MRPS>, --points <N>     sweep grid            [2..60, 8]
-    --jobs <N>                         worker threads for sweep/figure
-                                       [SWEEPER_JOBS or all cores]
-    --profile <full|fast|smoke>        figure run lengths
-                                       [SWEEPER_PROFILE, or fast if
-                                       SWEEPER_FAST is set]
+POINT FLAGS — each sets one key of the run's scenario (key in parentheses):
+    --workload <kvs|l3fwd|synthetic>   workload model (workload)      [kvs]
+    --policy <dma|ddio|ideal>          injection policy (policy)      [ddio]
+    --ddio <1..12>                     DDIO LLC ways (ddio_ways)      [2]
+    --sweeper                          enable Sweeper, relinquish on RX
+                                       (sweeper)
+    --tx-sweep                         enable NIC-driven TX sweeping, §V-D
+                                       (tx_sweep)
+    --buffers <N>                      RX ring entries/core (buffers) [1024]
+    --endpoints <N>                    endpoints per core (endpoints) [1]
+    --packet <64..65536>               packet bytes (packet)          [1088]
+    --channels <N>                     DDR4 channels (channels)       [4]
+    --cores <N>                        active cores (cores)           [24]
+    --seed <N>                         RNG seed (seed)                [0x5eed]
+    --rate <MRPS>                      offered load, > 0 (rate_mrps)  [20]
+    --scenario <FILE>                  load a key=value scenario file first;
+                                       point flags override its values
+
+OTHER FLAGS (all optional):
+    --requests <N>                     measured requests, >= 1  [20000]
+    --lo/--hi <MRPS>, --points <N>     sweep grid, 0 < lo < hi, points >= 2
+                                                                [2..60, 8]
+    --jobs <N>                         worker threads for sweep/figure/check
+                                       [all cores]
+    --profile <full|fast|smoke>        figure/check run lengths
+                                       [full; perf: fast]
     --format <text|json|csv>           output format for run/peak/sweep
                                        (figure: stdout table format) [text]
     --timeseries <PATH>                sample the run and write the time
@@ -114,12 +125,36 @@ FLAGS (all optional):
     --walk-every <REQUESTS>            completed requests between invariant
                                        walks in checked mode      [1024]
     --zero-copy                        l3fwd transmits in place
-    --scenario <FILE>                  load a key=value scenario file first;
-                                       later flags override its values
+    --json <PATH>                      perf: write the BENCH_sim.json record
+    --check <PATH>                     perf: re-measure under PATH's profile
+                                       and fail on a regression
+    --max-regress <PCT>                perf --check tolerance       [20]
 
 JSON and CSV exports carry a run manifest (tool version, config summary,
 workload, seed, wall time) so artifacts found on disk identify their run.
 ";
+
+/// Flags that each set one [`Scenario`] key, and the key they set. The
+/// switches (`--sweeper`, `--tx-sweep`) take no value and set their key to
+/// `true`.
+const POINT_FLAGS: [(&str, &str); 12] = [
+    ("--workload", "workload"),
+    ("--policy", "policy"),
+    ("--ddio", "ddio_ways"),
+    ("--sweeper", "sweeper"),
+    ("--tx-sweep", "tx_sweep"),
+    ("--buffers", "buffers"),
+    ("--endpoints", "endpoints"),
+    ("--packet", "packet"),
+    ("--channels", "channels"),
+    ("--cores", "cores"),
+    ("--seed", "seed"),
+    ("--rate", "rate_mrps"),
+];
+
+fn is_switch(flag: &str) -> bool {
+    matches!(flag, "--sweeper" | "--tx-sweep")
+}
 
 #[derive(Debug, Clone)]
 struct Cli {
@@ -128,26 +163,15 @@ struct Cli {
     figure: Option<String>,
     jobs: Option<usize>,
     profile: Option<RunProfile>,
-    workload: String,
-    policy: InjectionPolicy,
-    ddio: u32,
-    sweeper: bool,
-    tx_sweep: bool,
-    buffers: usize,
-    endpoints: usize,
-    packet: u64,
-    channels: usize,
-    cores: u16,
-    seed: u64,
+    /// The run point: a `--scenario` file, then the point flags.
+    scenario: Scenario,
     requests: u64,
-    rate: f64,
     lo: f64,
     hi: f64,
     points: usize,
     validate: bool,
     walk_every: Option<u64>,
     zero_copy: bool,
-    scenario: Option<String>,
     format: OutputFormat,
     timeseries: Option<String>,
     sample_every: Option<u64>,
@@ -158,6 +182,11 @@ struct Cli {
     flight_quantile: Option<f64>,
     outliers: String,
     events: usize,
+    /// `perf --json <PATH>`.
+    json: Option<String>,
+    /// `perf --check <PATH>`: the baseline to gate against.
+    baseline: Option<String>,
+    max_regress: f64,
 }
 
 impl Default for Cli {
@@ -167,26 +196,14 @@ impl Default for Cli {
             figure: None,
             jobs: None,
             profile: None,
-            workload: "kvs".into(),
-            policy: InjectionPolicy::Ddio,
-            ddio: 2,
-            sweeper: false,
-            tx_sweep: false,
-            buffers: 1024,
-            endpoints: 1,
-            packet: 1024 + HEADER_BYTES,
-            channels: 4,
-            cores: 24,
-            seed: 0x5eed,
+            scenario: Scenario::default(),
             requests: 20_000,
-            rate: 20.0,
             lo: 2.0,
             hi: 60.0,
             points: 8,
             validate: false,
             walk_every: None,
             zero_copy: false,
-            scenario: None,
             format: OutputFormat::Text,
             timeseries: None,
             sample_every: None,
@@ -197,41 +214,21 @@ impl Default for Cli {
             flight_quantile: None,
             outliers: "results/outliers".into(),
             events: 65_536,
+            json: None,
+            baseline: None,
+            max_regress: 20.0,
         }
     }
 }
 
-fn apply_scenario(cli: &mut Cli, path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let s = Scenario::parse(&text).map_err(|e| e.to_string())?;
-    cli.workload = match s.workload {
-        ScenarioWorkload::Kvs => "kvs".into(),
-        ScenarioWorkload::L3fwd => "l3fwd".into(),
-        ScenarioWorkload::Synthetic => "synthetic".into(),
-    };
-    cli.policy = s.policy;
-    cli.ddio = s.ddio_ways;
-    cli.sweeper = s.sweeper.is_enabled();
-    cli.tx_sweep = s.tx_sweep;
-    cli.buffers = s.buffers;
-    cli.endpoints = s.endpoints;
-    cli.packet = s.packet;
-    cli.channels = s.channels;
-    cli.cores = s.cores;
-    cli.seed = s.seed;
-    cli.rate = s.rate_mrps;
-    Ok(())
-}
-
 fn parse(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli::default();
-    // Scenario files apply first so explicit flags override them.
-    let mut pos = args.iter().position(|a| a == "--scenario");
-    if let Some(i) = pos.take() {
-        let path = args
-            .get(i + 1)
-            .ok_or_else(|| "flag --scenario needs a value".to_string())?;
-        apply_scenario(&mut cli, path)?;
+    // A scenario file applies first so explicit flags override it.
+    if let Some(i) = args.iter().position(|a| a == "--scenario") {
+        let path = args.get(i + 1).ok_or("flag --scenario needs a value")?;
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        cli.scenario = Scenario::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     }
     let mut it = args.iter().peekable();
     cli.command = it.next().cloned().unwrap_or_else(|| "help".into());
@@ -249,51 +246,45 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         cli.figure = it.next().cloned();
     }
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
+        let flag = flag.as_str();
+        let mut value = || {
             it.next()
                 .cloned()
-                .ok_or_else(|| format!("flag {name} needs a value"))
+                .ok_or_else(|| format!("flag {flag} needs a value"))
         };
-        match flag.as_str() {
-            "--workload" => cli.workload = value(flag)?,
-            "--policy" => {
-                cli.policy = match value(flag)?.as_str() {
-                    "dma" => InjectionPolicy::Dma,
-                    "ddio" => InjectionPolicy::Ddio,
-                    "ideal" => InjectionPolicy::Ideal,
-                    other => return Err(format!("unknown policy '{other}'")),
-                }
+        if let Some(&(_, key)) = POINT_FLAGS.iter().find(|(f, _)| *f == flag) {
+            let v = if is_switch(flag) { "true".into() } else { value()? };
+            cli.scenario
+                .set(key, &v)
+                .map_err(|e| format!("{flag}: {e}"))?;
+            continue;
+        }
+        match flag {
+            "--scenario" => {
+                value()?; // applied before the loop
             }
-            "--ddio" => cli.ddio = num(&value(flag)?)?,
-            "--sweeper" => cli.sweeper = true,
-            "--tx-sweep" => cli.tx_sweep = true,
-            "--buffers" => cli.buffers = num(&value(flag)?)?,
-            "--endpoints" => cli.endpoints = num(&value(flag)?)?,
-            "--packet" => cli.packet = num(&value(flag)?)?,
-            "--channels" => cli.channels = num(&value(flag)?)?,
-            "--cores" => cli.cores = num(&value(flag)?)?,
-            "--seed" => cli.seed = num(&value(flag)?)?,
-            "--requests" => cli.requests = num(&value(flag)?)?,
-            "--rate" => cli.rate = fnum(&value(flag)?)?,
-            "--lo" => cli.lo = fnum(&value(flag)?)?,
-            "--hi" => cli.hi = fnum(&value(flag)?)?,
-            "--points" => cli.points = num(&value(flag)?)?,
-            "--jobs" => cli.jobs = Some(num(&value(flag)?)?),
-            "--profile" => cli.profile = Some(value(flag)?.parse()?),
+            "--requests" => cli.requests = num(flag, &value()?)?,
+            "--lo" => cli.lo = num(flag, &value()?)?,
+            "--hi" => cli.hi = num(flag, &value()?)?,
+            "--points" => cli.points = num(flag, &value()?)?,
+            "--jobs" => cli.jobs = Some(num(flag, &value()?)?),
+            "--profile" => cli.profile = Some(value()?.parse()?),
             "--validate" => cli.validate = true,
-            "--walk-every" => cli.walk_every = Some(num(&value(flag)?)?),
+            "--walk-every" => cli.walk_every = Some(num(flag, &value()?)?),
             "--zero-copy" => cli.zero_copy = true,
-            "--scenario" => cli.scenario = Some(value(flag)?),
-            "--format" => cli.format = value(flag)?.parse()?,
-            "--timeseries" => cli.timeseries = Some(value(flag)?),
-            "--sample-every" => cli.sample_every = Some(num(&value(flag)?)?),
+            "--format" => cli.format = value()?.parse()?,
+            "--timeseries" => cli.timeseries = Some(value()?),
+            "--sample-every" => cli.sample_every = Some(num(flag, &value()?)?),
             "--trace-spans" => cli.trace_spans = true,
-            "--perfetto" => cli.perfetto = Some(value(flag)?),
+            "--perfetto" => cli.perfetto = Some(value()?),
             "--profiler" => cli.profiler = true,
             "--flight-recorder" => cli.flight_recorder = true,
-            "--flight-quantile" => cli.flight_quantile = Some(fnum(&value(flag)?)?),
-            "--outliers" => cli.outliers = value(flag)?,
-            "--events" => cli.events = num(&value(flag)?)?,
+            "--flight-quantile" => cli.flight_quantile = Some(num(flag, &value()?)?),
+            "--outliers" => cli.outliers = value()?,
+            "--events" => cli.events = num(flag, &value()?)?,
+            "--json" => cli.json = Some(value()?),
+            "--check" => cli.baseline = Some(value()?),
+            "--max-regress" => cli.max_regress = num(flag, &value()?)?,
             other => return Err(format!("unknown flag '{other}' (see `sweeper help`)")),
         }
     }
@@ -307,6 +298,18 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     }
     if cli.events == 0 {
         return Err("--events must be positive".to_string());
+    }
+    if cli.requests == 0 {
+        return Err("--requests must be at least 1".to_string());
+    }
+    if cli.points < 2 {
+        return Err(format!("--points must be at least 2, got {}", cli.points));
+    }
+    if !(cli.lo > 0.0 && cli.lo < cli.hi && cli.hi.is_finite()) {
+        return Err(format!(
+            "--lo/--hi must satisfy 0 < lo < hi, got lo {} and hi {}",
+            cli.lo, cli.hi
+        ));
     }
     if cli.walk_every.is_some() && !cli.validate && cli.command != "check" {
         return Err("--walk-every needs --validate (or the check command)".to_string());
@@ -323,41 +326,20 @@ fn check_config(cli: &Cli) -> CheckConfig {
     check
 }
 
-fn num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("invalid number '{s}'"))
-}
-
-fn fnum(s: &str) -> Result<f64, String> {
-    s.parse().map_err(|_| format!("invalid number '{s}'"))
+fn num<T: std::str::FromStr>(flag: &str, s: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("{flag}: invalid number '{s}'"))
 }
 
 fn build_experiment(cli: &Cli) -> Result<Experiment, String> {
-    if cli.channels == 0 {
-        return Err("at least one memory channel is required".into());
-    }
-    let ring_wrap = (cli.cores as u64 * cli.endpoints as u64 * cli.buffers as u64 * 12) / 10;
-    let mut cfg = ExperimentConfig::paper_default()
-        .injection(cli.policy)
-        .ddio_ways(cli.ddio)
-        .sweeper(if cli.sweeper {
-            SweeperMode::Enabled
-        } else {
-            SweeperMode::Disabled
-        })
-        .tx_sweep(cli.tx_sweep)
-        .rx_buffers_per_core(cli.buffers)
-        .endpoints_per_core(cli.endpoints)
-        .packet_bytes(cli.packet)
-        .channels(cli.channels)
-        .active_cores(cli.cores)
-        .seed(cli.seed)
-        .run_options(RunOptions {
-            warmup_requests: ring_wrap.max(10_000),
-            measure_requests: cli.requests,
-            max_cycles: 600_000_000_000,
-            min_warmup_cycles: 0,
-            min_measure_cycles: 0,
-        });
+    let s = &cli.scenario;
+    let ring_wrap = (s.cores as u64 * s.endpoints as u64 * s.buffers as u64 * 12) / 10;
+    let mut cfg = s.to_config().run_options(RunOptions {
+        warmup_requests: ring_wrap.max(10_000),
+        measure_requests: cli.requests,
+        max_cycles: 600_000_000_000,
+        min_warmup_cycles: 0,
+        min_measure_cycles: 0,
+    });
     if cli.timeseries.is_some() || cli.sample_every.is_some() {
         let every = cli.sample_every.unwrap_or(1_000_000);
         cfg = cfg.sampling(SamplerConfig::every(every));
@@ -381,23 +363,7 @@ fn build_experiment(cli: &Cli) -> Result<Experiment, String> {
         cfg = cfg.memtrace(cli.events);
     }
     cfg.server_config().validate()?;
-    let exp = match cli.workload.as_str() {
-        "kvs" => {
-            let item = cli.packet.saturating_sub(HEADER_BYTES).max(64);
-            let kvs = KvsConfig::paper_default().with_item_bytes(item);
-            Experiment::new(cfg, move || MicaKvs::new(kvs))
-        }
-        "l3fwd" => {
-            let mut l3 = L3fwdConfig::l2_resident();
-            if cli.zero_copy {
-                l3 = l3.with_zero_copy();
-            }
-            Experiment::new(cfg, move || L3Forwarder::new(l3))
-        }
-        "synthetic" => Experiment::new(cfg, || Synthetic::new(SyntheticConfig::balanced())),
-        other => return Err(format!("unknown workload '{other}'")),
-    };
-    Ok(exp)
+    Ok(scenario_experiment(cfg, s, cli.zero_copy))
 }
 
 fn print_report(report: &RunReport) {
@@ -436,8 +402,8 @@ fn check_passed(label: &str, report: &RunReport) -> bool {
 fn cli_manifest(cli: &Cli, exp: &Experiment) -> RunManifest {
     let mut m = RunManifest::new()
         .config(exp.config().summary())
-        .workload(cli.workload.as_str())
-        .seed(cli.seed);
+        .workload(cli.scenario.workload.name())
+        .seed(cli.scenario.seed);
     if let Some(profile) = cli.profile {
         m = m.profile(profile.to_string());
     }
@@ -516,17 +482,64 @@ fn write_observability(cli: &Cli, report: &RunReport, manifest: &RunManifest) ->
     Ok(())
 }
 
-/// Resolves the fleet/profile context: environment first, flags override.
+/// The fleet/profile context of `sweep`, `figure` and `check`.
 fn fig_context(cli: &Cli) -> FigContext {
-    let mut ctx = FigContext::from_env();
-    if let Some(jobs) = cli.jobs {
-        ctx.fleet = Fleet::new(jobs);
+    FigContext {
+        profile: cli.profile.unwrap_or_default(),
+        fleet: cli.jobs.map(Fleet::new).unwrap_or_default(),
+        format: cli.format,
     }
-    if let Some(profile) = cli.profile {
-        ctx.profile = profile;
+}
+
+/// `sweeper perf`: measure the simulator-throughput benchmark and print
+/// (and with `--json`, write) its record, or with `--check` re-measure
+/// under a committed baseline's profile and fail on a regression beyond
+/// `--max-regress` percent.
+fn run_perf(cli: &Cli) -> ExitCode {
+    if let Some(path) = &cli.baseline {
+        let baseline = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read baseline {path}: {e}"))
+            .and_then(|text| perf::baseline(&text).map_err(|e| format!("baseline {path}: {e}")));
+        let (base_rate, base_profile) = match baseline {
+            Ok(b) => b,
+            Err(e) => return usage_error(&e),
+        };
+        let m = perf::measure(base_profile);
+        let delta = (m.accesses_per_sec / base_rate - 1.0) * 100.0;
+        println!(
+            "perf check [{}]: {:.2} M accesses/s vs baseline {:.2} M ({:+.1}%)",
+            base_profile,
+            m.accesses_per_sec / 1e6,
+            base_rate / 1e6,
+            delta
+        );
+        if delta < -cli.max_regress {
+            eprintln!(
+                "FAIL: simulator throughput regressed more than {}%",
+                cli.max_regress
+            );
+            return ExitCode::FAILURE;
+        }
+        return ExitCode::SUCCESS;
     }
-    ctx.format = cli.format;
-    ctx
+    let m = perf::measure(cli.profile.unwrap_or(RunProfile::Fast));
+    println!(
+        "fig1_kvs_e2e [{}]: {} simulated accesses in {:.2}s = {:.2} M accesses/s ({} requests)",
+        m.profile,
+        m.accesses,
+        m.wall_secs,
+        m.accesses_per_sec / 1e6,
+        m.completed
+    );
+    if let Some(path) = &cli.json {
+        let json = format!("{}\n", m.to_record().to_json_pretty());
+        if let Err(e) = std::fs::write(path, json) {
+            eprintln!("error: cannot write {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        println!("wrote {path}");
+    }
+    ExitCode::SUCCESS
 }
 
 /// Argument and configuration errors are usage errors: one line, a pointer
@@ -583,7 +596,7 @@ fn main() -> ExitCode {
         "run" => match build_experiment(&cli) {
             Ok(exp) => {
                 let t = std::time::Instant::now();
-                let report = exp.run_at_rate(cli.rate * 1e6);
+                let report = exp.run_at_rate(cli.scenario.rate_mrps * 1e6);
                 let manifest = cli_manifest(&cli, &exp).wall_secs(t.elapsed().as_secs_f64());
                 if let Err(e) = write_timeseries(&cli, &report, &manifest)
                     .and_then(|()| write_observability(&cli, &report, &manifest))
@@ -592,7 +605,11 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
                 if cli.format == OutputFormat::Text {
-                    println!("== {} @ {:.1} Mrps offered ==", cli.workload, cli.rate);
+                    println!(
+                        "== {} @ {:.1} Mrps offered ==",
+                        cli.scenario.workload.name(),
+                        cli.scenario.rate_mrps
+                    );
                 }
                 emit_report(&report, cli.format, &manifest);
                 if !check_passed("run", &report) {
@@ -728,7 +745,7 @@ fn main() -> ExitCode {
         "trace" => match build_experiment(&cli) {
             Ok(exp) => {
                 let t = std::time::Instant::now();
-                let report = exp.run_at_rate(cli.rate * 1e6);
+                let report = exp.run_at_rate(cli.scenario.rate_mrps * 1e6);
                 let manifest = cli_manifest(&cli, &exp).wall_secs(t.elapsed().as_secs_f64());
                 if let Err(e) = write_timeseries(&cli, &report, &manifest)
                     .and_then(|()| write_observability(&cli, &report, &manifest))
@@ -765,12 +782,10 @@ fn main() -> ExitCode {
             let name = cli.figure.clone().expect("parser enforces the name");
             match run_figure(&name, &fig_context(&cli)) {
                 Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
+                Err(e) => usage_error(&e),
             }
         }
+        "perf" => run_perf(&cli),
         "check" => {
             let ctx = fig_context(&cli);
             let figures: Vec<&'static dyn sweeper::bench::figs::Figure> =
@@ -778,8 +793,9 @@ fn main() -> ExitCode {
                     Some(name) => match sweeper::bench::figs::find(name) {
                         Some(figure) => vec![figure],
                         None => {
-                            eprintln!("error: unknown figure '{name}' (see `sweeper figures`)");
-                            return ExitCode::from(2);
+                            return usage_error(&format!(
+                                "unknown figure '{name}' (see `sweeper figures`)"
+                            ))
                         }
                     },
                     None => sweeper::bench::figs::registry().to_vec(),
@@ -870,7 +886,7 @@ fn main() -> ExitCode {
             if cli.format == OutputFormat::Json {
                 let manifest = RunManifest::new()
                     .profile(ctx.profile.to_string())
-                    .seed(cli.seed);
+                    .seed(cli.scenario.seed);
                 let doc = check_document(figure_records, &manifest);
                 println!("{}", doc.to_json_pretty());
             }
@@ -882,10 +898,67 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
-        other => {
-            eprintln!("error: unknown command '{other}'");
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
+        other => usage_error(&format!("unknown command '{other}'")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    /// A scenario with every key away from its default, so a key the flags
+    /// fail to set cannot compare equal by accident.
+    fn non_default() -> Scenario {
+        Scenario::parse(
+            "workload = l3fwd\npolicy = ideal\nddio_ways = 5\nsweeper = true\n\
+             tx_sweep = true\nbuffers = 333\nendpoints = 3\npacket = 512\n\
+             channels = 6\ncores = 7\nseed = 99\nrate_mrps = 7.5\n",
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn every_scenario_key_has_a_point_flag() {
+        let s = non_default();
+        for field in s.to_text().lines() {
+            assert_ne!(Scenario::parse(field).unwrap(), Scenario::default(), "{field}");
         }
+        let text = s.to_text();
+        let mut all = args(&["run"]);
+        for field in text.lines() {
+            let (key, value) = field.split_once(" = ").unwrap();
+            let &(flag, _) = POINT_FLAGS
+                .iter()
+                .find(|(_, k)| *k == key)
+                .unwrap_or_else(|| panic!("scenario key '{key}' has no flag"));
+            let mut one = args(&["run", flag]);
+            if is_switch(flag) {
+                assert_eq!(value, "true", "{flag} can only set {key} = true");
+            } else {
+                one.push(value.to_string());
+            }
+            // By flag and by file, one key at a time ...
+            assert_eq!(
+                parse(&one).unwrap().scenario,
+                Scenario::parse(field).unwrap(),
+                "{flag} disagrees with '{field}'"
+            );
+            all.extend(one.into_iter().skip(1));
+        }
+        // ... and all of them together.
+        assert_eq!(parse(&all).unwrap().scenario, s);
+        assert_eq!(POINT_FLAGS.len(), text.lines().count());
+    }
+
+    #[test]
+    fn point_flag_errors_name_the_flag() {
+        let err = parse(&args(&["run", "--ddio", "20"])).unwrap_err();
+        assert_eq!(err, "--ddio: 20 outside [1, 12]");
+        let err = parse(&args(&["run", "--rate", "nan"])).unwrap_err();
+        assert_eq!(err, "--rate: invalid rate 'nan'");
     }
 }

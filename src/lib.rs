@@ -45,7 +45,8 @@
 //! ```
 //!
 //! See `examples/` for end-to-end scenarios and `crates/bench` for the
-//! binaries that regenerate every figure of the paper.
+//! figure registry that `sweeper figure <name>` runs to regenerate every
+//! figure of the paper.
 
 pub use sweeper_bench as bench;
 pub use sweeper_core as core;

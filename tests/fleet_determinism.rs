@@ -1,6 +1,6 @@
 //! The fleet's hard guarantee: results are a function of the point list
 //! alone, never of the worker count — plus the figure-registry contract the
-//! binaries rely on.
+//! `sweeper figure` command relies on.
 
 use sweeper::bench::figs;
 use sweeper::core::experiment::ExperimentConfig;
