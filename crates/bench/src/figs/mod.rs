@@ -1,7 +1,7 @@
 //! One module per paper table/figure, unified behind the [`Figure`] trait:
 //! each figure *declares* its sweep as a list of
-//! [`ExperimentPoint`](sweeper_core::fleet::ExperimentPoint)s and *renders*
-//! the collected [`PointOutcome`](sweeper_core::fleet::PointOutcome)s into
+//! [`ExperimentPoint`]s and *renders*
+//! the collected [`PointOutcome`]s into
 //! the paper's tables. Execution — parallelism, seeding, progress, timing —
 //! lives in the [`Fleet`](sweeper_core::fleet::Fleet), not in the figures.
 //!

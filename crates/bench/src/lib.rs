@@ -11,7 +11,7 @@
 //! [`run_figure`], so every figure inherits:
 //!
 //! * **parallelism** — points fan out across a
-//!   [`Fleet`](sweeper_core::fleet::Fleet) worker pool (`--jobs N`,
+//!   [`Fleet`] worker pool (`--jobs N`,
 //!   default = available parallelism) with identical results for any
 //!   worker count,
 //! * **run profiles** — `--profile full|fast|smoke` parsed once into a

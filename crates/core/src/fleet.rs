@@ -122,9 +122,15 @@ impl ExperimentPoint {
         self.action
     }
 
-    fn execute(self) -> PointOutcome {
+    /// Runs the point. A validation pass (`validate`) runs rate and
+    /// keep-queued points exactly as declared but a peak point as a single
+    /// closed-loop keep-queued pass instead of the full ~10-run bisection,
+    /// because a correctness check needs the configuration's memory paths
+    /// exercised once, not the search repeated.
+    fn execute(self, validate: bool) -> PointOutcome {
         let start = Instant::now();
         let (report, peak_rate) = match self.action {
+            PointAction::Peak(_) if validate => (self.experiment.run_keep_queued(8), None),
             PointAction::Peak(criteria) => {
                 let peak = self.experiment.find_peak(criteria);
                 (peak.report, Some(peak.rate))
@@ -136,26 +142,6 @@ impl ExperimentPoint {
             label: self.label,
             report,
             peak_rate,
-            wall: start.elapsed(),
-        }
-    }
-
-    /// One validation pass of the point: rate and keep-queued points run
-    /// exactly as declared; peak points run a single closed-loop
-    /// keep-queued pass instead of the full ~10-run bisection, because a
-    /// correctness check needs the configuration's memory paths exercised
-    /// once, not the search repeated.
-    fn execute_validation(self) -> PointOutcome {
-        let start = Instant::now();
-        let report = match self.action {
-            PointAction::Peak(_) => self.experiment.run_keep_queued(8),
-            PointAction::AtRate(rate) => self.experiment.run_at_rate(rate),
-            PointAction::KeepQueued(depth) => self.experiment.run_keep_queued(depth),
-        };
-        PointOutcome {
-            label: self.label,
-            report,
-            peak_rate: None,
             wall: start.elapsed(),
         }
     }
@@ -250,75 +236,58 @@ impl Fleet {
     /// realized random streams are a function of the point list alone —
     /// identical for `--jobs 1` and `--jobs N`.
     pub fn run(&self, points: Vec<ExperimentPoint>) -> Vec<PointOutcome> {
-        let total = points.len();
-        let seeded: Vec<ExperimentPoint> = points
-            .into_iter()
-            .enumerate()
-            .map(|(index, mut point)| {
-                let base = point.experiment.config().base_seed();
-                point.experiment.reseed(seed_for_point(base, index));
-                point
-            })
-            .collect();
-
-        let done = AtomicUsize::new(0);
-        let progress = self.progress;
-        let tasks: Vec<_> = seeded
-            .into_iter()
-            .map(|point| {
-                let done = &done;
-                move || {
-                    let outcome = point.execute();
-                    let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if progress {
-                        eprintln!(
-                            "[fleet {finished}/{total}] {}: {:.2} Mrps in {:.1?}",
-                            outcome.label,
-                            outcome.throughput_mrps(),
-                            outcome.wall,
-                        );
-                    }
-                    outcome
-                }
-            })
-            .collect();
-        self.run_tasks(tasks)
+        self.execute(points, None)
     }
 
     /// Executes every point once in checked mode and returns outcomes in
     /// declaration order. Seeding matches [`Fleet::run`]; the difference is
     /// that every point gets the correctness harness enabled (so each
     /// report carries a `check` section) and peak points run one
-    /// keep-queued pass instead of the full bisection (see
-    /// `execute_validation`). `sweeper check` drives the figure registry
-    /// through this.
+    /// keep-queued pass instead of the full bisection. `sweeper check`
+    /// drives the figure registry through this.
     pub fn run_validation(
         &self,
         points: Vec<ExperimentPoint>,
         check: sweeper_sim::check::CheckConfig,
     ) -> Vec<PointOutcome> {
+        self.execute(points, Some(check))
+    }
+
+    /// The one execution path behind [`Fleet::run`] and
+    /// [`Fleet::run_validation`]: re-seeds, optionally enables the harness,
+    /// runs, and prints a progress line per finished point.
+    fn execute(
+        &self,
+        points: Vec<ExperimentPoint>,
+        check: Option<sweeper_sim::check::CheckConfig>,
+    ) -> Vec<PointOutcome> {
         let total = points.len();
-        let seeded: Vec<ExperimentPoint> = points
+        let done = AtomicUsize::new(0);
+        let progress = self.progress;
+        let tasks: Vec<_> = points
             .into_iter()
             .enumerate()
             .map(|(index, mut point)| {
                 let base = point.experiment.config().base_seed();
                 point.experiment.reseed(seed_for_point(base, index));
-                point.experiment.enable_check(check);
-                point
-            })
-            .collect();
-
-        let done = AtomicUsize::new(0);
-        let progress = self.progress;
-        let tasks: Vec<_> = seeded
-            .into_iter()
-            .map(|point| {
+                if let Some(check) = check {
+                    point.experiment.enable_check(check);
+                }
                 let done = &done;
                 move || {
-                    let outcome = point.execute_validation();
+                    let outcome = point.execute(check.is_some());
                     let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if progress {
+                    if !progress {
+                        return outcome;
+                    }
+                    if check.is_none() {
+                        eprintln!(
+                            "[fleet {finished}/{total}] {}: {:.2} Mrps in {:.1?}",
+                            outcome.label,
+                            outcome.throughput_mrps(),
+                            outcome.wall,
+                        );
+                    } else {
                         let status = match &outcome.report.check {
                             Some(c) if c.passed() => "pass".to_string(),
                             Some(c) => format!("FAIL ({} violations)", c.total_violations()),

@@ -3,7 +3,7 @@
 //! The paper reports peak throughput under an SLO (Appendix A); operators
 //! usually also want the whole curve — throughput, latency percentiles,
 //! memory bandwidth, and leak counts as functions of offered load. A
-//! [`LoadSweep`] drives an [`Experiment`](crate::experiment::Experiment)
+//! [`LoadSweep`] drives an [`Experiment`]
 //! across a rate grid and returns one [`LoadPoint`] per rate, ready for
 //! plotting or CSV export.
 

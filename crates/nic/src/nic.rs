@@ -2,7 +2,7 @@
 //!
 //! The NIC is integrated (Scale-Out NUMA style, §III) and interacts with the
 //! memory system through the injection policy configured on the
-//! [`MemorySystem`](MemorySystem): DMA writes to DRAM, DDIO write-allocates
+//! [`MemorySystem`]: DMA writes to DRAM, DDIO write-allocates
 //! into the LLC's DDIO ways, Ideal-DDIO keeps network data in an infinite
 //! side cache. On the transmit path the NIC honors the Work Queue entry's
 //! `sweep_buffer` flag (§V-D): after reading the buffer it injects sweep
@@ -196,8 +196,7 @@ impl Nic {
                 // The packet's trace id is born here: everything the memory
                 // system records for this delivery — and the request's later
                 // stages — correlates through it.
-                mem.set_span_trace(id.0);
-                mem.record_span(SpanKind::NicDma, core, now, delivered);
+                mem.record_span(id.0, SpanKind::NicDma, core, now, delivered);
                 mem.nic_write(addr, bytes, delivered);
                 self.stats.delivered += 1;
                 Some(Delivered {
@@ -211,8 +210,7 @@ impl Nic {
     /// Executes one Work Queue entry: reads the transmit buffer through the
     /// memory system and, if `sweep_buffer` is set, sweeps it (§V-D).
     pub fn transmit(&mut self, entry: WqEntry, now: Cycle, mem: &mut MemorySystem) {
-        mem.set_span_trace(entry.packet.0);
-        mem.record_span(SpanKind::Tx, u16::MAX, now, now);
+        mem.record_span(entry.packet.0, SpanKind::Tx, u16::MAX, now, now);
         mem.nic_read(entry.buffer_addr, entry.transfer_length, now);
         self.stats.transmitted += 1;
         if entry.sweep_buffer {

@@ -184,7 +184,7 @@ fn tag_matches(tag: u64, block: BlockAddr) -> bool {
 
 /// A single set-associative cache level with LRU replacement.
 ///
-/// Internally a structure-of-arrays: the packed [`encode_tag`] words carry
+/// Internally a structure-of-arrays: the packed `encode_tag` words carry
 /// everything a residency scan needs, and the recency stamps
 /// (`tick << 2 | rrpv`) live in a parallel array that is only touched on a
 /// hit, an insertion, or victim selection. Because every mutation bumps the

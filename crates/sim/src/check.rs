@@ -1,6 +1,6 @@
 //! Simulation correctness harness: a shadow-memory oracle plus the
-//! bookkeeping behind [`MemorySystem::check_walk`]
-//! (crate::hierarchy::MemorySystem::check_walk).
+//! bookkeeping behind
+//! [`MemorySystem::check_walk`](crate::hierarchy::MemorySystem::check_walk).
 //!
 //! Sweeper's headline optimisation is correctness-sensitive: dropping dirty
 //! consumed-buffer blocks without a writeback (§V-B) must never lose live

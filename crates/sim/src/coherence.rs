@@ -242,9 +242,9 @@ impl Directory {
 
     /// Hints the host CPU to pull `block`'s probe neighborhood into cache.
     /// The paper machine's table is 16 MiB, so an un-prefetched probe is
-    /// usually a host memory stall; see [`SetAssocCache::prefetch`]
-    /// (crate::cache::SetAssocCache::prefetch) for the pattern. No simulated
-    /// state changes.
+    /// usually a host memory stall; see
+    /// [`SetAssocCache::prefetch`](crate::cache::SetAssocCache::prefetch)
+    /// for the pattern. No simulated state changes.
     #[inline]
     pub fn prefetch(&self, block: BlockAddr) {
         let i = self.home(block.0);

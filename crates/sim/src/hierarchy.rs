@@ -25,7 +25,7 @@ use crate::cache::{CacheGeometry, Evicted, Line, LineOrigin, ReplacementPolicy, 
 use crate::check::{CheckConfig, CheckReport, CheckState, ViolationKind};
 use crate::coherence::Directory;
 use crate::dram::{Dram, DramConfig, DramOp};
-use crate::span::{SpanKind, SpanRecorder, SpanRing, NO_TRACE};
+use crate::span::{SpanEvent, SpanKind, SpanRing, NO_TRACE};
 use crate::stats::{MemStats, TrafficClass};
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::Cycle;
@@ -321,9 +321,41 @@ pub struct MemorySystem {
     map: AddressMap,
     ddio_mask: WayMask,
     cpu_masks: Vec<WayMask>,
-    trace: Option<Trace>,
-    spans: Option<Box<SpanRecorder>>,
-    check: Option<Box<CheckState>>,
+    obs: Option<Box<Observers>>,
+}
+
+/// What a [`MemorySystem`] records beyond its statistics — the memtrace,
+/// the request spans, and the correctness harness — plus the id of the
+/// request the recorded events belong to. The memory system holds it
+/// behind one `Option<Box<…>>`: with every observer off, each hook costs
+/// one branch.
+#[derive(Debug, Clone)]
+struct Observers {
+    request: u64,
+    memtrace: Option<Trace>,
+    spans: Option<SpanRing>,
+    check: Option<CheckState>,
+}
+
+impl Observers {
+    fn span(&mut self, kind: SpanKind, core: u16, start: Cycle, end: Cycle) {
+        if let Some(spans) = &mut self.spans {
+            spans.record(SpanEvent {
+                trace: self.request,
+                kind,
+                core,
+                start,
+                end,
+            });
+        }
+    }
+}
+
+/// The correctness harness, if on. A free function, so callers keep
+/// borrowing the memory system's other fields.
+#[inline]
+fn check_of(obs: &mut Option<Box<Observers>>) -> Option<&mut CheckState> {
+    obs.as_deref_mut()?.check.as_mut()
 }
 
 impl MemorySystem {
@@ -353,9 +385,7 @@ impl MemorySystem {
             map: AddressMap::new(),
             ddio_mask: WayMask::first(cfg.ddio_ways),
             cpu_masks: vec![WayMask::ALL; cfg.cores],
-            trace: None,
-            spans: None,
-            check: None,
+            obs: None,
             cfg,
         }
     }
@@ -395,106 +425,102 @@ impl MemorySystem {
         &self.dir
     }
 
-    /// Enables event tracing, retaining the most recent `capacity` events.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::new(capacity));
+    fn observers(&mut self) -> &mut Observers {
+        self.obs.get_or_insert_with(|| {
+            Box::new(Observers {
+                request: NO_TRACE,
+                memtrace: None,
+                spans: None,
+                check: None,
+            })
+        })
     }
 
-    /// Disables tracing and returns the recorder, if any.
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.trace.take()
+    /// Enables event tracing, retaining the most recent `capacity` events.
+    pub fn enable_trace(&mut self, capacity: usize) {
+        self.observers().memtrace = Some(Trace::new(capacity));
     }
 
     /// The trace recorder, if tracing is enabled.
     pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
-    /// Discards retained trace events, keeping the recorder live (end of
-    /// warmup).
-    pub fn clear_trace(&mut self) {
-        if let Some(trace) = &mut self.trace {
-            trace.clear();
-        }
+        self.obs.as_deref()?.memtrace.as_ref()
     }
 
     /// Enables request-level span recording, retaining the most recent
-    /// `capacity` spans. When disabled, span hooks cost one branch.
+    /// `capacity` spans.
     pub fn enable_spans(&mut self, capacity: usize) {
-        self.spans = Some(Box::new(SpanRecorder::new(capacity)));
-    }
-
-    /// Disables span recording and returns the ring, if any.
-    pub fn take_spans(&mut self) -> Option<SpanRing> {
-        self.spans.take().map(|r| r.into_ring())
+        self.observers().spans = Some(SpanRing::new(capacity));
     }
 
     /// The span ring, if span recording is enabled.
     pub fn spans(&self) -> Option<&SpanRing> {
-        self.spans.as_deref().map(SpanRecorder::ring)
+        self.obs.as_deref()?.spans.as_ref()
     }
 
-    /// Discards retained spans and resets the request context, keeping the
-    /// recorder live (end of warmup).
-    pub fn clear_spans(&mut self) {
-        if let Some(spans) = &mut self.spans {
-            spans.clear();
+    /// Discards the recorded trace events and spans and leaves the request
+    /// context (end of warmup). The harness ledger is kept.
+    pub fn restart_recording(&mut self) {
+        if let Some(obs) = &mut self.obs {
+            obs.request = NO_TRACE;
+            if let Some(memtrace) = &mut obs.memtrace {
+                memtrace.clear();
+            }
+            if let Some(spans) = &mut obs.spans {
+                spans.clear();
+            }
         }
     }
 
-    /// Sets the request context: subsequent spans *and* trace events are
-    /// tagged with this trace id until the next call. One branch when span
-    /// recording is disabled.
+    /// Sets the request context: subsequent spans, and trace events while
+    /// spans are on, carry this trace id until the next call. One branch
+    /// when every observer is off.
     #[inline]
-    pub fn set_span_trace(&mut self, trace: u64) {
-        if let Some(spans) = &mut self.spans {
-            spans.set_trace(trace);
+    pub fn set_request(&mut self, trace: u64) {
+        if let Some(obs) = &mut self.obs {
+            obs.request = trace;
         }
     }
 
-    /// The current request context ([`NO_TRACE`] when untagged or span
-    /// recording is disabled).
+    /// Sets the request context to `trace` (see
+    /// [`MemorySystem::set_request`]) and records one span under it. One
+    /// branch when every observer is off.
     #[inline]
-    pub fn span_trace(&self) -> u64 {
-        self.spans.as_deref().map_or(NO_TRACE, SpanRecorder::trace)
+    pub fn record_span(&mut self, trace: u64, kind: SpanKind, core: u16, start: Cycle, end: Cycle) {
+        if let Some(obs) = &mut self.obs {
+            obs.request = trace;
+            obs.span(kind, core, start, end);
+        }
     }
 
-    /// Records one span under the current request context. One branch when
-    /// span recording is disabled.
+    /// Records one span under the current request context.
     #[inline]
-    pub fn record_span(&mut self, kind: SpanKind, core: u16, start: Cycle, end: Cycle) {
-        if let Some(spans) = &mut self.spans {
-            spans.record(kind, core, start, end);
+    fn span(&mut self, kind: SpanKind, core: u16, start: Cycle, end: Cycle) {
+        if let Some(obs) = &mut self.obs {
+            obs.span(kind, core, start, end);
         }
     }
 
     /// Enables the correctness harness: every NIC write, CPU store, sweep,
     /// writeback, and DRAM fill is mirrored into the shadow-memory oracle,
     /// and [`MemorySystem::check_walk`] verifies the hierarchy invariants.
-    /// When disabled, each hook costs one branch.
     pub fn enable_check(&mut self, cfg: CheckConfig) {
-        self.check = Some(Box::new(CheckState::new(cfg)));
-    }
-
-    /// Whether the correctness harness is enabled.
-    pub fn check_enabled(&self) -> bool {
-        self.check.is_some()
+        self.observers().check = Some(CheckState::new(cfg));
     }
 
     /// The harness configuration, if enabled.
     pub fn check_config(&self) -> Option<&CheckConfig> {
-        self.check.as_deref().map(CheckState::config)
+        self.obs.as_deref()?.check.as_ref().map(CheckState::config)
     }
 
     /// Snapshot of the harness's violation ledger, if enabled.
     pub fn check_report(&self) -> Option<CheckReport> {
-        self.check.as_deref().map(CheckState::report)
+        self.obs.as_deref()?.check.as_ref().map(CheckState::report)
     }
 
     /// Records an externally-detected violation (e.g. the server's RX ring
     /// index checks) into the harness ledger. No-op when disabled.
     pub fn check_note_violation(&mut self, kind: ViolationKind, detail: impl FnOnce() -> String) {
-        if let Some(chk) = &mut self.check {
+        if let Some(chk) = check_of(&mut self.obs) {
             chk.note_violation(kind, detail);
         }
     }
@@ -504,7 +530,7 @@ impl MemorySystem {
     /// branch when the harness is disabled.
     #[inline]
     pub fn mark_consumed(&mut self, addr: Addr, len: u64) {
-        if let Some(chk) = &mut self.check {
+        if let Some(chk) = check_of(&mut self.obs) {
             chk.mark_consumed(addr, len);
         }
     }
@@ -514,7 +540,7 @@ impl MemorySystem {
     /// O(resident lines + directory entries) — so call only at drain
     /// points, not per access.
     pub fn check_walk(&mut self) {
-        let Some(mut chk) = self.check.take() else {
+        let Some(mut chk) = self.obs.as_deref_mut().and_then(|o| o.check.take()) else {
             return;
         };
         chk.note_walk();
@@ -629,14 +655,18 @@ impl MemorySystem {
         // must be elementwise non-decreasing between walks.
         chk.check_dram_frontier(self.dram.timing_frontier());
 
-        self.check = Some(chk);
+        self.observers().check = Some(chk);
     }
 
     #[inline]
     fn trace_event(&mut self, at: Cycle, kind: TraceKind, core: u16, block: BlockAddr, blocks: u32, latency: Cycle) {
-        let trace = self.span_trace();
-        if let Some(rec) = &mut self.trace {
-            rec.record(TraceEvent { at, kind, core, block, blocks, latency, trace });
+        if let Some(obs) = &mut self.obs {
+            if let Some(memtrace) = &mut obs.memtrace {
+                // Rows carry the request id only while spans are on, so the
+                // memtrace's golden columns stay otherwise.
+                let trace = if obs.spans.is_some() { obs.request } else { NO_TRACE };
+                memtrace.record(TraceEvent { at, kind, core, block, blocks, latency, trace });
+            }
         }
     }
 
@@ -703,7 +733,7 @@ impl MemorySystem {
             return 0;
         }
         const WRITE_ALLOWANCE: Cycle = 2_000;
-        if let Some(chk) = self.check.as_deref_mut() {
+        if let Some(chk) = check_of(&mut self.obs) {
             chk.on_writeback(block);
         }
         let stall = self.dram.backlog(now).saturating_sub(WRITE_ALLOWANCE);
@@ -963,12 +993,12 @@ impl MemorySystem {
         };
         self.stats.dram_reads.bump(class);
         self.stats.note_core_dram_read(core);
-        if let Some(chk) = self.check.as_deref_mut() {
+        if let Some(chk) = check_of(&mut self.obs) {
             chk.on_dram_fill(block);
         }
         let acc = self.dram.access(block, now, DramOp::Read);
         latency += acc.latency;
-        self.record_span(SpanKind::DramQueue, core, now, now + acc.latency);
+        self.span(SpanKind::DramQueue, core, now, now + acc.latency);
         latency += self.fill_private(core, block, false, now);
         if write {
             self.l1[c].mark_dirty(block);
@@ -988,7 +1018,7 @@ impl MemorySystem {
                 let kind_next = self.map.classify_block(next);
                 if !(self.cfg.injection == InjectionPolicy::Ideal && Self::is_network(kind_next)) {
                     self.stats.dram_reads.bump(Self::cpu_read_class(kind_next));
-                    if let Some(chk) = self.check.as_deref_mut() {
+                    if let Some(chk) = check_of(&mut self.obs) {
                         chk.on_dram_fill(next);
                     }
                     self.dram.access(next, now, DramOp::Read);
@@ -1068,7 +1098,7 @@ impl MemorySystem {
             // The store is mirrored *after* the access: a write-allocate
             // RFO legitimately fills from DRAM first, then dirties.
             if write {
-                if let Some(chk) = self.check.as_deref_mut() {
+                if let Some(chk) = check_of(&mut self.obs) {
                     chk.on_cpu_write(block);
                 }
             }
@@ -1148,10 +1178,12 @@ impl MemorySystem {
     /// configured injection policy (full-block overwrites).
     pub fn nic_write(&mut self, addr: Addr, len: u64, now: Cycle) -> NicAccess {
         self.trace_event(now, TraceKind::NicWrite, u16::MAX, addr.block(), crate::addr::blocks_for_len(len) as u32, 0);
-        if self.cfg.injection == InjectionPolicy::Ddio {
+        if let Some(obs) = &mut self.obs {
             // One instantaneous marker per delivery: the packet write-
             // allocated into the LLC's DDIO ways.
-            self.record_span(SpanKind::LlcFill, u16::MAX, now, now);
+            if self.cfg.injection == InjectionPolicy::Ddio {
+                obs.span(SpanKind::LlcFill, u16::MAX, now, now);
+            }
         }
         let mut out = NicAccess::default();
         for block in blocks_of(addr, len) {
@@ -1161,7 +1193,7 @@ impl MemorySystem {
         for block in blocks_of(addr, len) {
             out.blocks += 1;
             self.stats.block_accesses += 1;
-            if let Some(chk) = self.check.as_deref_mut() {
+            if let Some(chk) = check_of(&mut self.obs) {
                 let is_rx = self.map.classify_block(block).is_rx();
                 chk.on_nic_write(block, is_rx, self.cfg.injection);
             }
@@ -1226,11 +1258,11 @@ impl MemorySystem {
                         self.llc_insert(block, false, LineOrigin::Cpu, WayMask::ALL);
                         self.writeback(block, now);
                     }
-                    if let Some(chk) = self.check.as_deref_mut() {
+                    if let Some(chk) = check_of(&mut self.obs) {
                         chk.on_dram_fill(block);
                     }
                     let acc = self.dram.access(block, now, DramOp::Read);
-                    self.record_span(SpanKind::DramQueue, u16::MAX, now, now + acc.latency);
+                    self.span(SpanKind::DramQueue, u16::MAX, now, now + acc.latency);
                     self.stats.dram_reads.bump(TrafficClass::NicTxRd);
                     out.dram_transfers += 1;
                 }
@@ -1243,11 +1275,11 @@ impl MemorySystem {
                         self.stats.llc_hits += 1;
                     } else {
                         self.stats.llc_misses += 1;
-                        if let Some(chk) = self.check.as_deref_mut() {
+                        if let Some(chk) = check_of(&mut self.obs) {
                             chk.on_dram_fill(block);
                         }
                         let acc = self.dram.access(block, now, DramOp::Read);
-                        self.record_span(SpanKind::DramQueue, u16::MAX, now, now + acc.latency);
+                        self.span(SpanKind::DramQueue, u16::MAX, now, now + acc.latency);
                         self.stats.dram_reads.bump(TrafficClass::NicTxRd);
                         out.dram_transfers += 1;
                     }
@@ -1262,7 +1294,7 @@ impl MemorySystem {
     /// whose writeback was suppressed.
     pub fn sweep_block(&mut self, block: BlockAddr) -> u64 {
         self.stats.block_accesses += 1;
-        if let Some(chk) = self.check.as_deref_mut() {
+        if let Some(chk) = check_of(&mut self.obs) {
             let is_rx = self.map.classify_block(block).is_rx();
             chk.on_sweep(block, is_rx);
         }
@@ -1297,7 +1329,7 @@ impl MemorySystem {
         }
         let latency = blocks * self.cfg.sweep_issue_cost;
         self.trace_event(now, TraceKind::Sweep, u16::MAX, addr.block(), blocks as u32, latency);
-        self.record_span(SpanKind::Sweep, u16::MAX, now, now + latency);
+        self.span(SpanKind::Sweep, u16::MAX, now, now + latency);
         latency
     }
 
@@ -1336,7 +1368,7 @@ impl MemorySystem {
         let mut written = 0;
         for block in blocks_of(addr, len) {
             self.stats.block_accesses += 1;
-            if let Some(chk) = self.check.as_deref_mut() {
+            if let Some(chk) = check_of(&mut self.obs) {
                 chk.on_dma_zero(block);
             }
             for core in self.dir.drop_block(block) {
@@ -1838,16 +1870,36 @@ mod tests {
         mem.nic_write(rx, 128, 10);
         mem.cpu_read(0, rx, 128, 20);
         mem.sweep_range(rx, 128, 30);
-        let trace = mem.take_trace().expect("tracing enabled");
         use crate::trace::TraceKind as K;
-        assert_eq!(trace.events_of(K::NicWrite).len(), 1);
-        assert_eq!(trace.events_of(K::CpuRead).len(), 1);
-        assert_eq!(trace.events_of(K::Sweep).len(), 1);
-        let sweep = trace.events_of(K::Sweep)[0];
+        let trace = mem.trace().expect("tracing enabled");
+        let kinds: Vec<K> = trace.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [K::NicWrite, K::CpuRead, K::Sweep]);
+        let sweep = trace.events()[2];
         assert_eq!(sweep.blocks, 2);
         assert_eq!(sweep.at, 30);
-        // Tracing is off after take_trace.
-        assert!(mem.trace().is_none());
+    }
+
+    #[test]
+    fn spans_and_trace_rows_carry_the_request_context() {
+        let mut mem = system(InjectionPolicy::Ddio, 2);
+        mem.enable_trace(64);
+        mem.enable_spans(64);
+        let rx = rx_region(&mut mem, 128);
+        mem.sweep_range(rx, 128, 5);
+        mem.record_span(42, SpanKind::NicDma, 0, 5, 10);
+        mem.nic_write(rx, 128, 10);
+        // Sweep before any request, then the NIC DMA and its LLC fill.
+        let span_ids: Vec<u64> = mem.spans().unwrap().iter().map(|e| e.trace).collect();
+        assert_eq!(span_ids, [NO_TRACE, 42, 42]);
+        let row_ids: Vec<u64> = mem.trace().unwrap().iter().map(|e| e.trace).collect();
+        assert_eq!(row_ids, [NO_TRACE, 42]);
+        // The end of warmup drops the window and the context; the count
+        // keeps the dropped spans.
+        mem.restart_recording();
+        mem.sweep_range(rx, 128, 20);
+        let spans = mem.spans().expect("spans enabled");
+        assert_eq!(spans.len(), 1);
+        assert_eq!((spans.recorded(), spans.events()[0].trace), (4, NO_TRACE));
     }
 
     #[test]

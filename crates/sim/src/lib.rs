@@ -21,7 +21,9 @@
 //!   a trace id, a hierarchical cycle-attribution profile, and the
 //!   Perfetto-compatible export built on them,
 //! * a [correctness harness](check) — a shadow-memory oracle plus on-demand
-//!   hierarchy invariant walks, off by default at one branch per hook.
+//!   hierarchy invariant walks, off by default at one branch per hook,
+//! * the overwrite-oldest [`ring`] that the memory trace, the span
+//!   ring, and the server's sampled time series keep their window in.
 //!
 //! # Example
 //!
@@ -48,6 +50,7 @@ pub mod coherence;
 pub mod dram;
 pub mod engine;
 pub mod hierarchy;
+pub mod ring;
 pub mod span;
 pub mod stats;
 mod table;

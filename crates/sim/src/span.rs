@@ -3,12 +3,15 @@
 //!
 //! A *span* is one stage of one request's life — NIC DMA, ring wait, LLC
 //! fill, CPU reads, application service, sweep, transmit, DRAM queuing —
-//! tagged with the request's trace id (its [`PacketId`] value) so the
-//! stages of a single request can be correlated across the NIC, the memory
-//! system, and the server engine. Spans are recorded into a bounded,
-//! allocation-free [`SpanRing`] with the same discipline as
-//! [`trace`](crate::trace): opt-in per memory system, a single branch on
-//! the hot path when disabled.
+//! tagged with the request's trace id (its `PacketId` value) so the stages
+//! of a single request can be correlated across the NIC, the memory
+//! system, and the server engine. A
+//! [`MemorySystem`](crate::hierarchy::MemorySystem) with spans on
+//! ([`enable_spans`](crate::hierarchy::MemorySystem::enable_spans)) keeps
+//! them in a [`SpanRing`] — the same overwrite-oldest [`Ring`] as the
+//! memory trace — behind the same single observer seam: the observer holds
+//! the current request id, every span and (span-tagged) trace event is
+//! stamped with it, and with every observer off each hook costs one branch.
 //!
 //! Three consumers build on the ring:
 //!
@@ -22,6 +25,7 @@
 //!
 //! The trace id of untagged events is [`NO_TRACE`]; exports omit it.
 
+use crate::ring::Ring;
 use crate::stats::ClassCounts;
 use crate::telemetry::{Record, Value};
 use crate::Cycle;
@@ -121,141 +125,8 @@ impl SpanEvent {
     }
 }
 
-/// Bounded ring of span events (same discipline as
-/// [`Trace`](crate::trace::Trace)).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanRing {
-    ring: Vec<SpanEvent>,
-    head: usize,
-    recorded: u64,
-}
-
-impl SpanRing {
-    /// Creates a ring retaining the last `capacity` spans.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "span ring capacity must be positive");
-        Self {
-            ring: Vec::with_capacity(capacity),
-            head: 0,
-            recorded: 0,
-        }
-    }
-
-    /// Records one span.
-    pub fn record(&mut self, event: SpanEvent) {
-        if self.ring.len() < self.ring.capacity() {
-            self.ring.push(event);
-        } else {
-            self.ring[self.head] = event;
-            self.head = (self.head + 1) % self.ring.len();
-        }
-        self.recorded += 1;
-    }
-
-    /// Total spans recorded (including those that fell out of the window).
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Number of retained spans.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether no spans were retained.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Retained spans, oldest first.
-    pub fn events(&self) -> Vec<SpanEvent> {
-        let mut out = Vec::with_capacity(self.ring.len());
-        out.extend_from_slice(&self.ring[self.head..]);
-        out.extend_from_slice(&self.ring[..self.head]);
-        out
-    }
-
-    /// Retained spans of one kind, oldest first.
-    pub fn events_of(&self, kind: SpanKind) -> Vec<SpanEvent> {
-        self.events().into_iter().filter(|e| e.kind == kind).collect()
-    }
-
-    /// Retained spans of one request, oldest first.
-    pub fn events_of_trace(&self, trace: u64) -> Vec<SpanEvent> {
-        self.events().into_iter().filter(|e| e.trace == trace).collect()
-    }
-
-    /// Discards all retained spans (the total count is kept).
-    pub fn clear(&mut self) {
-        self.ring.clear();
-        self.head = 0;
-    }
-}
-
-/// Live span-recording state inside a [`MemorySystem`]
-/// (crate::hierarchy::MemorySystem): the ring plus the current request
-/// context every recorded span is tagged with.
-#[derive(Debug, Clone)]
-pub struct SpanRecorder {
-    ring: SpanRing,
-    trace: u64,
-}
-
-impl SpanRecorder {
-    /// A recorder retaining the last `capacity` spans, initially outside
-    /// any request context.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            ring: SpanRing::new(capacity),
-            trace: NO_TRACE,
-        }
-    }
-
-    /// Sets the trace id subsequent spans (and trace events) are tagged
-    /// with.
-    #[inline]
-    pub fn set_trace(&mut self, trace: u64) {
-        self.trace = trace;
-    }
-
-    /// The current trace id.
-    #[inline]
-    pub fn trace(&self) -> u64 {
-        self.trace
-    }
-
-    /// Records one span under the current trace id.
-    #[inline]
-    pub fn record(&mut self, kind: SpanKind, core: u16, start: Cycle, end: Cycle) {
-        self.ring.record(SpanEvent {
-            trace: self.trace,
-            kind,
-            core,
-            start,
-            end,
-        });
-    }
-
-    /// The underlying ring.
-    pub fn ring(&self) -> &SpanRing {
-        &self.ring
-    }
-
-    /// Consumes the recorder, yielding its ring.
-    pub fn into_ring(self) -> SpanRing {
-        self.ring
-    }
-
-    /// Discards retained spans and resets the request context.
-    pub fn clear(&mut self) {
-        self.ring.clear();
-        self.trace = NO_TRACE;
-    }
-}
+/// Bounded ring of span events (see [`Ring`]).
+pub type SpanRing = Ring<SpanEvent>;
 
 /// Microseconds per cycle, the unit Chrome trace events use for `ts`/`dur`.
 fn cycles_to_us(cycles: Cycle) -> f64 {
@@ -426,52 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_most_recent_window() {
-        let mut r = SpanRing::new(4);
-        for i in 0..10 {
-            r.record(ev(i));
-        }
-        let events = r.events();
-        assert_eq!(events.len(), 4);
-        assert_eq!(
-            events.iter().map(|e| e.start).collect::<Vec<_>>(),
-            vec![6, 7, 8, 9]
-        );
-        assert_eq!(r.recorded(), 10);
-        r.clear();
-        assert!(r.is_empty());
-        assert_eq!(r.recorded(), 10);
-    }
-
-    #[test]
-    fn filters_by_kind_and_trace() {
-        let mut r = SpanRing::new(8);
-        r.record(ev(1));
-        r.record(SpanEvent {
-            trace: 9,
-            kind: SpanKind::Sweep,
-            ..ev(2)
-        });
-        assert_eq!(r.events_of(SpanKind::Sweep).len(), 1);
-        assert_eq!(r.events_of(SpanKind::CpuRead).len(), 1);
-        assert_eq!(r.events_of_trace(7).len(), 1);
-        assert_eq!(r.events_of_trace(9).len(), 1);
-        assert_eq!(r.events_of_trace(0).len(), 0);
-    }
-
-    #[test]
-    fn recorder_tags_the_current_trace() {
-        let mut rec = SpanRecorder::new(4);
-        rec.record(SpanKind::NicDma, 0, 0, 5);
-        rec.set_trace(42);
-        rec.record(SpanKind::Tx, 1, 5, 5);
-        let events = rec.ring().events();
-        assert_eq!(events[0].trace, NO_TRACE);
-        assert_eq!(events[1].trace, 42);
-        assert_eq!(events[1].duration(), 0);
-    }
-
-    #[test]
     fn perfetto_events_carry_chrome_fields() {
         // 3200 cycles = 1 µs at the 3.2 GHz clock.
         let events = vec![SpanEvent {
@@ -560,11 +385,5 @@ mod tests {
             panic!("spans missing");
         };
         assert_eq!(spans.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        SpanRing::new(0);
     }
 }

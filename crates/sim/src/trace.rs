@@ -1,15 +1,16 @@
 //! Memory-event tracing.
 //!
-//! A bounded, allocation-free event recorder for debugging simulations and
-//! for exporting access streams to external tools. Tracing is opt-in per
-//! [`MemorySystem`](crate::hierarchy::MemorySystem) (see
-//! [`enable_trace`](crate::hierarchy::MemorySystem::enable_trace)); when
-//! disabled, the hot path pays a single branch.
-//!
-//! The recorder is a ring: the last `capacity` events survive, with a count
-//! of how many were recorded in total. `to_csv` exports the retained window.
+//! A [`MemorySystem`](crate::hierarchy::MemorySystem) with its memtrace on
+//! ([`enable_trace`](crate::hierarchy::MemorySystem::enable_trace)) records
+//! one [`TraceEvent`] per CPU read or store, NIC write or read, sweep and
+//! writeback, for debugging simulations and for exporting access streams to
+//! external tools. The events land in a [`Trace`], the workspace's one
+//! overwrite-oldest [`Ring`], through the memory system's single observer
+//! seam; with every observer off, each hook costs one branch.
+//! [`Trace::to_csv`] exports the retained window.
 
 use crate::addr::BlockAddr;
+use crate::ring::Ring;
 use crate::span::NO_TRACE;
 use crate::telemetry::{CsvTable, Value};
 use crate::Cycle;
@@ -61,63 +62,15 @@ pub struct TraceEvent {
     /// Latency observed by the requester (0 for posted operations).
     pub latency: Cycle,
     /// Trace id of the request the event belongs to
-    /// ([`NO_TRACE`](crate::span::NO_TRACE) when span tracing is off or the
+    /// ([`NO_TRACE`] when span tracing is off or the
     /// event happened outside any request context).
     pub trace: u64,
 }
 
-/// Bounded ring of trace events.
-#[derive(Debug, Clone)]
-pub struct Trace {
-    ring: Vec<TraceEvent>,
-    head: usize,
-    recorded: u64,
-}
+/// Bounded ring of trace events (see [`Ring`]).
+pub type Trace = Ring<TraceEvent>;
 
 impl Trace {
-    /// Creates a trace retaining the last `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "trace capacity must be positive");
-        Self {
-            ring: Vec::with_capacity(capacity),
-            head: 0,
-            recorded: 0,
-        }
-    }
-
-    /// Records one event.
-    pub fn record(&mut self, event: TraceEvent) {
-        if self.ring.len() < self.ring.capacity() {
-            self.ring.push(event);
-        } else {
-            self.ring[self.head] = event;
-            self.head = (self.head + 1) % self.ring.len();
-        }
-        self.recorded += 1;
-    }
-
-    /// Total events recorded (including those that fell out of the window).
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Retained events, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.ring.len());
-        out.extend_from_slice(&self.ring[self.head..]);
-        out.extend_from_slice(&self.ring[..self.head]);
-        out
-    }
-
-    /// Retained events of one kind, oldest first.
-    pub fn events_of(&self, kind: TraceKind) -> Vec<TraceEvent> {
-        self.events().into_iter().filter(|e| e.kind == kind).collect()
-    }
-
     /// CSV export of the retained window, in the workspace's shared CSV
     /// dialect: `# key: value` manifest comment lines (artifact name,
     /// totals), then a header row, then one row per event.
@@ -134,7 +87,7 @@ impl Trace {
     /// events). Runs without span tracing keep the original column set
     /// byte-identical.
     pub fn to_csv_with_comments(&self, comments: &[(String, String)]) -> String {
-        let tagged = self.ring.iter().any(|e| e.trace != NO_TRACE);
+        let tagged = self.iter().any(|e| e.trace != NO_TRACE);
         let headers: &[&str] = if tagged {
             &["cycle", "kind", "core", "block", "blocks", "latency", "trace"]
         } else {
@@ -142,10 +95,10 @@ impl Trace {
         };
         let mut table = CsvTable::new(headers)
             .comment("artifact", "memtrace")
-            .comment("events_recorded", self.recorded.to_string())
-            .comment("events_retained", self.ring.len().to_string())
+            .comment("events_recorded", self.recorded().to_string())
+            .comment("events_retained", self.len().to_string())
             .comments(comments);
-        for e in self.events() {
+        for e in self.iter() {
             let mut row = vec![
                 Value::U64(e.at),
                 Value::Str(e.kind.label().to_string()),
@@ -165,12 +118,6 @@ impl Trace {
         }
         table.to_csv()
     }
-
-    /// Discards all retained events (the total count is kept).
-    pub fn clear(&mut self) {
-        self.ring.clear();
-        self.head = 0;
-    }
 }
 
 #[cfg(test)]
@@ -187,47 +134,6 @@ mod tests {
             latency: 4,
             trace: NO_TRACE,
         }
-    }
-
-    #[test]
-    fn records_in_order_until_capacity() {
-        let mut t = Trace::new(4);
-        for i in 0..3 {
-            t.record(ev(i));
-        }
-        let events = t.events();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].at, 0);
-        assert_eq!(events[2].at, 2);
-        assert_eq!(t.recorded(), 3);
-    }
-
-    #[test]
-    fn ring_keeps_most_recent_window() {
-        let mut t = Trace::new(4);
-        for i in 0..10 {
-            t.record(ev(i));
-        }
-        let events = t.events();
-        assert_eq!(events.len(), 4);
-        assert_eq!(
-            events.iter().map(|e| e.at).collect::<Vec<_>>(),
-            vec![6, 7, 8, 9]
-        );
-        assert_eq!(t.recorded(), 10);
-    }
-
-    #[test]
-    fn filter_by_kind() {
-        let mut t = Trace::new(8);
-        t.record(ev(1));
-        t.record(TraceEvent {
-            kind: TraceKind::Sweep,
-            ..ev(2)
-        });
-        assert_eq!(t.events_of(TraceKind::Sweep).len(), 1);
-        assert_eq!(t.events_of(TraceKind::CpuRead).len(), 1);
-        assert_eq!(t.events_of(TraceKind::NicWrite).len(), 0);
     }
 
     #[test]
@@ -260,20 +166,5 @@ mod tests {
         let csv =
             t.to_csv_with_comments(&[("seed".to_string(), "42".to_string())]);
         assert!(csv.contains("# seed: 42\n"));
-    }
-
-    #[test]
-    fn clear_keeps_total() {
-        let mut t = Trace::new(2);
-        t.record(ev(1));
-        t.clear();
-        assert!(t.events().is_empty());
-        assert_eq!(t.recorded(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        Trace::new(0);
     }
 }

@@ -1,9 +1,9 @@
 //! Turn-key construction of experiments from [`Scenario`] descriptions.
 //!
-//! [`Scenario`](sweeper_core::scenario::Scenario) lives in `sweeper-core`,
+//! [`Scenario`] lives in `sweeper-core`,
 //! which cannot know about concrete workloads; this module closes the loop,
 //! mapping a parsed scenario onto a ready-to-run
-//! [`Experiment`](sweeper_core::experiment::Experiment) with the right
+//! [`Experiment`] with the right
 //! workload factory and ring-wrapping warmup.
 
 use sweeper_core::experiment::Experiment;

@@ -20,7 +20,7 @@
 //!   harness,
 //! * [`workloads`] — the paper's applications (MICA-style KVS, L3 forwarder
 //!   NF, X-Mem) and traffic distributions,
-//! * [`bench`] — the figure registry and the parallel harness that
+//! * [`bench`](mod@bench) — the figure registry and the parallel harness that
 //!   regenerates every table and figure of the paper.
 //!
 //! ## Quickstart
