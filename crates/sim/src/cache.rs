@@ -150,9 +150,9 @@ impl CacheGeometry {
 /// ```
 ///
 /// Packing the residency scan's entire decision state into one `u64` per way
-/// keeps a set probe inside one or two host cache lines; the 32-byte
-/// `Option<Line>`-plus-LRU slots this replaces spread a 12-way probe across
-/// six.
+/// keeps a set probe to `ways * 8` bytes: one host cache line for an 8-way
+/// set, two for 12 ways and three for 20. The 32-byte `Option<Line>`-plus-LRU
+/// slots this replaces spread a 12-way probe across six.
 const TAG_PRESENT: u64 = 1;
 const TAG_DIRTY: u64 = 1 << 1;
 const TAG_NIC: u64 = 1 << 2;
@@ -208,6 +208,8 @@ fn tag_matches(tag: u64, block: BlockAddr) -> bool {
 pub struct SetAssocCache {
     geometry: CacheGeometry,
     sets: usize,
+    /// `fastmod_magic(sets)`: lets `set_of` reduce without a divide.
+    sets_magic: u64,
     tags: ZeroTable<u64>,   // sets * ways, row-major by set; 0 = empty way
     stamps: ZeroTable<u64>, // parallel to `tags`: tick << 2 | rrpv
     tick: u64,
@@ -224,7 +226,7 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics if `ways` is 0 or exceeds 64, or if the capacity is smaller
-    /// than one set.
+    /// than one set or larger than `u32::MAX` sets.
     pub fn new(geometry: CacheGeometry) -> Self {
         Self::with_policy(geometry, ReplacementPolicy::Lru)
     }
@@ -240,9 +242,14 @@ impl SetAssocCache {
             "associativity must be in 1..=64"
         );
         let sets = geometry.sets();
+        assert!(
+            sets <= u32::MAX as usize,
+            "set index reduction needs at most 2^32 - 1 sets"
+        );
         Self {
             geometry,
             sets,
+            sets_magic: fastmod_magic(sets as u64),
             tags: ZeroTable::new(sets * geometry.ways),
             stamps: ZeroTable::new(sets * geometry.ways),
             tick: 0,
@@ -272,9 +279,11 @@ impl SetAssocCache {
         // bits, so power-of-two-strided structures (per-core rings spaced
         // 2^15 blocks apart) would alias onto a handful of set phases and
         // thrash each other. The high bits mix all input bits; zSim
-        // similarly hashes LLC set indices.
+        // similarly hashes LLC set indices. The 32-bit hash is then reduced
+        // modulo the set count (49,152 for the paper's LLC, not a power of
+        // two) by `fastmod`, which equals `%` exactly and needs no divide.
         let h = block.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((h >> 32) % self.sets as u64) as usize
+        fastmod(h >> 32, self.sets_magic, self.sets as u64) as usize
     }
 
     fn slot_range(&self, set: usize) -> std::ops::Range<usize> {
@@ -294,24 +303,15 @@ impl SetAssocCache {
     /// indices, so nearly every set probe is a host last-level-cache miss.
     /// Callers that know the next few blocks they will touch (range
     /// accesses, packet delivery) can issue prefetches up front and let the
-    /// host overlap what would otherwise be a serial chain of misses. Purely
-    /// a performance hint: no simulated state changes.
+    /// host overlap what would otherwise be a serial chain of misses. Every
+    /// host line the set's tag and stamp rows span is requested: a 12-way
+    /// row (96 B) spans two lines and a 20-way row (160 B) three. Purely a
+    /// performance hint: no simulated state changes.
     #[inline]
     pub fn prefetch(&self, block: BlockAddr) {
-        let set = self.set_of(block);
-        let base = set * self.geometry.ways;
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(self.tags.as_ptr().add(base).cast::<i8>(), _MM_HINT_T0);
-            // A 20-way set spans three cache lines of tags; grab the tail too.
-            let last = base + self.geometry.ways - 1;
-            _mm_prefetch(self.tags.as_ptr().add(last).cast::<i8>(), _MM_HINT_T0);
-            _mm_prefetch(self.stamps.as_ptr().add(base).cast::<i8>(), _MM_HINT_T0);
-            _mm_prefetch(self.stamps.as_ptr().add(last).cast::<i8>(), _MM_HINT_T0);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = base;
+        let base = self.set_of(block) * self.geometry.ways;
+        prefetch_row(&self.tags[base..base + self.geometry.ways]);
+        prefetch_row(&self.stamps[base..base + self.geometry.ways]);
     }
 
     /// Looks a block up without updating recency.
@@ -325,12 +325,23 @@ impl SetAssocCache {
 
     /// Looks a block up and updates LRU recency; returns the line metadata.
     pub fn lookup(&mut self, block: BlockAddr) -> Option<Line> {
+        self.access(block, false)
+    }
+
+    /// [`lookup`](Self::lookup) that also marks a hit dirty when `dirty` is
+    /// set, in the same probe of the set. Returns the line as it was
+    /// *before* the access, so callers can tell a write to an
+    /// already-dirty line from the write that dirtied it.
+    pub fn access(&mut self, block: BlockAddr, dirty: bool) -> Option<Line> {
         let set = self.set_of(block);
         let tick = self.bump();
         let range = self.slot_range(set);
         for idx in range {
             let tag = self.tags[idx];
             if tag_matches(tag, block) {
+                if dirty {
+                    self.tags[idx] = tag | TAG_DIRTY;
+                }
                 self.stamps[idx] = tick << STAMP_RRPV_BITS; // rrpv -> 0
                 return Some(decode_tag(tag));
             }
@@ -499,6 +510,56 @@ impl SetAssocCache {
         self.tags.fill(0);
         self.resident = 0;
     }
+}
+
+/// The multiplier `fastmod` needs to reduce modulo `d`: `ceil(2^64 / d)`,
+/// which wraps to 0 for `d == 1`.
+fn fastmod_magic(d: u64) -> u64 {
+    (u64::MAX / d).wrapping_add(1)
+}
+
+/// `a % d` for `a < 2^32` and `1 <= d < 2^32`, with `m = fastmod_magic(d)`.
+///
+/// Lemire, Kaser and Kurz, "Faster Remainder by Direct Computation" (2019):
+/// the low 64 bits of `m * a` are the fractional part of `a / d` in 0.64
+/// fixed point, and multiplying that fraction back by `d` leaves the
+/// remainder in the high word. With both operands below 2^32 the 64-bit
+/// fraction carries enough precision for the result to be exact for every
+/// input, not just most (their Theorem 1 with N = 32, F = 64). For `d == 1`
+/// the multiplier is 0 and so is every remainder.
+#[inline]
+fn fastmod(a: u64, m: u64, d: u64) -> u64 {
+    debug_assert!(a <= u32::MAX as u64 && d <= u32::MAX as u64);
+    ((m.wrapping_mul(a) as u128 * d as u128) >> 64) as u64
+}
+
+/// Prefetches every host cache line `row` spans into all cache levels.
+#[inline]
+fn prefetch_row(row: &[u64]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64;
+        let start = row.as_ptr().cast::<i8>();
+        // Step from the line holding the first byte to the one holding the
+        // last; the tables are only 8-byte aligned, so a row's offset
+        // within its first line varies.
+        let misalign = start as usize % LINE;
+        let mut offset = 0;
+        while offset < misalign + std::mem::size_of_val(row) {
+            // SAFETY: `_mm_prefetch` needs only SSE, which every x86-64 CPU
+            // has, and a prefetch never faults, whatever the address.
+            unsafe {
+                _mm_prefetch(
+                    start.wrapping_sub(misalign).wrapping_add(offset),
+                    _MM_HINT_T0,
+                )
+            };
+            offset += LINE;
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
 }
 
 #[cfg(test)]
@@ -763,6 +824,47 @@ mod tests {
             }
             assert_eq!(&zeroed.tags[..], &threes.tags[..]);
         }
+    }
+
+    #[test]
+    fn fastmod_set_index_equals_the_remainder() {
+        use crate::hierarchy::MachineConfig;
+        let machines = [
+            MachineConfig::paper_default(),
+            MachineConfig::tiny_for_tests(),
+        ];
+        let geometry_sets = machines
+            .iter()
+            .flat_map(|m| [m.l1, m.l2, m.llc])
+            .map(|g| g.sets() as u64);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for d in geometry_sets.chain([1, 3, 49_152, (1 << 31) - 1]) {
+            let m = fastmod_magic(d);
+            let edges = [0, 1, d - 1, d, u32::MAX as u64];
+            let random = (0..100_000).map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x >> 32
+            });
+            for a in edges.into_iter().chain(random) {
+                assert_eq!(fastmod(a, m, d), a % d, "{a} mod {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn access_marks_a_hit_dirty_and_returns_the_old_line() {
+        let mut c = small();
+        let b = BlockAddr(5);
+        assert!(c.access(b, true).is_none(), "a miss installs nothing");
+        assert!(c.peek(b).is_none());
+        c.insert(b, false, LineOrigin::Cpu, WayMask::ALL);
+        assert!(!c.access(b, false).unwrap().dirty);
+        assert!(!c.peek(b).unwrap().dirty, "a read leaves the line clean");
+        assert!(!c.access(b, true).unwrap().dirty, "the line as it was");
+        assert!(c.peek(b).unwrap().dirty);
+        assert!(c.access(b, true).unwrap().dirty);
     }
 
     #[test]

@@ -565,8 +565,10 @@ impl MemorySystem {
             }
         }
 
-        // Residency ⊆ directory, L1 ⊆ L2 inclusion, and the per-block dirty
-        // census (at most one dirty copy may exist hierarchy-wide).
+        // Residency ⊆ directory, L1 ⊆ L2 inclusion (a line dirty in L1 is
+        // also dirty in L2, which lets an L1 eviction skip the L2 probe),
+        // and the per-block dirty census (at most one dirty copy may exist
+        // hierarchy-wide).
         let mut dirty_copies: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
         for line in self.llc.iter_lines() {
             if chk.is_swept(line.block) {
@@ -580,10 +582,15 @@ impl MemorySystem {
         }
         for c in 0..self.cfg.cores {
             for line in self.l1[c].iter_lines() {
-                if self.l2[c].peek(line.block).is_none() {
-                    chk.note_violation(ViolationKind::InclusionViolation, || {
+                match self.l2[c].peek(line.block) {
+                    None => chk.note_violation(ViolationKind::InclusionViolation, || {
                         format!("{}: in core {c}'s L1 but not its L2", line.block)
-                    });
+                    }),
+                    Some(l2) if line.dirty && !l2.dirty => chk
+                        .note_violation(ViolationKind::InclusionViolation, || {
+                            format!("{}: dirty in core {c}'s L1 but clean in its L2", line.block)
+                        }),
+                    Some(_) => {}
                 }
             }
             for line in self.l2[c].iter_lines() {
@@ -597,8 +604,8 @@ impl MemorySystem {
                         format!("{}: swept block still resident in core {c}", line.block)
                     });
                 }
-                let dirty = line.dirty || self.l1[c].peek(line.block).is_some_and(|l| l.dirty);
-                if dirty {
+                // The L1 copy's dirty bit is covered by the inclusion check.
+                if line.dirty {
                     *dirty_copies.entry(line.block.0).or_default() += 1;
                     // Under the default semantics every dirty private line
                     // has a registered owner; the strict-victim ablation
@@ -823,7 +830,8 @@ impl MemorySystem {
         self.llc_install(block, dirty, LineOrigin::Cpu, mask, now)
     }
 
-    /// Installs a block into a core's private L1+L2 after a fill. Returns
+    /// Installs a block into a core's private L1+L2 after a fill, with its
+    /// final dirty bit in both levels (a write fill passes `true`). Returns
     /// the write-path stall to charge to the triggering access.
     fn fill_private(&mut self, core: u16, block: BlockAddr, dirty: bool, now: Cycle) -> Cycle {
         let c = core as usize;
@@ -836,16 +844,26 @@ impl MemorySystem {
             self.llc.prefetch(ev.line.block);
             stall = self.handle_l2_eviction(core, ev.line.block, ev.line.dirty, now);
         }
-        if let Some(ev) = self.l1[c].insert(block, dirty, LineOrigin::Cpu, WayMask::ALL) {
-            // Inclusion guarantees the evicted L1 line is still in L2;
-            // propagate dirtiness there.
-            if ev.line.dirty && !self.l2[c].mark_dirty(ev.line.block) {
-                debug_assert!(false, "L1 ⊆ L2 inclusion violated");
-                self.stats.dirty_dropped_unexpectedly += 1;
-            }
-        }
+        let ev = self.l1[c].insert(block, dirty, LineOrigin::Cpu, WayMask::ALL);
+        self.debug_assert_l1_victim_dirty_in_l2(c, ev);
         self.dir.add_sharer(block, core);
         stall
+    }
+
+    /// A line leaving L1 needs no writeback into L2: every path keeps a line
+    /// that is dirty in L1 dirty in L2 as well (writes and fills set both
+    /// levels, `clean_private_copy` cleans both, and every L2 removal
+    /// back-invalidates L1), so the L2 copy already carries the bit.
+    /// [`MemorySystem::check_walk`] checks the invariant in checked runs.
+    #[inline]
+    fn debug_assert_l1_victim_dirty_in_l2(&self, core: usize, ev: Option<Evicted>) {
+        if let Some(ev) = ev {
+            debug_assert!(
+                !ev.line.dirty || self.l2[core].peek(ev.line.block).is_some_and(|l| l.dirty),
+                "{}: dirty L1 victim is not dirty in L2",
+                ev.line.block
+            );
+        }
     }
 
     /// One CPU block access. Returns the latency seen by the core and
@@ -871,10 +889,10 @@ impl MemorySystem {
         // without claiming ownership), so it always takes the slow path.
         let dirty_hit_exclusive = self.cfg.llc_read_hit_retains;
 
-        // L1.
-        if let Some(line) = self.l1[c].lookup(block) {
+        // L1. A write marks the hit dirty in the same probe; `line` is the
+        // state before it.
+        if let Some(line) = self.l1[c].access(block, write) {
             if write && !(line.dirty && dirty_hit_exclusive) {
-                self.l1[c].mark_dirty(block);
                 self.l2[c].mark_dirty(block);
                 // RFO upgrade: a retained LLC copy (left behind by a read
                 // hit or another core's L2 eviction) is stale the moment
@@ -891,16 +909,10 @@ impl MemorySystem {
 
         // L2.
         latency += self.cfg.l2.latency;
-        if let Some(line) = self.l2[c].lookup(block) {
-            if let Some(ev) = self.l1[c].insert(block, line.dirty, LineOrigin::Cpu, WayMask::ALL) {
-                if ev.line.dirty {
-                    let present = self.l2[c].mark_dirty(ev.line.block);
-                    debug_assert!(present, "L1 ⊆ L2 inclusion violated");
-                }
-            }
+        if let Some(line) = self.l2[c].access(block, write) {
+            let ev = self.l1[c].insert(block, line.dirty || write, LineOrigin::Cpu, WayMask::ALL);
+            self.debug_assert_l1_victim_dirty_in_l2(c, ev);
             if write && !(line.dirty && dirty_hit_exclusive) {
-                self.l1[c].mark_dirty(block);
-                self.l2[c].mark_dirty(block);
                 // RFO upgrade: a retained LLC copy (left behind by a read
                 // hit or another core's L2 eviction) is stale the moment
                 // this write completes. Drop it — without this, a later
@@ -936,9 +948,7 @@ impl MemorySystem {
             self.stats.llc_hits += 1;
             if write {
                 self.llc_invalidate(block);
-                latency += self.fill_private(core, block, line.dirty, now);
-                self.l1[c].mark_dirty(block);
-                self.l2[c].mark_dirty(block);
+                latency += self.fill_private(core, block, true, now);
                 self.resolve_remote_sharers(core, block, now);
                 self.dir.set_dirty_owner(block, core);
             } else if self.cfg.llc_read_hit_retains {
@@ -961,10 +971,8 @@ impl MemorySystem {
                 self.dir.clear_dirty(block);
                 self.writeback(block, now);
                 latency += self.cfg.noc_latency; // extra hop to the owner
-                latency += self.fill_private(core, block, false, now);
+                latency += self.fill_private(core, block, write, now);
                 if write {
-                    self.l1[c].mark_dirty(block);
-                    self.l2[c].mark_dirty(block);
                     self.resolve_remote_sharers(core, block, now);
                     self.dir.set_dirty_owner(block, core);
                 }
@@ -974,10 +982,8 @@ impl MemorySystem {
             // Clean copy in another core's private cache: forward on-die.
             self.stats.c2c_transfers += 1;
             latency += self.cfg.noc_latency;
-            latency += self.fill_private(core, block, false, now);
+            latency += self.fill_private(core, block, write, now);
             if write {
-                self.l1[c].mark_dirty(block);
-                self.l2[c].mark_dirty(block);
                 self.resolve_remote_sharers(core, block, now);
                 self.dir.set_dirty_owner(block, core);
             }
@@ -999,10 +1005,8 @@ impl MemorySystem {
         let acc = self.dram.access(block, now, DramOp::Read);
         latency += acc.latency;
         self.span(SpanKind::DramQueue, core, now, now + acc.latency);
-        latency += self.fill_private(core, block, false, now);
+        latency += self.fill_private(core, block, write, now);
         if write {
-            self.l1[c].mark_dirty(block);
-            self.l2[c].mark_dirty(block);
             self.dir.set_dirty_owner(block, core);
         }
         // Optional next-line prefetcher: fetch block+1 into L2 in the
@@ -1900,6 +1904,31 @@ mod tests {
         let spans = mem.spans().expect("spans enabled");
         assert_eq!(spans.len(), 1);
         assert_eq!((spans.recorded(), spans.events()[0].trace), (4, NO_TRACE));
+    }
+
+    #[test]
+    fn walker_flags_a_line_dirty_in_l1_but_clean_in_l2() {
+        let mut mem = system(InjectionPolicy::Ddio, 2);
+        mem.enable_check(CheckConfig {
+            walk_every_requests: 1,
+            max_details: 4,
+        });
+        let app = mem.address_map_mut().alloc(4 * 64, RegionKind::App);
+        mem.cpu_read(0, app, 64, 0);
+        mem.cpu_write(1, app.offset(64), 64, 10);
+        mem.check_walk();
+        assert!(
+            mem.check_report().unwrap().passed(),
+            "disciplined accesses are clean"
+        );
+
+        // A write that dirties only the L1 copy breaks the invariant that
+        // lets an L1 eviction skip the L2 probe.
+        assert!(mem.l1[0].mark_dirty(app.block()));
+        mem.check_walk();
+        let report = mem.check_report().unwrap();
+        assert_eq!(report.count(ViolationKind::InclusionViolation), 1);
+        assert_eq!(report.total_violations(), 1, "{:?}", report.violations);
     }
 
     #[test]

@@ -103,8 +103,11 @@ pub struct MicaKvs {
     partition_bytes: u64,
     /// Per-core append offsets within their partitions.
     log_heads: Vec<u64>,
-    /// Current log address of each item (index 0 unused; ranks are 1-based).
-    item_addr: Vec<Addr>,
+    /// Log address of each item a SET has moved (index 0 unused; ranks are
+    /// 1-based). 0 means the item is still at its populated address,
+    /// [`MicaKvs::initial_addr`], so the table starts zeroed and set-up
+    /// writes none of it.
+    moved: Vec<u64>,
     zipf: Zipf,
     stats: KvsStats,
 }
@@ -141,7 +144,7 @@ impl MicaKvs {
             log_base: Addr(0),
             partition_bytes,
             log_heads: vec![0; cfg.cores as usize],
-            item_addr: Vec::new(),
+            moved: Vec::new(),
             stats: KvsStats::default(),
             cfg,
         }
@@ -177,8 +180,31 @@ impl MicaKvs {
         let head = &mut self.log_heads[core as usize];
         let addr = self.log_base.offset(part_base + *head);
         *head = (*head + slot) % self.partition_bytes;
-        self.item_addr[key as usize] = addr;
+        // The log follows the non-empty bucket index, so no log address is
+        // the table's "not moved" 0.
+        debug_assert!(addr.0 != 0);
+        self.moved[key as usize] = addr.0;
         addr
+    }
+
+    /// Current log address of `key`.
+    fn item_addr(&self, key: u64) -> Addr {
+        match self.moved[key as usize] {
+            0 => self.initial_addr(key),
+            a => Addr(a),
+        }
+    }
+
+    /// Where the populate pass leaves `key`: keys are appended round-robin,
+    /// key `k` on core `k % cores`, so `k` is the `j`-th append on its core
+    /// (keys start at 1, so core 0's first key is `cores`).
+    fn initial_addr(&self, key: u64) -> Addr {
+        let cores = self.cfg.cores as u64;
+        let core = key % cores;
+        let j = key / cores - u64::from(core == 0);
+        let slot = Self::slot_bytes(&self.cfg);
+        self.log_base
+            .offset(core * self.partition_bytes + j * slot % self.partition_bytes)
     }
 }
 
@@ -195,11 +221,15 @@ impl Workload for MicaKvs {
             .address_map_mut()
             .alloc(self.cfg.cores as u64 * self.partition_bytes, RegionKind::App);
         // Populate: every item gets an initial log location, spread over the
-        // partitions round-robin, as if loaded before the measurement.
-        self.item_addr = vec![Addr(0); self.cfg.items as usize + 1];
-        for key in 1..=self.cfg.items {
-            let core = (key % self.cfg.cores as u64) as u16;
-            self.append(core, key);
+        // partitions round-robin, as if loaded before the measurement. The
+        // locations are `initial_addr`'s closed form; each core's head ends
+        // one slot past its last key's.
+        self.moved = vec![0; self.cfg.items as usize + 1];
+        let (items, cores) = (self.cfg.items, self.cfg.cores as u64);
+        let slot = Self::slot_bytes(&self.cfg);
+        for (core, head) in (0..cores).zip(&mut self.log_heads) {
+            let appended = (items + cores - core) / cores - u64::from(core == 0);
+            *head = appended * slot % self.partition_bytes;
         }
     }
 
@@ -213,7 +243,7 @@ impl Workload for MicaKvs {
             // Parse header + key from the RX buffer.
             env.read(packet.addr, HEADER_BYTES.min(packet.bytes));
             env.read(bucket, BLOCK_BYTES);
-            let item = self.item_addr[key as usize];
+            let item = self.item_addr(key);
             env.read(item, self.cfg.item_bytes);
             TxAction::Reply {
                 bytes: HEADER_BYTES + self.cfg.item_bytes,
@@ -290,9 +320,40 @@ mod tests {
         assert!(mem.address_map().allocated_bytes() >= expected_min);
         // Every item has a live address inside the log region.
         for key in 1..=cfg.items {
-            let a = kvs.item_addr[key as usize];
+            let a = kvs.item_addr(key);
             assert!(a.0 >= kvs.log_base.0);
             assert!(a.0 < kvs.log_base.0 + cfg.cores as u64 * kvs.partition_bytes);
+        }
+    }
+
+    #[test]
+    fn closed_form_setup_matches_the_populate_loop() {
+        let odd = KvsConfig {
+            items: 37,
+            log_bytes: 5 * 3 * 1024,
+            cores: 5,
+            ..KvsConfig::small_for_tests()
+        };
+        for cfg in [
+            KvsConfig::small_for_tests(),
+            KvsConfig::paper_default(),
+            KvsConfig::paper_default().with_item_bytes(512),
+            odd,
+        ] {
+            let mut mem = MemorySystem::new(MachineConfig::tiny_for_tests());
+            let mut kvs = MicaKvs::new(cfg);
+            kvs.setup(&mut mem);
+            // The round-robin append loop set-up used to run.
+            let slot = MicaKvs::slot_bytes(&cfg);
+            let mut heads = vec![0u64; cfg.cores as usize];
+            for key in 1..=cfg.items {
+                let core = key % cfg.cores as u64;
+                let head = &mut heads[core as usize];
+                let expected = kvs.log_base.offset(kvs.partition_bytes * core + *head);
+                *head = (*head + slot) % kvs.partition_bytes;
+                assert_eq!(kvs.item_addr(key), expected, "key {key} of {cfg:?}");
+            }
+            assert_eq!(kvs.log_heads, heads, "{cfg:?}");
         }
     }
 
@@ -359,10 +420,10 @@ mod tests {
     #[test]
     fn set_relocates_item_to_core_partition() {
         let (mut kvs, _mem, _) = setup();
-        let old = kvs.item_addr[5];
+        let old = kvs.item_addr(5);
         let new = kvs.append(1, 5);
         assert_ne!(old, new);
-        assert_eq!(kvs.item_addr[5], new);
+        assert_eq!(kvs.item_addr(5), new);
         let part_base = kvs.log_base.0 + kvs.partition_bytes;
         assert!(new.0 >= part_base && new.0 < part_base + kvs.partition_bytes);
     }
