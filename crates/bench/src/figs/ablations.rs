@@ -14,20 +14,21 @@
 //! 4. **LLC replacement & prefetch** — SRRIP scan resistance and an L2
 //!    next-line prefetcher.
 
-use sweeper_core::experiment::{Experiment, ExperimentConfig};
+use sweeper_core::experiment::Experiment;
 use sweeper_core::fleet::{ExperimentPoint, PointOutcome};
 use sweeper_core::profile::RunProfile;
+use sweeper_core::scenario::Scenario;
 use sweeper_core::server::{RunOptions, RunReport, SweeperMode};
 use sweeper_sim::cache::ReplacementPolicy;
 use sweeper_sim::hierarchy::MachineConfig;
 use sweeper_sim::stats::TrafficClass;
-use sweeper_workloads::kvs::{KvsConfig, MicaKvs, HEADER_BYTES};
+use sweeper_workloads::kvs::HEADER_BYTES;
 
 use super::Figure;
-use crate::Table;
+use crate::{scenario_experiment, Table};
 
-/// Fixed offered load of every ablation run (packets/second).
-const RATE: f64 = 18.0e6;
+/// Fixed offered load of every ablation run (Mrps).
+const RATE_MRPS: f64 = 18.0;
 
 type Mutator = fn(&mut MachineConfig);
 
@@ -69,23 +70,25 @@ fn variants() -> Vec<Variant> {
     ]
 }
 
-fn ablation_experiment(profile: RunProfile, variant: &Variant) -> Experiment {
-    let cfg = ExperimentConfig::paper_default()
-        .ddio_ways(2)
-        .sweeper(variant.sweeper)
-        .rx_buffers_per_core(1024)
-        .packet_bytes(1024 + HEADER_BYTES)
-        .run_options(RunOptions {
-            warmup_requests: profile.scale(30_000, 2_000),
-            measure_requests: profile.scale(15_000, 1_500),
-            max_cycles: 120_000_000_000,
-            min_warmup_cycles: 0,
-            min_measure_cycles: 0,
-        });
+/// The variant's scenario configuration, its one machine mutation applied.
+fn ablation_experiment(profile: RunProfile, variant: &Variant, seed: u64) -> Experiment {
+    let s = Scenario {
+        sweeper: variant.sweeper,
+        buffers: 1024,
+        packet: 1024 + HEADER_BYTES,
+        seed,
+        ..Scenario::ddio(2)
+    };
+    let cfg = s.to_config().run_options(RunOptions {
+        warmup_requests: profile.scale(30_000, 2_000),
+        measure_requests: profile.scale(15_000, 1_500),
+        max_cycles: 120_000_000_000,
+        min_warmup_cycles: 0,
+        min_measure_cycles: 0,
+    });
     let mut machine = *cfg.machine();
     (variant.mutate)(&mut machine);
-    cfg.with_machine(machine)
-        .experiment(|| MicaKvs::new(KvsConfig::paper_default()))
+    scenario_experiment(cfg.with_machine(machine), &s)
 }
 
 fn row(name: &str, report: &RunReport) -> Vec<String> {
@@ -114,14 +117,14 @@ impl Figure for Ablations {
         "Modelling-decision ablations at fixed 18 Mrps load (DESIGN.md)"
     }
 
-    fn points(&self, profile: RunProfile) -> Vec<ExperimentPoint> {
+    fn points(&self, profile: RunProfile, seed: u64) -> Vec<ExperimentPoint> {
         variants()
             .iter()
             .map(|variant| {
                 ExperimentPoint::at_rate(
                     format!("t{} {}", variant.table, variant.name),
-                    ablation_experiment(profile, variant),
-                    RATE,
+                    ablation_experiment(profile, variant, seed),
+                    RATE_MRPS * 1e6,
                 )
             })
             .collect()

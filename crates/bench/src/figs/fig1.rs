@@ -10,21 +10,23 @@
 
 use sweeper_core::fleet::{ExperimentPoint, PointOutcome};
 use sweeper_core::profile::RunProfile;
+use sweeper_core::scenario::Scenario;
+use sweeper_workloads::kvs::HEADER_BYTES;
 
 use super::Figure;
-use crate::{f1, format_breakdown, kvs_experiment, SystemPoint, Table};
+use crate::{f1, figure_experiment, format_breakdown, Table};
 
 /// RX ring depths swept on the x-axis.
 pub const BUFFERS: [usize; 3] = [512, 1024, 2048];
 
 /// The baseline configurations of §III.
-pub fn configs() -> Vec<SystemPoint> {
+pub fn configs() -> Vec<Scenario> {
     vec![
-        SystemPoint::dma(),
-        SystemPoint::ddio(2),
-        SystemPoint::ddio(4),
-        SystemPoint::ddio(6),
-        SystemPoint::ideal(),
+        Scenario::dma(),
+        Scenario::ddio(2),
+        Scenario::ddio(4),
+        Scenario::ddio(6),
+        Scenario::ideal(),
     ]
 }
 
@@ -40,13 +42,19 @@ impl Figure for Fig1 {
         "KVS baselines: peak throughput, bandwidth, access breakdown (§IV-A)"
     }
 
-    fn points(&self, profile: RunProfile) -> Vec<ExperimentPoint> {
+    fn points(&self, profile: RunProfile, seed: u64) -> Vec<ExperimentPoint> {
         let mut out = Vec::new();
-        for point in configs() {
-            for bufs in BUFFERS {
+        for system in configs() {
+            for buffers in BUFFERS {
+                let s = Scenario {
+                    buffers,
+                    packet: 1024 + HEADER_BYTES,
+                    seed,
+                    ..system
+                };
                 out.push(ExperimentPoint::peak(
-                    format!("{} rx={bufs}", point.label()),
-                    kvs_experiment(profile, point, 1024, bufs, 4),
+                    format!("{} rx={buffers}", s.label()),
+                    figure_experiment(profile, &s),
                 ));
             }
         }

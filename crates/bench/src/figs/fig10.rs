@@ -9,15 +9,16 @@
 //! * **(b)** packet-drop rate as a function of the arrival rate for 128 and
 //!   2048 buffers (and 2048 + Sweeper).
 
-use sweeper_core::experiment::{Experiment, ExperimentConfig, PeakCriteria};
+use sweeper_core::experiment::{Experiment, PeakCriteria};
 use sweeper_core::fleet::{ExperimentPoint, PointOutcome};
 use sweeper_core::profile::RunProfile;
+use sweeper_core::scenario::Scenario;
 use sweeper_core::server::SweeperMode;
 use sweeper_workloads::kvs::{KvsConfig, MicaKvs, HEADER_BYTES};
 use sweeper_workloads::spiky::{SpikeConfig, Spiky};
 
 use super::Figure;
-use crate::{f1, wrapped_run_options, Table};
+use crate::{f1, figure_run_options, Table};
 
 /// Buffer depths swept in Figure 10a.
 pub const BUFFERS: [usize; 5] = [128, 256, 512, 1024, 2048];
@@ -32,18 +33,24 @@ pub const B_SERIES: [(usize, SweeperMode); 3] = [
     (2048, SweeperMode::Enabled),
 ];
 
-/// Builds the spiky-KVS experiment.
+/// Builds the spiky-KVS experiment: the 2-way DDIO KVS point with
+/// `buffers` RX buffers per core, its store wrapped in the processing-delay
+/// spikes.
 pub fn spiky_experiment(
     profile: RunProfile,
-    rx_buffers: usize,
+    buffers: usize,
     sweeper: SweeperMode,
+    seed: u64,
 ) -> Experiment {
-    ExperimentConfig::paper_default()
-        .ddio_ways(2)
-        .sweeper(sweeper)
-        .rx_buffers_per_core(rx_buffers)
-        .packet_bytes(1024 + HEADER_BYTES)
-        .run_options(wrapped_run_options(profile, 24, rx_buffers))
+    let s = Scenario {
+        buffers,
+        packet: 1024 + HEADER_BYTES,
+        sweeper,
+        seed,
+        ..Scenario::ddio(2)
+    };
+    s.to_config()
+        .run_options(figure_run_options(profile, &s))
         .experiment(|| {
             Spiky::new(
                 MicaKvs::new(KvsConfig::paper_default()),
@@ -65,13 +72,13 @@ impl Figure for Fig10 {
     }
 
     /// The no-drop peak points of (a) first, then the rate sweep of (b).
-    fn points(&self, profile: RunProfile) -> Vec<ExperimentPoint> {
+    fn points(&self, profile: RunProfile, seed: u64) -> Vec<ExperimentPoint> {
         let mut out = Vec::new();
         for bufs in BUFFERS {
             for sweeper in [SweeperMode::Disabled, SweeperMode::Enabled] {
                 out.push(ExperimentPoint::peak_with(
                     format!("a rx={bufs} {sweeper}"),
-                    spiky_experiment(profile, bufs, sweeper),
+                    spiky_experiment(profile, bufs, sweeper, seed),
                     PeakCriteria::no_drops(),
                 ));
             }
@@ -80,7 +87,7 @@ impl Figure for Fig10 {
             for (bufs, sweeper) in B_SERIES {
                 out.push(ExperimentPoint::at_rate(
                     format!("b rate={rate} rx={bufs} {sweeper}"),
-                    spiky_experiment(profile, bufs, sweeper),
+                    spiky_experiment(profile, bufs, sweeper, seed),
                     rate * 1e6,
                 ));
             }

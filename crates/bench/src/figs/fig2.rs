@@ -8,21 +8,34 @@
 
 use sweeper_core::fleet::{ExperimentPoint, PointOutcome};
 use sweeper_core::profile::RunProfile;
+use sweeper_core::scenario::{Scenario, ScenarioWorkload};
 
 use super::Figure;
-use crate::{f1, format_breakdown, l3fwd_experiment, SystemPoint, Table};
+use crate::{f1, figure_experiment, format_breakdown, Table};
 
 /// Queued-packets depths swept on the x-axis.
 pub const DEPTHS: [usize; 3] = [50, 250, 450];
 
 /// The §IV-B configurations.
-pub fn configs() -> Vec<SystemPoint> {
+pub fn configs() -> Vec<Scenario> {
     vec![
-        SystemPoint::ddio(2),
-        SystemPoint::ddio(6),
-        SystemPoint::ddio(12),
-        SystemPoint::ideal(),
+        Scenario::ddio(2),
+        Scenario::ddio(6),
+        Scenario::ddio(12),
+        Scenario::ideal(),
     ]
+}
+
+/// The §IV-B L3fwd point of `system`: 1 KB packets, 2048 RX buffers per
+/// core (shared with Figure 7).
+pub fn l3fwd(system: Scenario, seed: u64) -> Scenario {
+    Scenario {
+        workload: ScenarioWorkload::L3fwd,
+        buffers: 2048,
+        packet: 1024,
+        seed,
+        ..system
+    }
 }
 
 /// The §IV-B keep-queued L3fwd sweep.
@@ -37,13 +50,14 @@ impl Figure for Fig2 {
         "L3fwd under queued packets: throughput, bandwidth, breakdown (§IV-B)"
     }
 
-    fn points(&self, profile: RunProfile) -> Vec<ExperimentPoint> {
+    fn points(&self, profile: RunProfile, seed: u64) -> Vec<ExperimentPoint> {
         let mut out = Vec::new();
-        for point in configs() {
+        for system in configs() {
+            let s = l3fwd(system, seed);
             for depth in DEPTHS {
                 out.push(ExperimentPoint::keep_queued(
-                    format!("{} D={depth}", point.label()),
-                    l3fwd_experiment(profile, point, 2048),
+                    format!("{} D={depth}", s.label()),
+                    figure_experiment(profile, &s),
                     depth,
                 ));
             }

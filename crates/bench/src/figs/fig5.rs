@@ -9,9 +9,11 @@
 
 use sweeper_core::fleet::{ExperimentPoint, PointOutcome};
 use sweeper_core::profile::RunProfile;
+use sweeper_core::scenario::Scenario;
+use sweeper_workloads::kvs::HEADER_BYTES;
 
 use super::Figure;
-use crate::{f1, format_breakdown, kvs_experiment, SystemPoint, Table};
+use crate::{f1, figure_experiment, format_breakdown, Table};
 
 /// RX ring depths swept.
 pub const BUFFERS: [usize; 3] = [512, 1024, 2048];
@@ -20,13 +22,13 @@ pub const BUFFERS: [usize; 3] = [512, 1024, 2048];
 pub const ITEM_BYTES: [u64; 2] = [512, 1024];
 
 /// The §VI-A configurations.
-pub fn configs() -> Vec<SystemPoint> {
+pub fn configs() -> Vec<Scenario> {
     let mut out = Vec::new();
     for ways in [2, 4, 6, 12] {
-        out.push(SystemPoint::ddio(ways));
-        out.push(SystemPoint::ddio_sweeper(ways));
+        out.push(Scenario::ddio(ways));
+        out.push(Scenario::ddio_sweeper(ways));
     }
-    out.push(SystemPoint::ideal());
+    out.push(Scenario::ideal());
     out
 }
 
@@ -42,14 +44,20 @@ impl Figure for Fig5 {
         "DDIO ways × Sweeper on KVS: the headline throughput result (§VI-A)"
     }
 
-    fn points(&self, profile: RunProfile) -> Vec<ExperimentPoint> {
+    fn points(&self, profile: RunProfile, seed: u64) -> Vec<ExperimentPoint> {
         let mut out = Vec::new();
         for item in ITEM_BYTES {
-            for point in configs() {
-                for bufs in BUFFERS {
+            for system in configs() {
+                for buffers in BUFFERS {
+                    let s = Scenario {
+                        buffers,
+                        packet: item + HEADER_BYTES,
+                        seed,
+                        ..system
+                    };
                     out.push(ExperimentPoint::peak(
-                        format!("{item}B {} rx={bufs}", point.label()),
-                        kvs_experiment(profile, point, item, bufs, 4),
+                        format!("{item}B {} rx={buffers}", s.label()),
+                        figure_experiment(profile, &s),
                     ));
                 }
             }

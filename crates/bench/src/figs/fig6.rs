@@ -13,20 +13,32 @@
 
 use sweeper_core::fleet::{ExperimentPoint, PointOutcome};
 use sweeper_core::profile::RunProfile;
+use sweeper_core::scenario::Scenario;
 use sweeper_core::server::RunReport;
-use sweeper_core::telemetry::{CsvTable, RunManifest};
+use sweeper_core::telemetry::CsvTable;
+use sweeper_workloads::kvs::HEADER_BYTES;
 
 use super::Figure;
-use crate::{f1, kvs_experiment, FigContext, SystemPoint, Table};
+use crate::{f1, figure_experiment, figure_manifest, FigContext, Table};
 
 /// The four §VI-B configurations.
-pub fn configs() -> Vec<SystemPoint> {
+pub fn configs() -> Vec<Scenario> {
     vec![
-        SystemPoint::ddio(2),
-        SystemPoint::ddio_sweeper(2),
-        SystemPoint::ddio(12),
-        SystemPoint::ddio_sweeper(12),
+        Scenario::ddio(2),
+        Scenario::ddio_sweeper(2),
+        Scenario::ddio(12),
+        Scenario::ddio_sweeper(12),
     ]
+}
+
+/// The §VI-B point of `system`: 1 KB items, 1024 RX buffers per core.
+fn kvs(system: Scenario, seed: u64) -> Scenario {
+    Scenario {
+        buffers: 1024,
+        packet: 1024 + HEADER_BYTES,
+        seed,
+        ..system
+    }
 }
 
 fn latency_row(label: &str, report: &RunReport) -> Vec<String> {
@@ -44,7 +56,7 @@ fn latency_row(label: &str, report: &RunReport) -> Vec<String> {
 
 fn emit_cdf(name: &str, label: &str, report: &RunReport) {
     let mut csv = CsvTable::new(&["latency_cycles", "cumulative_fraction"])
-        .comments(&RunManifest::new().to_comments())
+        .comments(&figure_manifest().to_comments())
         .comment("artifact", name)
         .comment("config", label);
     for (v, f) in report.dram_latency.cdf() {
@@ -63,13 +75,14 @@ fn emit_cdf(name: &str, label: &str, report: &RunReport) {
 pub struct Fig6;
 
 impl Fig6 {
-    fn iso_points(profile: RunProfile, rate: f64) -> Vec<ExperimentPoint> {
+    fn iso_points(profile: RunProfile, seed: u64, rate: f64) -> Vec<ExperimentPoint> {
         configs()
             .into_iter()
-            .map(|point| {
+            .map(|system| {
+                let s = kvs(system, seed);
                 ExperimentPoint::at_rate(
-                    format!("{} iso", point.label()),
-                    kvs_experiment(profile, point, 1024, 1024, 4),
+                    format!("{} iso", s.label()),
+                    figure_experiment(profile, &s),
                     rate,
                 )
             })
@@ -89,25 +102,23 @@ impl Figure for Fig6 {
     /// Stage one only: each configuration at its own peak. The iso-rate
     /// stage depends on the first outcome's discovered peak and is built
     /// inside [`Figure::run`].
-    fn points(&self, profile: RunProfile) -> Vec<ExperimentPoint> {
+    fn points(&self, profile: RunProfile, seed: u64) -> Vec<ExperimentPoint> {
         configs()
             .into_iter()
-            .map(|point| {
-                ExperimentPoint::peak(
-                    point.label(),
-                    kvs_experiment(profile, point, 1024, 1024, 4),
-                )
+            .map(|system| {
+                let s = kvs(system, seed);
+                ExperimentPoint::peak(s.label(), figure_experiment(profile, &s))
             })
             .collect()
     }
 
     fn run(&self, ctx: &FigContext) {
-        let mut outcomes = ctx.fleet.run(self.points(ctx.profile));
+        let mut outcomes = ctx.fleet.run(self.points(ctx.profile, ctx.seed));
         // Iso-throughput stage at the 2-way DDIO baseline's achieved peak.
         let iso = outcomes[0]
             .peak_rate
             .expect("stage one points are peak searches");
-        outcomes.extend(ctx.fleet.run(Self::iso_points(ctx.profile, iso)));
+        outcomes.extend(ctx.fleet.run(Self::iso_points(ctx.profile, ctx.seed, iso)));
         self.render(ctx.profile, &outcomes);
     }
 

@@ -7,22 +7,23 @@
 
 use sweeper_core::fleet::{ExperimentPoint, PointOutcome};
 use sweeper_core::profile::RunProfile;
+use sweeper_core::scenario::Scenario;
 use sweeper_sim::stats::TrafficClass;
 
-use super::Figure;
-use crate::{f1, format_breakdown, l3fwd_experiment, SystemPoint, Table};
+use super::{fig2, Figure};
+use crate::{f1, figure_experiment, format_breakdown, Table};
 
 /// Queued depths revisited from §IV-B.
 pub const DEPTHS: [usize; 2] = [250, 450];
 
 /// The §VI-C configurations.
-pub fn configs() -> Vec<SystemPoint> {
+pub fn configs() -> Vec<Scenario> {
     let mut out = Vec::new();
     for ways in [2, 6, 12] {
-        out.push(SystemPoint::ddio(ways));
-        out.push(SystemPoint::ddio_sweeper(ways));
+        out.push(Scenario::ddio(ways));
+        out.push(Scenario::ddio_sweeper(ways));
     }
-    out.push(SystemPoint::ideal());
+    out.push(Scenario::ideal());
     out
 }
 
@@ -38,13 +39,14 @@ impl Figure for Fig7 {
         "Sweeper vs premature buffer evictions on deep-queue L3fwd (§VI-C)"
     }
 
-    fn points(&self, profile: RunProfile) -> Vec<ExperimentPoint> {
+    fn points(&self, profile: RunProfile, seed: u64) -> Vec<ExperimentPoint> {
         let mut out = Vec::new();
-        for point in configs() {
+        for system in configs() {
+            let s = fig2::l3fwd(system, seed);
             for depth in DEPTHS {
                 out.push(ExperimentPoint::keep_queued(
-                    format!("{} D={depth}", point.label()),
-                    l3fwd_experiment(profile, point, 2048),
+                    format!("{} D={depth}", s.label()),
+                    figure_experiment(profile, &s),
                     depth,
                 ));
             }

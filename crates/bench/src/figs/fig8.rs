@@ -7,9 +7,11 @@
 
 use sweeper_core::fleet::{ExperimentPoint, PointOutcome};
 use sweeper_core::profile::RunProfile;
+use sweeper_core::scenario::Scenario;
+use sweeper_workloads::kvs::HEADER_BYTES;
 
 use super::Figure;
-use crate::{f1, kvs_experiment, SystemPoint, Table};
+use crate::{f1, figure_experiment, Table};
 
 /// The three workload scenarios `(item_bytes, rx_buffers)`.
 pub const SCENARIOS: [(u64, usize); 3] = [(512, 512), (1024, 512), (1024, 2048)];
@@ -18,13 +20,13 @@ pub const SCENARIOS: [(u64, usize); 3] = [(512, 512), (1024, 512), (1024, 2048)]
 pub const CHANNELS: [usize; 3] = [3, 4, 8];
 
 /// The §VI-D configurations.
-pub fn configs() -> Vec<SystemPoint> {
+pub fn configs() -> Vec<Scenario> {
     let mut out = Vec::new();
     for ways in [2, 6, 12] {
-        out.push(SystemPoint::ddio(ways));
-        out.push(SystemPoint::ddio_sweeper(ways));
+        out.push(Scenario::ddio(ways));
+        out.push(Scenario::ddio_sweeper(ways));
     }
-    out.push(SystemPoint::ideal());
+    out.push(Scenario::ideal());
     out
 }
 
@@ -40,14 +42,21 @@ impl Figure for Fig8 {
         "Leaks and Sweeper vs provisioned memory bandwidth (§VI-D)"
     }
 
-    fn points(&self, profile: RunProfile) -> Vec<ExperimentPoint> {
+    fn points(&self, profile: RunProfile, seed: u64) -> Vec<ExperimentPoint> {
         let mut out = Vec::new();
-        for (item, bufs) in SCENARIOS {
-            for point in configs() {
+        for (item, buffers) in SCENARIOS {
+            for system in configs() {
                 for channels in CHANNELS {
+                    let s = Scenario {
+                        buffers,
+                        packet: item + HEADER_BYTES,
+                        channels,
+                        seed,
+                        ..system
+                    };
                     out.push(ExperimentPoint::peak(
-                        format!("{item}B/rx={bufs} {} ch={channels}", point.label()),
-                        kvs_experiment(profile, point, item, bufs, channels),
+                        format!("{item}B/rx={buffers} {} ch={channels}", s.label()),
+                        figure_experiment(profile, &s),
                     ));
                 }
             }

@@ -10,13 +10,14 @@
 //! * **(b)** overlapping partitions: X-Mem may use the whole LLC while the
 //!   DDIO ways grow from 2 to 12.
 
-use sweeper_core::experiment::{Experiment, ExperimentConfig};
+use sweeper_core::experiment::Experiment;
 use sweeper_core::fleet::{ExperimentPoint, PointOutcome};
 use sweeper_core::profile::RunProfile;
+use sweeper_core::scenario::{Scenario, ScenarioWorkload};
 use sweeper_sim::cache::WayMask;
 
 use super::Figure;
-use crate::{f1, wrapped_run_options, SystemPoint, Table};
+use crate::{f1, figure_run_options, Table};
 use sweeper_workloads::l3fwd::{L3Forwarder, L3fwdConfig};
 use sweeper_workloads::xmem::{Xmem, XmemConfig};
 
@@ -35,10 +36,30 @@ pub const OVERLAP_WAYS: [u32; 6] = [2, 4, 6, 8, 10, 12];
 /// overload collapse).
 const DEPTH: usize = 16;
 
-/// Builds the collocated experiment for one `(ddio_ways, xmem_mask)` point.
+/// The network tenant's scenario: DDIO in `ways` ways (± Sweeper) for
+/// L3fwd on [`NET_CORES`] cores, 1 KB packets, 2048 RX buffers per core.
+fn network_tenant(ways: u32, sweeper: bool, seed: u64) -> Scenario {
+    let system = if sweeper {
+        Scenario::ddio_sweeper(ways)
+    } else {
+        Scenario::ddio(ways)
+    };
+    Scenario {
+        workload: ScenarioWorkload::L3fwd,
+        cores: NET_CORES,
+        buffers: 2048,
+        packet: 1024,
+        seed,
+        ..system
+    }
+}
+
+/// Builds the collocated experiment for one network-tenant scenario: the
+/// scenario's configuration running the L1-resident forwarder, plus the
+/// X-Mem tenant on the remaining cores and the two tenants' LLC way masks.
 fn collocated(
     profile: RunProfile,
-    point: SystemPoint,
+    s: &Scenario,
     xmem_mask: WayMask,
     net_mask: WayMask,
 ) -> Experiment {
@@ -46,7 +67,7 @@ fn collocated(
     // windows are time-based: warmup must cover X-Mem's cold pass over its
     // 2 MB dataset (~15 M cycles) and the measurement must span several
     // dataset wraps.
-    let mut opts = wrapped_run_options(profile, NET_CORES, 2048);
+    let mut opts = figure_run_options(profile, s);
     let scale = match profile {
         RunProfile::Full => 1,
         RunProfile::Fast => 2,
@@ -54,13 +75,7 @@ fn collocated(
     };
     opts.min_warmup_cycles = 24_000_000 / scale;
     opts.min_measure_cycles = 40_000_000 / scale;
-    let cfg = point.apply(
-        ExperimentConfig::paper_default()
-            .active_cores(NET_CORES)
-            .rx_buffers_per_core(2048)
-            .packet_bytes(1024)
-            .run_options(opts),
-    );
+    let cfg = s.to_config().run_options(opts);
     let total_cores = cfg.machine().cores as u16;
     cfg.experiment(|| L3Forwarder::new(L3fwdConfig::l1_resident()))
         .with_background(|| Xmem::new(XmemConfig::paper_default()))
@@ -73,14 +88,6 @@ fn collocated(
                 mem.set_cpu_llc_mask(core, xmem_mask);
             }
         })
-}
-
-fn system_point(ways: u32, sweeper: bool) -> SystemPoint {
-    if sweeper {
-        SystemPoint::ddio_sweeper(ways)
-    } else {
-        SystemPoint::ddio(ways)
-    }
 }
 
 fn mode_name(sweeper: bool) -> &'static str {
@@ -105,7 +112,7 @@ impl Figure for Fig9 {
 
     /// The disjoint-partition points first (ways × ±Sweeper), then the
     /// overlapping-partition points.
-    fn points(&self, profile: RunProfile) -> Vec<ExperimentPoint> {
+    fn points(&self, profile: RunProfile, seed: u64) -> Vec<ExperimentPoint> {
         let mut out = Vec::new();
         for a in DISJOINT_WAYS {
             for sweeper in [false, true] {
@@ -113,7 +120,7 @@ impl Figure for Fig9 {
                     format!("a ({a},{}) {}", 12 - a, mode_name(sweeper)),
                     collocated(
                         profile,
-                        system_point(a, sweeper),
+                        &network_tenant(a, sweeper, seed),
                         WayMask::range(a, 12),
                         WayMask::first(a),
                     ),
@@ -127,7 +134,7 @@ impl Figure for Fig9 {
                     format!("b ways={ways} {}", mode_name(sweeper)),
                     collocated(
                         profile,
-                        system_point(ways, sweeper),
+                        &network_tenant(ways, sweeper, seed),
                         WayMask::ALL,
                         WayMask::ALL,
                     ),

@@ -1,9 +1,12 @@
 //! One module per paper table/figure, unified behind the [`Figure`] trait:
 //! each figure *declares* its sweep as a list of
-//! [`ExperimentPoint`]s and *renders*
-//! the collected [`PointOutcome`]s into
-//! the paper's tables. Execution — parallelism, seeding, progress, timing —
-//! lives in the [`Fleet`](sweeper_core::fleet::Fleet), not in the figures.
+//! [`ExperimentPoint`]s, each built from one
+//! [`Scenario`](sweeper_core::scenario::Scenario), and *renders* the
+//! collected [`PointOutcome`]s into the paper's tables. Execution —
+//! parallelism, progress, timing — lives in the
+//! [`Fleet`](sweeper_core::fleet::Fleet), not in the figures; every point
+//! runs with its scenario's seed, so the same machine gives the same
+//! numbers in every figure that contains it.
 //!
 //! [`registry`] lists every runnable figure; the `sweeper` CLI's `figure`
 //! and `check` commands dispatch through it (via
@@ -41,9 +44,10 @@ pub trait Figure: Sync {
     /// One-line description shown by `sweeper figures`.
     fn description(&self) -> &'static str;
 
-    /// Enumerates the figure's sweep under `profile`. Labels must be
-    /// unique within the figure; declaration order is the render order.
-    fn points(&self, profile: RunProfile) -> Vec<ExperimentPoint>;
+    /// Enumerates the figure's sweep under `profile`, every point seeded
+    /// with `seed`. Labels must be unique within the figure; declaration
+    /// order is the render order.
+    fn points(&self, profile: RunProfile, seed: u64) -> Vec<ExperimentPoint>;
 
     /// Renders outcomes (in declaration order) into the paper's tables and
     /// CSVs.
@@ -51,7 +55,7 @@ pub trait Figure: Sync {
 
     /// Executes the figure end-to-end.
     fn run(&self, ctx: &FigContext) {
-        let outcomes = ctx.fleet.run(self.points(ctx.profile));
+        let outcomes = ctx.fleet.run(self.points(ctx.profile, ctx.seed));
         self.render(ctx.profile, &outcomes);
     }
 }
@@ -90,32 +94,32 @@ mod tests {
     fn figure_point_sets_match_the_paper() {
         let p = RunProfile::Smoke;
         // Fig 1: (DMA, DDIO{2,4,6}, Ideal) × 3 ring depths.
-        assert_eq!(fig1::Fig1.points(p).len(), 15);
+        assert_eq!(fig1::Fig1.points(p, 1).len(), 15);
         // Fig 2: (DDIO{2,6,12}, Ideal) × 3 queued depths.
-        assert_eq!(fig2::Fig2.points(p).len(), 12);
+        assert_eq!(fig2::Fig2.points(p, 1).len(), 12);
         // Fig 5: 2 item sizes × (DDIO{2,4,6,12} ± Sweeper + Ideal) × 3 depths.
-        assert_eq!(fig5::Fig5.points(p).len(), 54);
+        assert_eq!(fig5::Fig5.points(p, 1).len(), 54);
         // Fig 6 stage one: DDIO{2,12} × ±Sweeper at their own peaks.
-        assert_eq!(fig6::Fig6.points(p).len(), 4);
+        assert_eq!(fig6::Fig6.points(p, 1).len(), 4);
         // Fig 7: (DDIO{2,6,12} ± Sweeper + Ideal) × 2 depths.
-        assert_eq!(fig7::Fig7.points(p).len(), 14);
+        assert_eq!(fig7::Fig7.points(p, 1).len(), 14);
         // Fig 8: 3 scenarios × 7 configs × 3 channel counts.
-        assert_eq!(fig8::Fig8.points(p).len(), 63);
+        assert_eq!(fig8::Fig8.points(p, 1).len(), 63);
         assert_eq!(fig8::CHANNELS, [3, 4, 8]);
         assert_eq!(fig8::SCENARIOS.len(), 3);
         // Fig 9: 5 disjoint splits × 2 modes + 6 way counts × 2 modes.
-        assert_eq!(fig9::Fig9.points(p).len(), 22);
+        assert_eq!(fig9::Fig9.points(p, 1).len(), 22);
         // Fig 10: 5 depths × 2 modes no-drop peaks + 7 rates × 3 series.
-        assert_eq!(fig10::Fig10.points(p).len(), 31);
+        assert_eq!(fig10::Fig10.points(p, 1).len(), 31);
         assert_eq!(fig10::BUFFERS, [128, 256, 512, 1024, 2048]);
         // Outlier drill-down: DDIO 2 ± Sweeper with the recorder armed.
-        assert_eq!(outliers::Outliers.points(p).len(), 2);
+        assert_eq!(outliers::Outliers.points(p, 1).len(), 2);
     }
 
     #[test]
     fn registry_figures_enumerate_unique_labelled_points() {
         for figure in registry() {
-            let points = figure.points(RunProfile::Smoke);
+            let points = figure.points(RunProfile::Smoke, 1);
             assert!(
                 !points.is_empty(),
                 "{} must enumerate at least one point",
@@ -130,6 +134,78 @@ mod tests {
             );
             assert!(!figure.description().is_empty());
         }
+    }
+
+    #[test]
+    fn points_run_with_the_context_seed() {
+        for figure in registry() {
+            for point in figure.points(RunProfile::Smoke, 99) {
+                assert_eq!(
+                    point.experiment().config().server_config().seed,
+                    99,
+                    "{} point '{}'",
+                    figure.name(),
+                    point.label()
+                );
+            }
+        }
+    }
+
+    /// Each point's full configuration and action, as `{:?}` text.
+    fn described(points: &[ExperimentPoint]) -> Vec<String> {
+        points
+            .iter()
+            .map(|p| format!("{:?} {:?}", p.experiment().config(), p.action()))
+            .collect()
+    }
+
+    /// Asserts every point of `part` is also a point of `whole`, and
+    /// returns how many `part` has.
+    fn assert_subset(part: &[ExperimentPoint], whole: &[ExperimentPoint]) -> usize {
+        let whole = described(whole);
+        for (point, text) in part.iter().zip(described(part)) {
+            assert!(whole.contains(&text), "'{}' is missing", point.label());
+        }
+        part.len()
+    }
+
+    #[test]
+    fn figures_share_identical_points() {
+        let (p, seed) = (RunProfile::Fast, 0x5eed);
+        let fig5 = fig5::Fig5.points(p, seed);
+        let ddio_or_ideal = |points: Vec<ExperimentPoint>| -> Vec<ExperimentPoint> {
+            points
+                .into_iter()
+                .filter(|pt| pt.label().starts_with("DDIO") || pt.label().starts_with("Ideal"))
+                .collect()
+        };
+        // Fig 1's DDIO {2,4,6} and Ideal points are Fig 5's 1 KB points.
+        assert_eq!(assert_subset(&ddio_or_ideal(fig1::Fig1.points(p, seed)), &fig5), 12);
+        // Fig 6's peak stage is four of Fig 5's 1 KB, rx=1024 points.
+        assert_eq!(assert_subset(&fig6::Fig6.points(p, seed), &fig5), 4);
+        // Fig 8 at Fig 5's 4 channels is 21 of its points.
+        let fig8_4ch: Vec<_> = fig8::Fig8
+            .points(p, seed)
+            .into_iter()
+            .filter(|pt| pt.label().ends_with(" ch=4"))
+            .collect();
+        assert_eq!(assert_subset(&fig8_4ch, &fig5), 21);
+        // Fig 7's DDIO {2,6,12} and Ideal points are Fig 2's at D ∈ {250, 450}.
+        let fig7_plain: Vec<_> = fig7::Fig7
+            .points(p, seed)
+            .into_iter()
+            .filter(|pt| !pt.label().contains("Sweeper"))
+            .collect();
+        assert_eq!(assert_subset(&fig7_plain, &fig2::Fig2.points(p, seed)), 8);
+        // The four ablation "(default)" rows are one point.
+        let defaults: Vec<_> = ablations::Ablations
+            .points(p, seed)
+            .into_iter()
+            .filter(|pt| pt.label().contains("(default)") && !pt.label().ends_with("sweep"))
+            .collect();
+        assert_eq!(defaults.len(), 4);
+        let texts = described(&defaults);
+        assert!(texts.iter().all(|t| *t == texts[0]));
     }
 
     #[test]

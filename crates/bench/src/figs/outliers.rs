@@ -10,16 +10,17 @@
 
 use std::collections::HashMap;
 
-use sweeper_core::experiment::{Experiment, ExperimentConfig};
+use sweeper_core::experiment::Experiment;
 use sweeper_core::fleet::{ExperimentPoint, PointOutcome};
 use sweeper_core::profile::RunProfile;
+use sweeper_core::scenario::Scenario;
 use sweeper_core::server::{FlightRecorderConfig, RunReport};
-use sweeper_core::telemetry::{CsvTable, RunManifest};
+use sweeper_core::telemetry::CsvTable;
 use sweeper_sim::span::{OutlierSnapshot, ProfileNode, SpanKind};
-use sweeper_workloads::kvs::{KvsConfig, MicaKvs, HEADER_BYTES};
+use sweeper_workloads::kvs::HEADER_BYTES;
 
 use super::Figure;
-use crate::{f1, wrapped_run_options, SystemPoint, Table};
+use crate::{f1, figure_manifest, figure_run_options, scenario_experiment, Table};
 
 /// Offered load for the drill-down, Mrps: high enough that queueing shapes
 /// the tail, low enough that every configuration still sustains it.
@@ -27,8 +28,8 @@ const RATE_MRPS: f64 = 16.0;
 
 /// The §VI-B configurations, minus the 12-way points (the drill-down is
 /// about *where* tail cycles go, which two way-counts already contrast).
-fn configs() -> Vec<SystemPoint> {
-    vec![SystemPoint::ddio(2), SystemPoint::ddio_sweeper(2)]
+fn configs() -> Vec<Scenario> {
+    vec![Scenario::ddio(2), Scenario::ddio_sweeper(2)]
 }
 
 /// Flight-recorder arming for the study: a p99 threshold with a short
@@ -42,19 +43,16 @@ fn recorder() -> FlightRecorderConfig {
     }
 }
 
-fn experiment(profile: RunProfile, point: SystemPoint) -> Experiment {
-    let kvs_cfg = KvsConfig::paper_default().with_item_bytes(1024);
-    point
-        .apply(
-            ExperimentConfig::paper_default()
-                .rx_buffers_per_core(1024)
-                .packet_bytes(1024 + HEADER_BYTES)
-                .run_options(wrapped_run_options(profile, 24, 1024)),
-        )
+/// The §VI-B point of `s` (1 KB items, 1024 RX buffers per core) with
+/// spans, the profiler and the flight recorder on.
+fn experiment(profile: RunProfile, s: &Scenario) -> Experiment {
+    let cfg = s
+        .to_config()
+        .run_options(figure_run_options(profile, s))
         .spans(65_536)
         .profiler()
-        .flight(recorder())
-        .experiment(move || MicaKvs::new(kvs_cfg))
+        .flight(recorder());
+    scenario_experiment(cfg, s)
 }
 
 /// Sums captured span durations per stage across every snapshot window.
@@ -96,7 +94,7 @@ fn emit_drilldown(label: &str, report: &RunReport) {
         "events",
         "mean_cyc_per_req",
     ])
-    .comments(&RunManifest::new().to_comments())
+    .comments(&figure_manifest().to_comments())
     .comment("artifact", "outliers")
     .comment("config", label)
     .comment("snapshots", snapshots.len().to_string().as_str());
@@ -135,15 +133,17 @@ impl Figure for Outliers {
         "tail-latency outlier drill-down via the flight recorder"
     }
 
-    fn points(&self, profile: RunProfile) -> Vec<ExperimentPoint> {
+    fn points(&self, profile: RunProfile, seed: u64) -> Vec<ExperimentPoint> {
         configs()
             .into_iter()
-            .map(|point| {
-                ExperimentPoint::at_rate(
-                    point.label(),
-                    experiment(profile, point),
-                    RATE_MRPS * 1e6,
-                )
+            .map(|system| {
+                let s = Scenario {
+                    buffers: 1024,
+                    packet: 1024 + HEADER_BYTES,
+                    seed,
+                    ..system
+                };
+                ExperimentPoint::at_rate(s.label(), experiment(profile, &s), RATE_MRPS * 1e6)
             })
             .collect()
     }

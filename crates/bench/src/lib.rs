@@ -27,29 +27,29 @@ pub mod perf;
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::Mutex;
 
 use sweeper_core::experiment::{Experiment, ExperimentConfig};
 use sweeper_core::fleet::Fleet;
 use sweeper_core::profile::RunProfile;
 use sweeper_core::scenario::{Scenario, ScenarioWorkload};
-use sweeper_core::server::{RunOptions, RunReport, SweeperMode};
+use sweeper_core::server::{RunOptions, RunReport};
 use sweeper_core::telemetry::{
     document, CsvTable, OutputFormat, Record, RunManifest, Value, FIGURE_TABLE_SCHEMA,
 };
-use sweeper_sim::hierarchy::InjectionPolicy;
-use sweeper_sim::stats::TrafficClass;
 use sweeper_workloads::kvs::{KvsConfig, MicaKvs, HEADER_BYTES};
 use sweeper_workloads::l3fwd::{L3Forwarder, L3fwdConfig};
 use sweeper_workloads::synthetic::{Synthetic, SyntheticConfig};
 
-/// Everything a figure needs to execute: the run-length profile and the
-/// worker fleet. Parsed once from the CLI flags and threaded through the
-/// registry.
+/// Everything a figure needs to execute: the run-length profile, the seed
+/// and the worker fleet. Parsed once from the CLI flags and threaded
+/// through the registry.
 #[derive(Debug, Clone)]
 pub struct FigContext {
     /// Run-length profile for every experiment of the figure.
     pub profile: RunProfile,
+    /// RNG seed of every point of the figure (`--seed`).
+    pub seed: u64,
     /// Worker pool the figure's points fan out across.
     pub fleet: Fleet,
     /// Stdout format for emitted tables (`--format`). The CSV and JSON
@@ -65,7 +65,7 @@ pub struct FigContext {
 ///
 /// Returns a message listing the valid names when `name` is none of them.
 pub fn run_figure(name: &str, ctx: &FigContext) -> Result<(), String> {
-    set_stdout_format(ctx.format);
+    set_output(ctx);
     if name == "all" {
         let t = std::time::Instant::now();
         let names = std::iter::once("table1").chain(figs::registry().iter().map(|f| f.name()));
@@ -95,7 +95,7 @@ pub fn run_figure(name: &str, ctx: &FigContext) -> Result<(), String> {
         "[{}] {} — {} points, {} workers, profile {}",
         figure.name(),
         figure.description(),
-        figure.points(ctx.profile).len(),
+        figure.points(ctx.profile, ctx.seed).len(),
         ctx.fleet.jobs(),
         ctx.profile,
     );
@@ -104,159 +104,33 @@ pub fn run_figure(name: &str, ctx: &FigContext) -> Result<(), String> {
     Ok(())
 }
 
-/// Run lengths for Poisson load sweeps under a [`RunProfile`].
-///
-/// The warmup must cycle each core's RX ring at least once so that
-/// steady-state buffer churn — the phenomenon under study — is in effect
-/// when measurement starts; [`ring_warmup`] computes that floor and the
-/// experiment builders apply it.
-pub fn figure_run_options(profile: RunProfile) -> RunOptions {
-    match profile {
-        RunProfile::Full => RunOptions {
-            warmup_requests: 10_000,
-            measure_requests: 30_000,
-            max_cycles: 120_000_000_000,
-            min_warmup_cycles: 0,
-            min_measure_cycles: 0,
-        },
-        RunProfile::Fast => RunOptions {
-            warmup_requests: 4_000,
-            measure_requests: 8_000,
-            max_cycles: 60_000_000_000,
-            min_warmup_cycles: 0,
-            min_measure_cycles: 0,
-        },
-        RunProfile::Smoke => RunOptions {
-            warmup_requests: 1_000,
-            measure_requests: 2_000,
-            max_cycles: 30_000_000_000,
-            min_warmup_cycles: 0,
-            min_measure_cycles: 0,
-        },
-    }
-}
-
-/// Warmup floor guaranteeing ≥1.2 ring wraps on every core.
-pub fn ring_warmup(active_cores: u16, rx_entries: usize) -> u64 {
-    (active_cores as u64 * rx_entries as u64 * 12) / 10
-}
-
-/// Run lengths whose warmup fully wraps the RX rings (used by the
-/// keep-queued L3fwd scenarios and any deep-ring configuration).
-///
-/// The ring-wrap floor is physics, not budget, so it applies under every
-/// profile — a smoke run of a deep-ring scenario is still a *valid* (if
-/// noisy) run.
-pub fn wrapped_run_options(
-    profile: RunProfile,
-    active_cores: u16,
-    rx_entries: usize,
-) -> RunOptions {
-    let base = figure_run_options(profile);
+/// Run lengths of a figure point under a [`RunProfile`]: the profile's
+/// request budget, with the warmup raised to the scenario's
+/// [`ring_warmup`](Scenario::ring_warmup) floor so every RX ring has wrapped
+/// when measurement starts. The floor is physics, not budget, so it applies
+/// under every profile — a smoke run of a deep-ring scenario is still a
+/// *valid* (if noisy) run.
+pub fn figure_run_options(profile: RunProfile, scenario: &Scenario) -> RunOptions {
+    let (warmup, measure, max_cycles) = match profile {
+        RunProfile::Full => (10_000, 30_000, 120_000_000_000),
+        RunProfile::Fast => (4_000, 8_000, 60_000_000_000),
+        RunProfile::Smoke => (1_000, 2_000, 30_000_000_000),
+    };
     RunOptions {
-        warmup_requests: base
-            .warmup_requests
-            .max(ring_warmup(active_cores, rx_entries)),
-        ..base
+        warmup_requests: scenario.ring_warmup().max(warmup),
+        measure_requests: measure,
+        max_cycles,
+        min_warmup_cycles: 0,
+        min_measure_cycles: 0,
     }
-}
-
-/// A named system configuration of the paper's baselines sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SystemPoint {
-    /// Injection policy.
-    pub policy: InjectionPolicy,
-    /// DDIO ways (ignored for DMA/Ideal).
-    pub ddio_ways: u32,
-    /// Sweeper on/off.
-    pub sweeper: SweeperMode,
-}
-
-impl SystemPoint {
-    /// Conventional DMA.
-    pub fn dma() -> Self {
-        Self {
-            policy: InjectionPolicy::Dma,
-            ddio_ways: 2,
-            sweeper: SweeperMode::Disabled,
-        }
-    }
-
-    /// DDIO with `ways` LLC ways.
-    pub fn ddio(ways: u32) -> Self {
-        Self {
-            policy: InjectionPolicy::Ddio,
-            ddio_ways: ways,
-            sweeper: SweeperMode::Disabled,
-        }
-    }
-
-    /// DDIO with `ways` LLC ways plus Sweeper.
-    pub fn ddio_sweeper(ways: u32) -> Self {
-        Self {
-            policy: InjectionPolicy::Ddio,
-            ddio_ways: ways,
-            sweeper: SweeperMode::Enabled,
-        }
-    }
-
-    /// The unrealistic infinite network cache.
-    pub fn ideal() -> Self {
-        Self {
-            policy: InjectionPolicy::Ideal,
-            ddio_ways: 2,
-            sweeper: SweeperMode::Disabled,
-        }
-    }
-
-    /// Legend label matching the paper's figures.
-    pub fn label(&self) -> String {
-        match self.policy {
-            InjectionPolicy::Dma => "DMA".to_string(),
-            InjectionPolicy::Ideal => "Ideal DDIO".to_string(),
-            InjectionPolicy::Ddio => {
-                format!("DDIO {} Ways{}", self.ddio_ways, self.sweeper.suffix())
-            }
-        }
-    }
-
-    /// Applies this point to an experiment configuration.
-    pub fn apply(&self, cfg: ExperimentConfig) -> ExperimentConfig {
-        cfg.injection(self.policy)
-            .ddio_ways(self.ddio_ways)
-            .sweeper(self.sweeper)
-    }
-}
-
-/// Builds a KVS experiment at paper scale.
-///
-/// `item_bytes` is the KVS value size (request packets carry
-/// `item + header`); `rx_buffers` the per-core ring depth.
-pub fn kvs_experiment(
-    profile: RunProfile,
-    point: SystemPoint,
-    item_bytes: u64,
-    rx_buffers: usize,
-    channels: usize,
-) -> Experiment {
-    let kvs_cfg = KvsConfig::paper_default().with_item_bytes(item_bytes);
-    point
-        .apply(
-            ExperimentConfig::paper_default()
-                .rx_buffers_per_core(rx_buffers)
-                .packet_bytes(item_bytes + HEADER_BYTES)
-                .channels(channels)
-                .run_options(wrapped_run_options(profile, 24, rx_buffers)),
-        )
-        .experiment(move || MicaKvs::new(kvs_cfg))
 }
 
 /// The experiment a [`Scenario`] describes: `cfg` (the scenario's
 /// [`Scenario::to_config`] plus the caller's run lengths and
 /// instrumentation) driven by the workload the scenario names. KVS items
-/// fill the packet after the request header; `zero_copy` makes the L3
-/// forwarder transmit in place.
-pub fn scenario_experiment(cfg: ExperimentConfig, scenario: &Scenario, zero_copy: bool) -> Experiment {
+/// fill the packet after the request header; the scenario's `zero_copy`
+/// makes the L3 forwarder transmit in place.
+pub fn scenario_experiment(cfg: ExperimentConfig, scenario: &Scenario) -> Experiment {
     match scenario.workload {
         ScenarioWorkload::Kvs => {
             let item = scenario.packet.saturating_sub(HEADER_BYTES).max(64);
@@ -265,7 +139,7 @@ pub fn scenario_experiment(cfg: ExperimentConfig, scenario: &Scenario, zero_copy
         }
         ScenarioWorkload::L3fwd => {
             let mut l3 = L3fwdConfig::l2_resident();
-            if zero_copy {
+            if scenario.zero_copy {
                 l3 = l3.with_zero_copy();
             }
             Experiment::new(cfg, move || L3Forwarder::new(l3))
@@ -276,22 +150,13 @@ pub fn scenario_experiment(cfg: ExperimentConfig, scenario: &Scenario, zero_copy
     }
 }
 
-/// Builds an L3fwd experiment at paper scale (copy-out transmit path,
-/// L2-resident 16 k-rule table as in §IV-B).
-pub fn l3fwd_experiment(profile: RunProfile, point: SystemPoint, rx_buffers: usize) -> Experiment {
-    point
-        .apply(
-            ExperimentConfig::paper_default()
-                .rx_buffers_per_core(rx_buffers)
-                .packet_bytes(1024)
-                .run_options(wrapped_run_options(profile, 24, rx_buffers)),
-        )
-        .experiment(|| L3Forwarder::new(L3fwdConfig::l2_resident()))
-}
-
-/// One row of a memory-access-per-request breakdown (Figures 1c/2c/5c/7b).
-pub fn breakdown_row(report: &RunReport) -> Vec<(TrafficClass, f64)> {
-    report.accesses_per_request()
+/// A figure point's experiment: the scenario under
+/// [`figure_run_options`], through [`scenario_experiment`].
+pub fn figure_experiment(profile: RunProfile, scenario: &Scenario) -> Experiment {
+    let cfg = scenario
+        .to_config()
+        .run_options(figure_run_options(profile, scenario));
+    scenario_experiment(cfg, scenario)
 }
 
 /// Formats a breakdown as the paper's stacked-bar data.
@@ -306,29 +171,32 @@ pub fn format_breakdown(report: &RunReport) -> String {
     out
 }
 
-/// Stdout format applied by [`Table::emit`], set once per process by
-/// [`run_figure`] from the parsed `--format` flag. A process-wide knob
-/// (rather than a parameter) so the figure implementations keep calling
+/// Stdout format and artifact manifest of the figure being run, set by
+/// [`run_figure`] from its [`FigContext`]. A process-wide knob (rather
+/// than a parameter) so the figure implementations keep calling
 /// `table.emit(name)` without threading the context through every
 /// `render`.
-static STDOUT_FORMAT: AtomicU8 = AtomicU8::new(0);
+static OUTPUT: Mutex<Option<(OutputFormat, RunManifest)>> = Mutex::new(None);
 
-/// Sets the stdout format for every subsequent [`Table::emit`].
-pub fn set_stdout_format(format: OutputFormat) {
-    let v = match format {
-        OutputFormat::Text => 0,
-        OutputFormat::Json => 1,
-        OutputFormat::Csv => 2,
-    };
-    STDOUT_FORMAT.store(v, Ordering::Relaxed);
+fn set_output(ctx: &FigContext) {
+    let manifest = RunManifest::new()
+        .profile(ctx.profile.to_string())
+        .seed(ctx.seed);
+    *OUTPUT.lock().expect("output settings poisoned") = Some((ctx.format, manifest));
 }
 
 fn stdout_format() -> OutputFormat {
-    match STDOUT_FORMAT.load(Ordering::Relaxed) {
-        1 => OutputFormat::Json,
-        2 => OutputFormat::Csv,
-        _ => OutputFormat::Text,
-    }
+    let output = OUTPUT.lock().expect("output settings poisoned");
+    output.as_ref().map_or(OutputFormat::Text, |(format, _)| *format)
+}
+
+/// The manifest every figure artifact carries: the running figure's
+/// profile and seed (just the tool identity outside [`run_figure`]).
+pub(crate) fn figure_manifest() -> RunManifest {
+    let output = OUTPUT.lock().expect("output settings poisoned");
+    output
+        .as_ref()
+        .map_or_else(RunManifest::new, |(_, manifest)| manifest.clone())
 }
 
 /// Simple fixed-width table printer for the figures.
@@ -393,7 +261,7 @@ impl Table {
     pub fn to_csv(&self, name: &str) -> String {
         let headers: Vec<&str> = self.headers.iter().map(String::as_str).collect();
         let mut csv = CsvTable::new(&headers)
-            .comments(&RunManifest::new().to_comments())
+            .comments(&figure_manifest().to_comments())
             .comment("artifact", name)
             .comment("title", self.title.as_str());
         for row in &self.rows {
@@ -422,7 +290,7 @@ impl Table {
             .with("title", self.title.as_str())
             .with("headers", headers)
             .with("rows", rows);
-        document(FIGURE_TABLE_SCHEMA, &RunManifest::new(), "table", body)
+        document(FIGURE_TABLE_SCHEMA, &figure_manifest(), "table", body)
     }
 
     /// Writes `results/<name>.csv` and its `results/<name>.json` sidecar,
@@ -461,17 +329,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn system_point_labels_match_paper_legends() {
-        assert_eq!(SystemPoint::dma().label(), "DMA");
-        assert_eq!(SystemPoint::ddio(4).label(), "DDIO 4 Ways");
-        assert_eq!(
-            SystemPoint::ddio_sweeper(2).label(),
-            "DDIO 2 Ways + Sweeper"
-        );
-        assert_eq!(SystemPoint::ideal().label(), "Ideal DDIO");
-    }
-
-    #[test]
     fn table_renders_aligned() {
         let mut t = Table::new("demo", &["a", "long-header"]);
         t.row(vec!["1".into(), "2".into()]);
@@ -490,30 +347,40 @@ mod tests {
     }
 
     #[test]
-    fn run_options_are_nontrivial_and_ordered() {
-        let full = figure_run_options(RunProfile::Full);
+    fn run_options_are_nontrivial_ordered_and_wrap_the_rings() {
+        let shallow = Scenario {
+            buffers: 64,
+            ..Scenario::default()
+        };
+        let full = figure_run_options(RunProfile::Full, &shallow);
         assert!(full.measure_requests >= 6_000);
         assert!(full.warmup_requests > 0);
-        let fast = figure_run_options(RunProfile::Fast);
-        let smoke = figure_run_options(RunProfile::Smoke);
+        let fast = figure_run_options(RunProfile::Fast, &shallow);
+        let smoke = figure_run_options(RunProfile::Smoke, &shallow);
         assert!(full.measure_requests > fast.measure_requests);
         assert!(fast.measure_requests > smoke.measure_requests);
         assert!(smoke.measure_requests > 0);
+        let deep = Scenario::default();
+        let wrapped = figure_run_options(RunProfile::Smoke, &deep);
+        assert_eq!(wrapped.warmup_requests, deep.ring_warmup());
+        assert!(wrapped.warmup_requests > smoke.warmup_requests);
     }
 
     #[test]
-    fn experiment_builders_produce_runnable_experiments() {
-        // Smallest viable smoke: tiny rate, few requests via the fast path.
-        let exp = kvs_experiment(RunProfile::Smoke, SystemPoint::ideal(), 512, 64, 4);
+    fn scenario_experiments_apply_every_key() {
+        let s = Scenario::parse("workload = l3fwd\nzero_copy = true\nbuffers = 64\nseed = 3\n")
+            .unwrap();
+        let exp = figure_experiment(RunProfile::Smoke, &s);
+        assert_eq!(exp.config().server_config().rx_entries, 64);
+        assert_eq!(exp.config().server_config().seed, 3);
         assert!(exp.config().rx_footprint_bytes() > 0);
-        let exp2 = l3fwd_experiment(RunProfile::Smoke, SystemPoint::ddio(2), 64);
-        assert!(exp2.config().machine().ddio_ways == 2);
     }
 
     #[test]
     fn run_figure_rejects_unknown_names() {
         let ctx = FigContext {
             profile: RunProfile::Smoke,
+            seed: 1,
             fleet: Fleet::sequential().quiet(),
             format: OutputFormat::Text,
         };

@@ -103,7 +103,7 @@ pub fn measure(profile: RunProfile) -> Measurement {
         min_warmup_cycles: 0,
         min_measure_cycles: 0,
     });
-    let exp = scenario_experiment(cfg, &s, false);
+    let exp = scenario_experiment(cfg, &s);
     let t = Instant::now();
     let report = exp.run_at_rate(s.rate_mrps * 1e6);
     let wall_secs = t.elapsed().as_secs_f64();

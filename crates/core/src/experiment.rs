@@ -167,12 +167,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// The configured RNG seed. The fleet runner treats this as the *base*
-    /// seed and derives per-point seeds from it with [`seed_for_point`].
-    pub fn base_seed(&self) -> u64 {
-        self.server.seed
-    }
-
     /// Finishes the builder into an [`Experiment`] over a workload factory
     /// — `cfg.experiment(f)` reads as the build step of the chain:
     ///
@@ -183,7 +177,7 @@ impl ExperimentConfig {
     /// let exp = ExperimentConfig::tiny_for_tests()
     ///     .seed(7)
     ///     .experiment(EchoWorkload::default);
-    /// assert_eq!(exp.config().base_seed(), 7);
+    /// assert_eq!(exp.config().server_config().seed, 7);
     /// ```
     pub fn experiment<W, F>(self, make: F) -> Experiment
     where
@@ -310,25 +304,6 @@ impl PeakResult {
     }
 }
 
-/// Derives the RNG seed of sweep point `index` from a base seed.
-///
-/// The derivation is a splitmix64 finalizer over `base + φ·index`, the
-/// standard way to fan one seed out into decorrelated streams. Properties
-/// the fleet relies on:
-///
-/// * **pure** — depends only on `(base, index)`, never on execution order
-///   or shared RNG state, so results are identical for any `--jobs` value;
-/// * **decorrelated** — adjacent indices land on unrelated streams, so two
-///   points with identical configurations still sample independent traffic.
-pub fn seed_for_point(base: u64, index: usize) -> u64 {
-    // φ = 2^64 / golden ratio; the same increment splitmix64 itself uses.
-    let mut z = base.wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 // Factories are `Send + Sync` so an `Experiment` can move to a fleet worker
 // thread; the workloads they *create* live and die on that worker.
 type WorkloadFactory = Box<dyn Fn() -> Box<dyn Workload> + Send + Sync>;
@@ -393,12 +368,6 @@ impl Experiment {
     /// The experiment's configuration.
     pub fn config(&self) -> &ExperimentConfig {
         &self.cfg
-    }
-
-    /// Replaces the RNG seed in place; the fleet runner uses this to give
-    /// each enumerated point its [`seed_for_point`]-derived stream.
-    pub fn reseed(&mut self, seed: u64) {
-        self.cfg.server.seed = seed;
     }
 
     /// Enables the correctness harness in place (`--validate` and
@@ -533,35 +502,17 @@ mod tests {
     }
 
     #[test]
-    fn seed_for_point_is_pure_and_decorrelated() {
-        assert_eq!(seed_for_point(7, 3), seed_for_point(7, 3));
-        // Distinct indices and distinct bases land on distinct streams.
-        let mut seen = std::collections::HashSet::new();
-        for base in [0u64, 1, 0x5eed] {
-            for index in 0..64 {
-                assert!(seen.insert(seed_for_point(base, index)));
-            }
-        }
-        // Index 0 is not the identity: even the first point gets a mixed
-        // stream, so fleet and legacy sequential runs are distinguishable.
-        assert_ne!(seed_for_point(0x5eed, 0), 0x5eed);
-    }
-
-    #[test]
     fn config_summary_and_build_access() {
         let cfg = ExperimentConfig::tiny_for_tests()
             .injection(InjectionPolicy::Ddio)
             .ddio_ways(4)
             .sweeper(SweeperMode::Enabled)
-            .rx_buffers_per_core(128)
-            .seed(41);
-        assert_eq!(cfg.base_seed(), 41);
+            .rx_buffers_per_core(128);
         let summary = cfg.summary();
         assert!(summary.contains("ddio4+sweeper"), "summary: {summary}");
         assert!(summary.contains("rx=128"), "summary: {summary}");
-        let mut exp = cfg.experiment(EchoWorkload::default);
-        exp.reseed(seed_for_point(41, 5));
-        assert_eq!(exp.config().base_seed(), seed_for_point(41, 5));
+        let exp = cfg.experiment(EchoWorkload::default);
+        assert_eq!(exp.config().server_config().rx_entries, 128);
     }
 
     #[test]

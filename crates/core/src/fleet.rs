@@ -3,12 +3,13 @@
 //!
 //! Regenerating a paper figure means running tens of *independent*
 //! simulation points (policy × ways × buffer depth …). Each point is a
-//! self-contained [`Experiment`] with its own seed, so points can execute
-//! on any thread in any order without changing results — the fleet
-//! guarantees **determinism by construction**:
+//! self-contained [`Experiment`] that runs with the seed its configuration
+//! names, so points can execute on any thread in any order without changing
+//! results — the fleet guarantees **determinism by construction**:
 //!
-//! 1. every point receives a seed derived from its *declaration index*
-//!    ([`seed_for_point`]), never from shared RNG state, and
+//! 1. no seed depends on the worker, the list position, or shared RNG
+//!    state, so identical points give identical outcomes wherever they
+//!    appear, and
 //! 2. outcomes are collected back in declaration order, so rendered tables
 //!    and CSVs are byte-identical for any `--jobs` value.
 //!
@@ -41,7 +42,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::experiment::{seed_for_point, Experiment, PeakCriteria};
+use crate::experiment::{Experiment, PeakCriteria};
 use crate::server::RunReport;
 
 /// How the fleet drives one experiment point.
@@ -229,22 +230,18 @@ impl Fleet {
     }
 
     /// Executes the points and returns their outcomes **in declaration
-    /// order**, regardless of worker count or completion order.
-    ///
-    /// Before anything runs, every point's experiment is re-seeded with
-    /// [`seed_for_point`]`(base, index)` over its declaration index, so the
-    /// realized random streams are a function of the point list alone —
-    /// identical for `--jobs 1` and `--jobs N`.
+    /// order**, regardless of worker count or completion order. Every point
+    /// runs with its own configured seed.
     pub fn run(&self, points: Vec<ExperimentPoint>) -> Vec<PointOutcome> {
         self.execute(points, None)
     }
 
     /// Executes every point once in checked mode and returns outcomes in
-    /// declaration order. Seeding matches [`Fleet::run`]; the difference is
-    /// that every point gets the correctness harness enabled (so each
-    /// report carries a `check` section) and peak points run one
-    /// keep-queued pass instead of the full bisection. `sweeper check`
-    /// drives the figure registry through this.
+    /// declaration order. Like [`Fleet::run`], except that every point
+    /// gets the correctness harness enabled (so each report carries a
+    /// `check` section) and peak points run one keep-queued pass instead of
+    /// the full bisection. `sweeper check` drives the figure registry
+    /// through this.
     pub fn run_validation(
         &self,
         points: Vec<ExperimentPoint>,
@@ -254,8 +251,8 @@ impl Fleet {
     }
 
     /// The one execution path behind [`Fleet::run`] and
-    /// [`Fleet::run_validation`]: re-seeds, optionally enables the harness,
-    /// runs, and prints a progress line per finished point.
+    /// [`Fleet::run_validation`]: optionally enables the harness, runs, and
+    /// prints a progress line per finished point.
     fn execute(
         &self,
         points: Vec<ExperimentPoint>,
@@ -266,10 +263,7 @@ impl Fleet {
         let progress = self.progress;
         let tasks: Vec<_> = points
             .into_iter()
-            .enumerate()
-            .map(|(index, mut point)| {
-                let base = point.experiment.config().base_seed();
-                point.experiment.reseed(seed_for_point(base, index));
+            .map(|mut point| {
                 if let Some(check) = check {
                     point.experiment.enable_check(check);
                 }
@@ -397,17 +391,30 @@ mod tests {
     }
 
     #[test]
-    fn per_point_seeds_decorrelate_identical_configs() {
-        // Same config, same rate, different declaration index ⇒ different
-        // realized streams (each point gets seed_for_point(base, i)).
-        let outcomes = Fleet::sequential().quiet().run(
-            (0..2).map(|i| echo_point(i, 2.0e6)).collect(),
-        );
-        assert_ne!(
-            outcomes[0].report.request_latency.percentile(0.99),
-            outcomes[1].report.request_latency.percentile(0.99),
-            "points with distinct indices should not replay the same stream",
-        );
+    fn identical_points_give_identical_outcomes_at_any_position() {
+        // The same point first, in the middle and last of a list, between
+        // points of other rates and seeds: every copy replays one stream.
+        let points = vec![
+            echo_point(0, 2.0e6),
+            echo_point(1, 1.0e6),
+            echo_point(2, 2.0e6),
+            ExperimentPoint::at_rate(
+                "echo#3",
+                ExperimentConfig::tiny_for_tests()
+                    .seed(7)
+                    .experiment(|| EchoWorkload::with_think(150)),
+                2.0e6,
+            ),
+            echo_point(4, 2.0e6),
+        ];
+        let prints: Vec<String> = fingerprint(&Fleet::new(2).quiet().run(points))
+            .into_iter()
+            .map(|p| p.split_once('|').unwrap().1.to_string())
+            .collect();
+        assert_eq!(prints[0], prints[2]);
+        assert_eq!(prints[0], prints[4]);
+        assert_ne!(prints[0], prints[1], "a different rate is a different point");
+        assert_ne!(prints[0], prints[3], "a different seed is a different point");
     }
 
     #[test]

@@ -38,11 +38,8 @@ pub struct LoadPoint {
 }
 
 impl LoadPoint {
-    /// Summarizes one run at `offered_rate` into a sweep point. Public so
-    /// drivers that need the full per-point [`RunReport`] (e.g. `sweep
-    /// --validate`, which inspects each report's check section) can build a
-    /// [`LoadSweep`] from reports they ran themselves.
-    pub fn from_report(offered_rate: f64, report: &RunReport) -> Self {
+    /// Summarizes one run at `offered_rate` into a sweep point.
+    fn from_report(offered_rate: f64, report: &RunReport) -> Self {
         let counts = report.class_counts();
         let per_req = |c: TrafficClass| counts[c] as f64 / report.completed.max(1) as f64;
         let latency = report.request_latency.summary();
@@ -136,53 +133,27 @@ pub struct LoadSweep {
 }
 
 impl LoadSweep {
-    /// Runs `experiment` at every rate of `grid`.
-    ///
-    /// `stop_when_saturated` aborts the sweep once goodput drops below 50%
-    /// — everything beyond is deep overload and costs simulation time
-    /// without adding information.
-    pub fn run(experiment: &Experiment, grid: &RateGrid, stop_when_saturated: bool) -> Self {
-        let mut points = Vec::with_capacity(grid.rates().len());
-        for &rate in grid.rates() {
-            let report = experiment.run_at_rate(rate);
-            let point = LoadPoint::from_report(rate, &report);
-            let saturated = point.goodput_ratio < 0.5;
-            points.push(point);
-            if stop_when_saturated && saturated {
-                break;
-            }
-        }
-        Self { points }
-    }
-
     /// Runs `experiment` at every rate of `grid`, fanning the rates out
-    /// across `fleet`'s workers.
+    /// across `fleet`'s workers, and returns the sweep together with each
+    /// rate's full report (in rate order; `sweep --validate` inspects their
+    /// check sections).
     ///
-    /// Every rate reuses the experiment's own seed — exactly like the
-    /// sequential [`LoadSweep::run`] — so the two produce identical points
-    /// for any worker count. The saturation early-exit is unavailable here
-    /// (later rates start before earlier ones finish); callers who want it
-    /// should bound the grid instead.
-    pub fn run_parallel(experiment: &Experiment, grid: &RateGrid, fleet: &Fleet) -> Self {
+    /// Every rate reuses the experiment's own seed and every rate runs, so
+    /// the result is the same for any worker count.
+    pub fn run(experiment: &Experiment, grid: &RateGrid, fleet: &Fleet) -> (Self, Vec<RunReport>) {
         let tasks: Vec<_> = grid
             .rates()
             .iter()
-            .map(|&rate| {
-                move || {
-                    let report = experiment.run_at_rate(rate);
-                    LoadPoint::from_report(rate, &report)
-                }
-            })
+            .map(|&rate| move || experiment.run_at_rate(rate))
             .collect();
-        Self {
-            points: fleet.run_tasks(tasks),
-        }
-    }
-
-    /// Assembles a sweep from points measured elsewhere (companion of
-    /// [`LoadPoint::from_report`]; points must be in offered-rate order).
-    pub fn from_points(points: Vec<LoadPoint>) -> Self {
-        Self { points }
+        let reports = fleet.run_tasks(tasks);
+        let points = grid
+            .rates()
+            .iter()
+            .zip(&reports)
+            .map(|(&rate, report)| LoadPoint::from_report(rate, report))
+            .collect();
+        (Self { points }, reports)
     }
 
     /// The measured points, in offered-rate order.
@@ -302,7 +273,8 @@ mod tests {
     #[test]
     fn sweep_produces_monotone_offered_rates_and_knee() {
         let exp = tiny_experiment();
-        let sweep = LoadSweep::run(&exp, &RateGrid::geometric(0.2e6, 12.8e6, 7), true);
+        let (sweep, _) =
+            LoadSweep::run(&exp, &RateGrid::geometric(0.2e6, 12.8e6, 7), &Fleet::sequential());
         assert!(!sweep.points().is_empty());
         for w in sweep.points().windows(2) {
             assert!(w[1].offered_rate > w[0].offered_rate);
@@ -320,15 +292,16 @@ mod tests {
     fn parallel_sweep_matches_sequential() {
         let exp = tiny_experiment();
         let grid = RateGrid::geometric(0.5e6, 8.0e6, 5);
-        let sequential = LoadSweep::run(&exp, &grid, false);
-        let parallel = LoadSweep::run_parallel(&exp, &grid, &Fleet::new(4));
+        let (sequential, reports) = LoadSweep::run(&exp, &grid, &Fleet::sequential());
+        let (parallel, _) = LoadSweep::run(&exp, &grid, &Fleet::new(4));
         assert_eq!(sequential.to_csv(), parallel.to_csv());
+        assert_eq!(reports.len(), grid.rates().len());
     }
 
     #[test]
     fn csv_has_header_and_rows() {
         let exp = tiny_experiment();
-        let sweep = LoadSweep::run(&exp, &RateGrid::linear(0.5e6, 1.5e6, 2), false);
+        let (sweep, _) = LoadSweep::run(&exp, &RateGrid::linear(0.5e6, 1.5e6, 2), &Fleet::new(2));
         let csv = sweep.to_csv();
         assert!(csv.starts_with("offered_rate,"));
         assert_eq!(csv.lines().count(), 1 + sweep.points().len());
@@ -337,7 +310,7 @@ mod tests {
     #[test]
     fn csv_comments_and_record_share_the_points() {
         let exp = tiny_experiment();
-        let sweep = LoadSweep::run(&exp, &RateGrid::linear(0.5e6, 1.5e6, 2), false);
+        let (sweep, _) = LoadSweep::run(&exp, &RateGrid::linear(0.5e6, 1.5e6, 2), &Fleet::new(2));
         let csv =
             sweep.to_csv_with_comments(&[("artifact".to_string(), "loadsweep".to_string())]);
         assert!(csv.starts_with("# artifact: loadsweep\noffered_rate,"));
@@ -358,7 +331,8 @@ mod tests {
     #[test]
     fn peak_under_slo_respects_threshold() {
         let exp = tiny_experiment();
-        let sweep = LoadSweep::run(&exp, &RateGrid::geometric(0.2e6, 25.6e6, 8), true);
+        let (sweep, _) =
+            LoadSweep::run(&exp, &RateGrid::geometric(0.2e6, 25.6e6, 8), &Fleet::new(2));
         let generous = sweep.peak_under_slo(u64::MAX / 2);
         assert!(generous.is_some());
         let strict = sweep.peak_under_slo(1);

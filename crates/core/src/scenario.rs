@@ -52,7 +52,7 @@ impl ScenarioWorkload {
 }
 
 /// A parsed scenario.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scenario {
     /// Requested workload.
     pub workload: ScenarioWorkload,
@@ -64,6 +64,8 @@ pub struct Scenario {
     pub sweeper: SweeperMode,
     /// NIC-driven TX sweeping.
     pub tx_sweep: bool,
+    /// The L3 forwarder transmits in place (ignored by other workloads).
+    pub zero_copy: bool,
     /// RX ring entries per core per endpoint.
     pub buffers: usize,
     /// Endpoints per core.
@@ -88,6 +90,7 @@ impl Default for Scenario {
             ddio_ways: 2,
             sweeper: SweeperMode::Disabled,
             tx_sweep: false,
+            zero_copy: false,
             buffers: 1024,
             endpoints: 1,
             packet: 1088,
@@ -117,6 +120,58 @@ impl std::fmt::Display for ScenarioError {
 impl std::error::Error for ScenarioError {}
 
 impl Scenario {
+    /// The default point under conventional DMA.
+    pub fn dma() -> Self {
+        Self {
+            policy: InjectionPolicy::Dma,
+            ..Self::default()
+        }
+    }
+
+    /// The default point with DDIO in `ways` LLC ways.
+    pub fn ddio(ways: u32) -> Self {
+        Self {
+            ddio_ways: ways,
+            ..Self::default()
+        }
+    }
+
+    /// The default point with DDIO in `ways` LLC ways plus Sweeper.
+    pub fn ddio_sweeper(ways: u32) -> Self {
+        Self {
+            sweeper: SweeperMode::Enabled,
+            ..Self::ddio(ways)
+        }
+    }
+
+    /// The default point under the unrealistic infinite network cache.
+    pub fn ideal() -> Self {
+        Self {
+            policy: InjectionPolicy::Ideal,
+            ..Self::default()
+        }
+    }
+
+    /// The system's legend label in the paper's figures: `DMA`,
+    /// `Ideal DDIO`, or `DDIO <ways> Ways`, with ` + Sweeper` when on.
+    pub fn label(&self) -> String {
+        match self.policy {
+            InjectionPolicy::Dma => "DMA".to_string(),
+            InjectionPolicy::Ideal => "Ideal DDIO".to_string(),
+            InjectionPolicy::Ddio => {
+                format!("DDIO {} Ways{}", self.ddio_ways, self.sweeper.suffix())
+            }
+        }
+    }
+
+    /// Warmup requests that wrap every RX ring 1.2 times (cores × endpoints
+    /// × buffers × 1.2), so the steady-state buffer churn under study is in
+    /// effect when measurement starts. The floor is physics, not budget:
+    /// every run length of a scenario applies it.
+    pub fn ring_warmup(&self) -> u64 {
+        (self.cores as u64 * self.endpoints as u64 * self.buffers as u64 * 12) / 10
+    }
+
     /// Parses `key = value` text.
     ///
     /// # Errors
@@ -182,6 +237,7 @@ impl Scenario {
                 }
             }
             "tx_sweep" => self.tx_sweep = parse_bool(value)?,
+            "zero_copy" => self.zero_copy = parse_bool(value)?,
             "ddio_ways" => self.ddio_ways = parse_num(value, 1, 12)? as u32,
             "buffers" => self.buffers = parse_num(value, 1, 1 << 20)? as usize,
             "endpoints" => self.endpoints = parse_num(value, 1, 4096)? as usize,
@@ -228,11 +284,12 @@ impl Scenario {
         };
         format!(
             "workload = {workload}\npolicy = {policy}\nddio_ways = {}\nsweeper = {}\n\
-             tx_sweep = {}\nbuffers = {}\nendpoints = {}\npacket = {}\nchannels = {}\n\
-             cores = {}\nseed = {}\nrate_mrps = {}\n",
+             tx_sweep = {}\nzero_copy = {}\nbuffers = {}\nendpoints = {}\npacket = {}\n\
+             channels = {}\ncores = {}\nseed = {}\nrate_mrps = {}\n",
             self.ddio_ways,
             self.sweeper.is_enabled(),
             self.tx_sweep,
+            self.zero_copy,
             self.buffers,
             self.endpoints,
             self.packet,
@@ -304,12 +361,27 @@ mod tests {
         let s = Scenario {
             workload: ScenarioWorkload::Synthetic,
             sweeper: SweeperMode::Enabled,
+            zero_copy: true,
             buffers: 777,
             rate_mrps: 12.25,
             ..Scenario::default()
         };
         let reparsed = Scenario::parse(&s.to_text()).unwrap();
         assert_eq!(reparsed, s);
+    }
+
+    #[test]
+    fn labels_match_paper_legends() {
+        assert_eq!(Scenario::dma().label(), "DMA");
+        assert_eq!(Scenario::ddio(4).label(), "DDIO 4 Ways");
+        assert_eq!(Scenario::ddio_sweeper(2).label(), "DDIO 2 Ways + Sweeper");
+        assert_eq!(Scenario::ideal().label(), "Ideal DDIO");
+    }
+
+    #[test]
+    fn ring_warmup_wraps_every_ring() {
+        let s = Scenario::parse("cores = 4\nendpoints = 3\nbuffers = 100\n").unwrap();
+        assert_eq!(s.ring_warmup(), 1440);
     }
 
     #[test]

@@ -109,8 +109,13 @@ pub struct RunManifest {
     pub config: Option<String>,
     /// Workload name, when known.
     pub workload: Option<String>,
-    /// Base RNG seed, when known.
+    /// RNG seed, when known.
     pub seed: Option<u64>,
+    /// The run's canonical scenario text
+    /// ([`Scenario::to_text`](crate::scenario::Scenario::to_text)), when the
+    /// artifact is one scenario's run: `sweeper run --scenario` on it
+    /// reproduces the run.
+    pub scenario: Option<String>,
     /// Host wall-clock duration of the run in seconds. Leave `None` in
     /// documents that must be byte-reproducible.
     pub wall_secs: Option<f64>,
@@ -126,6 +131,7 @@ impl RunManifest {
             config: None,
             workload: None,
             seed: None,
+            scenario: None,
             wall_secs: None,
         }
     }
@@ -148,9 +154,15 @@ impl RunManifest {
         self
     }
 
-    /// Sets the base RNG seed.
+    /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
+        self
+    }
+
+    /// Sets the canonical scenario text.
+    pub fn scenario(mut self, text: impl Into<String>) -> Self {
+        self.scenario = Some(text.into());
         self
     }
 
@@ -179,6 +191,9 @@ impl RunManifest {
         if let Some(s) = self.seed {
             rec.push("seed", s);
         }
+        if let Some(s) = &self.scenario {
+            rec.push("scenario", s.as_str());
+        }
         if let Some(w) = self.wall_secs {
             rec.push("wall_secs", w);
         }
@@ -186,13 +201,20 @@ impl RunManifest {
     }
 
     /// The manifest as `# key: value` CSV comment pairs, same field order
-    /// as [`RunManifest::to_record`].
+    /// as [`RunManifest::to_record`]. A multi-line value (the scenario)
+    /// gives one pair per line, so `# scenario: ` lines read back as a
+    /// scenario file.
     pub fn to_comments(&self) -> Vec<(String, String)> {
-        self.to_record()
-            .fields()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_cell()))
-            .collect()
+        let mut out = Vec::new();
+        for (k, v) in self.to_record().fields() {
+            let cell = v.to_cell();
+            if cell.contains('\n') {
+                out.extend(cell.lines().map(|line| (k.clone(), line.to_string())));
+            } else {
+                out.push((k.clone(), cell));
+            }
+        }
+        out
     }
 }
 
@@ -476,6 +498,14 @@ mod tests {
                 ("seed".to_string(), "3".to_string()),
             ]
         );
+        let scenario = crate::scenario::Scenario::default();
+        let comments = RunManifest::new().scenario(scenario.to_text()).to_comments();
+        let file: String = comments
+            .iter()
+            .filter(|(k, _)| k == "scenario")
+            .map(|(_, line)| format!("{line}\n"))
+            .collect();
+        assert_eq!(file, scenario.to_text(), "one comment per scenario line");
     }
 
     #[test]

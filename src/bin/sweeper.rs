@@ -9,9 +9,9 @@
 //! sweeper peak    --workload kvs --buffers 2048 --channels 3
 //! sweeper sweep   --lo 5 --hi 60 --points 8 --workload l3fwd --jobs 8
 //! sweeper trace   --rate 20 --events 65536 > memtrace.csv
-//! sweeper run     --scenario fig5.scn --ddio 4
+//! sweeper run     --scenario scenarios/kvs_1k.scn --ddio 4
 //! sweeper figures
-//! sweeper figure fig5 --jobs 8 --profile fast
+//! sweeper figure fig5 --jobs 8 --profile fast --seed 7
 //! sweeper figure all  --jobs 8
 //! sweeper perf    --json BENCH_sim.json
 //! sweeper info
@@ -19,7 +19,8 @@
 //!
 //! A run point is one [`Scenario`]: a `--scenario` file sets it first, and
 //! each point flag (`--ddio`, `--buffers`, …) then sets one of its keys
-//! through the same validation. All rates are in Mrps. Run `sweeper help`
+//! through the same validation. Figures fix their own points, so `figure`
+//! and `check` take only `--seed`. All rates are in Mrps. Run `sweeper help`
 //! for the full flag list.
 
 use std::process::ExitCode;
@@ -27,7 +28,7 @@ use std::process::ExitCode;
 use sweeper::bench::{perf, run_figure, scenario_experiment, FigContext};
 use sweeper::core::experiment::{Experiment, PeakCriteria};
 use sweeper::core::fleet::Fleet;
-use sweeper::core::loadsweep::{LoadPoint, LoadSweep, RateGrid};
+use sweeper::core::loadsweep::{LoadSweep, RateGrid};
 use sweeper::core::profile::RunProfile;
 use sweeper::core::report::{emit, text_report, CsvSink, ReportStyle};
 use sweeper::core::scenario::Scenario;
@@ -73,6 +74,7 @@ POINT FLAGS — each sets one key of the run's scenario (key in parentheses):
                                        (sweeper)
     --tx-sweep                         enable NIC-driven TX sweeping, §V-D
                                        (tx_sweep)
+    --zero-copy                        l3fwd transmits in place (zero_copy)
     --buffers <N>                      RX ring entries/core (buffers) [1024]
     --endpoints <N>                    endpoints per core (endpoints) [1]
     --packet <64..65536>               packet bytes (packet)          [1088]
@@ -82,6 +84,8 @@ POINT FLAGS — each sets one key of the run's scenario (key in parentheses):
     --rate <MRPS>                      offered load, > 0 (rate_mrps)  [20]
     --scenario <FILE>                  load a key=value scenario file first;
                                        point flags override its values
+    `figure` and `check` take only --seed (every figure point runs with
+    it); `figures`, `perf` and `info` take no point flag.
 
 OTHER FLAGS (all optional):
     --requests <N>                     measured requests, >= 1  [20000]
@@ -124,25 +128,27 @@ OTHER FLAGS (all optional):
                                        go to stderr and fail the exit code
     --walk-every <REQUESTS>            completed requests between invariant
                                        walks in checked mode      [1024]
-    --zero-copy                        l3fwd transmits in place
     --json <PATH>                      perf: write the BENCH_sim.json record
     --check <PATH>                     perf: re-measure under PATH's profile
                                        and fail on a regression
     --max-regress <PCT>                perf --check tolerance       [20]
 
 JSON and CSV exports carry a run manifest (tool version, config summary,
-workload, seed, wall time) so artifacts found on disk identify their run.
+workload, seed, wall time; run/peak/sweep/trace add the canonical scenario
+text, which `--scenario` reads back) so artifacts found on disk identify
+their run.
 ";
 
 /// Flags that each set one [`Scenario`] key, and the key they set. The
-/// switches (`--sweeper`, `--tx-sweep`) take no value and set their key to
-/// `true`.
-const POINT_FLAGS: [(&str, &str); 12] = [
+/// switches (`--sweeper`, `--tx-sweep`, `--zero-copy`) take no value and set
+/// their key to `true`.
+const POINT_FLAGS: [(&str, &str); 13] = [
     ("--workload", "workload"),
     ("--policy", "policy"),
     ("--ddio", "ddio_ways"),
     ("--sweeper", "sweeper"),
     ("--tx-sweep", "tx_sweep"),
+    ("--zero-copy", "zero_copy"),
     ("--buffers", "buffers"),
     ("--endpoints", "endpoints"),
     ("--packet", "packet"),
@@ -153,7 +159,19 @@ const POINT_FLAGS: [(&str, &str); 12] = [
 ];
 
 fn is_switch(flag: &str) -> bool {
-    matches!(flag, "--sweeper" | "--tx-sweep")
+    matches!(flag, "--sweeper" | "--tx-sweep" | "--zero-copy")
+}
+
+/// Rejects a point flag (or `--scenario`) on a command that has no run
+/// point: figures fix their own points and take only the seed.
+fn check_point_flag(command: &str, flag: &str) -> Result<(), String> {
+    match command {
+        "figure" | "check" if flag != "--seed" => Err(format!(
+            "`{command}` does not take {flag}: figure points are fixed; only --seed applies"
+        )),
+        "figures" | "perf" | "info" => Err(format!("`{command}` does not take {flag}")),
+        _ => Ok(()),
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -171,7 +189,6 @@ struct Cli {
     points: usize,
     validate: bool,
     walk_every: Option<u64>,
-    zero_copy: bool,
     format: OutputFormat,
     timeseries: Option<String>,
     sample_every: Option<u64>,
@@ -203,7 +220,6 @@ impl Default for Cli {
             points: 8,
             validate: false,
             walk_every: None,
-            zero_copy: false,
             format: OutputFormat::Text,
             timeseries: None,
             sample_every: None,
@@ -223,15 +239,16 @@ impl Default for Cli {
 
 fn parse(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli::default();
+    let mut it = args.iter().peekable();
+    cli.command = it.next().cloned().unwrap_or_else(|| "help".into());
     // A scenario file applies first so explicit flags override it.
     if let Some(i) = args.iter().position(|a| a == "--scenario") {
+        check_point_flag(&cli.command, "--scenario")?;
         let path = args.get(i + 1).ok_or("flag --scenario needs a value")?;
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         cli.scenario = Scenario::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     }
-    let mut it = args.iter().peekable();
-    cli.command = it.next().cloned().unwrap_or_else(|| "help".into());
     if cli.command == "figure" {
         cli.figure = Some(
             it.next()
@@ -253,6 +270,7 @@ fn parse(args: &[String]) -> Result<Cli, String> {
                 .ok_or_else(|| format!("flag {flag} needs a value"))
         };
         if let Some(&(_, key)) = POINT_FLAGS.iter().find(|(f, _)| *f == flag) {
+            check_point_flag(&cli.command, flag)?;
             let v = if is_switch(flag) { "true".into() } else { value()? };
             cli.scenario
                 .set(key, &v)
@@ -271,7 +289,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             "--profile" => cli.profile = Some(value()?.parse()?),
             "--validate" => cli.validate = true,
             "--walk-every" => cli.walk_every = Some(num(flag, &value()?)?),
-            "--zero-copy" => cli.zero_copy = true,
             "--format" => cli.format = value()?.parse()?,
             "--timeseries" => cli.timeseries = Some(value()?),
             "--sample-every" => cli.sample_every = Some(num(flag, &value()?)?),
@@ -332,9 +349,8 @@ fn num<T: std::str::FromStr>(flag: &str, s: &str) -> Result<T, String> {
 
 fn build_experiment(cli: &Cli) -> Result<Experiment, String> {
     let s = &cli.scenario;
-    let ring_wrap = (s.cores as u64 * s.endpoints as u64 * s.buffers as u64 * 12) / 10;
     let mut cfg = s.to_config().run_options(RunOptions {
-        warmup_requests: ring_wrap.max(10_000),
+        warmup_requests: s.ring_warmup().max(10_000),
         measure_requests: cli.requests,
         max_cycles: 600_000_000_000,
         min_warmup_cycles: 0,
@@ -363,7 +379,7 @@ fn build_experiment(cli: &Cli) -> Result<Experiment, String> {
         cfg = cfg.memtrace(cli.events);
     }
     cfg.server_config().validate()?;
-    Ok(scenario_experiment(cfg, s, cli.zero_copy))
+    Ok(scenario_experiment(cfg, s))
 }
 
 fn print_report(report: &RunReport) {
@@ -403,7 +419,8 @@ fn cli_manifest(cli: &Cli, exp: &Experiment) -> RunManifest {
     let mut m = RunManifest::new()
         .config(exp.config().summary())
         .workload(cli.scenario.workload.name())
-        .seed(cli.scenario.seed);
+        .seed(cli.scenario.seed)
+        .scenario(cli.scenario.to_text());
     if let Some(profile) = cli.profile {
         m = m.profile(profile.to_string());
     }
@@ -482,10 +499,11 @@ fn write_observability(cli: &Cli, report: &RunReport, manifest: &RunManifest) ->
     Ok(())
 }
 
-/// The fleet/profile context of `sweep`, `figure` and `check`.
+/// The fleet/profile/seed context of `sweep`, `figure` and `check`.
 fn fig_context(cli: &Cli) -> FigContext {
     FigContext {
         profile: cli.profile.unwrap_or_default(),
+        seed: cli.scenario.seed,
         fleet: cli.jobs.map(Fleet::new).unwrap_or_default(),
         format: cli.format,
     }
@@ -684,36 +702,10 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
                 let grid = RateGrid::geometric(cli.lo * 1e6, cli.hi * 1e6, cli.points);
-                let fleet = fig_context(&cli).fleet;
                 let t = std::time::Instant::now();
-                // The parallel path runs the whole grid (no saturation
-                // early-exit); keep the sequential path's behavior when a
-                // single worker is requested. A validated sweep retains the
-                // full per-point reports so each check section can be
-                // inspected after the CSV goes out.
-                let mut checked_reports: Vec<RunReport> = Vec::new();
-                let sweep = if cli.validate {
-                    let tasks: Vec<_> = grid
-                        .rates()
-                        .iter()
-                        .map(|&rate| {
-                            let exp = &exp;
-                            move || exp.run_at_rate(rate)
-                        })
-                        .collect();
-                    checked_reports = fleet.run_tasks(tasks);
-                    LoadSweep::from_points(
-                        grid.rates()
-                            .iter()
-                            .zip(&checked_reports)
-                            .map(|(&rate, report)| LoadPoint::from_report(rate, report))
-                            .collect(),
-                    )
-                } else if fleet.jobs() > 1 {
-                    LoadSweep::run_parallel(&exp, &grid, &fleet)
-                } else {
-                    LoadSweep::run(&exp, &grid, true)
-                };
+                // Every rate runs, whatever the worker count; the reports
+                // carry the check sections of a validated sweep.
+                let (sweep, reports) = LoadSweep::run(&exp, &grid, &fig_context(&cli).fleet);
                 let manifest = cli_manifest(&cli, &exp).wall_secs(t.elapsed().as_secs_f64());
                 match cli.format {
                     // `text` keeps the historical bare-CSV stdout contract.
@@ -731,7 +723,7 @@ fn main() -> ExitCode {
                     eprintln!("knee at ~{:.1} Mrps offered", knee.offered_rate / 1e6);
                 }
                 let mut all_pass = true;
-                for (&rate, report) in grid.rates().iter().zip(&checked_reports) {
+                for (&rate, report) in grid.rates().iter().zip(&reports) {
                     let label = format!("{:.1} Mrps", rate / 1e6);
                     all_pass &= check_passed(&label, report);
                 }
@@ -808,7 +800,7 @@ fn main() -> ExitCode {
             let mut totals = [0u64; ViolationKind::ALL.len()];
             let mut figure_records: Vec<Value> = Vec::new();
             for figure in figures {
-                let points = figure.points(ctx.profile);
+                let points = figure.points(ctx.profile, ctx.seed);
                 let n = points.len();
                 let outcomes = ctx.fleet.run_validation(points, check);
                 let mut counts = [0u64; ViolationKind::ALL.len()];
@@ -886,7 +878,7 @@ fn main() -> ExitCode {
             if cli.format == OutputFormat::Json {
                 let manifest = RunManifest::new()
                     .profile(ctx.profile.to_string())
-                    .seed(cli.scenario.seed);
+                    .seed(ctx.seed);
                 let doc = check_document(figure_records, &manifest);
                 println!("{}", doc.to_json_pretty());
             }
@@ -915,7 +907,7 @@ mod tests {
     fn non_default() -> Scenario {
         Scenario::parse(
             "workload = l3fwd\npolicy = ideal\nddio_ways = 5\nsweeper = true\n\
-             tx_sweep = true\nbuffers = 333\nendpoints = 3\npacket = 512\n\
+             tx_sweep = true\nzero_copy = true\nbuffers = 333\nendpoints = 3\npacket = 512\n\
              channels = 6\ncores = 7\nseed = 99\nrate_mrps = 7.5\n",
         )
         .unwrap()

@@ -1,9 +1,11 @@
 //! The `sweeper` binary must reject malformed command lines with a one-line
 //! error plus usage on stderr and exit code 2 — never a panic backtrace —
 //! and must describe a run point the same way from a scenario file and from
-//! flags.
+//! flags, on the commands that take one.
 
 use std::process::Command;
+
+use sweeper::core::scenario::Scenario;
 
 fn run(args: &[&str]) -> (std::process::ExitStatus, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_sweeper"))
@@ -11,6 +13,21 @@ fn run(args: &[&str]) -> (std::process::ExitStatus, String) {
         .output()
         .expect("spawn sweeper");
     (out.status, String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+/// Runs `sweeper` and returns its stdout, failing the test on a non-zero
+/// exit.
+fn stdout_of(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_sweeper"))
+        .args(args)
+        .output()
+        .expect("spawn sweeper");
+    assert!(
+        out.status.success(),
+        "{args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
 /// Asserts `stderr` holds exactly one `error:` line and no panic.
@@ -128,19 +145,72 @@ fn flags_override_a_scenario_file() {
         "ddio_ways = 4\ncores = 2\nbuffers = 64\nrate_mrps = 5\n",
     )
     .unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_sweeper"))
-        .args(["run", "--scenario", path.to_str().unwrap()])
-        .args(["--ddio", "3", "--requests", "200", "--format", "json"])
-        .output()
-        .expect("spawn sweeper");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stdout = stdout_of(&[
+        "run", "--scenario", path.to_str().unwrap(), "--ddio", "3", "--requests", "200",
+        "--format", "json",
+    ]);
     assert!(
         stdout.contains(r#""config": "ddio3 rx=64 pkt=1088 ch=4""#),
         "manifest config should be the file's point with --ddio applied:\n{stdout}"
     );
+}
+
+#[test]
+fn sweep_output_is_independent_of_jobs() {
+    let sweep = |jobs: &str| {
+        stdout_of(&[
+            "sweep", "--cores", "4", "--buffers", "128", "--requests", "1000", "--lo", "2",
+            "--hi", "200", "--points", "5", "--jobs", jobs,
+        ])
+    };
+    let one = sweep("1");
+    assert_eq!(one.lines().count(), 1 + 5, "every rate is a row:\n{one}");
+    assert_eq!(one, sweep("2"), "--jobs 1 and --jobs 2 must print the same sweep");
+}
+
+#[test]
+fn point_flags_are_rejected_where_points_are_fixed() {
+    for command in [&["figure", "fig2"][..], &["check"], &["check", "fig2"]] {
+        for flag in [&["--ddio", "7"][..], &["--sweeper"], &["--rate", "5"], &["--scenario", "x.scn"]]
+        {
+            assert_usage_error(&[command, flag].concat());
+        }
+    }
+    for command in ["figures", "perf", "info"] {
+        for flag in [&["--ddio", "7"][..], &["--seed", "3"], &["--zero-copy"]] {
+            assert_usage_error(&[&[command][..], flag].concat());
+        }
+    }
+}
+
+#[test]
+fn run_manifest_scenario_reproduces_the_run() {
+    let first = stdout_of(&["run", "--format", "json", "--cores", "4", "--requests", "2000"]);
+    let key = "\"scenario\": \"";
+    let start = first.find(key).expect("manifest carries the scenario") + key.len();
+    let end = start + first[start..].find('"').expect("closing quote");
+    let text = first[start..end].replace("\\n", "\n");
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_args_manifest.scn");
+    std::fs::write(&path, &text).unwrap();
+    let again = stdout_of(&[
+        "run", "--scenario", path.to_str().unwrap(), "--requests", "2000", "--format", "json",
+    ]);
+    let report = |doc: &str| doc[doc.find("\"report\":").expect("report section")..].to_string();
+    assert_eq!(report(&first), report(&again), "the manifest's scenario must replay the run");
+}
+
+#[test]
+fn scenario_files_parse_and_round_trip() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+    let mut files = 0;
+    for entry in std::fs::read_dir(dir).expect("scenarios/ exists") {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "scn") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let s = Scenario::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert_eq!(Scenario::parse(&s.to_text()).unwrap(), s, "{}", path.display());
+            files += 1;
+        }
+    }
+    assert!(files > 0, "no scenario files found");
 }

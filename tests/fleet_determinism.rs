@@ -65,7 +65,7 @@ fn fleet_json_is_byte_identical_across_worker_counts() {
 fn figure_registry_enumerates_unique_labelled_points() {
     assert!(!figs::registry().is_empty());
     for figure in figs::registry() {
-        let points = figure.points(RunProfile::Smoke);
+        let points = figure.points(RunProfile::Smoke, 1);
         assert!(
             !points.is_empty(),
             "{} must enumerate at least one point",

@@ -13,9 +13,10 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use sweeper::bench::{kvs_experiment, SystemPoint};
+use sweeper::bench::{figure_run_options, scenario_experiment};
 use sweeper::core::profile::RunProfile;
 use sweeper::core::report::{text_report, ReportStyle};
+use sweeper::core::scenario::Scenario;
 use sweeper::core::server::RunReport;
 
 /// Every counter and distribution the simulator produces, serialized to
@@ -96,12 +97,20 @@ fn check_golden(name: &str, actual: &str) {
     );
 }
 
+/// Runs a fig1 KVS point (1 KB items, the figure's run lengths) of
+/// `system` with `buffers` RX buffers per core at a fixed open-loop rate
+/// below its peak.
+fn fig1_point(profile: RunProfile, system: Scenario, buffers: usize) -> RunReport {
+    let s = Scenario { buffers, ..system };
+    let cfg = s.to_config().run_options(figure_run_options(profile, &s));
+    scenario_experiment(cfg, &s).run_at_rate(15.0e6)
+}
+
 /// The acceptance-criterion scenario: fig1's DDIO-2-way KVS point at fast
-/// profile, run at a fixed open-loop rate below its peak.
+/// profile.
 #[test]
 fn fig1_fast_ddio2_stats_match_golden() {
-    let report = kvs_experiment(RunProfile::Fast, SystemPoint::ddio(2), 1024, 1024, 4)
-        .run_at_rate(15.0e6);
+    let report = fig1_point(RunProfile::Fast, Scenario::ddio(2), 1024);
     check_golden("fig1_fast_ddio2", &fingerprint(&report));
 }
 
@@ -109,15 +118,13 @@ fn fig1_fast_ddio2_stats_match_golden() {
 /// invalidation, the paths most reshaped by the directory rewrite.
 #[test]
 fn fig1_smoke_ddio2_sweeper_stats_match_golden() {
-    let report = kvs_experiment(RunProfile::Smoke, SystemPoint::ddio_sweeper(2), 1024, 512, 4)
-        .run_at_rate(15.0e6);
+    let report = fig1_point(RunProfile::Smoke, Scenario::ddio_sweeper(2), 512);
     check_golden("fig1_smoke_ddio2_sweeper", &fingerprint(&report));
 }
 
 /// DMA variant: covers the NIC-write invalidate path that bypasses the LLC.
 #[test]
 fn fig1_smoke_dma_stats_match_golden() {
-    let report =
-        kvs_experiment(RunProfile::Smoke, SystemPoint::dma(), 1024, 512, 4).run_at_rate(15.0e6);
+    let report = fig1_point(RunProfile::Smoke, Scenario::dma(), 512);
     check_golden("fig1_smoke_dma", &fingerprint(&report));
 }

@@ -6,41 +6,44 @@
 //! generation, NIC injection, cache hierarchy, DRAM, Sweeper, and the
 //! measurement pipeline.
 
-use sweeper::core::experiment::{Experiment, ExperimentConfig};
+use sweeper::bench::scenario_experiment;
+use sweeper::core::experiment::Experiment;
 use sweeper::core::profile::RunProfile;
+use sweeper::core::scenario::Scenario;
 use sweeper::core::server::{RunOptions, RunReport, SweeperMode};
 use sweeper::sim::hierarchy::InjectionPolicy;
 use sweeper::sim::stats::TrafficClass;
-use sweeper::workloads::kvs::{KvsConfig, MicaKvs, HEADER_BYTES};
 
-fn kvs_experiment(policy: InjectionPolicy, ways: u32, sweeper: SweeperMode) -> Experiment {
-    let cfg = ExperimentConfig::paper_default()
-        .injection(policy)
-        .ddio_ways(ways)
-        .sweeper(sweeper)
-        .rx_buffers_per_core(512)
-        .packet_bytes(1024 + HEADER_BYTES)
-        .run_options(RunOptions {
-            // The warmup is a physics floor — ≥1.2 wraps of every RX ring
-            // (24 cores × 512 buffers ⇒ ~14.8 k requests) so steady-state
-            // buffer churn is in effect — and cannot shrink with the
-            // profile. 512-deep rings (13 MB aggregate, still ≫ the 6 MB
-            // 2-way DDIO allocation) reproduce every claim of the 1024-deep
-            // paper scenario at half the warmup cost. The measurement
-            // window scales with the profile: Smoke sizing keeps
-            // `cargo test -q` quick while 5 000 measured requests still
-            // give ~85 000 leak events for the ratio assertions below.
-            warmup_requests: 15_000,
-            measure_requests: RunProfile::Smoke.scale(15_000, 5_000),
-            max_cycles: 120_000_000_000,
-            min_warmup_cycles: 0,
-            min_measure_cycles: 0,
-        });
-    cfg.experiment(|| MicaKvs::new(KvsConfig::paper_default()))
+/// The 1 KB-item KVS point with 512 RX buffers per core under `policy`.
+fn kvs_point(policy: InjectionPolicy, ways: u32, sweeper: SweeperMode) -> Experiment {
+    let s = Scenario {
+        policy,
+        ddio_ways: ways,
+        sweeper,
+        buffers: 512,
+        ..Scenario::default()
+    };
+    let cfg = s.to_config().run_options(RunOptions {
+        // The warmup is a physics floor — ≥1.2 wraps of every RX ring
+        // (24 cores × 512 buffers ⇒ ~14.8 k requests) so steady-state
+        // buffer churn is in effect — and cannot shrink with the
+        // profile. 512-deep rings (13 MB aggregate, still ≫ the 6 MB
+        // 2-way DDIO allocation) reproduce every claim of the 1024-deep
+        // paper scenario at half the warmup cost. The measurement
+        // window scales with the profile: Smoke sizing keeps
+        // `cargo test -q` quick while 5 000 measured requests still
+        // give ~85 000 leak events for the ratio assertions below.
+        warmup_requests: 15_000,
+        measure_requests: RunProfile::Smoke.scale(15_000, 5_000),
+        max_cycles: 120_000_000_000,
+        min_warmup_cycles: 0,
+        min_measure_cycles: 0,
+    });
+    scenario_experiment(cfg, &s)
 }
 
 fn at_moderate_load(policy: InjectionPolicy, ways: u32, sweeper: SweeperMode) -> RunReport {
-    kvs_experiment(policy, ways, sweeper).run_at_rate(18.0e6)
+    kvs_point(policy, ways, sweeper).run_at_rate(18.0e6)
 }
 
 #[test]
