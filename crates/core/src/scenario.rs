@@ -24,7 +24,7 @@
 
 use std::collections::BTreeMap;
 
-use sweeper_sim::hierarchy::InjectionPolicy;
+use sweeper_sim::hierarchy::{InjectionPolicy, MachineConfig};
 
 use crate::experiment::ExperimentConfig;
 use crate::server::SweeperMode;
@@ -243,7 +243,11 @@ impl Scenario {
             "endpoints" => self.endpoints = parse_num(value, 1, 4096)? as usize,
             "packet" => self.packet = parse_num(value, 64, 1 << 16)?,
             "channels" => self.channels = parse_num(value, 1, 16)? as usize,
-            "cores" => self.cores = parse_num(value, 1, 64)? as u16,
+            // A scenario always runs on the paper machine.
+            "cores" => {
+                let max = MachineConfig::paper_default().cores as u64;
+                self.cores = parse_num(value, 1, max)? as u16
+            }
             "seed" => self.seed = parse_num(value, 0, u64::MAX)?,
             "rate_mrps" => {
                 self.rate_mrps = value

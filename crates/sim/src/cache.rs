@@ -185,15 +185,17 @@ fn tag_matches(tag: u64, block: BlockAddr) -> bool {
 /// A single set-associative cache level with LRU replacement.
 ///
 /// Internally a structure-of-arrays: the packed `encode_tag` words carry
-/// everything a residency scan needs, and the recency stamps
-/// (`tick << 2 | rrpv`) live in a parallel array that is only touched on a
-/// hit, an insertion, or victim selection. Because every mutation bumps the
-/// monotone tick, stamps of occupied ways are unique and comparing the
-/// combined word orders ways exactly like comparing the old per-slot `lru`
-/// field did. Both arrays start all-zero: an empty tag word is an empty
-/// way, and an empty way's stamp is never read (victim selection only runs
-/// once every allowed way is occupied, and every insertion writes its way's
-/// stamp), so building a cache writes nothing.
+/// everything a residency scan needs, and one replacement byte per way lives
+/// in a parallel array that is only touched on a hit, an insertion, or
+/// victim selection. Under LRU a set's bytes hold its recency order as a
+/// permutation of the ways, each way storing `rank ^ way` (rank 0 = most
+/// recent): a hit or fill moves the way to rank 0, and the victim is the
+/// allowed way with the highest rank. Under SRRIP the byte is the way's
+/// re-reference prediction value. Both arrays start all-zero: an empty tag
+/// word is an empty way, the zero rank row is the identity permutation, and
+/// an empty way's byte is never read (victim selection only runs once every
+/// allowed way is occupied, and every insertion writes its way's byte), so
+/// building a cache writes nothing.
 ///
 /// ```
 /// use sweeper_sim::cache::{CacheGeometry, LineOrigin, SetAssocCache, WayMask};
@@ -210,15 +212,16 @@ pub struct SetAssocCache {
     sets: usize,
     /// `fastmod_magic(sets)`: lets `set_of` reduce without a divide.
     sets_magic: u64,
-    tags: ZeroTable<u64>,   // sets * ways, row-major by set; 0 = empty way
-    stamps: ZeroTable<u64>, // parallel to `tags`: tick << 2 | rrpv
-    tick: u64,
+    tags: ZeroTable<u64>, // sets * ways, row-major by set; 0 = empty way
+    ranks: ZeroTable<u8>, // parallel to `tags`: LRU rank ^ way, or SRRIP rrpv
     resident: u64,
     policy: ReplacementPolicy,
 }
 
-const STAMP_RRPV_BITS: u32 = 2;
-const STAMP_RRPV_MASK: u64 = (1 << STAMP_RRPV_BITS) - 1;
+/// SRRIP's prediction for a newly filled line ("long re-reference").
+const SRRIP_INSERT: u8 = 2;
+/// SRRIP's "distant" prediction: only such lines are victimized.
+const SRRIP_DISTANT: u8 = 3;
 
 impl SetAssocCache {
     /// Builds an empty cache with the given geometry.
@@ -251,8 +254,7 @@ impl SetAssocCache {
             sets,
             sets_magic: fastmod_magic(sets as u64),
             tags: ZeroTable::new(sets * geometry.ways),
-            stamps: ZeroTable::new(sets * geometry.ways),
-            tick: 0,
+            ranks: ZeroTable::new(sets * geometry.ways),
             resident: 0,
             policy,
         }
@@ -291,27 +293,34 @@ impl SetAssocCache {
         base..base + self.geometry.ways
     }
 
-    fn bump(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
+    /// Records a reference to `way` of the set whose row starts at `base`:
+    /// a hit (`fill == false`) or the way's new line being installed.
+    #[inline]
+    fn touch(&mut self, base: usize, way: usize, fill: bool) {
+        let row = &mut self.ranks[base..base + self.geometry.ways];
+        match self.policy {
+            ReplacementPolicy::Lru => promote(row, way),
+            ReplacementPolicy::Srrip => row[way] = if fill { SRRIP_INSERT } else { 0 },
+        }
     }
 
     /// Hints the host CPU to pull the block's set metadata into cache.
     ///
-    /// The simulator's tag and stamp tables (about 9 MiB for the paper's
-    /// LLC, plus 320 KiB per private L2) are probed at hash-randomized
+    /// The simulator's tag and rank tables (about 5 MiB for the paper's
+    /// LLC, plus 180 KiB per private L2) are probed at hash-randomized
     /// indices, so nearly every set probe is a host last-level-cache miss.
     /// Callers that know the next few blocks they will touch (range
     /// accesses, packet delivery) can issue prefetches up front and let the
     /// host overlap what would otherwise be a serial chain of misses. Every
-    /// host line the set's tag and stamp rows span is requested: a 12-way
-    /// row (96 B) spans two lines and a 20-way row (160 B) three. Purely a
-    /// performance hint: no simulated state changes.
+    /// host line the set's tag and rank rows span is requested: a 12-way
+    /// tag row (96 B) spans two lines and a 20-way one (160 B) three, and a
+    /// rank row (12 or 20 B) one or two. Purely a performance hint: no
+    /// simulated state changes.
     #[inline]
     pub fn prefetch(&self, block: BlockAddr) {
         let base = self.set_of(block) * self.geometry.ways;
         prefetch_row(&self.tags[base..base + self.geometry.ways]);
-        prefetch_row(&self.stamps[base..base + self.geometry.ways]);
+        prefetch_row(&self.ranks[base..base + self.geometry.ways]);
     }
 
     /// Looks a block up without updating recency.
@@ -333,16 +342,14 @@ impl SetAssocCache {
     /// *before* the access, so callers can tell a write to an
     /// already-dirty line from the write that dirtied it.
     pub fn access(&mut self, block: BlockAddr, dirty: bool) -> Option<Line> {
-        let set = self.set_of(block);
-        let tick = self.bump();
-        let range = self.slot_range(set);
-        for idx in range {
-            let tag = self.tags[idx];
+        let base = self.set_of(block) * self.geometry.ways;
+        for way in 0..self.geometry.ways {
+            let tag = self.tags[base + way];
             if tag_matches(tag, block) {
                 if dirty {
-                    self.tags[idx] = tag | TAG_DIRTY;
+                    self.tags[base + way] = tag | TAG_DIRTY;
                 }
-                self.stamps[idx] = tick << STAMP_RRPV_BITS; // rrpv -> 0
+                self.touch(base, way, false);
                 return Some(decode_tag(tag));
             }
         }
@@ -382,80 +389,62 @@ impl SetAssocCache {
             mask.count_in(self.geometry.ways) > 0,
             "insertion mask allows no ways"
         );
-        let set = self.set_of(block);
-        let tick = self.bump();
-        let range = self.slot_range(set);
-        let insert_rrpv: u64 = match self.policy {
-            ReplacementPolicy::Lru => 0,
-            ReplacementPolicy::Srrip => 2,
-        };
+        let base = self.set_of(block) * self.geometry.ways;
+        let ways = self.geometry.ways;
 
         // First pass over the packed tags only: a residency hit (checked in
         // *every* way, masked or not) and the first free allowed way. The
-        // stamps are not touched unless the set turns out to be full.
-        let mut free_idx = None;
-        for (w, idx) in range.clone().enumerate() {
-            let tag = self.tags[idx];
+        // ranks are not read unless the set turns out to be full.
+        let mut free_way = None;
+        for way in 0..ways {
+            let tag = self.tags[base + way];
             if tag_matches(tag, block) {
                 // Hit: update in place regardless of mask (dirty OR-ed,
                 // origin overwritten).
-                self.tags[idx] = encode_tag(block, dirty || tag & TAG_DIRTY != 0, origin);
-                self.stamps[idx] = tick << STAMP_RRPV_BITS; // rrpv -> 0
+                self.tags[base + way] = encode_tag(block, dirty || tag & TAG_DIRTY != 0, origin);
+                self.touch(base, way, false);
                 return None;
             }
-            if tag & TAG_PRESENT == 0 && free_idx.is_none() && mask.allows(w) {
-                free_idx = Some(idx);
+            if tag & TAG_PRESENT == 0 && free_way.is_none() && mask.allows(way) {
+                free_way = Some(way);
             }
         }
 
-        if let Some(idx) = free_idx {
-            self.tags[idx] = encode_tag(block, dirty, origin);
-            self.stamps[idx] = tick << STAMP_RRPV_BITS | insert_rrpv;
+        if let Some(way) = free_way {
+            self.tags[base + way] = encode_tag(block, dirty, origin);
+            self.touch(base, way, true);
             self.resident += 1;
             return None;
         }
 
         // Set full within the mask: evict per the replacement policy. Every
         // allowed way is occupied here (the free scan covered them all), and
-        // occupied ways carry unique ticks, so comparing the combined
-        // `tick << 2 | rrpv` stamps picks the same victim (with the same
-        // first-way tie-break) as comparing ticks alone.
-        let victim_idx = match self.policy {
-            ReplacementPolicy::Lru => {
-                let mut lru_idx = None;
-                let mut lru_min = u64::MAX;
-                for (w, idx) in range.clone().enumerate() {
-                    if mask.allows(w) && self.stamps[idx] < lru_min {
-                        lru_min = self.stamps[idx];
-                        lru_idx = Some(idx);
-                    }
-                }
-                lru_idx.expect("mask allows at least one way")
-            }
+        // each was touched when its line was installed.
+        let row = &mut self.ranks[base..base + ways];
+        let allowed = (0..ways).filter(|&w| mask.allows(w));
+        let victim = match self.policy {
+            // The LRU ranks form a permutation, so the maximum is unique.
+            ReplacementPolicy::Lru => allowed.max_by_key(|&w| row[w] ^ w as u8),
             ReplacementPolicy::Srrip => loop {
-                let distant = range
-                    .clone()
-                    .enumerate()
-                    .filter(|(w, _)| mask.allows(*w))
-                    .find(|(_, idx)| self.stamps[*idx] & STAMP_RRPV_MASK >= 3)
-                    .map(|(_, idx)| idx);
-                if let Some(idx) = distant {
-                    break idx;
+                if let Some(w) = allowed.clone().find(|&w| row[w] >= SRRIP_DISTANT) {
+                    break Some(w);
                 }
                 // No distant line yet: age every allowed way and rescan.
-                // Aging only runs when every allowed rrpv is <= 2, so the
-                // 2-bit field cannot overflow.
-                for (w, idx) in range.clone().enumerate() {
-                    if mask.allows(w) {
-                        self.stamps[idx] += 1;
-                    }
+                // Aging only runs when every allowed rrpv is below distant,
+                // so no byte passes it.
+                for w in allowed.clone() {
+                    row[w] += 1;
                 }
             },
-        };
-        let old = decode_tag(self.tags[victim_idx]);
-        debug_assert!(self.tags[victim_idx] & TAG_PRESENT != 0, "victim way was occupied");
-        self.tags[victim_idx] = encode_tag(block, dirty, origin);
-        self.stamps[victim_idx] = tick << STAMP_RRPV_BITS | insert_rrpv;
+        }
+        .expect("mask allows at least one way");
+        let old = decode_tag(self.tags[base + victim]);
+        debug_assert!(
+            self.tags[base + victim] & TAG_PRESENT != 0,
+            "victim way was occupied"
+        );
+        self.tags[base + victim] = encode_tag(block, dirty, origin);
+        self.touch(base, victim, true);
         Some(Evicted { line: old })
     }
 
@@ -533,17 +522,28 @@ fn fastmod(a: u64, m: u64, d: u64) -> u64 {
     ((m.wrapping_mul(a) as u128 * d as u128) >> 64) as u64
 }
 
+/// Moves `way` to rank 0 of an LRU rank row (`rank ^ way` per way), one
+/// rank down for every way that was more recent, in one branch-free pass.
+#[inline]
+fn promote(row: &mut [u8], way: usize) {
+    let old = row[way] ^ way as u8;
+    for (w, stored) in row.iter_mut().enumerate() {
+        let rank = *stored ^ w as u8;
+        *stored = (rank + u8::from(rank < old)) ^ w as u8;
+    }
+    row[way] = way as u8;
+}
+
 /// Prefetches every host cache line `row` spans into all cache levels.
 #[inline]
-fn prefetch_row(row: &[u64]) {
+fn prefetch_row<T>(row: &[T]) {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         const LINE: usize = 64;
         let start = row.as_ptr().cast::<i8>();
         // Step from the line holding the first byte to the one holding the
-        // last; the tables are only 8-byte aligned, so a row's offset
-        // within its first line varies.
+        // last; a row's offset within its first line varies.
         let misalign = start as usize % LINE;
         let mut offset = 0;
         while offset < misalign + std::mem::size_of_val(row) {
@@ -770,13 +770,22 @@ mod tests {
         assert_eq!(c.policy(), ReplacementPolicy::Srrip);
     }
 
+    /// One xorshift64 step: the tests' deterministic operation stream.
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
     #[test]
-    fn zeroed_stamps_pick_the_same_victims_as_stamps_of_three() {
-        // Caches used to start with every stamp at 3 (rrpv "distant"). Empty
-        // ways' stamps are never read, so starting from zero must evict
-        // exactly the same lines, including once a full set has been partly
-        // invalidated and refilled (the refilled ways get fresh stamps
-        // while their neighbours keep old ones).
+    fn any_initial_permutation_picks_the_same_victims() {
+        // Caches start with the identity permutation in every LRU row (and
+        // rrpv 0 in every SRRIP byte). Empty ways' bytes are never read, so
+        // any other starting permutation must evict exactly the same lines,
+        // including once a full set has been partly invalidated and refilled
+        // (the refilled ways move to the front while their neighbours keep
+        // older ranks).
         for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Srrip] {
             let geometry = CacheGeometry {
                 size_bytes: 8 * 4 * crate::BLOCK_BYTES,
@@ -784,8 +793,19 @@ mod tests {
                 latency: 1,
             };
             let mut zeroed = SetAssocCache::with_policy(geometry, policy);
-            let mut threes = SetAssocCache::with_policy(geometry, policy);
-            threes.stamps.fill(3);
+            let mut shuffled = SetAssocCache::with_policy(geometry, policy);
+            let mut x = 0x9E37_79B9_7F4A_7C15u64;
+            for row in shuffled.ranks.chunks_mut(4) {
+                // A random permutation of the ranks, stored `rank ^ way`.
+                let mut perm = [0u8, 1, 2, 3];
+                for i in (1..4).rev() {
+                    perm.swap(i, xorshift(&mut x) as usize % (i + 1));
+                }
+                for (w, byte) in row.iter_mut().enumerate() {
+                    *byte = perm[w] ^ w as u8;
+                }
+            }
+            assert_ne!(&zeroed.ranks[..], &shuffled.ranks[..]);
 
             let set = same_set_blocks(&zeroed, 12);
             let step = |c: &mut SetAssocCache, op: u64, b: BlockAddr| match op % 5 {
@@ -803,11 +823,8 @@ mod tests {
                 .map(|i| (0, set[i]))
                 .chain([(4, set[1]), (4, set[3])])
                 .chain((4..8).map(|i| (0, set[i])));
-            let mut x = 0x2545_F491_4F6C_DD1Du64;
             let random = (0..4000).map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
+                let x = xorshift(&mut x);
                 let b = if x.is_multiple_of(3) {
                     BlockAddr(x % 64)
                 } else {
@@ -815,14 +832,209 @@ mod tests {
                 };
                 (x >> 20, b)
             });
-            for (op, b) in scripted.chain(random) {
+            let ops: Vec<_> = scripted.chain(random).collect();
+            for (op, b) in ops {
                 assert_eq!(
                     step(&mut zeroed, op, b),
-                    step(&mut threes, op, b),
+                    step(&mut shuffled, op, b),
                     "{policy:?}"
                 );
             }
-            assert_eq!(&zeroed.tags[..], &threes.tags[..]);
+            assert_eq!(&zeroed.tags[..], &shuffled.tags[..]);
+        }
+    }
+
+    /// The replacement state as it was kept before rank bytes: a 64-bit
+    /// stamp per way, `tick << 2 | rrpv`, with a per-cache tick bumped by
+    /// every access and insertion. Only its observable behaviour matters:
+    /// the rank cache must return the same lines and evict the same victims.
+    struct StampCache {
+        ways: usize,
+        sets: u64,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        tick: u64,
+        resident: u64,
+        srrip: bool,
+    }
+
+    impl StampCache {
+        fn new(geometry: CacheGeometry, policy: ReplacementPolicy) -> Self {
+            let n = geometry.sets() * geometry.ways;
+            Self {
+                ways: geometry.ways,
+                sets: geometry.sets() as u64,
+                tags: vec![0; n],
+                stamps: vec![0; n],
+                tick: 0,
+                resident: 0,
+                srrip: policy == ReplacementPolicy::Srrip,
+            }
+        }
+
+        fn slots(&self, block: BlockAddr) -> std::ops::Range<usize> {
+            let set = ((block.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % self.sets) as usize;
+            set * self.ways..(set + 1) * self.ways
+        }
+
+        fn find(&self, block: BlockAddr) -> Option<usize> {
+            self.slots(block)
+                .find(|&i| tag_matches(self.tags[i], block))
+        }
+
+        fn peek(&self, block: BlockAddr) -> Option<Line> {
+            self.find(block).map(|i| decode_tag(self.tags[i]))
+        }
+
+        fn access(&mut self, block: BlockAddr, dirty: bool) -> Option<Line> {
+            self.tick += 1;
+            let i = self.find(block)?;
+            let old = self.tags[i];
+            if dirty {
+                self.tags[i] |= TAG_DIRTY;
+            }
+            self.stamps[i] = self.tick << 2;
+            Some(decode_tag(old))
+        }
+
+        fn mark_dirty(&mut self, block: BlockAddr) -> bool {
+            let hit = self.find(block);
+            if let Some(i) = hit {
+                self.tags[i] |= TAG_DIRTY;
+            }
+            hit.is_some()
+        }
+
+        fn invalidate(&mut self, block: BlockAddr) -> Option<Line> {
+            let i = self.find(block)?;
+            let old = self.tags[i];
+            self.tags[i] = 0;
+            self.resident -= 1;
+            Some(decode_tag(old))
+        }
+
+        fn flush_all(&mut self) {
+            self.tags.fill(0);
+            self.resident = 0;
+        }
+
+        fn insert(
+            &mut self,
+            block: BlockAddr,
+            dirty: bool,
+            origin: LineOrigin,
+            mask: WayMask,
+        ) -> Option<Evicted> {
+            self.tick += 1;
+            let tick = self.tick;
+            let insert_rrpv = if self.srrip { 2 } else { 0 };
+            let slots = self.slots(block);
+            if let Some(i) = self.find(block) {
+                let was_dirty = self.tags[i] & TAG_DIRTY != 0;
+                self.tags[i] = encode_tag(block, dirty || was_dirty, origin);
+                self.stamps[i] = tick << 2;
+                return None;
+            }
+            let allowed: Vec<usize> = slots
+                .clone()
+                .enumerate()
+                .filter(|&(w, _)| mask.allows(w))
+                .map(|(_, i)| i)
+                .collect();
+            if let Some(&i) = allowed.iter().find(|&&i| self.tags[i] & TAG_PRESENT == 0) {
+                self.tags[i] = encode_tag(block, dirty, origin);
+                self.stamps[i] = tick << 2 | insert_rrpv;
+                self.resident += 1;
+                return None;
+            }
+            let victim = if self.srrip {
+                loop {
+                    if let Some(&i) = allowed.iter().find(|&&i| self.stamps[i] & 3 >= 3) {
+                        break i;
+                    }
+                    for &i in &allowed {
+                        self.stamps[i] += 1;
+                    }
+                }
+            } else {
+                *allowed.iter().min_by_key(|&&i| self.stamps[i]).unwrap()
+            };
+            let old = decode_tag(self.tags[victim]);
+            self.tags[victim] = encode_tag(block, dirty, origin);
+            self.stamps[victim] = tick << 2 | insert_rrpv;
+            Some(Evicted { line: old })
+        }
+    }
+
+    #[test]
+    fn ranks_replace_stamps_exactly() {
+        // Random operation streams over a few hot sets, so sets fill,
+        // evict under every mask shape and get partly invalidated, run
+        // against the stamp model: every return value, every eviction and
+        // the final contents must agree.
+        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Srrip] {
+            for ways in [12, 20] {
+                let geometry = CacheGeometry {
+                    size_bytes: (8 * ways) as u64 * crate::BLOCK_BYTES,
+                    ways,
+                    latency: 1,
+                };
+                let mut ranked = SetAssocCache::with_policy(geometry, policy);
+                let mut stamped = StampCache::new(geometry, policy);
+                let w = ways as u32;
+                let masks = [
+                    WayMask::ALL,
+                    WayMask::first(2),
+                    WayMask::range(2, w / 2),
+                    WayMask::range(w / 2, w),
+                ];
+                // Two sets' worth of blocks (more than twice the ways each),
+                // plus a sprinkle of blocks from anywhere.
+                let hot: Vec<BlockAddr> = (0u64..)
+                    .map(BlockAddr)
+                    .filter(|&b| ranked.set_of(b) < 2)
+                    .take(5 * ways)
+                    .collect();
+                let mut x = 0x2545_F491_4F6C_DD1D ^ (ways as u64) << 7;
+                for n in 0..40_000 {
+                    let r = xorshift(&mut x);
+                    let b = if r.is_multiple_of(7) {
+                        BlockAddr(r >> 40)
+                    } else {
+                        hot[(r >> 8) as usize % hot.len()]
+                    };
+                    let dirty = r >> 3 & 1 == 1;
+                    let ctx = format!("{policy:?} {ways}-way op {n}");
+                    match r >> 32 & 15 {
+                        0..=3 => {
+                            let mask = masks[(r >> 40) as usize % masks.len()];
+                            let origin = if mask == WayMask::ALL {
+                                LineOrigin::Cpu
+                            } else {
+                                LineOrigin::Nic
+                            };
+                            assert_eq!(
+                                ranked.insert(b, dirty, origin, mask),
+                                stamped.insert(b, dirty, origin, mask),
+                                "{ctx}"
+                            );
+                        }
+                        4..=7 => {
+                            assert_eq!(ranked.access(b, dirty), stamped.access(b, dirty), "{ctx}")
+                        }
+                        8..=9 => assert_eq!(ranked.lookup(b), stamped.access(b, false), "{ctx}"),
+                        10..=11 => assert_eq!(ranked.invalidate(b), stamped.invalidate(b), "{ctx}"),
+                        12 => assert_eq!(ranked.mark_dirty(b), stamped.mark_dirty(b), "{ctx}"),
+                        13 if n % 5000 == 0 => {
+                            ranked.flush_all();
+                            stamped.flush_all();
+                        }
+                        _ => assert_eq!(ranked.peek(b), stamped.peek(b), "{ctx}"),
+                    }
+                    assert_eq!(ranked.resident_lines(), stamped.resident, "{ctx}");
+                }
+                assert_eq!(&ranked.tags[..], &stamped.tags[..], "{policy:?} {ways}-way");
+            }
         }
     }
 

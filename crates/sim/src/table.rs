@@ -1,15 +1,16 @@
 //! Zero-initialised, fixed-length metadata tables.
 //!
-//! The cache tag/stamp arrays and the coherence directory (about 33 MiB on
+//! The cache tag/rank arrays and the coherence directory (about 25 MiB on
 //! the paper machine) are probed at hash-randomised indices, so two host
 //! effects dominate
 //! their cost: page-table walks on every probe, and the work of writing an
 //! initial pattern into memory the run may never touch. [`ZeroTable`] avoids
 //! both. Its element types are ones whose all-zero bytes are a valid (empty)
-//! value, so a table needs no initialisation pass: large tables come straight
-//! from the kernel's zero pages and are only backed on first touch, and on
-//! Linux they are aligned to and advised for transparent huge pages, so one
-//! TLB entry covers 2 MiB of metadata instead of 4 KiB.
+//! value, so a table needs no initialisation pass: on Linux, tables of 64 KiB
+//! or more come straight from the kernel's zero pages and are only backed on
+//! first touch, whatever memory the allocator has recycled, and tables of
+//! 2 MiB or more are also aligned to and advised for transparent huge pages,
+//! so one TLB entry covers 2 MiB of metadata instead of 4 KiB.
 //!
 //! Huge pages are a hint. With THP set to `never`, or when the kernel has no
 //! free huge page, the table silently uses 4 KiB pages and only runs slower;
@@ -32,8 +33,16 @@ pub(crate) unsafe trait Zeroable: Copy + 'static {}
 // SAFETY: an all-zero `u64` is the valid value 0.
 unsafe impl Zeroable for u64 {}
 
-/// Tables of at least this many bytes get a mapping of their own, aligned to
-/// and advised for 2 MiB transparent huge pages.
+// SAFETY: an all-zero `u8` is the valid value 0.
+unsafe impl Zeroable for u8 {}
+
+/// Tables of at least this many bytes get a mapping of their own, so they
+/// start as untouched zero pages. Smaller ones come from `alloc_zeroed`,
+/// which may have to clear recycled heap memory.
+const MAPPED: usize = 64 << 10;
+
+/// Mapped tables of at least this many bytes are aligned to and advised for
+/// 2 MiB transparent huge pages.
 const HUGE_PAGE: usize = 2 << 20;
 
 /// A heap table of `len` `T`s that starts all-zero, with a fixed length.
@@ -49,7 +58,7 @@ enum Backing {
     /// `alloc_zeroed` with this layout.
     Heap(Layout),
     /// A private anonymous mapping starting at `base` of `len` bytes, which
-    /// contains the (2 MiB-aligned) table.
+    /// contains the table (2 MiB-aligned if it is at least `HUGE_PAGE`).
     Mapped { base: *mut u8, len: usize },
 }
 
@@ -63,8 +72,8 @@ impl<T: Zeroable> ZeroTable<T> {
     pub(crate) fn new(len: usize) -> Self {
         let layout = Layout::array::<T>(len).expect("table size overflows isize");
         assert!(layout.size() > 0, "a table needs at least one byte");
-        if layout.size() >= HUGE_PAGE {
-            if let Some((ptr, base, map_len)) = huge::map(layout) {
+        if layout.size() >= MAPPED {
+            if let Some((ptr, base, map_len)) = mapping::map(layout) {
                 return Self {
                     ptr: ptr.cast(),
                     len,
@@ -83,8 +92,8 @@ impl<T: Zeroable> ZeroTable<T> {
         }
     }
 
-    /// Whether the table lives in a huge-page-advised mapping of its own
-    /// (tables of 2 MiB or more on Linux).
+    /// Whether the table lives in a mapping of its own (tables of 64 KiB or
+    /// more on Linux).
     #[cfg(test)]
     fn is_mapped(&self) -> bool {
         matches!(self.backing, Backing::Mapped { .. })
@@ -131,7 +140,7 @@ impl<T: Zeroable> Drop for ZeroTable<T> {
             // SAFETY: `ptr` came from `alloc_zeroed(layout)` and is freed
             // only here.
             Backing::Heap(layout) => unsafe { alloc::dealloc(self.ptr.as_ptr().cast(), layout) },
-            Backing::Mapped { base, len } => huge::unmap(base, len),
+            Backing::Mapped { base, len } => mapping::unmap(base, len),
         }
     }
 }
@@ -150,7 +159,7 @@ unsafe impl<T: Zeroable + Sync> Sync for ZeroTable<T> {}
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
-mod huge {
+mod mapping {
     use std::alloc::Layout;
     use std::ffi::{c_int, c_long, c_void};
     use std::ptr::NonNull;
@@ -179,18 +188,23 @@ mod huge {
     #[cfg(test)]
     pub(super) const SUPPORTED: bool = true;
 
-    /// Maps zero-filled memory for `layout` with its start on a 2 MiB
-    /// boundary, advised for huge pages. Returns the table pointer and the
-    /// whole mapping (`base`, `len`) to unmap later, or `None` if the
-    /// kernel refused the mapping.
+    /// Maps zero-filled memory for `layout`; a table of at least
+    /// `HUGE_PAGE` starts on a 2 MiB boundary and is advised for huge pages.
+    /// Returns the table pointer and the whole mapping (`base`, `len`) to
+    /// unmap later, or `None` if the kernel refused the mapping.
     pub(super) fn map(layout: Layout) -> Option<(NonNull<u8>, *mut u8, usize)> {
-        debug_assert!(layout.align() <= HUGE_PAGE);
-        // Round the table up to whole huge pages, so its last partial page
-        // can be huge too, plus one huge page of slack to slide its start
-        // onto a 2 MiB boundary. The slack is never touched, so it costs
-        // address space only.
+        debug_assert!(layout.align() <= 4096, "mappings are page-aligned");
+        let huge = layout.size() >= HUGE_PAGE;
+        // Round a huge table up to whole huge pages, so its last partial
+        // page can be huge too, plus one huge page of slack to slide its
+        // start onto a 2 MiB boundary. The slack is never touched, so it
+        // costs address space only.
         let span = layout.size().div_ceil(HUGE_PAGE) * HUGE_PAGE;
-        let len = span + HUGE_PAGE;
+        let len = if huge {
+            span + HUGE_PAGE
+        } else {
+            layout.size()
+        };
         // SAFETY: a fresh private anonymous mapping aliases no Rust object;
         // the kernel zero-fills it on first touch.
         let base = unsafe {
@@ -207,6 +221,9 @@ mod huge {
             return None;
         }
         let base = base.cast::<u8>();
+        if !huge {
+            return NonNull::new(base).map(|ptr| (ptr, base, len));
+        }
         let offset = (base as usize).next_multiple_of(HUGE_PAGE) - base as usize;
         let start = base.wrapping_add(offset);
         // SAFETY: `start..start + span` lies inside the mapping, since
@@ -232,7 +249,7 @@ mod huge {
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
-mod huge {
+mod mapping {
     use std::alloc::Layout;
     use std::ptr::NonNull;
 
@@ -257,10 +274,14 @@ mod tests {
         let small = ZeroTable::<u64>::new(1000);
         assert!(!small.is_mapped());
         assert!(small.iter().all(|&x| x == 0));
+        // 160 KiB, one paper-machine L2 tag table: mapped, not huge.
+        let mid = ZeroTable::<u64>::new(20 << 10);
+        assert_eq!(mid.is_mapped(), mapping::SUPPORTED);
+        assert!(mid.iter().all(|&x| x == 0));
         // 3 MiB: past the mapping threshold and not a whole number of huge
         // pages.
         let big = ZeroTable::<u64>::new((3 << 20) / 8);
-        assert_eq!(big.is_mapped(), huge::SUPPORTED);
+        assert_eq!(big.is_mapped(), mapping::SUPPORTED);
         assert_eq!(big.len(), (3 << 20) / 8);
         assert!(big.iter().all(|&x| x == 0));
         if big.is_mapped() {
@@ -274,7 +295,7 @@ mod tests {
 
     #[test]
     fn clone_is_deep_on_both_paths() {
-        for len in [16, HUGE_PAGE / 8] {
+        for len in [16, MAPPED / 8, HUGE_PAGE / 8] {
             let mut a = ZeroTable::<u64>::new(len);
             a[0] = 1;
             a[len - 1] = 2;
@@ -306,7 +327,13 @@ mod tests {
         // round (768 MiB in all), far beyond what concurrent tests allocate.
         let before = vm_size_kib();
         for _ in 0..64 {
-            for len in [1, 4096, HUGE_PAGE / 8, 5 * HUGE_PAGE / 8 + 3] {
+            for len in [
+                1,
+                4096,
+                MAPPED / 8 + 1,
+                HUGE_PAGE / 8,
+                5 * HUGE_PAGE / 8 + 3,
+            ] {
                 let mut t = ZeroTable::<u64>::new(len);
                 t[len - 1] = u64::MAX;
                 assert_eq!(t.len(), len);

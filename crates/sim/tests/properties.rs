@@ -11,6 +11,7 @@ use sweeper_sim::cache::{CacheGeometry, LineOrigin, SetAssocCache, WayMask};
 use sweeper_sim::coherence::{Directory, ReferenceDirectory};
 use sweeper_sim::dram::{Dram, DramConfig, DramOp};
 use sweeper_sim::stats::Histogram;
+use sweeper_sim::BLOCK_BYTES;
 
 fn small_cache() -> SetAssocCache {
     SetAssocCache::new(CacheGeometry {
@@ -251,6 +252,56 @@ proptest! {
             }
         }
         prop_assert_eq!(map.classify(Addr(0)), RegionKind::Other);
+    }
+
+    /// Constant-time classification answers exactly what a binary search
+    /// over the allocated regions does: for tiny regions packed many to a
+    /// 64 KiB index chunk, regions spanning chunks, and addresses below the
+    /// allocation base, on every region boundary, at the allocation
+    /// frontier and beyond it.
+    #[test]
+    fn address_map_classification_equals_binary_search(
+        sizes in vec(prop_oneof![1u64..300, 1u64..300_000], 1..300),
+        probes in vec(any::<u64>(), 1..400),
+    ) {
+        use std::cmp::Ordering;
+        let mut map = AddressMap::new();
+        let mut regions = Vec::new(); // (start, end, kind)
+        for (i, &len) in sizes.iter().enumerate() {
+            let kind = match i % 4 {
+                0 => RegionKind::Rx { core: (i % 5) as u16 },
+                1 => RegionKind::Tx { core: (i % 5) as u16 },
+                2 => RegionKind::App,
+                _ => RegionKind::Rx { core: 7 },
+            };
+            let start = map.alloc(len, kind).0;
+            regions.push((start, start + len.div_ceil(BLOCK_BYTES) * BLOCK_BYTES, kind));
+        }
+        let binary_search = |a: u64| {
+            let found = regions.binary_search_by(|&(start, end, _)| {
+                if a < start {
+                    Ordering::Greater
+                } else if a >= end {
+                    Ordering::Less
+                } else {
+                    Ordering::Equal
+                }
+            });
+            found.map_or(RegionKind::Other, |i| regions[i].2)
+        };
+        let base = regions[0].0;
+        let next = regions[regions.len() - 1].1;
+        prop_assert_eq!(next - base, map.allocated_bytes());
+        let boundaries = regions.iter().flat_map(|&(start, end, _)| [start, end - 1, end]);
+        let edges = [0, 1, base - 1, next, next + 1, next + (1 << 16), u64::MAX];
+        let random = probes.iter().map(|&r| match r % 3 {
+            0 => (r >> 2) % base,
+            1 => base + (r >> 2) % (next - base + (1 << 17)),
+            _ => r,
+        });
+        for a in boundaries.chain(edges).chain(random) {
+            prop_assert_eq!(map.classify(Addr(a)), binary_search(a), "address {:#x}", a);
+        }
     }
 
     /// DRAM: completion latency is always at least the burst length, reads

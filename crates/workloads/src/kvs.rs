@@ -18,6 +18,9 @@
 //! so hot items exhibit MICA's real locality: their latest value is the most
 //! recently written log block.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use sweeper_core::workload::{CoreEnv, TxAction, Workload};
 use sweeper_nic::packet::Packet;
 use sweeper_sim::addr::{Addr, RegionKind};
@@ -103,13 +106,35 @@ pub struct MicaKvs {
     partition_bytes: u64,
     /// Per-core append offsets within their partitions.
     log_heads: Vec<u64>,
-    /// Log address of each item a SET has moved (index 0 unused; ranks are
-    /// 1-based). 0 means the item is still at its populated address,
-    /// [`MicaKvs::initial_addr`], so the table starts zeroed and set-up
-    /// writes none of it.
-    moved: Vec<u64>,
+    /// Log address of each item a SET has moved, keyed by item. An item
+    /// with no entry is still at its populated address,
+    /// [`MicaKvs::initial_addr`], so set-up only clears the map and it
+    /// holds no more entries than there are distinct keys SET.
+    moved: HashMap<u64, u64, BuildHasherDefault<KeyHasher>>,
     zipf: Zipf,
     stats: KvsStats,
+}
+
+/// Hashes an item key with one Fibonacci multiply: keys are already
+/// uniform-ish integers, and a fixed function keeps the map deterministic
+/// and cheaper than the default SipHash.
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (self.0 ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
 /// Operation counters.
@@ -144,7 +169,7 @@ impl MicaKvs {
             log_base: Addr(0),
             partition_bytes,
             log_heads: vec![0; cfg.cores as usize],
-            moved: Vec::new(),
+            moved: HashMap::default(),
             stats: KvsStats::default(),
             cfg,
         }
@@ -180,18 +205,15 @@ impl MicaKvs {
         let head = &mut self.log_heads[core as usize];
         let addr = self.log_base.offset(part_base + *head);
         *head = (*head + slot) % self.partition_bytes;
-        // The log follows the non-empty bucket index, so no log address is
-        // the table's "not moved" 0.
-        debug_assert!(addr.0 != 0);
-        self.moved[key as usize] = addr.0;
+        self.moved.insert(key, addr.0);
         addr
     }
 
     /// Current log address of `key`.
     fn item_addr(&self, key: u64) -> Addr {
-        match self.moved[key as usize] {
-            0 => self.initial_addr(key),
-            a => Addr(a),
+        match self.moved.get(&key) {
+            Some(&a) => Addr(a),
+            None => self.initial_addr(key),
         }
     }
 
@@ -224,7 +246,7 @@ impl Workload for MicaKvs {
         // partitions round-robin, as if loaded before the measurement. The
         // locations are `initial_addr`'s closed form; each core's head ends
         // one slot past its last key's.
-        self.moved = vec![0; self.cfg.items as usize + 1];
+        self.moved.clear();
         let (items, cores) = (self.cfg.items, self.cfg.cores as u64);
         let slot = Self::slot_bytes(&self.cfg);
         for (core, head) in (0..cores).zip(&mut self.log_heads) {
@@ -266,6 +288,7 @@ impl Workload for MicaKvs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sweeper_core::workload::Op;
     use sweeper_nic::packet::PacketId;
     use sweeper_sim::engine::SimRng;
     use sweeper_sim::hierarchy::MachineConfig;
@@ -426,6 +449,60 @@ mod tests {
         assert_eq!(kvs.item_addr(5), new);
         let part_base = kvs.log_base.0 + kvs.partition_bytes;
         assert!(new.0 >= part_base && new.0 < part_base + kvs.partition_bytes);
+    }
+
+    #[test]
+    fn get_reads_the_address_a_set_appended_until_the_next_setup() {
+        // One item, so every request names key 1; half GETs.
+        let cfg = KvsConfig {
+            items: 1,
+            get_ratio: 0.5,
+            ..KvsConfig::small_for_tests()
+        };
+        let mut mem = MemorySystem::new(MachineConfig::tiny_for_tests());
+        let mut kvs = MicaKvs::new(cfg);
+        let mut rng = SimRng::seeded(3);
+        // GETs that read a SET's address, and GETs in a round with no SET
+        // yet after an earlier round's SET moved the key.
+        let (mut moved_gets, mut forgotten_gets) = (0, 0);
+        let mut ever_moved = false;
+        for _ in 0..8 {
+            kvs.setup(&mut mem);
+            let pkt = rx_packet(&mut mem, 1024);
+            let mut expected = kvs.initial_addr(1);
+            let mut moved = false;
+            for _ in 0..8 {
+                let gets = kvs.stats().gets;
+                let mut env = CoreEnv::new(1, &mut rng);
+                kvs.handle_packet(&pkt, &mut env);
+                if kvs.stats().gets > gets {
+                    // Header, bucket, then the item.
+                    let mut reads = env.ops().iter().filter_map(|op| match op {
+                        Op::Read { addr, .. } => Some(*addr),
+                        _ => None,
+                    });
+                    assert_eq!(reads.nth(2), Some(expected), "moved: {moved}");
+                    if moved {
+                        moved_gets += 1;
+                    } else if ever_moved {
+                        forgotten_gets += 1;
+                    }
+                } else {
+                    // The value goes to the log head, then the bucket.
+                    let appended = env.ops().iter().find_map(|op| match op {
+                        Op::Write { addr, .. } => Some(*addr),
+                        _ => None,
+                    });
+                    let appended = appended.expect("a SET writes");
+                    assert_ne!(appended, expected, "a SET appends at core 1's log head");
+                    (expected, moved, ever_moved) = (appended, true, true);
+                }
+            }
+        }
+        assert!(
+            moved_gets > 0 && forgotten_gets > 0,
+            "{moved_gets} {forgotten_gets}"
+        );
     }
 
     #[test]

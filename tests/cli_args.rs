@@ -121,6 +121,21 @@ fn out_of_range_configs_are_usage_errors() {
 }
 
 #[test]
+fn cores_are_checked_against_the_paper_machine() {
+    // The scenario accepts exactly the cores the paper machine has, so a
+    // count past it gets the same flag error as any other range.
+    for command in ["run", "peak", "sweep"] {
+        let args = [command, "--cores", "30"];
+        assert_usage_error(&args);
+        let (_, stderr) = run(&args);
+        assert!(
+            stderr.contains("--cores") && stderr.contains("[1, 24]"),
+            "{args:?} should name the flag and its range, got: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn perf_rejects_malformed_command_lines() {
     assert_usage_error(&["perf", "--no-such-flag"]);
     assert_usage_error(&["perf", "--profile", "warp-speed"]);
