@@ -20,10 +20,10 @@
 //!   tables print to stdout; the on-disk artifacts are written regardless,
 //! * **timing** — per-point wall time on stderr and per-figure totals.
 //!
-//! [`perf`] holds the simulator-throughput benchmark behind `sweeper perf`.
+//! The simulator's own host speed is measured outside this crate, by the
+//! `hostbench/` package.
 
 pub mod figs;
-pub mod perf;
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -374,6 +374,24 @@ mod tests {
         assert_eq!(exp.config().server_config().rx_entries, 64);
         assert_eq!(exp.config().server_config().seed, 3);
         assert!(exp.config().rx_footprint_bytes() > 0);
+    }
+
+    #[test]
+    fn scenario_experiments_run_each_workload() {
+        let s = Scenario::parse("workload = synthetic\ncores = 2\nbuffers = 16\npacket = 512\n")
+            .unwrap();
+        let report = figure_experiment(RunProfile::Smoke, &s).run_at_rate(1.0e6);
+        assert_eq!(report.workload, "synthetic");
+        assert!(report.completed >= 2_000);
+        // KVS items fill the packet after the request header.
+        let s = Scenario::parse("workload = kvs\npacket = 576\ncores = 2\nbuffers = 16\n").unwrap();
+        let cfg = s.to_config().run_options(figure_run_options(RunProfile::Smoke, &s));
+        let kvs = KvsConfig::paper_default().with_item_bytes(576 - HEADER_BYTES);
+        let by_hand = Experiment::new(cfg.clone(), move || MicaKvs::new(kvs)).run_at_rate(1.0e6);
+        let report = scenario_experiment(cfg, &s).run_at_rate(1.0e6);
+        assert_eq!(report.workload, "mica-kvs");
+        assert!(report.completed >= 2_000);
+        assert_eq!(report.mem.block_accesses, by_hand.mem.block_accesses);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! runner, and the CLI.
 //!
 //! * [`RunProfile::Full`] — paper-fidelity run lengths (default),
-//! * [`RunProfile::Fast`] — quartered measurement windows for CI smokes
-//!   and the `sweeper perf` throughput benchmark,
+//! * [`RunProfile::Fast`] — quartered measurement windows for CI smokes,
 //! * [`RunProfile::Smoke`] — minimal windows that only prove the plumbing;
 //!   used to size long-running tests so `cargo test -q` stays quick.
 

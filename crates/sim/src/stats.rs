@@ -187,9 +187,10 @@ pub struct MemStats {
     /// per-tenant bandwidth attribution used in collocation studies.
     pub dram_reads_by_core: Vec<u64>,
     /// Simulated block-granularity memory operations processed (CPU block
-    /// accesses, NIC block reads/writes, sweeps, flushes). The denominator
-    /// of the simulator's own *host* throughput metric (`BENCH_sim.json`:
-    /// simulated accesses per wall-clock second).
+    /// accesses, NIC block reads/writes, sweeps, flushes). The numerator
+    /// of the simulator's own *host* throughput metric (hostbench's
+    /// `sim_accesses_per_ref`: simulated accesses per reference unit of
+    /// host time).
     pub block_accesses: u64,
 }
 

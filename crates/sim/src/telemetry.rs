@@ -2,7 +2,7 @@
 //! with correct JSON and CSV writers.
 //!
 //! Every machine-readable artifact the workspace produces — run reports,
-//! figure tables, load sweeps, perf-trajectory files, memory traces,
+//! figure tables, load sweeps, hostbench results, memory traces,
 //! time-series samples — serializes through this one layer, so external
 //! tools parse exactly one JSON shape and one CSV dialect.
 //!

@@ -14,8 +14,7 @@
 //! * [`spiky`] — the §VI-F microbenchmark decorator that adds random
 //!   [1, 100] µs processing delays to induce queue-buildup spikes,
 //! * [`synthetic`] — a configurable compute/read/write request mix for
-//!   calibration and for standing in for unavailable applications,
-//! * [`runner`] — turn-key experiments from `key = value` scenario files.
+//!   calibration and for standing in for unavailable applications.
 //!
 //! Each workload issues the same *memory reference pattern* per request as
 //! the original application (buffer reads, index probes, log appends, table
@@ -23,7 +22,6 @@
 
 pub mod dist;
 pub mod kvs;
-pub mod runner;
 pub mod l3fwd;
 pub mod spiky;
 pub mod synthetic;

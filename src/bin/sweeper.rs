@@ -13,7 +13,6 @@
 //! sweeper figures
 //! sweeper figure fig5 --jobs 8 --profile fast --seed 7
 //! sweeper figure all  --jobs 8
-//! sweeper perf    --json BENCH_sim.json
 //! sweeper info
 //! ```
 //!
@@ -25,7 +24,7 @@
 
 use std::process::ExitCode;
 
-use sweeper::bench::{perf, run_figure, scenario_experiment, FigContext};
+use sweeper::bench::{run_figure, scenario_experiment, FigContext};
 use sweeper::core::experiment::{Experiment, PeakCriteria};
 use sweeper::core::fleet::Fleet;
 use sweeper::core::loadsweep::{LoadSweep, RateGrid};
@@ -40,7 +39,7 @@ use sweeper::core::telemetry::{
 use sweeper::sim::check::{CheckConfig, ViolationKind};
 use sweeper::sim::hierarchy::MachineConfig;
 
-const USAGE: &str = "usage: sweeper <run|peak|sweep|trace|check|figures|figure <NAME>|perf|info|help> [flags] — see `sweeper help`";
+const USAGE: &str = "usage: sweeper <run|peak|sweep|trace|check|figures|figure <NAME>|info|help> [flags] — see `sweeper help`";
 
 const HELP: &str = "\
 sweeper — DDIO network-data-leak simulator (MICRO'22 'Sweeper' reproduction)
@@ -60,9 +59,6 @@ COMMANDS:
     check [NAME]   run every registered figure configuration (or just NAME)
              through the correctness harness and report pass/fail per
              invariant; nonzero exit on any violation
-    perf     measure simulator throughput (simulated block accesses per
-             host second) on a fixed KVS point; --json writes the
-             BENCH_sim.json record, --check gates against one
     info     print the simulated machine (Table I)
     help     show this text
 
@@ -85,7 +81,7 @@ POINT FLAGS — each sets one key of the run's scenario (key in parentheses):
     --scenario <FILE>                  load a key=value scenario file first;
                                        point flags override its values
     `figure` and `check` take only --seed (every figure point runs with
-    it); `figures`, `perf` and `info` take no point flag.
+    it); `figures` and `info` take no point flag.
 
 OTHER FLAGS (all optional):
     --requests <N>                     measured requests, >= 1  [20000]
@@ -93,8 +89,7 @@ OTHER FLAGS (all optional):
                                                                 [2..60, 8]
     --jobs <N>                         worker threads for sweep/figure/check
                                        [all cores]
-    --profile <full|fast|smoke>        figure/check run lengths
-                                       [full; perf: fast]
+    --profile <full|fast|smoke>        figure/check run lengths   [full]
     --format <text|json|csv>           output format for run/peak/sweep
                                        (figure: stdout table format) [text]
     --timeseries <PATH>                sample the run and write the time
@@ -128,10 +123,6 @@ OTHER FLAGS (all optional):
                                        go to stderr and fail the exit code
     --walk-every <REQUESTS>            completed requests between invariant
                                        walks in checked mode      [1024]
-    --json <PATH>                      perf: write the BENCH_sim.json record
-    --check <PATH>                     perf: re-measure under PATH's profile
-                                       and fail on a regression
-    --max-regress <PCT>                perf --check tolerance       [20]
 
 JSON and CSV exports carry a run manifest (tool version, config summary,
 workload, seed, wall time; run/peak/sweep/trace add the canonical scenario
@@ -169,7 +160,7 @@ fn check_point_flag(command: &str, flag: &str) -> Result<(), String> {
         "figure" | "check" if flag != "--seed" => Err(format!(
             "`{command}` does not take {flag}: figure points are fixed; only --seed applies"
         )),
-        "figures" | "perf" | "info" => Err(format!("`{command}` does not take {flag}")),
+        "figures" | "info" => Err(format!("`{command}` does not take {flag}")),
         _ => Ok(()),
     }
 }
@@ -199,11 +190,6 @@ struct Cli {
     flight_quantile: Option<f64>,
     outliers: String,
     events: usize,
-    /// `perf --json <PATH>`.
-    json: Option<String>,
-    /// `perf --check <PATH>`: the baseline to gate against.
-    baseline: Option<String>,
-    max_regress: f64,
 }
 
 impl Default for Cli {
@@ -230,9 +216,6 @@ impl Default for Cli {
             flight_quantile: None,
             outliers: "results/outliers".into(),
             events: 65_536,
-            json: None,
-            baseline: None,
-            max_regress: 20.0,
         }
     }
 }
@@ -299,9 +282,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             "--flight-quantile" => cli.flight_quantile = Some(num(flag, &value()?)?),
             "--outliers" => cli.outliers = value()?,
             "--events" => cli.events = num(flag, &value()?)?,
-            "--json" => cli.json = Some(value()?),
-            "--check" => cli.baseline = Some(value()?),
-            "--max-regress" => cli.max_regress = num(flag, &value()?)?,
             other => return Err(format!("unknown flag '{other}' (see `sweeper help`)")),
         }
     }
@@ -507,57 +487,6 @@ fn fig_context(cli: &Cli) -> FigContext {
         fleet: cli.jobs.map(Fleet::new).unwrap_or_default(),
         format: cli.format,
     }
-}
-
-/// `sweeper perf`: measure the simulator-throughput benchmark and print
-/// (and with `--json`, write) its record, or with `--check` re-measure
-/// under a committed baseline's profile and fail on a regression beyond
-/// `--max-regress` percent.
-fn run_perf(cli: &Cli) -> ExitCode {
-    if let Some(path) = &cli.baseline {
-        let baseline = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read baseline {path}: {e}"))
-            .and_then(|text| perf::baseline(&text).map_err(|e| format!("baseline {path}: {e}")));
-        let (base_rate, base_profile) = match baseline {
-            Ok(b) => b,
-            Err(e) => return usage_error(&e),
-        };
-        let m = perf::measure(base_profile);
-        let delta = (m.accesses_per_sec / base_rate - 1.0) * 100.0;
-        println!(
-            "perf check [{}]: {:.2} M accesses/s vs baseline {:.2} M ({:+.1}%)",
-            base_profile,
-            m.accesses_per_sec / 1e6,
-            base_rate / 1e6,
-            delta
-        );
-        if delta < -cli.max_regress {
-            eprintln!(
-                "FAIL: simulator throughput regressed more than {}%",
-                cli.max_regress
-            );
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
-    let m = perf::measure(cli.profile.unwrap_or(RunProfile::Fast));
-    println!(
-        "fig1_kvs_e2e [{}]: {} simulated accesses in {:.2}s = {:.2} M accesses/s ({} requests)",
-        m.profile,
-        m.accesses,
-        m.wall_secs,
-        m.accesses_per_sec / 1e6,
-        m.completed
-    );
-    if let Some(path) = &cli.json {
-        let json = format!("{}\n", m.to_record().to_json_pretty());
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-    ExitCode::SUCCESS
 }
 
 /// Argument and configuration errors are usage errors: one line, a pointer
@@ -777,7 +706,6 @@ fn main() -> ExitCode {
                 Err(e) => usage_error(&e),
             }
         }
-        "perf" => run_perf(&cli),
         "check" => {
             let ctx = fig_context(&cli);
             let figures: Vec<&'static dyn sweeper::bench::figs::Figure> =

@@ -136,20 +136,11 @@ fn cores_are_checked_against_the_paper_machine() {
 }
 
 #[test]
-fn perf_rejects_malformed_command_lines() {
-    assert_usage_error(&["perf", "--no-such-flag"]);
-    assert_usage_error(&["perf", "--profile", "warp-speed"]);
-    assert_usage_error(&["perf", "--json"]);
-    assert_usage_error(&["perf", "--check", "/nonexistent/baseline.json"]);
-}
-
-#[test]
-fn perf_reports_an_unwritable_json_path() {
-    let args = ["perf", "--profile", "smoke", "--json", "/nonexistent/dir/x.json"];
-    let (status, stderr) = run(&args);
-    assert_eq!(status.code(), Some(1), "stderr: {stderr}");
-    assert_one_error_line(&args, &stderr);
-    assert!(stderr.contains("error: cannot write"), "got: {stderr}");
+fn perf_is_an_unknown_command() {
+    let (status, stderr) = run(&["perf"]);
+    assert_eq!(status.code(), Some(2), "stderr: {stderr}");
+    assert_one_error_line(&["perf"], &stderr);
+    assert!(stderr.contains("error: unknown command 'perf'"), "got: {stderr}");
 }
 
 #[test]
@@ -191,7 +182,7 @@ fn point_flags_are_rejected_where_points_are_fixed() {
             assert_usage_error(&[command, flag].concat());
         }
     }
-    for command in ["figures", "perf", "info"] {
+    for command in ["figures", "info"] {
         for flag in [&["--ddio", "7"][..], &["--seed", "3"], &["--zero-copy"]] {
             assert_usage_error(&[&[command][..], flag].concat());
         }
