@@ -136,11 +136,27 @@ fn cores_are_checked_against_the_paper_machine() {
 }
 
 #[test]
-fn perf_is_an_unknown_command() {
-    let (status, stderr) = run(&["perf"]);
-    assert_eq!(status.code(), Some(2), "stderr: {stderr}");
-    assert_one_error_line(&["perf"], &stderr);
+fn perf_rejects_malformed_command_lines() {
+    // Host speed is measured by hostbench, so `perf` is no longer a command
+    // and every command line that once ran it is a usage error.
+    assert_usage_error(&["perf"]);
+    let (_, stderr) = run(&["perf"]);
     assert!(stderr.contains("error: unknown command 'perf'"), "got: {stderr}");
+    assert_usage_error(&["perf", "--no-such-flag"]);
+    assert_usage_error(&["perf", "--profile", "warp-speed"]);
+    assert_usage_error(&["perf", "--json"]);
+    assert_usage_error(&["perf", "--check", "/nonexistent/baseline.json"]);
+    assert_usage_error(&["perf", "--max-regress", "20"]);
+}
+
+#[test]
+fn perf_reports_an_unwritable_json_path() {
+    // `--json` went with `perf`: the command line is rejected as a usage
+    // error before any path is opened, so there is no write error to report.
+    let args = ["perf", "--profile", "smoke", "--json", "/nonexistent/dir/x.json"];
+    assert_usage_error(&args);
+    let (_, stderr) = run(&args);
+    assert!(!stderr.contains("cannot write"), "got: {stderr}");
 }
 
 #[test]
