@@ -1,22 +1,24 @@
 //! Telemetry contract tests: the JSON run document is schema-stable and
-//! agrees — value for value — with the text report.
+//! agrees — value for value — with the text report, and the CSV and full
+//! text renderings are pinned byte for byte.
 //!
-//! The golden snapshot pins the *shape and content* of the export the same
+//! The golden snapshots pin the *shape and content* of each export the same
 //! way `golden_fig1` pins the text fingerprint: any field rename, reorder,
 //! or numeric drift shows up as a byte diff. Regenerate intentionally with
 //! `SWEEPER_BLESS=1 cargo test --test telemetry_golden` and inspect the
 //! diff before committing. The manifest's `version` field is normalized so
-//! routine version bumps don't invalidate the snapshot.
+//! routine version bumps don't invalidate the snapshots.
 
 use std::path::PathBuf;
 
 use sweeper::core::experiment::{Experiment, ExperimentConfig};
-use sweeper::core::report::{json_record, text_report, ReportStyle};
+use sweeper::core::report::{emit, json_record, text_report, CsvSink, ReportStyle};
 use sweeper::core::server::RunReport;
 use sweeper::core::telemetry::{
     run_document, validate_run_document, Record, RunManifest, Value,
 };
 use sweeper::core::workload::EchoWorkload;
+use sweeper::sim::check::CheckConfig;
 
 const SEED: u64 = 7;
 
@@ -26,24 +28,45 @@ fn report() -> RunReport {
     Experiment::new(cfg, || EchoWorkload::with_think(100)).run_at_rate(1.0e6)
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.json"))
+/// The same run with the profiler and the correctness harness on, so the
+/// report carries its profile and check sections.
+fn full_report() -> RunReport {
+    let cfg = ExperimentConfig::tiny_for_tests()
+        .seed(SEED)
+        .profiler()
+        .check(CheckConfig::default());
+    Experiment::new(cfg, || EchoWorkload::with_think(100)).run_at_rate(1.0e6)
 }
 
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
+/// A fixed manifest: no wall time, and a placeholder version.
+fn manifest() -> RunManifest {
+    let mut manifest = RunManifest::new()
+        .profile("test")
+        .config("tiny_for_tests")
+        .workload("echo")
+        .seed(SEED);
+    manifest.version = "<version>".to_string();
+    manifest
+}
+
+fn golden_path(file: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(file)
+}
+
+fn check_golden(file: &str, actual: &str) {
+    let path = golden_path(file);
     if std::env::var("SWEEPER_BLESS").is_ok_and(|v| !v.is_empty()) {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, actual).unwrap();
         return;
     }
     let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {name} ({e}); bless with SWEEPER_BLESS=1"));
+        .unwrap_or_else(|e| panic!("missing golden {file} ({e}); bless with SWEEPER_BLESS=1"));
     assert_eq!(
         expected, actual,
-        "run-report JSON diverged from golden '{name}' — a field rename or \
+        "run report diverged from golden '{file}' — a field rename or \
          reorder is a schema break (bless only if intentional)"
     );
 }
@@ -107,7 +130,27 @@ fn run_report_json_matches_golden_and_schema() {
     let doc = run_document(&report, ReportStyle::default(), &manifest);
     validate_run_document(&doc).expect("run document must satisfy the schema");
     let json = normalize_version(&format!("{}\n", doc.to_json_pretty()));
-    check_golden("run_report", &json);
+    check_golden("run_report.json", &json);
+}
+
+/// The one-row CSV, manifest comments included, with every optional
+/// section (profile columns, check record) present.
+#[test]
+fn run_report_csv_matches_golden() {
+    let mut sink = CsvSink::new().with_comments(&manifest().to_comments());
+    emit(&full_report(), ReportStyle::default(), &mut sink);
+    check_golden("run_report.csv", &sink.finish());
+}
+
+/// The text report with its profile tree and check line.
+#[test]
+fn full_text_report_matches_golden() {
+    let report = full_report();
+    assert!(report.profile.is_some() && report.check.is_some());
+    check_golden(
+        "run_report_full.txt",
+        &text_report(&report, ReportStyle::default()),
+    );
 }
 
 #[test]
