@@ -10,7 +10,7 @@
 //! [`Experiment::run_keep_queued`] drive single configurations for the
 //! breakdown and CDF figures.
 
-use sweeper_nic::traffic::{ArrivalProcess, CoreAssignment};
+use sweeper_nic::traffic::ArrivalProcess;
 use sweeper_sim::hierarchy::{InjectionPolicy, MachineConfig};
 use sweeper_sim::Cycle;
 
@@ -107,12 +107,6 @@ impl ExperimentConfig {
     /// background tenant).
     pub fn active_cores(mut self, cores: u16) -> Self {
         self.server.active_cores = cores;
-        self
-    }
-
-    /// Sets the core-assignment policy for arriving packets.
-    pub fn assignment(mut self, assignment: CoreAssignment) -> Self {
-        self.server.assignment = assignment;
         self
     }
 

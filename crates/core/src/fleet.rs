@@ -102,12 +102,6 @@ impl ExperimentPoint {
         Self::new(label, experiment, PointAction::KeepQueued(depth))
     }
 
-    /// Enables the correctness harness on the point's experiment
-    /// (`sweeper check` drives whole figures through checked mode this way).
-    pub fn enable_check(&mut self, check: sweeper_sim::check::CheckConfig) {
-        self.experiment.enable_check(check);
-    }
-
     /// The point's display label.
     pub fn label(&self) -> &str {
         &self.label
@@ -178,10 +172,7 @@ impl PointOutcome {
         if let Some(rate) = self.peak_rate {
             rec.push("peak_rate", rate);
         }
-        rec.push(
-            "report",
-            crate::report::json_record(&self.report, crate::report::ReportStyle::default()),
-        );
+        rec.push("report", crate::report::json_record(&self.report));
         rec
     }
 }

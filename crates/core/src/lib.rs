@@ -9,8 +9,8 @@
 //! * [`os`] — the operating-system model for the page-recycling privacy
 //!   concern and its mitigations (§V-B, "Correctness and security concerns"),
 //! * [`server`] — the 24-core networked server: per-core request loops over
-//!   NIC RX rings, TX through Queue Pairs, optional RX-path relinquish and
-//!   NIC-driven TX sweeping (§V-D),
+//!   NIC RX rings, TX through Work Queue entries, optional RX-path
+//!   relinquish and NIC-driven TX sweeping (§V-D),
 //! * [`workload`] — the [`Workload`](workload::Workload) and
 //!   [`BackgroundTenant`](workload::BackgroundTenant) traits the paper's
 //!   applications implement,
@@ -22,8 +22,8 @@
 //! * [`profile`] — typed run-length profiles (full / fast / smoke), set
 //!   by the CLI's `--profile` flag,
 //! * [`loadsweep`] — full load–latency ("hockey-stick") characterizations,
-//! * [`report`] — run-report rendering through pluggable sinks (stable
-//!   text, typed JSON, wide CSV — one traversal feeds all three),
+//! * [`report`] — run-report rendering (stable text, typed JSON, wide
+//!   CSV — one traversal feeds all three),
 //! * [`telemetry`] — run manifests and schema-tagged JSON/CSV documents
 //!   over the shared value layer,
 //! * [`scenario`] — versionable `key = value` experiment descriptions.

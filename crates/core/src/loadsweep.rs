@@ -161,13 +161,6 @@ impl LoadSweep {
         &self.points
     }
 
-    /// The highest rate whose p99 latency stayed within `slo` cycles.
-    pub fn peak_under_slo(&self, slo: Cycle) -> Option<&LoadPoint> {
-        self.points
-            .iter()
-            .rfind(|p| p.latency_p99 <= slo && p.goodput_ratio >= 0.9)
-    }
-
     /// The knee: the first point whose p99 at least doubled relative to the
     /// lowest-load point (a scale-free definition of "where queuing starts").
     pub fn knee(&self) -> Option<&LoadPoint> {
@@ -326,16 +319,5 @@ mod tests {
             first.get("latency_p99"),
             Some(&Value::U64(sweep.points()[0].latency_p99))
         );
-    }
-
-    #[test]
-    fn peak_under_slo_respects_threshold() {
-        let exp = tiny_experiment();
-        let (sweep, _) =
-            LoadSweep::run(&exp, &RateGrid::geometric(0.2e6, 25.6e6, 8), &Fleet::new(2));
-        let generous = sweep.peak_under_slo(u64::MAX / 2);
-        assert!(generous.is_some());
-        let strict = sweep.peak_under_slo(1);
-        assert!(strict.is_none());
     }
 }

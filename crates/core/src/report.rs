@@ -1,22 +1,22 @@
-//! Rendering of run reports through pluggable sinks.
+//! Rendering of run reports as text, JSON and CSV.
 //!
-//! The CLI, the examples, and ad-hoc drivers all need the same summary of a
-//! [`RunReport`]. One traversal, [`emit`], walks the report exactly once and
-//! streams typed events into a [`ReportSink`]; the sink decides the output
-//! format:
+//! One private traversal lists what a [`RunReport`] shows, in order, as
+//! report lines (a scalar, a latency distribution, a breakdown class or a
+//! warning), followed by the machine-only extras and the profile tree. Each
+//! rendering walks that one list:
 //!
-//! * [`TextSink`] — the stable line-oriented `key : value` text (easy to
-//!   grep) the CLI has always printed, with the per-class breakdown in the
-//!   paper's legend order. Byte-identical to the historical `render`
-//!   output: the golden tests pin it.
-//! * [`JsonSink`] — a typed [`Record`] with every scalar the text shows
-//!   *plus* machine-only extras (raw counters, full latency summaries, the
-//!   memory-system record, per-channel transfer counts).
-//! * [`CsvSink`] — one wide CSV row, flattened, for spreadsheet ingestion.
+//! * [`text_report`] — the stable line-oriented `label : value` text (easy
+//!   to grep) the CLI has always printed, with the per-class breakdown in
+//!   the paper's legend order. The golden tests pin it.
+//! * [`json_record`] — a typed [`Record`] with every scalar the text shows
+//!   *plus* the machine-only extras (raw counters, full latency summaries,
+//!   the memory-system record, per-channel transfer counts).
+//! * [`csv_report`] — one wide CSV row, flattened, for spreadsheet
+//!   ingestion.
 //!
-//! Because every format flows through the same traversal, a value shown in
-//! the text report is guaranteed to appear — bit-equal — in the JSON and
-//! CSV exports; `tests/telemetry_golden.rs` enforces this.
+//! Because every format walks the same list, a value shown in the text
+//! report appears — bit-equal — in the JSON and CSV exports;
+//! `tests/telemetry_golden.rs` enforces this and pins all three.
 
 use std::fmt::Write as _;
 
@@ -26,442 +26,257 @@ use sweeper_sim::telemetry::{CsvTable, Record, Value};
 
 use crate::server::RunReport;
 
-/// Controls which sections [`emit`] includes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReportStyle {
-    /// Include the per-class access breakdown.
-    pub breakdown: bool,
-    /// Include DRAM latency percentiles.
-    pub dram_latency: bool,
-    /// Include Sweeper savings when present.
-    pub sweeper: bool,
-    /// Hide classes below this many accesses/request.
-    pub min_class: f64,
-}
+/// Breakdown classes at or below this many accesses per request are left
+/// out of every rendering.
+const MIN_CLASS: f64 = 0.005;
 
-impl Default for ReportStyle {
-    fn default() -> Self {
-        Self {
-            breakdown: true,
-            dram_latency: true,
-            sweeper: true,
-            min_class: 0.005,
-        }
-    }
-}
-
-impl ReportStyle {
-    /// A one-look summary without breakdowns.
-    pub fn brief() -> Self {
-        Self {
-            breakdown: false,
-            dram_latency: false,
-            sweeper: false,
-            min_class: 0.005,
-        }
-    }
-}
-
-/// Receives the typed event stream of one report traversal.
-///
-/// Implementations decide what to keep and how to format it; [`emit`] calls
-/// the methods in a fixed order so sinks never need to re-sort.
-pub trait ReportSink {
-    /// A named scalar. `key` is the stable machine identifier (JSON/CSV
-    /// field name), `label` the human label, `value` the typed value, and
-    /// `pretty` the unit-bearing text rendering.
-    fn scalar(&mut self, key: &str, label: &str, value: Value, pretty: &str);
-
-    /// A latency distribution. Text shows mean/p50/p99 (p50 only when
-    /// `show_p50`); machine formats get the full summary.
-    fn latency(&mut self, key: &str, label: &str, summary: &HistogramSummary, show_p50: bool);
-
+/// One line of the report as the text shows it.
+enum Line {
+    /// A named scalar: `key` is the stable machine identifier (JSON/CSV
+    /// field name), `label` the text label, `value` the typed value and
+    /// `text` its unit-bearing text rendering.
+    Scalar {
+        key: &'static str,
+        label: &'static str,
+        value: Value,
+        text: String,
+    },
+    /// A latency distribution: one text line, the full summary in JSON,
+    /// and mean/p50/p99 columns in CSV.
+    Latency {
+        key: &'static str,
+        label: &'static str,
+        summary: HistogramSummary,
+        text: String,
+    },
     /// One per-class access-breakdown entry (accesses per request).
-    fn class(&mut self, class: TrafficClass, per_request: f64);
-
-    /// A warning line.
-    fn warning(&mut self, text: &str);
-
-    /// A machine-only value (raw counters, nested records). Text sinks
-    /// ignore these; the default does nothing.
-    fn extra(&mut self, _key: &str, _value: Value) {}
-
-    /// The hierarchical cycle-attribution profile, offered once at the end
-    /// of the traversal when the run had the profiler enabled. The default
-    /// does nothing, so sinks that predate the profiler stay valid.
-    fn profile(&mut self, _node: &ProfileNode) {}
+    Class(TrafficClass, f64),
+    /// A warning.
+    Warning(String),
 }
 
-/// Walks `report` once, streaming it into `sink`.
-pub fn emit(report: &RunReport, style: ReportStyle, sink: &mut dyn ReportSink) {
-    sink.scalar(
-        "workload",
-        "workload",
-        Value::from(report.workload.as_str()),
-        &report.workload,
-    );
-    sink.scalar(
-        "completed",
-        "completed",
-        Value::from(report.completed),
-        &report.completed.to_string(),
-    );
-    let throughput = report.throughput_mrps();
-    sink.scalar(
-        "throughput_mrps",
-        "throughput",
-        Value::from(throughput),
-        &format!("{throughput:.2} Mrps"),
-    );
-    let goodput = report.goodput_ratio();
-    sink.scalar(
-        "goodput_ratio",
-        "goodput ratio",
-        Value::from(goodput),
-        &format!("{goodput:.3}"),
-    );
-    let drop_rate = report.drop_rate();
-    sink.scalar(
-        "drop_rate",
-        "drop rate",
-        Value::from(drop_rate),
-        &format!("{:.4}%", drop_rate * 100.0),
-    );
-    let gbps = report.memory_bandwidth_gbps();
-    sink.scalar(
-        "memory_bandwidth_gbps",
-        "memory bandwidth",
-        Value::from(gbps),
-        &format!("{gbps:.2} GB/s"),
-    );
-    sink.latency(
-        "request_latency",
-        "request latency",
-        &report.request_latency.summary(),
-        true,
-    );
-    if style.dram_latency {
-        sink.latency(
-            "dram_latency",
-            "dram read latency",
-            &report.dram_latency.summary(),
-            false,
-        );
+fn scalar(key: &'static str, label: &'static str, value: impl Into<Value>, text: String) -> Line {
+    Line::Scalar {
+        key,
+        label,
+        value: value.into(),
+        text,
     }
+}
+
+/// A latency line; the text shows p50 only when `show_p50`.
+fn latency(key: &'static str, label: &'static str, summary: HistogramSummary, show_p50: bool) -> Line {
+    let p50 = if show_p50 {
+        format!("  p50 {}", summary.p50)
+    } else {
+        String::new()
+    };
+    let text = format!("mean {:.0}{p50}  p99 {} cycles", summary.mean, summary.p99);
+    Line::Latency {
+        key,
+        label,
+        summary,
+        text,
+    }
+}
+
+/// The report's lines, in the order every rendering shows them.
+fn lines(report: &RunReport) -> Vec<Line> {
+    let throughput = report.throughput_mrps();
+    let goodput = report.goodput_ratio();
+    let drop_rate = report.drop_rate();
+    let gbps = report.memory_bandwidth_gbps();
     let apr = report.total_accesses_per_request();
-    sink.scalar(
-        "accesses_per_request",
-        "accesses/request",
-        Value::from(apr),
-        &format!("{apr:.2}"),
-    );
-    if style.breakdown {
-        for (class, v) in report.accesses_per_request() {
-            if v > style.min_class {
-                sink.class(class, v);
-            }
+    let mut lines = vec![
+        scalar("workload", "workload", report.workload.as_str(), report.workload.clone()),
+        scalar("completed", "completed", report.completed, report.completed.to_string()),
+        scalar("throughput_mrps", "throughput", throughput, format!("{throughput:.2} Mrps")),
+        scalar("goodput_ratio", "goodput ratio", goodput, format!("{goodput:.3}")),
+        scalar("drop_rate", "drop rate", drop_rate, format!("{:.4}%", drop_rate * 100.0)),
+        scalar("memory_bandwidth_gbps", "memory bandwidth", gbps, format!("{gbps:.2} GB/s")),
+        latency("request_latency", "request latency", report.request_latency.summary(), true),
+        latency("dram_latency", "dram read latency", report.dram_latency.summary(), false),
+        scalar("accesses_per_request", "accesses/request", apr, format!("{apr:.2}")),
+    ];
+    for (class, v) in report.accesses_per_request() {
+        if v > MIN_CLASS {
+            lines.push(Line::Class(class, v));
         }
     }
-    if style.sweeper && report.mem.sweep_saved_writebacks > 0 {
+    if report.mem.sweep_saved_writebacks > 0 {
         let per = report.mem.sweep_saved_writebacks as f64 / report.completed.max(1) as f64;
-        sink.scalar(
+        lines.push(scalar(
             "writebacks_saved_per_request",
             "writebacks saved",
-            Value::from(per),
-            &format!("{per:.2}/request"),
-        );
+            per,
+            format!("{per:.2}/request"),
+        ));
     }
     if report.timed_out {
-        sink.warning("run hit max_cycles before its quota");
+        lines.push(Line::Warning("run hit max_cycles before its quota".to_string()));
     }
     if let Some(check) = &report.check {
         let status = if check.passed() { "pass" } else { "FAIL" };
-        sink.scalar(
+        lines.push(scalar(
             "check_status",
             "check",
-            Value::from(status),
-            &format!(
+            status,
+            format!(
                 "{status} ({} events, {} walks, {} violations)",
                 check.events,
                 check.walks,
                 check.total_violations()
             ),
-        );
+        ));
         for (kind, n) in &check.violations {
             if *n > 0 {
-                sink.warning(&format!("check: {n}x {kind}"));
+                lines.push(Line::Warning(format!("check: {n}x {kind}")));
             }
         }
     }
+    lines
+}
 
-    // Machine-only extras: everything the text report summarizes away.
-    sink.extra("offered", Value::from(report.offered));
-    sink.extra("dropped", Value::from(report.dropped));
-    sink.extra("elapsed_cycles", Value::from(report.elapsed_cycles));
-    sink.extra(
-        "background_iterations",
-        Value::from(report.background_iterations),
-    );
-    sink.extra("timed_out", Value::from(report.timed_out));
-    sink.extra(
-        "service_time",
-        Value::from(report.service_time.summary().to_record()),
-    );
-    sink.extra("mem", Value::from(report.mem.to_record()));
-    sink.extra(
-        "channel_transfers",
-        Value::Array(
-            report
-                .channel_transfers
-                .iter()
-                .map(|&(r, w)| {
-                    Value::from(Record::new().with("reads", r).with("writes", w))
-                })
-                .collect(),
-        ),
-    );
+/// The machine-only fields: everything the text report summarizes away.
+fn extras(report: &RunReport) -> Vec<(&'static str, Value)> {
+    let channels = report
+        .channel_transfers
+        .iter()
+        .map(|&(r, w)| Value::from(Record::new().with("reads", r).with("writes", w)))
+        .collect();
+    let mut extras = vec![
+        ("offered", Value::from(report.offered)),
+        ("dropped", Value::from(report.dropped)),
+        ("elapsed_cycles", Value::from(report.elapsed_cycles)),
+        ("background_iterations", Value::from(report.background_iterations)),
+        ("timed_out", Value::from(report.timed_out)),
+        ("service_time", Value::from(report.service_time.summary().to_record())),
+        ("mem", Value::from(report.mem.to_record())),
+        ("channel_transfers", Value::Array(channels)),
+    ];
     if let Some(check) = &report.check {
-        sink.extra("check", Value::from(check.to_record()));
+        extras.push(("check", Value::from(check.to_record())));
     }
-    if let Some(profile) = &report.profile {
-        sink.profile(profile);
-    }
+    extras
 }
 
 /// Renders `report` as the stable text format.
-pub fn text_report(report: &RunReport, style: ReportStyle) -> String {
-    let mut sink = TextSink::new();
-    emit(report, style, &mut sink);
-    sink.finish()
+pub fn text_report(report: &RunReport) -> String {
+    let mut out = String::new();
+    for line in lines(report) {
+        let _ = match line {
+            Line::Scalar { label, text, .. } | Line::Latency { label, text, .. } => {
+                writeln!(out, "{label:<20}: {text}")
+            }
+            Line::Class(class, v) => writeln!(out, "    {class:<14}: {v:.2}"),
+            Line::Warning(text) => writeln!(out, "{:<20}: {text}", "WARNING"),
+        };
+    }
+    if let Some(profile) = &report.profile {
+        let _ = writeln!(
+            out,
+            "{:<20}: {} cycles over {} requests",
+            "profile", profile.cycles, profile.count
+        );
+        let requests = profile.count.max(1) as f64;
+        for child in &profile.children {
+            profile_text(&mut out, child, 1, requests);
+        }
+    }
+    out
+}
+
+fn profile_text(out: &mut String, node: &ProfileNode, depth: usize, requests: f64) {
+    let indent = "    ".repeat(depth);
+    let _ = writeln!(
+        out,
+        "{indent}{:<14}: {:.0} cyc/req  {:.2} dram/req",
+        node.label,
+        node.cycles as f64 / requests,
+        node.dram_accesses() as f64 / requests,
+    );
+    for child in &node.children {
+        profile_text(out, child, depth + 1, requests);
+    }
 }
 
 /// Renders `report` as a typed [`Record`] (the `"report"` section of the
 /// JSON run document).
-pub fn json_record(report: &RunReport, style: ReportStyle) -> Record {
-    let mut sink = JsonSink::new();
-    emit(report, style, &mut sink);
-    sink.finish()
-}
-
-/// The stable line-oriented text format.
-#[derive(Debug, Default)]
-pub struct TextSink {
-    out: String,
-}
-
-impl TextSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The accumulated text.
-    pub fn finish(self) -> String {
-        self.out
-    }
-
-    fn profile_node(&mut self, node: &ProfileNode, depth: usize, requests: f64) {
-        let indent = "    ".repeat(depth);
-        let _ = writeln!(
-            self.out,
-            "{indent}{:<14}: {:.0} cyc/req  {:.2} dram/req",
-            node.label,
-            node.cycles as f64 / requests,
-            node.dram_accesses() as f64 / requests,
-        );
-        for child in &node.children {
-            self.profile_node(child, depth + 1, requests);
-        }
-    }
-}
-
-impl ReportSink for TextSink {
-    fn scalar(&mut self, _key: &str, label: &str, _value: Value, pretty: &str) {
-        let _ = writeln!(self.out, "{label:<20}: {pretty}");
-    }
-
-    fn latency(&mut self, _key: &str, label: &str, s: &HistogramSummary, show_p50: bool) {
-        if show_p50 {
-            let _ = writeln!(
-                self.out,
-                "{label:<20}: mean {:.0}  p50 {}  p99 {} cycles",
-                s.mean, s.p50, s.p99
-            );
-        } else {
-            let _ = writeln!(
-                self.out,
-                "{label:<20}: mean {:.0}  p99 {} cycles",
-                s.mean, s.p99
-            );
-        }
-    }
-
-    fn class(&mut self, class: TrafficClass, per_request: f64) {
-        let _ = writeln!(self.out, "    {class:<14}: {per_request:.2}");
-    }
-
-    fn warning(&mut self, text: &str) {
-        let _ = writeln!(self.out, "{:<20}: {text}", "WARNING");
-    }
-
-    fn profile(&mut self, node: &ProfileNode) {
-        let _ = writeln!(
-            self.out,
-            "{:<20}: {} cycles over {} requests",
-            "profile", node.cycles, node.count
-        );
-        let requests = node.count.max(1) as f64;
-        for child in &node.children {
-            self.profile_node(child, 1, requests);
-        }
-    }
-}
-
-/// Collects the traversal into a typed [`Record`].
 ///
-/// Scalars and extras land in traversal order; the per-class breakdown is
+/// Scalars and extras land in report order; the per-class breakdown is
 /// gathered into a `"breakdown"` array and warnings into `"warnings"`,
 /// both appended at the end so the document shape is fixed.
-#[derive(Debug, Default)]
-pub struct JsonSink {
-    rec: Record,
-    breakdown: Vec<Value>,
-    warnings: Vec<Value>,
+pub fn json_record(report: &RunReport) -> Record {
+    let mut rec = Record::new();
+    let mut breakdown = Vec::new();
+    let mut warnings = Vec::new();
+    for line in lines(report) {
+        match line {
+            Line::Scalar { key, value, .. } => rec.push(key, value),
+            Line::Latency { key, summary, .. } => rec.push(key, summary.to_record()),
+            Line::Class(class, v) => breakdown.push(Value::from(
+                Record::new()
+                    .with("class", class.to_string())
+                    .with("per_request", v),
+            )),
+            Line::Warning(text) => warnings.push(Value::from(text)),
+        }
+    }
+    for (key, value) in extras(report) {
+        rec.push(key, value);
+    }
+    if let Some(profile) = &report.profile {
+        rec.push("profile", profile.to_record());
+    }
+    rec.push("breakdown", Value::Array(breakdown));
+    rec.push("warnings", Value::Array(warnings));
+    rec
 }
 
-impl JsonSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The accumulated record.
-    pub fn finish(mut self) -> Record {
-        self.rec.push("breakdown", Value::Array(self.breakdown));
-        self.rec.push("warnings", Value::Array(self.warnings));
-        self.rec
-    }
-}
-
-impl ReportSink for JsonSink {
-    fn scalar(&mut self, key: &str, _label: &str, value: Value, _pretty: &str) {
-        self.rec.push(key, value);
-    }
-
-    fn latency(&mut self, key: &str, _label: &str, s: &HistogramSummary, _show_p50: bool) {
-        self.rec.push(key, s.to_record());
-    }
-
-    fn class(&mut self, class: TrafficClass, per_request: f64) {
-        self.breakdown.push(Value::from(
-            Record::new()
-                .with("class", class.to_string())
-                .with("per_request", per_request),
-        ));
-    }
-
-    fn warning(&mut self, text: &str) {
-        self.warnings.push(Value::from(text));
-    }
-
-    fn extra(&mut self, key: &str, value: Value) {
-        self.rec.push(key, value);
-    }
-
-    fn profile(&mut self, node: &ProfileNode) {
-        self.rec.push("profile", node.to_record());
-    }
-}
-
-/// Flattens the traversal into one wide CSV row.
+/// Renders `report` as one wide CSV row under `# key: value` comment lines
+/// (`comments`, usually the run manifest).
 ///
 /// Latency summaries expand to `<key>_mean`/`<key>_p50`/`<key>_p99`
-/// columns, breakdown classes to `per_request[<class>]` columns; nested
-/// extras (records, arrays) are embedded as compact JSON cells.
-#[derive(Debug, Default)]
-pub struct CsvSink {
-    comments: Vec<(String, String)>,
-    columns: Vec<(String, Value)>,
-    warnings: Vec<String>,
-}
-
-impl CsvSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Prepends `# key: value` manifest comment lines to the output.
-    pub fn with_comments(mut self, pairs: &[(String, String)]) -> Self {
-        self.comments.extend(pairs.iter().cloned());
-        self
-    }
-
-    /// The accumulated one-row CSV document.
-    pub fn finish(mut self) -> String {
-        if !self.warnings.is_empty() {
-            let joined = self.warnings.join("; ");
-            self.columns.push(("warnings".to_string(), Value::from(joined)));
+/// columns, breakdown classes to `per_request[<class>]` columns and the
+/// profile to one cycle and one DRAM column per stage path; nested extras
+/// (records, arrays) are embedded as compact JSON cells, and warnings are
+/// joined into a last `warnings` column when there are any.
+pub fn csv_report(report: &RunReport, comments: &[(String, String)]) -> String {
+    let mut columns: Vec<(String, Value)> = Vec::new();
+    let mut warnings = Vec::new();
+    for line in lines(report) {
+        match line {
+            Line::Scalar { key, value, .. } => columns.push((key.to_string(), value)),
+            Line::Latency { key, summary, .. } => columns.extend([
+                (format!("{key}_mean"), Value::from(summary.mean)),
+                (format!("{key}_p50"), Value::from(summary.p50)),
+                (format!("{key}_p99"), Value::from(summary.p99)),
+            ]),
+            Line::Class(class, v) => columns.push((format!("per_request[{class}]"), Value::from(v))),
+            Line::Warning(text) => warnings.push(text),
         }
-        let headers: Vec<&str> = self.columns.iter().map(|(k, _)| k.as_str()).collect();
-        let mut table = CsvTable::new(&headers).comments(&self.comments);
-        table.value_row(self.columns.iter().map(|(_, v)| v.clone()).collect());
-        table.to_csv()
     }
+    columns.extend(extras(report).into_iter().map(|(key, value)| (key.to_string(), value)));
+    if let Some(profile) = &report.profile {
+        profile_columns(&mut columns, profile, &profile.label);
+    }
+    if !warnings.is_empty() {
+        columns.push(("warnings".to_string(), Value::from(warnings.join("; "))));
+    }
+    let headers: Vec<&str> = columns.iter().map(|(k, _)| k.as_str()).collect();
+    let mut table = CsvTable::new(&headers).comments(comments);
+    table.value_row(columns.iter().map(|(_, v)| v.clone()).collect());
+    table.to_csv()
 }
 
-impl ReportSink for CsvSink {
-    fn scalar(&mut self, key: &str, _label: &str, value: Value, _pretty: &str) {
-        self.columns.push((key.to_string(), value));
+/// One cycle and one DRAM column per profile stage path, so totals can be
+/// checked in a spreadsheet without JSON parsing.
+fn profile_columns(columns: &mut Vec<(String, Value)>, node: &ProfileNode, path: &str) {
+    columns.push((format!("profile_cycles[{path}]"), Value::from(node.cycles)));
+    columns.push((format!("profile_dram[{path}]"), Value::from(node.dram_accesses())));
+    for child in &node.children {
+        profile_columns(columns, child, &format!("{path}.{}", child.label));
     }
-
-    fn latency(&mut self, key: &str, _label: &str, s: &HistogramSummary, _show_p50: bool) {
-        self.columns.push((format!("{key}_mean"), Value::from(s.mean)));
-        self.columns.push((format!("{key}_p50"), Value::from(s.p50)));
-        self.columns.push((format!("{key}_p99"), Value::from(s.p99)));
-    }
-
-    fn class(&mut self, class: TrafficClass, per_request: f64) {
-        self.columns
-            .push((format!("per_request[{class}]"), Value::from(per_request)));
-    }
-
-    fn warning(&mut self, text: &str) {
-        self.warnings.push(text.to_string());
-    }
-
-    fn extra(&mut self, key: &str, value: Value) {
-        self.columns.push((key.to_string(), value));
-    }
-
-    fn profile(&mut self, node: &ProfileNode) {
-        // One cycle column per stage path, so totals can be checked in a
-        // spreadsheet without JSON parsing.
-        fn flatten(cols: &mut Vec<(String, Value)>, node: &ProfileNode, path: &str) {
-            cols.push((format!("profile_cycles[{path}]"), Value::from(node.cycles)));
-            cols.push((
-                format!("profile_dram[{path}]"),
-                Value::from(node.dram_accesses()),
-            ));
-            for child in &node.children {
-                flatten(cols, child, &format!("{path}.{}", child.label));
-            }
-        }
-        flatten(&mut self.columns, node, &node.label);
-    }
-}
-
-/// One-line comparison between a baseline and a treatment report
-/// ("A/B line"), used by examples.
-pub fn compare_line(label: &str, base: &RunReport, treat: &RunReport) -> String {
-    format!(
-        "{label}: {:.1} → {:.1} Mrps ({:.2}x), {:.1} → {:.1} GB/s",
-        base.throughput_mrps(),
-        treat.throughput_mrps(),
-        treat.throughput_mrps() / base.throughput_mrps().max(1e-9),
-        base.memory_bandwidth_gbps(),
-        treat.memory_bandwidth_gbps(),
-    )
 }
 
 #[cfg(test)]
@@ -480,7 +295,7 @@ mod tests {
     #[test]
     fn text_contains_all_sections() {
         let r = report();
-        let text = text_report(&r, ReportStyle::default());
+        let text = text_report(&r);
         for key in [
             "workload",
             "completed",
@@ -496,17 +311,9 @@ mod tests {
     }
 
     #[test]
-    fn brief_style_omits_details() {
-        let r = report();
-        let text = text_report(&r, ReportStyle::brief());
-        assert!(!text.contains("dram read latency"));
-        assert!(text.contains("throughput"));
-    }
-
-    #[test]
     fn json_record_carries_text_scalars() {
         let r = report();
-        let rec = json_record(&r, ReportStyle::default());
+        let rec = json_record(&r);
         assert_eq!(rec.get("workload"), Some(&Value::Str(r.workload.clone())));
         assert_eq!(rec.get("completed"), Some(&Value::U64(r.completed)));
         assert_eq!(
@@ -520,27 +327,24 @@ mod tests {
     }
 
     #[test]
-    fn json_breakdown_matches_style_filter() {
+    fn json_breakdown_matches_class_filter() {
         let r = report();
-        let style = ReportStyle::default();
-        let rec = json_record(&r, style);
+        let rec = json_record(&r);
         let Some(Value::Array(breakdown)) = rec.get("breakdown") else {
             panic!("breakdown missing");
         };
         let expected = r
             .accesses_per_request()
             .into_iter()
-            .filter(|(_, v)| *v > style.min_class)
+            .filter(|(_, v)| *v > MIN_CLASS)
             .count();
         assert_eq!(breakdown.len(), expected);
     }
 
     #[test]
-    fn csv_sink_emits_one_row() {
+    fn csv_report_emits_one_row() {
         let r = report();
-        let mut sink = CsvSink::new().with_comments(&[("seed".into(), "1".into())]);
-        emit(&r, ReportStyle::default(), &mut sink);
-        let csv = sink.finish();
+        let csv = csv_report(&r, &[("seed".into(), "1".into())]);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "# seed: 1");
         assert!(lines[1].starts_with("workload,completed,throughput_mrps"));
@@ -549,14 +353,14 @@ mod tests {
     }
 
     #[test]
-    fn profile_reaches_every_sink_with_matching_totals() {
+    fn profile_reaches_every_format_with_matching_totals() {
         let r = Experiment::new(ExperimentConfig::tiny_for_tests().profiler(), || {
             EchoWorkload::with_think(100)
         })
         .run_at_rate(1.0e6);
         let profile = r.profile.as_ref().expect("profiler enabled");
 
-        let text = text_report(&r, ReportStyle::default());
+        let text = text_report(&r);
         assert!(text.contains(&format!(
             "profile             : {} cycles over {} requests",
             profile.cycles, profile.count
@@ -564,33 +368,45 @@ mod tests {
         assert!(text.contains("nic_dma"));
         assert!(text.contains("service"));
 
-        let rec = json_record(&r, ReportStyle::default());
+        let rec = json_record(&r);
         let Some(Value::Record(json_profile)) = rec.get("profile") else {
             panic!("profile missing from JSON");
         };
         assert_eq!(json_profile.get("cycles"), Some(&Value::U64(profile.cycles)));
 
-        let mut sink = CsvSink::new();
-        emit(&r, ReportStyle::default(), &mut sink);
-        let csv = sink.finish();
+        let csv = csv_report(&r, &[]);
         assert!(csv.contains("profile_cycles[request]"));
         assert!(csv.contains("profile_cycles[request.service.cpu_read]"));
         assert!(csv.contains(&profile.cycles.to_string()));
     }
 
     #[test]
-    fn text_report_unchanged_without_profiler() {
-        let r = report();
-        assert!(r.profile.is_none());
-        assert!(!text_report(&r, ReportStyle::default()).contains("profile"));
+    fn warnings_reach_every_format() {
+        let options = crate::server::RunOptions {
+            max_cycles: 100_000,
+            ..crate::server::RunOptions::quick()
+        };
+        let r = Experiment::new(ExperimentConfig::tiny_for_tests().run_options(options), || {
+            EchoWorkload::with_think(100)
+        })
+        .run_at_rate(1.0e6);
+        assert!(r.timed_out);
+        let warning = "run hit max_cycles before its quota";
+        assert!(text_report(&r).contains(&format!("WARNING             : {warning}\n")));
+        assert_eq!(
+            json_record(&r).get("warnings"),
+            Some(&Value::Array(vec![Value::from(warning)]))
+        );
+        let csv = csv_report(&r, &[]);
+        let lines: Vec<&str> = csv.lines().collect();
+        assert!(lines[0].ends_with(",warnings"));
+        assert!(lines[1].ends_with(&format!(",{warning}")));
     }
 
     #[test]
-    fn compare_line_formats_ratio() {
-        let a = report();
-        let b = report();
-        let line = compare_line("echo", &a, &b);
-        assert!(line.starts_with("echo: "));
-        assert!(line.contains("1.00x"));
+    fn text_report_unchanged_without_profiler() {
+        let r = report();
+        assert!(r.profile.is_none());
+        assert!(!text_report(&r).contains("profile"));
     }
 }

@@ -25,8 +25,8 @@ use std::collections::VecDeque;
 
 use sweeper_nic::nic::{Nic, NicConfig};
 use sweeper_nic::packet::Packet;
-use sweeper_nic::queue::{CqEntry, QueuePair, WqEntry};
-use sweeper_nic::traffic::{ArrivalProcess, CoreAssigner, CoreAssignment, PoissonArrivals};
+use sweeper_nic::queue::WqEntry;
+use sweeper_nic::traffic::{ArrivalProcess, PoissonArrivals};
 use sweeper_sim::addr::{Addr, RegionKind};
 use sweeper_sim::check::{CheckConfig, CheckReport, ViolationKind};
 use sweeper_sim::engine::{cycles_to_secs, EventQueue, SimRng};
@@ -64,8 +64,6 @@ pub struct ServerConfig {
     pub packet_bytes: u64,
     /// Packet arrival process.
     pub arrivals: ArrivalProcess,
-    /// Core assignment of arriving packets.
-    pub assignment: CoreAssignment,
     /// Sweeper RX-path mode.
     pub sweeper: SweeperMode,
     /// NIC-driven sweeping of (copied) TX buffers after transmission (§V-D
@@ -107,7 +105,6 @@ impl ServerConfig {
             buffer_bytes: 1024,
             packet_bytes: 1024,
             arrivals: ArrivalProcess::Poisson { rate: 1.0e6 },
-            assignment: CoreAssignment::RoundRobin,
             sweeper: SweeperMode::Disabled,
             tx_sweep: false,
             seed: 0x5eed,
@@ -177,7 +174,6 @@ impl ServerConfig {
             buffer_bytes: 1024,
             packet_bytes: 1024,
             arrivals: ArrivalProcess::Poisson { rate: 1.0e6 },
-            assignment: CoreAssignment::RoundRobin,
             sweeper: SweeperMode::Disabled,
             tx_sweep: false,
             seed: 0x5eed,
@@ -798,10 +794,11 @@ pub struct Server {
     workload: Box<dyn Workload>,
     background: Option<Box<dyn BackgroundTenant>>,
     background_cores: Vec<u16>,
-    qps: Vec<QueuePair>,
     tx_rings: Vec<TxRing>,
     arrivals: Option<PoissonArrivals>,
-    assigner: CoreAssigner,
+    /// The core the next Poisson arrival goes to: arrivals are spread
+    /// round-robin (receive-side scaling with perfect balance).
+    next_core: u16,
     wl_rng: SimRng,
     events: EventQueue<Event>,
     busy: Vec<bool>,
@@ -854,16 +851,16 @@ impl Server {
         let tx_rings = (0..cfg.active_cores)
             .map(|c| TxRing::new(mem.address_map_mut(), c, cfg.tx_entries, cfg.buffer_bytes))
             .collect();
-        let qps = (0..cfg.active_cores)
-            .map(|_| QueuePair::new(cfg.tx_entries.max(4)))
-            .collect();
         let mut workload = workload;
         workload.setup(&mut mem);
         let arrivals = match cfg.arrivals {
             ArrivalProcess::Poisson { rate } => Some(PoissonArrivals::new(rate, root_rng.fork())),
             ArrivalProcess::KeepQueued { .. } => None,
         };
-        let assigner = CoreAssigner::new(cfg.assignment, cfg.active_cores, root_rng.fork());
+        // This fork once seeded a random core assigner. Assignment is
+        // round-robin now, but the fork stays so the workload's stream below
+        // (and with it every recorded result) is unchanged.
+        let _ = root_rng.fork();
         let wl_rng = root_rng.fork();
         let cores = cfg.machine.cores;
         // Event population is bounded by the cores in flight (one CoreStep
@@ -917,10 +914,9 @@ impl Server {
             workload,
             background: None,
             background_cores: Vec::new(),
-            qps,
             tx_rings,
             arrivals,
-            assigner,
+            next_core: 0,
             wl_rng,
             events: EventQueue::with_capacity(event_capacity),
             measuring: false,
@@ -1132,8 +1128,6 @@ impl Server {
                     len: resp_bytes,
                 });
                 Some(WqEntry {
-                    dest_node: 0,
-                    qp_id: core as u32,
                     transfer_length: resp_bytes,
                     buffer_addr: tx_addr,
                     sweep_buffer: self.cfg.tx_sweep,
@@ -1141,8 +1135,6 @@ impl Server {
                 })
             }
             TxAction::ForwardInPlace => Some(WqEntry {
-                dest_node: 0,
-                qp_id: core as u32,
                 transfer_length: pkt.bytes,
                 buffer_addr: pkt.addr,
                 // §V-D: for zero-copy TX the *NIC* performs the sweep.
@@ -1173,21 +1165,12 @@ impl Server {
     /// Transmits, records metrics, and handles the warmup transition.
     fn finish_request(&mut self, core: u16, active: Active, now: Cycle) {
         if let Some(entry) = active.wq {
-            let qp = &mut self.qps[core as usize];
-            if qp.wq.push(entry).is_ok() {
-                let entry = self.qps[core as usize].wq.pop().expect("just pushed");
-                let profiling = profile_start(&mut self.obs, self.measuring, &self.mem);
-                self.nic.transmit(entry, now, &mut self.mem);
-                if let Some((prof, before)) = profiling {
-                    // The transmit is posted — zero cycles on the request's
-                    // critical path — but its DRAM traffic is attributed.
-                    prof.tx.add(0, self.mem.stats().combined().since(&before));
-                }
-                let _ = self.qps[core as usize].cq.push(CqEntry {
-                    packet: entry.packet,
-                    completed: now,
-                });
-                self.qps[core as usize].cq.pop();
+            let profiling = profile_start(&mut self.obs, self.measuring, &self.mem);
+            self.nic.transmit(entry, now, &mut self.mem);
+            if let Some((prof, before)) = profiling {
+                // The transmit is posted — zero cycles on the request's
+                // critical path — but its DRAM traffic is attributed.
+                prof.tx.add(0, self.mem.stats().combined().since(&before));
             }
         }
         // Deferred recycling: the buffer (swept by now, including the NIC's
@@ -1371,7 +1354,8 @@ impl Server {
             }
             match ev {
                 Event::Arrival => {
-                    let core = self.assigner.next_core();
+                    let core = self.next_core;
+                    self.next_core = (core + 1) % self.cfg.active_cores;
                     self.deliver_packet(core, now);
                     let next = self
                         .arrivals

@@ -13,7 +13,7 @@
 //! application to read a relinquished buffer, exactly like reading memory
 //! after `free()`.
 
-use sweeper_sim::addr::{blocks_for_len, Addr, BlockAddr};
+use sweeper_sim::addr::{Addr, BlockAddr};
 use sweeper_sim::hierarchy::MemorySystem;
 use sweeper_sim::Cycle;
 
@@ -76,13 +76,6 @@ pub fn clsweep(mem: &mut MemorySystem, block: BlockAddr) -> u64 {
 /// (§V-A).
 pub fn relinquish(mem: &mut MemorySystem, addr: Addr, len: u64, now: Cycle) -> Cycle {
     mem.sweep_range(addr, len, now)
-}
-
-/// Estimated instruction count of a `relinquish` call: one `clsweep` per
-/// block (§V-C: "the function call is compiled into a set of clsweep
-/// instructions, one per cache block comprising the target buffer").
-pub fn relinquish_instruction_count(len: u64) -> u64 {
-    blocks_for_len(len)
 }
 
 #[cfg(test)]
@@ -178,12 +171,5 @@ mod tests {
         let mut m = mem();
         assert_eq!(clsweep(&mut m, BlockAddr(12345)), 0);
         assert_eq!(m.stats().dram_accesses(), 0);
-    }
-
-    #[test]
-    fn instruction_count_is_one_per_block() {
-        assert_eq!(relinquish_instruction_count(1024), 16);
-        assert_eq!(relinquish_instruction_count(1), 1);
-        assert_eq!(relinquish_instruction_count(512), 8);
     }
 }

@@ -24,7 +24,7 @@ pub use sweeper_sim::telemetry::{csv_escape, CsvTable, Record, Value};
 use sweeper_sim::span::{perfetto_events, OutlierSnapshot, SpanRing};
 
 use crate::fleet::PointOutcome;
-use crate::report::{json_record, ReportStyle};
+use crate::report::json_record;
 use crate::server::{RunReport, TimeSeries};
 
 /// Schema tag of single-run report documents.
@@ -239,13 +239,8 @@ pub fn document(
 }
 
 /// The JSON document for one run report.
-pub fn run_document(report: &RunReport, style: ReportStyle, manifest: &RunManifest) -> Record {
-    document(
-        RUN_REPORT_SCHEMA,
-        manifest,
-        "report",
-        json_record(report, style),
-    )
+pub fn run_document(report: &RunReport, manifest: &RunManifest) -> Record {
+    document(RUN_REPORT_SCHEMA, manifest, "report", json_record(report))
 }
 
 /// The JSON document for one run's sampled time series.
@@ -510,11 +505,7 @@ mod tests {
 
     #[test]
     fn run_document_validates() {
-        let doc = run_document(
-            &report(),
-            ReportStyle::default(),
-            &RunManifest::new().workload("echo").seed(1),
-        );
+        let doc = run_document(&report(), &RunManifest::new().workload("echo").seed(1));
         validate_run_document(&doc).expect("document must validate");
     }
 
@@ -594,7 +585,7 @@ mod tests {
     fn run_document_with_profile_still_validates() {
         let cfg = ExperimentConfig::tiny_for_tests().profiler();
         let r = Experiment::new(cfg, || EchoWorkload::with_think(100)).run_at_rate(1.0e6);
-        let doc = run_document(&r, ReportStyle::default(), &RunManifest::new());
+        let doc = run_document(&r, &RunManifest::new());
         validate_run_document(&doc).expect("profile is an additive field");
         let Some(Value::Record(report)) = doc.get("report") else {
             panic!("report missing");

@@ -10,7 +10,7 @@
 //!   network data leaks),
 //! * [`endpoints`] — per-connection (VIA/RDMA-style) receive provisioning,
 //!   the §II-C buffer-bloat amplifier,
-//! * [`queue`] — memory-mapped Queue Pairs (Work/Completion Queues) with the
+//! * [`queue`] — the Work Queue entry with the
 //!   [`sweep_buffer`](queue::WqEntry::sweep_buffer) flag of Figure 4,
 //! * [`traffic`] — Poisson and keep-queued arrival processes,
 //! * [`nic`] — the NIC itself, delivering packets through a

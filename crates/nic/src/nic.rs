@@ -281,8 +281,6 @@ mod tests {
             .alloc(1024, sweeper_sim::addr::RegionKind::Tx { core: 0 });
         mem.cpu_write(0, tx, 1024, 0);
         let entry = WqEntry {
-            dest_node: 0,
-            qp_id: 0,
             transfer_length: 1024,
             buffer_addr: tx,
             sweep_buffer: true,
@@ -305,8 +303,6 @@ mod tests {
             .alloc(1024, sweeper_sim::addr::RegionKind::Tx { core: 0 });
         mem.cpu_write(0, tx, 1024, 0);
         let entry = WqEntry {
-            dest_node: 0,
-            qp_id: 0,
             transfer_length: 1024,
             buffer_addr: tx,
             sweep_buffer: false,

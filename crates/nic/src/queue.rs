@@ -1,24 +1,21 @@
-//! Memory-mapped Queue Pairs (Work and Completion Queues).
+//! The Work Queue entry through which the CPU schedules a transmission.
 //!
 //! The Scale-Out NUMA protocol (like RDMA) schedules transmissions through a
-//! per-core Work Queue and reports completions through a Completion Queue.
-//! Sweeper's transmit-path extension (§V-D, Figure 4) adds a single boolean
-//! `SweepBuffer` field to the Work Queue entry: when set, the NIC injects
-//! sweep messages for the transmit buffer's cache blocks after reading them,
-//! so that a zero-copy NF's consumed buffers never leak to memory.
+//! per-core Work Queue. Sweeper's transmit-path extension (§V-D, Figure 4)
+//! adds a single boolean `SweepBuffer` field to the entry: when set, the NIC
+//! injects sweep messages for the transmit buffer's cache blocks after
+//! reading them, so that a zero-copy NF's consumed buffers never leak to
+//! memory. The server hands each entry straight to
+//! [`Nic::transmit`](crate::nic::Nic::transmit); the queue itself is not
+//! modelled, since it never holds more than one entry.
 
 use sweeper_sim::addr::Addr;
-use sweeper_sim::Cycle;
 
 use crate::packet::PacketId;
 
 /// One Work Queue entry (Figure 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WqEntry {
-    /// Destination node (opaque to this model; kept for protocol fidelity).
-    pub dest_node: u32,
-    /// Queue-pair id at the destination.
-    pub qp_id: u32,
     /// Operation length in bytes.
     pub transfer_length: u64,
     /// Source buffer address.
@@ -28,140 +25,4 @@ pub struct WqEntry {
     pub sweep_buffer: bool,
     /// The request this transmission answers (for latency accounting).
     pub packet: PacketId,
-}
-
-/// One Completion Queue entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CqEntry {
-    /// The completed Work Queue entry's packet id.
-    pub packet: PacketId,
-    /// Cycle at which the NIC finished the transmission.
-    pub completed: Cycle,
-}
-
-/// A bounded FIFO modelling one memory-mapped queue of a Queue Pair.
-#[derive(Debug, Clone)]
-pub struct BoundedQueue<T> {
-    items: std::collections::VecDeque<T>,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates an empty queue with the given capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be positive");
-        Self {
-            items: std::collections::VecDeque::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    /// Appends an entry; returns it back if the queue is full.
-    pub fn push(&mut self, item: T) -> Result<(), T> {
-        if self.items.len() == self.capacity {
-            Err(item)
-        } else {
-            self.items.push_back(item);
-            Ok(())
-        }
-    }
-
-    /// Removes the oldest entry.
-    pub fn pop(&mut self) -> Option<T> {
-        self.items.pop_front()
-    }
-
-    /// Entries currently queued.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Whether the queue is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.items.len() == self.capacity
-    }
-}
-
-/// A per-core Queue Pair: Work Queue (CPU→NIC) plus Completion Queue
-/// (NIC→CPU).
-#[derive(Debug, Clone)]
-pub struct QueuePair {
-    /// Transmissions scheduled by the CPU.
-    pub wq: BoundedQueue<WqEntry>,
-    /// Completions reported by the NIC.
-    pub cq: BoundedQueue<CqEntry>,
-}
-
-impl QueuePair {
-    /// Creates a queue pair with `depth` entries per queue.
-    pub fn new(depth: usize) -> Self {
-        Self {
-            wq: BoundedQueue::new(depth),
-            cq: BoundedQueue::new(depth),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn entry(id: u64, sweep: bool) -> WqEntry {
-        WqEntry {
-            dest_node: 1,
-            qp_id: 0,
-            transfer_length: 1024,
-            buffer_addr: Addr(0x4000),
-            sweep_buffer: sweep,
-            packet: PacketId(id),
-        }
-    }
-
-    #[test]
-    fn bounded_queue_fifo_and_capacity() {
-        let mut q = BoundedQueue::new(2);
-        assert!(q.is_empty());
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        assert!(q.is_full());
-        assert_eq!(q.push(3), Err(3));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.len(), 1);
-        q.push(4).unwrap();
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(4));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn queue_pair_round_trip() {
-        let mut qp = QueuePair::new(4);
-        qp.wq.push(entry(7, true)).unwrap();
-        let e = qp.wq.pop().unwrap();
-        assert!(e.sweep_buffer);
-        qp.cq
-            .push(CqEntry {
-                packet: e.packet,
-                completed: 500,
-            })
-            .unwrap();
-        let c = qp.cq.pop().unwrap();
-        assert_eq!(c.packet, PacketId(7));
-        assert_eq!(c.completed, 500);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        BoundedQueue::<u32>::new(0);
-    }
 }

@@ -1,4 +1,4 @@
-//! Traffic generation: arrival processes and core assignment.
+//! Traffic generation: arrival processes.
 //!
 //! The paper's load generator "injects packets at configurable Poisson
 //! arrival rate" (Appendix A). For the premature-buffer-eviction studies
@@ -25,15 +25,6 @@ pub enum ArrivalProcess {
         /// Target unconsumed-packet depth per core.
         depth: usize,
     },
-}
-
-/// How arriving packets are spread over cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoreAssignment {
-    /// Strict round-robin (receive-side scaling with perfect balance).
-    RoundRobin,
-    /// Uniformly random core per packet.
-    Random,
 }
 
 /// Generates packet arrival times for a Poisson process.
@@ -81,44 +72,6 @@ impl PoissonArrivals {
     /// The configured mean inter-arrival gap in cycles.
     pub fn mean_gap_cycles(&self) -> f64 {
         self.mean_gap_cycles
-    }
-}
-
-/// Assigns destination cores to packets.
-#[derive(Debug, Clone)]
-pub struct CoreAssigner {
-    policy: CoreAssignment,
-    cores: u16,
-    next: u16,
-    rng: SimRng,
-}
-
-impl CoreAssigner {
-    /// Creates an assigner over `cores` cores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is zero.
-    pub fn new(policy: CoreAssignment, cores: u16, rng: SimRng) -> Self {
-        assert!(cores > 0, "need at least one core");
-        Self {
-            policy,
-            cores,
-            next: 0,
-            rng,
-        }
-    }
-
-    /// The destination core of the next packet.
-    pub fn next_core(&mut self) -> u16 {
-        match self.policy {
-            CoreAssignment::RoundRobin => {
-                let c = self.next;
-                self.next = (self.next + 1) % self.cores;
-                c
-            }
-            CoreAssignment::Random => self.rng.next_u64_in(self.cores as u64) as u16,
-        }
     }
 }
 
@@ -170,25 +123,6 @@ mod tests {
     #[should_panic(expected = "rate must be positive")]
     fn poisson_rejects_zero_rate() {
         PoissonArrivals::new(0.0, SimRng::seeded(0));
-    }
-
-    #[test]
-    fn round_robin_covers_all_cores() {
-        let mut a = CoreAssigner::new(CoreAssignment::RoundRobin, 3, SimRng::seeded(1));
-        let seq: Vec<u16> = (0..7).map(|_| a.next_core()).collect();
-        assert_eq!(seq, vec![0, 1, 2, 0, 1, 2, 0]);
-    }
-
-    #[test]
-    fn random_assignment_stays_in_range_and_covers() {
-        let mut a = CoreAssigner::new(CoreAssignment::Random, 4, SimRng::seeded(2));
-        let mut seen = [false; 4];
-        for _ in 0..1000 {
-            let c = a.next_core();
-            assert!(c < 4);
-            seen[c as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "all cores should receive packets");
     }
 
     #[test]

@@ -5,7 +5,6 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use sweeper_nic::packet::{Packet, PacketId};
-use sweeper_nic::queue::BoundedQueue;
 use sweeper_nic::ring::RxRing;
 use sweeper_nic::traffic::PoissonArrivals;
 use sweeper_sim::addr::{Addr, AddressMap};
@@ -74,31 +73,5 @@ proptest! {
             (observed - rate).abs() < rate * 0.05,
             "observed {observed:.0} vs configured {rate:.0}"
         );
-    }
-
-    /// Bounded queues never exceed capacity and preserve order.
-    #[test]
-    fn bounded_queue_is_fifo(capacity in 1usize..16, ops in vec(any::<bool>(), 1..200)) {
-        let mut q = BoundedQueue::new(capacity);
-        let mut model = std::collections::VecDeque::new();
-        let mut next = 0u32;
-        for push in ops {
-            if push {
-                match q.push(next) {
-                    Ok(()) => {
-                        model.push_back(next);
-                        prop_assert!(model.len() <= capacity);
-                    }
-                    Err(v) => {
-                        prop_assert_eq!(v, next);
-                        prop_assert_eq!(model.len(), capacity);
-                    }
-                }
-                next += 1;
-            } else {
-                prop_assert_eq!(q.pop(), model.pop_front());
-            }
-            prop_assert_eq!(q.len(), model.len());
-        }
     }
 }

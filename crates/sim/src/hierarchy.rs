@@ -683,16 +683,6 @@ impl MemorySystem {
         self.dram.reset_counters();
     }
 
-    /// Restricts the LLC ways the NIC may allocate into. Used by the
-    /// collocation experiments (§VI-E) to pin DDIO into partition A.
-    pub fn set_ddio_mask(&mut self, mask: WayMask) {
-        assert!(
-            mask.count_in(self.cfg.llc.ways) > 0,
-            "DDIO mask allows no LLC ways"
-        );
-        self.ddio_mask = mask;
-    }
-
     /// Restricts the LLC ways CPU-side insertions from `core` may allocate
     /// into (Intel CAT-style partitioning, §VI-E).
     ///

@@ -19,7 +19,7 @@
 //!   JSON values (`ph: "X"` complete events) that `ui.perfetto.dev` opens
 //!   directly;
 //! * [`ProfileNode`] is the hierarchical cycle/DRAM-attribution tree the
-//!   profiler reports through the `ReportSink` traversal;
+//!   profiler reports through every run-report rendering;
 //! * [`OutlierSnapshot`] captures the span window surrounding a
 //!   tail-latency outlier for the flight recorder.
 //!

@@ -29,7 +29,7 @@ use sweeper::core::experiment::{Experiment, PeakCriteria};
 use sweeper::core::fleet::Fleet;
 use sweeper::core::loadsweep::{LoadSweep, RateGrid};
 use sweeper::core::profile::RunProfile;
-use sweeper::core::report::{emit, text_report, CsvSink, ReportStyle};
+use sweeper::core::report::{csv_report, text_report};
 use sweeper::core::scenario::Scenario;
 use sweeper::core::server::{FlightRecorderConfig, RunOptions, RunReport, SamplerConfig};
 use sweeper::core::telemetry::{
@@ -102,7 +102,6 @@ OTHER FLAGS (all optional):
     --perfetto <PATH>                  write retained spans as a Chrome-
                                        trace-event JSON (open on
                                        ui.perfetto.dev); implies --trace-spans
-                                       (run/peak only)
     --profiler                         attribute simulated cycles and DRAM
                                        accesses per pipeline stage; the tree
                                        rides the run/peak report in every
@@ -110,19 +109,23 @@ OTHER FLAGS (all optional):
                                        run-length --profile flag)
     --flight-recorder                  snapshot the span window around
                                        requests beyond the online latency
-                                       quantile into --outliers (run/peak
-                                       only); implies span recording
+                                       quantile into --outliers; implies
+                                       span recording
     --flight-quantile <Q>              flight-recorder threshold quantile,
                                        0 < Q < 1               [0.999]
-    --outliers <DIR>                   flight-recorder output directory
-                                       [results/outliers]
+    --outliers <DIR>                   flight-recorder output directory;
+                                       needs --flight-recorder
+                                                   [results/outliers]
     --events <N>                       span/trace ring capacity [65536]
     --validate                         enable the correctness harness
                                        (shadow-memory oracle + invariant
-                                       walks) for run/peak/sweep; violations
-                                       go to stderr and fail the exit code
+                                       walks) for run/peak/sweep/trace;
+                                       violations go to stderr and fail
+                                       the exit code
     --walk-every <REQUESTS>            completed requests between invariant
                                        walks in checked mode      [1024]
+    --timeseries, --sample-every, --trace-spans, --perfetto, --profiler,
+    --flight-recorder and --outliers observe one run: `sweep` rejects them.
 
 JSON and CSV exports carry a run manifest (tool version, config summary,
 workload, seed, wall time; run/peak/sweep/trace add the canonical scenario
@@ -188,7 +191,7 @@ struct Cli {
     profiler: bool,
     flight_recorder: bool,
     flight_quantile: Option<f64>,
-    outliers: String,
+    outliers: Option<String>,
     events: usize,
 }
 
@@ -214,7 +217,7 @@ impl Default for Cli {
             profiler: false,
             flight_recorder: false,
             flight_quantile: None,
-            outliers: "results/outliers".into(),
+            outliers: None,
             events: 65_536,
         }
     }
@@ -280,7 +283,7 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             "--profiler" => cli.profiler = true,
             "--flight-recorder" => cli.flight_recorder = true,
             "--flight-quantile" => cli.flight_quantile = Some(num(flag, &value()?)?),
-            "--outliers" => cli.outliers = value()?,
+            "--outliers" => cli.outliers = Some(value()?),
             "--events" => cli.events = num(flag, &value()?)?,
             other => return Err(format!("unknown flag '{other}' (see `sweeper help`)")),
         }
@@ -291,6 +294,27 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         }
         if !cli.flight_recorder {
             return Err("--flight-quantile needs --flight-recorder".to_string());
+        }
+    }
+    if cli.outliers.is_some() && !cli.flight_recorder {
+        return Err("--outliers needs --flight-recorder".to_string());
+    }
+    if cli.command == "sweep" {
+        // A sweep keeps per-point summaries, not per-point samples, spans
+        // or profiles, so these flags have nothing to act on.
+        let observers = [
+            ("--timeseries", cli.timeseries.is_some()),
+            ("--sample-every", cli.sample_every.is_some()),
+            ("--trace-spans", cli.trace_spans),
+            ("--perfetto", cli.perfetto.is_some()),
+            ("--profiler", cli.profiler),
+            ("--flight-recorder", cli.flight_recorder),
+            ("--outliers", cli.outliers.is_some()),
+        ];
+        if let Some((flag, _)) = observers.iter().find(|(_, set)| *set) {
+            return Err(format!(
+                "`sweep` does not take {flag}: it needs a single-run command (run, peak, trace)"
+            ));
         }
     }
     if cli.events == 0 {
@@ -362,10 +386,6 @@ fn build_experiment(cli: &Cli) -> Result<Experiment, String> {
     Ok(scenario_experiment(cfg, s))
 }
 
-fn print_report(report: &RunReport) {
-    print!("{}", text_report(report, ReportStyle::default()));
-}
-
 /// Prints the `--validate` verdict for one report to stderr; `false` means
 /// the harness saw violations (the caller fails the exit code).
 fn check_passed(label: &str, report: &RunReport) -> bool {
@@ -407,19 +427,90 @@ fn cli_manifest(cli: &Cli, exp: &Experiment) -> RunManifest {
     m
 }
 
-/// Prints one run report in the requested `--format`.
-fn emit_report(report: &RunReport, format: OutputFormat, manifest: &RunManifest) {
-    match format {
-        OutputFormat::Text => print_report(report),
-        OutputFormat::Json => {
-            let doc = run_document(report, ReportStyle::default(), manifest);
-            println!("{}", doc.to_json_pretty());
+/// `run`, `peak` and `trace`: simulates one operating point (for `peak`, the
+/// point the peak search settles on), writes its time series and observer
+/// outputs, prints it on stdout — the report in `--format`, or for `trace`
+/// the memory-event CSV — and reports `--validate` on stderr.
+fn run_point(cli: &Cli, exp: &Experiment) -> ExitCode {
+    let t = std::time::Instant::now();
+    let peak = (cli.command == "peak").then(|| exp.find_peak(PeakCriteria::default()));
+    let single;
+    let report = match &peak {
+        Some(peak) => &peak.report,
+        None => {
+            single = exp.run_at_rate(cli.scenario.rate_mrps * 1e6);
+            &single
         }
-        OutputFormat::Csv => {
-            let mut sink = CsvSink::new().with_comments(&manifest.to_comments());
-            emit(report, ReportStyle::default(), &mut sink);
-            print!("{}", sink.finish());
+    };
+    let manifest = cli_manifest(cli, exp).wall_secs(t.elapsed().as_secs_f64());
+    if let Err(e) = write_timeseries(cli, report, &manifest)
+        .and_then(|()| write_observability(cli, report, &manifest))
+    {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
+    if cli.command == "trace" {
+        let trace = report
+            .memtrace
+            .as_ref()
+            .expect("the trace command always enables memory tracing");
+        // The CSV goes to stdout so it pipes cleanly; the run summary goes
+        // to stderr.
+        print!("{}", trace.to_csv_with_comments(&manifest.to_comments()));
+        eprintln!(
+            "traced {} memory events ({} retained) over {} requests at {:.1} Mrps",
+            trace.recorded(),
+            trace.events().len(),
+            report.completed,
+            report.throughput_mrps()
+        );
+    } else {
+        match cli.format {
+            OutputFormat::Text => {
+                match &peak {
+                    Some(peak) => println!(
+                        "peak: {:.2} Mrps (SLO = {} cycles = 100 x {:.0}-cycle unloaded service)",
+                        peak.throughput_mrps(),
+                        peak.slo_cycles,
+                        peak.unloaded_service_cycles
+                    ),
+                    None => println!(
+                        "== {} @ {:.1} Mrps offered ==",
+                        cli.scenario.workload.name(),
+                        cli.scenario.rate_mrps
+                    ),
+                }
+                print!("{}", text_report(report));
+            }
+            OutputFormat::Json => {
+                let mut doc = run_document(report, &manifest);
+                if let Some(peak) = &peak {
+                    doc.push(
+                        "peak",
+                        Record::new()
+                            .with("rate_mrps", peak.throughput_mrps())
+                            .with("slo_cycles", peak.slo_cycles)
+                            .with("unloaded_service_cycles", peak.unloaded_service_cycles),
+                    );
+                }
+                println!("{}", doc.to_json_pretty());
+            }
+            OutputFormat::Csv => {
+                let mut comments = manifest.to_comments();
+                if let Some(peak) = &peak {
+                    comments.push((
+                        "peak_mrps".to_string(),
+                        format!("{:.2}", peak.throughput_mrps()),
+                    ));
+                }
+                print!("{}", csv_report(report, &comments));
+            }
         }
+    }
+    if check_passed(&cli.command, report) {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -461,7 +552,7 @@ fn write_observability(cli: &Cli, report: &RunReport, manifest: &RunManifest) ->
         );
     }
     if let Some(outliers) = &report.outliers {
-        let dir = std::path::Path::new(&cli.outliers);
+        let dir = std::path::Path::new(cli.outliers.as_deref().unwrap_or("results/outliers"));
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
         for snapshot in outliers {
@@ -540,96 +631,12 @@ fn main() -> ExitCode {
             );
             ExitCode::SUCCESS
         }
-        "run" => match build_experiment(&cli) {
-            Ok(exp) => {
-                let t = std::time::Instant::now();
-                let report = exp.run_at_rate(cli.scenario.rate_mrps * 1e6);
-                let manifest = cli_manifest(&cli, &exp).wall_secs(t.elapsed().as_secs_f64());
-                if let Err(e) = write_timeseries(&cli, &report, &manifest)
-                    .and_then(|()| write_observability(&cli, &report, &manifest))
-                {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-                if cli.format == OutputFormat::Text {
-                    println!(
-                        "== {} @ {:.1} Mrps offered ==",
-                        cli.scenario.workload.name(),
-                        cli.scenario.rate_mrps
-                    );
-                }
-                emit_report(&report, cli.format, &manifest);
-                if !check_passed("run", &report) {
-                    return ExitCode::FAILURE;
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => usage_error(&e),
-        },
-        "peak" => match build_experiment(&cli) {
-            Ok(exp) => {
-                let t = std::time::Instant::now();
-                let peak = exp.find_peak(PeakCriteria::default());
-                let manifest = cli_manifest(&cli, &exp).wall_secs(t.elapsed().as_secs_f64());
-                if let Err(e) = write_timeseries(&cli, &peak.report, &manifest)
-                    .and_then(|()| write_observability(&cli, &peak.report, &manifest))
-                {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-                match cli.format {
-                    OutputFormat::Text => {
-                        println!(
-                            "peak: {:.2} Mrps (SLO = {} cycles = 100 x {:.0}-cycle unloaded service)",
-                            peak.throughput_mrps(),
-                            peak.slo_cycles,
-                            peak.unloaded_service_cycles
-                        );
-                        print_report(&peak.report);
-                    }
-                    OutputFormat::Json => {
-                        let doc = run_document(&peak.report, ReportStyle::default(), &manifest)
-                            .with(
-                                "peak",
-                                Record::new()
-                                    .with("rate_mrps", peak.throughput_mrps())
-                                    .with("slo_cycles", peak.slo_cycles)
-                                    .with(
-                                        "unloaded_service_cycles",
-                                        peak.unloaded_service_cycles,
-                                    ),
-                            );
-                        println!("{}", doc.to_json_pretty());
-                    }
-                    OutputFormat::Csv => {
-                        let mut comments = manifest.to_comments();
-                        comments.push((
-                            "peak_mrps".to_string(),
-                            format!("{:.2}", peak.throughput_mrps()),
-                        ));
-                        let mut sink = CsvSink::new().with_comments(&comments);
-                        emit(&peak.report, ReportStyle::default(), &mut sink);
-                        print!("{}", sink.finish());
-                    }
-                }
-                if !check_passed("peak", &peak.report) {
-                    return ExitCode::FAILURE;
-                }
-                ExitCode::SUCCESS
-            }
+        "run" | "peak" | "trace" => match build_experiment(&cli) {
+            Ok(exp) => run_point(&cli, &exp),
             Err(e) => usage_error(&e),
         },
         "sweep" => match build_experiment(&cli) {
             Ok(exp) => {
-                // A sweep retains per-point summaries, not reports, so
-                // there is nothing to export span windows from.
-                if cli.perfetto.is_some() || cli.flight_recorder {
-                    eprintln!(
-                        "error: --perfetto/--flight-recorder need a single-run \
-                         command (run, peak); a sweep does not retain per-point reports"
-                    );
-                    return ExitCode::FAILURE;
-                }
                 let grid = RateGrid::geometric(cli.lo * 1e6, cli.hi * 1e6, cli.points);
                 let t = std::time::Instant::now();
                 // Every rate runs, whatever the worker count; the reports
@@ -659,35 +666,6 @@ fn main() -> ExitCode {
                 if !all_pass {
                     return ExitCode::FAILURE;
                 }
-                ExitCode::SUCCESS
-            }
-            Err(e) => usage_error(&e),
-        },
-        "trace" => match build_experiment(&cli) {
-            Ok(exp) => {
-                let t = std::time::Instant::now();
-                let report = exp.run_at_rate(cli.scenario.rate_mrps * 1e6);
-                let manifest = cli_manifest(&cli, &exp).wall_secs(t.elapsed().as_secs_f64());
-                if let Err(e) = write_timeseries(&cli, &report, &manifest)
-                    .and_then(|()| write_observability(&cli, &report, &manifest))
-                {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-                let trace = report
-                    .memtrace
-                    .as_ref()
-                    .expect("the trace command always enables memory tracing");
-                // The CSV goes to stdout so it pipes cleanly; the run
-                // summary goes to stderr.
-                print!("{}", trace.to_csv_with_comments(&manifest.to_comments()));
-                eprintln!(
-                    "traced {} memory events ({} retained) over {} requests at {:.1} Mrps",
-                    trace.recorded(),
-                    trace.events().len(),
-                    report.completed,
-                    report.throughput_mrps()
-                );
                 ExitCode::SUCCESS
             }
             Err(e) => usage_error(&e),

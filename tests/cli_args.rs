@@ -236,3 +236,46 @@ fn scenario_files_parse_and_round_trip() {
     }
     assert!(files > 0, "no scenario files found");
 }
+
+#[test]
+fn sweep_rejects_single_run_flags() {
+    // A sweep keeps per-point summaries only, so these flags used to be
+    // dropped without a word (or fail after the whole build).
+    for flag in [
+        &["--timeseries", "ts.csv"][..],
+        &["--sample-every", "1000"],
+        &["--trace-spans"],
+        &["--perfetto", "p.json"],
+        &["--profiler"],
+        &["--flight-recorder"],
+        &["--outliers", "out"],
+    ] {
+        let args = [&["sweep"][..], flag].concat();
+        assert_usage_error(&args);
+        let (_, stderr) = run(&args);
+        assert!(stderr.contains(flag[0]), "{args:?} should name the flag, got: {stderr}");
+    }
+}
+
+#[test]
+fn outliers_without_flight_recorder_is_a_usage_error() {
+    assert_usage_error(&["run", "--outliers", "out"]);
+}
+
+#[test]
+fn trace_reports_its_validate_verdict() {
+    let out = Command::new(env!("CARGO_BIN_EXE_sweeper"))
+        .args([
+            "trace", "--cores", "4", "--buffers", "128", "--requests", "500", "--rate", "5",
+            "--events", "1024", "--validate",
+        ])
+        .output()
+        .expect("spawn sweeper");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(
+        stderr.lines().any(|l| l.starts_with("validate [trace]: pass")),
+        "trace --validate should report its verdict, got: {stderr}"
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("cycle,kind,core,block,blocks,latency"));
+}

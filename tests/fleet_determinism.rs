@@ -6,7 +6,7 @@ use sweeper::bench::figs;
 use sweeper::core::experiment::ExperimentConfig;
 use sweeper::core::fleet::{ExperimentPoint, Fleet, PointOutcome};
 use sweeper::core::profile::RunProfile;
-use sweeper::core::report::{text_report, ReportStyle};
+use sweeper::core::report::text_report;
 use sweeper::core::telemetry::{fleet_document, RunManifest};
 use sweeper::core::workload::EchoWorkload;
 
@@ -36,7 +36,7 @@ fn points() -> Vec<ExperimentPoint> {
 fn fingerprint(outcomes: &[PointOutcome]) -> String {
     outcomes
         .iter()
-        .map(|o| format!("## {}\n{}", o.label, text_report(&o.report, ReportStyle::default())))
+        .map(|o| format!("## {}\n{}", o.label, text_report(&o.report)))
         .collect()
 }
 

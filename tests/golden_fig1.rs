@@ -15,7 +15,7 @@ use std::path::PathBuf;
 
 use sweeper::bench::{figure_run_options, scenario_experiment};
 use sweeper::core::profile::RunProfile;
-use sweeper::core::report::{text_report, ReportStyle};
+use sweeper::core::report::text_report;
 use sweeper::core::scenario::Scenario;
 use sweeper::core::server::RunReport;
 
@@ -24,7 +24,7 @@ use sweeper::core::server::RunReport;
 /// histogram internals are included so a drift that cancels out in derived
 /// metrics still fails.
 fn fingerprint(report: &RunReport) -> String {
-    let mut out = text_report(report, ReportStyle::default());
+    let mut out = text_report(report);
     let m = &report.mem;
     let _ = writeln!(out, "offered             : {}", report.offered);
     let _ = writeln!(out, "dropped             : {}", report.dropped);

@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 
 use sweeper::core::experiment::{Experiment, ExperimentConfig};
-use sweeper::core::report::{emit, json_record, text_report, CsvSink, ReportStyle};
+use sweeper::core::report::{csv_report, json_record, text_report};
 use sweeper::core::server::RunReport;
 use sweeper::core::telemetry::{
     run_document, validate_run_document, Record, RunManifest, Value,
@@ -127,7 +127,7 @@ fn run_report_json_matches_golden_and_schema() {
         .config("tiny_for_tests")
         .workload("echo")
         .seed(SEED);
-    let doc = run_document(&report, ReportStyle::default(), &manifest);
+    let doc = run_document(&report, &manifest);
     validate_run_document(&doc).expect("run document must satisfy the schema");
     let json = normalize_version(&format!("{}\n", doc.to_json_pretty()));
     check_golden("run_report.json", &json);
@@ -137,9 +137,8 @@ fn run_report_json_matches_golden_and_schema() {
 /// section (profile columns, check record) present.
 #[test]
 fn run_report_csv_matches_golden() {
-    let mut sink = CsvSink::new().with_comments(&manifest().to_comments());
-    emit(&full_report(), ReportStyle::default(), &mut sink);
-    check_golden("run_report.csv", &sink.finish());
+    let csv = csv_report(&full_report(), &manifest().to_comments());
+    check_golden("run_report.csv", &csv);
 }
 
 /// The text report with its profile tree and check line.
@@ -147,17 +146,14 @@ fn run_report_csv_matches_golden() {
 fn full_text_report_matches_golden() {
     let report = full_report();
     assert!(report.profile.is_some() && report.check.is_some());
-    check_golden(
-        "run_report_full.txt",
-        &text_report(&report, ReportStyle::default()),
-    );
+    check_golden("run_report_full.txt", &text_report(&report));
 }
 
 #[test]
 fn text_and_json_reports_agree_on_every_shared_scalar() {
     let report = report();
-    let text = text_report(&report, ReportStyle::default());
-    let rec = json_record(&report, ReportStyle::default());
+    let text = text_report(&report);
+    let rec = json_record(&report);
 
     assert_eq!(
         text_value(&text, "completed"),
@@ -209,7 +205,7 @@ fn text_and_json_reports_agree_on_every_shared_scalar() {
 #[test]
 fn run_document_is_deterministic() {
     let manifest = RunManifest::new().seed(SEED);
-    let a = run_document(&report(), ReportStyle::default(), &manifest).to_json_pretty();
-    let b = run_document(&report(), ReportStyle::default(), &manifest).to_json_pretty();
+    let a = run_document(&report(), &manifest).to_json_pretty();
+    let b = run_document(&report(), &manifest).to_json_pretty();
     assert_eq!(a, b);
 }
