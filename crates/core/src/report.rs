@@ -65,7 +65,12 @@ fn scalar(key: &'static str, label: &'static str, value: impl Into<Value>, text:
 }
 
 /// A latency line; the text shows p50 only when `show_p50`.
-fn latency(key: &'static str, label: &'static str, summary: HistogramSummary, show_p50: bool) -> Line {
+fn latency(
+    key: &'static str,
+    label: &'static str,
+    summary: HistogramSummary,
+    show_p50: bool,
+) -> Line {
     let p50 = if show_p50 {
         format!("  p50 {}", summary.p50)
     } else {
@@ -88,15 +93,60 @@ fn lines(report: &RunReport) -> Vec<Line> {
     let gbps = report.memory_bandwidth_gbps();
     let apr = report.total_accesses_per_request();
     let mut lines = vec![
-        scalar("workload", "workload", report.workload.as_str(), report.workload.clone()),
-        scalar("completed", "completed", report.completed, report.completed.to_string()),
-        scalar("throughput_mrps", "throughput", throughput, format!("{throughput:.2} Mrps")),
-        scalar("goodput_ratio", "goodput ratio", goodput, format!("{goodput:.3}")),
-        scalar("drop_rate", "drop rate", drop_rate, format!("{:.4}%", drop_rate * 100.0)),
-        scalar("memory_bandwidth_gbps", "memory bandwidth", gbps, format!("{gbps:.2} GB/s")),
-        latency("request_latency", "request latency", report.request_latency.summary(), true),
-        latency("dram_latency", "dram read latency", report.dram_latency.summary(), false),
-        scalar("accesses_per_request", "accesses/request", apr, format!("{apr:.2}")),
+        scalar(
+            "workload",
+            "workload",
+            report.workload.as_str(),
+            report.workload.clone(),
+        ),
+        scalar(
+            "completed",
+            "completed",
+            report.completed,
+            report.completed.to_string(),
+        ),
+        scalar(
+            "throughput_mrps",
+            "throughput",
+            throughput,
+            format!("{throughput:.2} Mrps"),
+        ),
+        scalar(
+            "goodput_ratio",
+            "goodput ratio",
+            goodput,
+            format!("{goodput:.3}"),
+        ),
+        scalar(
+            "drop_rate",
+            "drop rate",
+            drop_rate,
+            format!("{:.4}%", drop_rate * 100.0),
+        ),
+        scalar(
+            "memory_bandwidth_gbps",
+            "memory bandwidth",
+            gbps,
+            format!("{gbps:.2} GB/s"),
+        ),
+        latency(
+            "request_latency",
+            "request latency",
+            report.request_latency.summary(),
+            true,
+        ),
+        latency(
+            "dram_latency",
+            "dram read latency",
+            report.dram_latency.summary(),
+            false,
+        ),
+        scalar(
+            "accesses_per_request",
+            "accesses/request",
+            apr,
+            format!("{apr:.2}"),
+        ),
     ];
     for (class, v) in report.accesses_per_request() {
         if v > MIN_CLASS {
@@ -113,7 +163,9 @@ fn lines(report: &RunReport) -> Vec<Line> {
         ));
     }
     if report.timed_out {
-        lines.push(Line::Warning("run hit max_cycles before its quota".to_string()));
+        lines.push(Line::Warning(
+            "run hit max_cycles before its quota".to_string(),
+        ));
     }
     if let Some(check) = &report.check {
         let status = if check.passed() { "pass" } else { "FAIL" };
@@ -148,9 +200,15 @@ fn extras(report: &RunReport) -> Vec<(&'static str, Value)> {
         ("offered", Value::from(report.offered)),
         ("dropped", Value::from(report.dropped)),
         ("elapsed_cycles", Value::from(report.elapsed_cycles)),
-        ("background_iterations", Value::from(report.background_iterations)),
+        (
+            "background_iterations",
+            Value::from(report.background_iterations),
+        ),
         ("timed_out", Value::from(report.timed_out)),
-        ("service_time", Value::from(report.service_time.summary().to_record())),
+        (
+            "service_time",
+            Value::from(report.service_time.summary().to_record()),
+        ),
         ("mem", Value::from(report.mem.to_record())),
         ("channel_transfers", Value::Array(channels)),
     ];
@@ -252,11 +310,17 @@ pub fn csv_report(report: &RunReport, comments: &[(String, String)]) -> String {
                 (format!("{key}_p50"), Value::from(summary.p50)),
                 (format!("{key}_p99"), Value::from(summary.p99)),
             ]),
-            Line::Class(class, v) => columns.push((format!("per_request[{class}]"), Value::from(v))),
+            Line::Class(class, v) => {
+                columns.push((format!("per_request[{class}]"), Value::from(v)))
+            }
             Line::Warning(text) => warnings.push(text),
         }
     }
-    columns.extend(extras(report).into_iter().map(|(key, value)| (key.to_string(), value)));
+    columns.extend(
+        extras(report)
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value)),
+    );
     if let Some(profile) = &report.profile {
         profile_columns(&mut columns, profile, &profile.label);
     }
@@ -273,7 +337,10 @@ pub fn csv_report(report: &RunReport, comments: &[(String, String)]) -> String {
 /// checked in a spreadsheet without JSON parsing.
 fn profile_columns(columns: &mut Vec<(String, Value)>, node: &ProfileNode, path: &str) {
     columns.push((format!("profile_cycles[{path}]"), Value::from(node.cycles)));
-    columns.push((format!("profile_dram[{path}]"), Value::from(node.dram_accesses())));
+    columns.push((
+        format!("profile_dram[{path}]"),
+        Value::from(node.dram_accesses()),
+    ));
     for child in &node.children {
         profile_columns(columns, child, &format!("{path}.{}", child.label));
     }
@@ -372,7 +439,10 @@ mod tests {
         let Some(Value::Record(json_profile)) = rec.get("profile") else {
             panic!("profile missing from JSON");
         };
-        assert_eq!(json_profile.get("cycles"), Some(&Value::U64(profile.cycles)));
+        assert_eq!(
+            json_profile.get("cycles"),
+            Some(&Value::U64(profile.cycles))
+        );
 
         let csv = csv_report(&r, &[]);
         assert!(csv.contains("profile_cycles[request]"));
@@ -386,9 +456,10 @@ mod tests {
             max_cycles: 100_000,
             ..crate::server::RunOptions::quick()
         };
-        let r = Experiment::new(ExperimentConfig::tiny_for_tests().run_options(options), || {
-            EchoWorkload::with_think(100)
-        })
+        let r = Experiment::new(
+            ExperimentConfig::tiny_for_tests().run_options(options),
+            || EchoWorkload::with_think(100),
+        )
         .run_at_rate(1.0e6);
         assert!(r.timed_out);
         let warning = "run hit max_cycles before its quota";

@@ -857,9 +857,8 @@ impl Server {
             ArrivalProcess::Poisson { rate } => Some(PoissonArrivals::new(rate, root_rng.fork())),
             ArrivalProcess::KeepQueued { .. } => None,
         };
-        // This fork once seeded a random core assigner. Assignment is
-        // round-robin now, but the fork stays so the workload's stream below
-        // (and with it every recorded result) is unchanged.
+        // Drawn and dropped on purpose: the workload's stream is the next
+        // fork, and moving it would change every recorded result.
         let _ = root_rng.fork();
         let wl_rng = root_rng.fork();
         let cores = cfg.machine.cores;

@@ -125,7 +125,8 @@ OTHER FLAGS (all optional):
     --walk-every <REQUESTS>            completed requests between invariant
                                        walks in checked mode      [1024]
     --timeseries, --sample-every, --trace-spans, --perfetto, --profiler,
-    --flight-recorder and --outliers observe one run: `sweep` rejects them.
+    --flight-recorder and --outliers observe one run: only run, peak and
+    trace take them.
 
 JSON and CSV exports carry a run manifest (tool version, config summary,
 workload, seed, wall time; run/peak/sweep/trace add the canonical scenario
@@ -299,9 +300,10 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     if cli.outliers.is_some() && !cli.flight_recorder {
         return Err("--outliers needs --flight-recorder".to_string());
     }
-    if cli.command == "sweep" {
-        // A sweep keeps per-point summaries, not per-point samples, spans
-        // or profiles, so these flags have nothing to act on.
+    if !matches!(cli.command.as_str(), "run" | "peak" | "trace") {
+        // Only a single run keeps its samples, spans and profile; a sweep
+        // or a figure keeps per-point summaries, so these flags would have
+        // nothing to act on.
         let observers = [
             ("--timeseries", cli.timeseries.is_some()),
             ("--sample-every", cli.sample_every.is_some()),
@@ -313,7 +315,8 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         ];
         if let Some((flag, _)) = observers.iter().find(|(_, set)| *set) {
             return Err(format!(
-                "`sweep` does not take {flag}: it needs a single-run command (run, peak, trace)"
+                "`{}` does not take {flag}: it needs a single-run command (run, peak, trace)",
+                cli.command
             ));
         }
     }

@@ -238,22 +238,27 @@ fn scenario_files_parse_and_round_trip() {
 }
 
 #[test]
-fn sweep_rejects_single_run_flags() {
-    // A sweep keeps per-point summaries only, so these flags used to be
-    // dropped without a word (or fail after the whole build).
-    for flag in [
-        &["--timeseries", "ts.csv"][..],
-        &["--sample-every", "1000"],
-        &["--trace-spans"],
-        &["--perfetto", "p.json"],
-        &["--profiler"],
-        &["--flight-recorder"],
-        &["--outliers", "out"],
-    ] {
-        let args = [&["sweep"][..], flag].concat();
-        assert_usage_error(&args);
-        let (_, stderr) = run(&args);
-        assert!(stderr.contains(flag[0]), "{args:?} should name the flag, got: {stderr}");
+fn single_run_flags_are_rejected_elsewhere() {
+    // Sweeps and figures keep per-point summaries only, so these flags used
+    // to be dropped without a word (or fail after the whole build).
+    for command in [&["sweep"][..], &["figure", "fig2"], &["check"], &["figures"], &["info"]] {
+        for flag in [
+            &["--timeseries", "ts.csv"][..],
+            &["--sample-every", "1000"],
+            &["--trace-spans"],
+            &["--perfetto", "p.json"],
+            &["--profiler"],
+            &["--flight-recorder"],
+            &["--outliers", "out"],
+        ] {
+            let args = [command, flag].concat();
+            assert_usage_error(&args);
+            let (_, stderr) = run(&args);
+            assert!(
+                stderr.contains(flag[0]),
+                "{args:?} should name the flag, got: {stderr}"
+            );
+        }
     }
 }
 
@@ -274,8 +279,11 @@ fn trace_reports_its_validate_verdict() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "stderr: {stderr}");
     assert!(
-        stderr.lines().any(|l| l.starts_with("validate [trace]: pass")),
+        stderr
+            .lines()
+            .any(|l| l.starts_with("validate [trace]: pass")),
         "trace --validate should report its verdict, got: {stderr}"
     );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("cycle,kind,core,block,blocks,latency"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("cycle,kind,core,block,blocks,latency"));
 }
