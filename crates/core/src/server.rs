@@ -1,4 +1,4 @@
-//! The simulated networked server: cores, rings, queue pairs, and Sweeper.
+//! The simulated networked server: cores, rings, the Work Queue, and Sweeper.
 //!
 //! Reproduces the paper's system model (§III, Appendix A): a 24-core server
 //! with an integrated Scale-Out-NUMA-style NIC, per-core RX rings, and a
@@ -11,7 +11,7 @@
 //! 2. run the workload's handler, which records the request's
 //!    memory-reference trace (RX buffer reads, application data accesses,
 //!    compute),
-//! 3. construct and transmit the response through the Work Queue,
+//! 3. construct the response and hand its Work Queue entry to the NIC,
 //! 4. with Sweeper enabled, `relinquish` the consumed RX buffer (§V-A) —
 //!    or, for zero-copy forwarding, set the Work Queue entry's
 //!    `sweep_buffer` flag so the NIC sweeps after transmission (§V-D).

@@ -13,8 +13,8 @@
 //!
 //! * [`sim`] — the microarchitectural substrate (caches, DDIO, coherence,
 //!   DDR4 model, statistics),
-//! * [`nic`] — the Scale-Out-NUMA-style NIC model (rings, queue pairs,
-//!   Poisson traffic generation, injection policies),
+//! * [`nic`] — the Scale-Out-NUMA-style NIC model (rings, Work Queue
+//!   entries, Poisson traffic generation, injection policies),
 //! * [`core`] — the Sweeper mechanism itself (`relinquish`, `clsweep`,
 //!   NIC-driven TX sweeping), the server system model, and the experiment
 //!   harness,
