@@ -6,8 +6,8 @@
 //! way `golden_fig1` pins the text fingerprint: any field rename, reorder,
 //! or numeric drift shows up as a byte diff. Regenerate intentionally with
 //! `SWEEPER_BLESS=1 cargo test --test telemetry_golden` and inspect the
-//! diff before committing. The manifest's `version` field is normalized so
-//! routine version bumps don't invalidate the snapshots.
+//! diff before committing. The manifest's `version` field is a placeholder
+//! so routine version bumps don't invalidate the snapshots.
 
 use std::path::PathBuf;
 
@@ -38,7 +38,8 @@ fn full_report() -> RunReport {
     Experiment::new(cfg, || EchoWorkload::with_think(100)).run_at_rate(1.0e6)
 }
 
-/// A fixed manifest: no wall time, and a placeholder version.
+/// A fixed manifest: no wall time, and a placeholder version so crate
+/// version bumps don't invalidate the snapshots.
 fn manifest() -> RunManifest {
     let mut manifest = RunManifest::new()
         .profile("test")
@@ -69,25 +70,6 @@ fn check_golden(file: &str, actual: &str) {
         "run report diverged from golden '{file}' — a field rename or \
          reorder is a schema break (bless only if intentional)"
     );
-}
-
-/// Replaces the manifest's version value so crate version bumps don't
-/// invalidate the snapshot.
-fn normalize_version(json: &str) -> String {
-    let mut out: String = json
-        .lines()
-        .map(|l| {
-            if let Some(i) = l.find("\"version\": ") {
-                let comma = if l.trim_end().ends_with(',') { "," } else { "" };
-                format!("{}\"version\": \"<version>\"{comma}", &l[..i])
-            } else {
-                l.to_string()
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n");
-    out.push('\n');
-    out
 }
 
 fn f64_of(rec: &Record, key: &str) -> f64 {
@@ -121,16 +103,9 @@ fn text_value<'a>(text: &'a str, label: &str) -> &'a str {
 
 #[test]
 fn run_report_json_matches_golden_and_schema() {
-    let report = report();
-    let manifest = RunManifest::new()
-        .profile("test")
-        .config("tiny_for_tests")
-        .workload("echo")
-        .seed(SEED);
-    let doc = run_document(&report, &manifest);
+    let doc = run_document(&report(), &manifest());
     validate_run_document(&doc).expect("run document must satisfy the schema");
-    let json = normalize_version(&format!("{}\n", doc.to_json_pretty()));
-    check_golden("run_report.json", &json);
+    check_golden("run_report.json", &format!("{}\n", doc.to_json_pretty()));
 }
 
 /// The one-row CSV, manifest comments included, with every optional
