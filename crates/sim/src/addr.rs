@@ -47,6 +47,12 @@ impl fmt::LowerHex for Addr {
     }
 }
 
+/// The simulated address limit in blocks: every allocated block address is
+/// below 2^29 (32 GiB of bytes). Cache tag words keep 29 block bits, and
+/// [`AddressMap::alloc`] refuses a region that would end past the limit. The
+/// largest figure footprint is about 1.4 GiB.
+pub const MAX_BLOCKS: u64 = 1 << 29;
+
 /// A cache-block address (byte address divided by the 64 B block size).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockAddr(pub u64);
@@ -195,11 +201,17 @@ impl AddressMap {
     ///
     /// # Panics
     ///
-    /// Panics if `bytes` is zero.
+    /// Panics if `bytes` is zero, or if the region would end past
+    /// [`MAX_BLOCKS`].
     pub fn alloc(&mut self, bytes: u64, kind: RegionKind) -> Addr {
         assert!(bytes > 0, "cannot allocate an empty region");
         let len = bytes.div_ceil(BLOCK_BYTES) * BLOCK_BYTES;
         let start = self.next;
+        assert!(
+            len <= MAX_BLOCKS * BLOCK_BYTES - start,
+            "region of {bytes} bytes ends past the simulated address limit \
+             (MAX_BLOCKS = 2^29 blocks, 32 GiB)"
+        );
         self.next += len;
         let index = u32::try_from(self.regions.len()).expect("too many regions");
         self.regions.push(Region {
@@ -334,6 +346,26 @@ mod tests {
     #[should_panic(expected = "empty region")]
     fn alloc_zero_panics() {
         AddressMap::new().alloc(0, RegionKind::App);
+    }
+
+    #[test]
+    fn alloc_fills_the_address_space_up_to_the_limit() {
+        let mut map = AddressMap::new();
+        let limit = MAX_BLOCKS * BLOCK_BYTES;
+        let last = map.alloc(limit - ALLOC_BASE - BLOCK_BYTES, RegionKind::App);
+        let top = map.alloc(1, RegionKind::Rx { core: 0 });
+        assert_eq!(top.block(), BlockAddr(MAX_BLOCKS - 1));
+        assert_eq!(map.classify(top), RegionKind::Rx { core: 0 });
+        assert_eq!(map.classify(last), RegionKind::App);
+        assert_eq!(map.allocated_bytes(), limit - ALLOC_BASE);
+    }
+
+    #[test]
+    #[should_panic(expected = "ends past the simulated address limit")]
+    fn alloc_past_the_limit_panics() {
+        let mut map = AddressMap::new();
+        map.alloc(MAX_BLOCKS * BLOCK_BYTES - ALLOC_BASE, RegionKind::App);
+        map.alloc(1, RegionKind::App);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 
 use std::fmt;
 
-use crate::addr::BlockAddr;
-use crate::table::ZeroTable;
+use crate::addr::{BlockAddr, MAX_BLOCKS};
+use crate::table::{ZeroTable, Zeroable};
 
 /// A bitmask over cache ways; bit `i` set means way `i` may be allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -143,23 +143,27 @@ impl CacheGeometry {
 /// Packed per-way tag word. Layout (LSB first):
 ///
 /// ```text
-/// bit 0      present (0 = empty way; an all-zero word is an empty way)
-/// bit 1      dirty
-/// bit 2      origin (0 = Cpu, 1 = Nic)
-/// bits 3..   block address
+/// bit 0       present (0 = empty way; an all-zero word is an empty way)
+/// bit 1       dirty
+/// bit 2       origin (0 = Cpu, 1 = Nic)
+/// bits 3..32  block address
 /// ```
 ///
-/// Packing the residency scan's entire decision state into one `u64` per way
-/// keeps a set probe to `ways * 8` bytes: one host cache line for an 8-way
-/// set, two for 12 ways and three for 20. The 32-byte `Option<Line>`-plus-LRU
-/// slots this replaces spread a 12-way probe across six.
+/// A row stores each word as a `u32`, which holds every block below
+/// [`MAX_BLOCKS`]; the helpers work on the word widened to `u64`, where it
+/// compares with a [`BlockAddr`] directly.
 const TAG_PRESENT: u64 = 1;
 const TAG_DIRTY: u64 = 1 << 1;
 const TAG_NIC: u64 = 1 << 2;
 const TAG_FLAG_BITS: u32 = 3;
 
+const _: () = assert!(MAX_BLOCKS << TAG_FLAG_BITS <= 1 << 32, "tag words are 32 bits");
+
 fn encode_tag(block: BlockAddr, dirty: bool, origin: LineOrigin) -> u64 {
-    debug_assert!(block.0 < 1 << (64 - TAG_FLAG_BITS), "block address too large to pack");
+    assert!(
+        block.0 < MAX_BLOCKS,
+        "block address beyond the simulated address limit"
+    );
     (block.0 << TAG_FLAG_BITS)
         | (if origin == LineOrigin::Nic { TAG_NIC } else { 0 })
         | (if dirty { TAG_DIRTY } else { 0 })
@@ -182,20 +186,153 @@ fn tag_matches(tag: u64, block: BlockAddr) -> bool {
     tag & TAG_PRESENT != 0 && tag >> TAG_FLAG_BITS == block.0
 }
 
+/// A tag word as a row stores it; [`encode_tag`] keeps every word below
+/// 2^32.
+#[inline]
+fn stored(tag: u64) -> u32 {
+    debug_assert!(tag <= u64::from(u32::MAX), "tag word overflows 32 bits");
+    tag as u32
+}
+
+/// Bytes in a host cache line, the unit a set's row is padded to.
+const HOST_LINE: usize = 64;
+
+/// One host cache line of set metadata, aligned to its own size.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct HostLine([u32; HOST_LINE / 4]);
+
+// SAFETY: sixteen `u32`s and no padding; all-zero is a valid value.
+unsafe impl Zeroable for HostLine {}
+
+/// A cache's set metadata, one row per set: the set's `ways` tag words
+/// (`u32`, see [`encode_tag`]), then one replacement byte per way, padded to
+/// whole host lines. A 12-way row (48 + 12 B) is one 64-byte line and a
+/// 20-way row (80 + 20 B) two, and every row starts on a line boundary, so a
+/// set probe touches only its own row's lines. An all-zero row is an empty
+/// set.
+#[derive(Clone)]
+struct SetRows {
+    lines: ZeroTable<HostLine>,
+    ways: usize,
+    /// Host lines per row.
+    row_lines: usize,
+}
+
+impl SetRows {
+    fn new(sets: usize, ways: usize) -> Self {
+        let row_lines = (5 * ways).div_ceil(HOST_LINE);
+        Self {
+            lines: ZeroTable::new(sets * row_lines),
+            ways,
+            row_lines,
+        }
+    }
+
+    fn sets(&self) -> usize {
+        self.lines.len() / self.row_lines
+    }
+
+    /// The host lines of `set`'s row.
+    #[inline]
+    fn lines(&self, set: usize) -> &[HostLine] {
+        &self.lines[set * self.row_lines..(set + 1) * self.row_lines]
+    }
+
+    /// `set`'s tag words and replacement bytes.
+    #[inline]
+    fn row(&self, set: usize) -> (&[u32], &[u8]) {
+        let ptr = self.lines(set).as_ptr().cast::<u8>();
+        // SAFETY: the row's lines are `row_lines * 64` initialised bytes,
+        // borrowed for the returned lifetime. The tag words are its first
+        // `4 * ways` bytes, aligned for `u32` (lines are 64-byte aligned),
+        // and the rank bytes the next `ways`; `5 * ways` fits in the row by
+        // construction. Any bit pattern is a valid `u32` and `u8`.
+        unsafe {
+            (
+                std::slice::from_raw_parts(ptr.cast::<u32>(), self.ways),
+                std::slice::from_raw_parts(ptr.add(4 * self.ways), self.ways),
+            )
+        }
+    }
+
+    /// [`row`](Self::row), for update.
+    #[inline]
+    fn row_mut(&mut self, set: usize) -> (&mut [u32], &mut [u8]) {
+        let ways = self.ways;
+        let start = set * self.row_lines;
+        let ptr = self.lines[start..start + self.row_lines]
+            .as_mut_ptr()
+            .cast::<u8>();
+        // SAFETY: as in `row`, with the lines borrowed exclusively; the two
+        // slices are disjoint.
+        unsafe {
+            (
+                std::slice::from_raw_parts_mut(ptr.cast::<u32>(), ways),
+                std::slice::from_raw_parts_mut(ptr.add(4 * ways), ways),
+            )
+        }
+    }
+
+    /// Every resident tag word with its `(set, way)`, in set order.
+    fn iter_present(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
+        (0..self.sets()).flat_map(move |set| {
+            self.row(set)
+                .0
+                .iter()
+                .enumerate()
+                .map(move |(way, &t)| (set, way, u64::from(t)))
+                .filter(|&(_, _, t)| t & TAG_PRESENT != 0)
+        })
+    }
+}
+
+impl fmt::Debug for SetRows {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries((0..self.sets()).map(|set| self.row(set)))
+            .finish()
+    }
+}
+
+/// Lets a test take a whole table with `&cache.tags[..]`, as it did the flat
+/// tag array the rows replaced.
+#[cfg(test)]
+impl std::ops::Index<std::ops::RangeFull> for SetRows {
+    type Output = SetRows;
+
+    fn index(&self, _: std::ops::RangeFull) -> &SetRows {
+        self
+    }
+}
+
+/// A table equals a flat `sets * ways` array of tag words (the layout before
+/// rows) when its tag words, set by set, do.
+#[cfg(test)]
+impl PartialEq<[u64]> for SetRows {
+    fn eq(&self, flat: &[u64]) -> bool {
+        flat.len() == self.sets() * self.ways
+            && (0..self.sets())
+                .flat_map(|set| self.row(set).0)
+                .map(|&t| u64::from(t))
+                .eq(flat.iter().copied())
+    }
+}
+
 /// A single set-associative cache level with LRU replacement.
 ///
-/// Internally a structure-of-arrays: the packed `encode_tag` words carry
-/// everything a residency scan needs, and one replacement byte per way lives
-/// in a parallel array that is only touched on a hit, an insertion, or
-/// victim selection. Under LRU a set's bytes hold its recency order as a
+/// Each set is one row of whole host cache lines: the packed tag words carry
+/// everything a residency scan needs, and the replacement byte per way that
+/// follows them is only touched on a hit, an insertion, or victim
+/// selection. Under LRU a set's bytes hold its recency order as a
 /// permutation of the ways, each way storing `rank ^ way` (rank 0 = most
 /// recent): a hit or fill moves the way to rank 0, and the victim is the
 /// allowed way with the highest rank. Under SRRIP the byte is the way's
-/// re-reference prediction value. Both arrays start all-zero: an empty tag
-/// word is an empty way, the zero rank row is the identity permutation, and
-/// an empty way's byte is never read (victim selection only runs once every
-/// allowed way is occupied, and every insertion writes its way's byte), so
-/// building a cache writes nothing.
+/// re-reference prediction value. Rows start all-zero: an empty tag word is
+/// an empty way, zero rank bytes are the identity permutation, and an empty
+/// way's byte is never read (victim selection only runs once every allowed
+/// way is occupied, and every insertion writes its way's byte), so building
+/// a cache writes nothing.
 ///
 /// ```
 /// use sweeper_sim::cache::{CacheGeometry, LineOrigin, SetAssocCache, WayMask};
@@ -212,8 +349,8 @@ pub struct SetAssocCache {
     sets: usize,
     /// `fastmod_magic(sets)`: lets `set_of` reduce without a divide.
     sets_magic: u64,
-    tags: ZeroTable<u64>, // sets * ways, row-major by set; 0 = empty way
-    ranks: ZeroTable<u8>, // parallel to `tags`: LRU rank ^ way, or SRRIP rrpv
+    /// One row per set: tag words, then LRU `rank ^ way` or SRRIP rrpv bytes.
+    tags: SetRows,
     resident: u64,
     policy: ReplacementPolicy,
 }
@@ -253,8 +390,7 @@ impl SetAssocCache {
             geometry,
             sets,
             sets_magic: fastmod_magic(sets as u64),
-            tags: ZeroTable::new(sets * geometry.ways),
-            ranks: ZeroTable::new(sets * geometry.ways),
+            tags: SetRows::new(sets, geometry.ways),
             resident: 0,
             policy,
         }
@@ -288,48 +424,32 @@ impl SetAssocCache {
         fastmod(h >> 32, self.sets_magic, self.sets as u64) as usize
     }
 
-    fn slot_range(&self, set: usize) -> std::ops::Range<usize> {
-        let base = set * self.geometry.ways;
-        base..base + self.geometry.ways
-    }
-
-    /// Records a reference to `way` of the set whose row starts at `base`:
-    /// a hit (`fill == false`) or the way's new line being installed.
-    #[inline]
-    fn touch(&mut self, base: usize, way: usize, fill: bool) {
-        let row = &mut self.ranks[base..base + self.geometry.ways];
-        match self.policy {
-            ReplacementPolicy::Lru => promote(row, way),
-            ReplacementPolicy::Srrip => row[way] = if fill { SRRIP_INSERT } else { 0 },
-        }
-    }
-
     /// Hints the host CPU to pull the block's set metadata into cache.
     ///
-    /// The simulator's tag and rank tables (about 5 MiB for the paper's
-    /// LLC, plus 180 KiB per private L2) are probed at hash-randomized
-    /// indices, so nearly every set probe is a host last-level-cache miss.
-    /// Callers that know the next few blocks they will touch (range
-    /// accesses, packet delivery) can issue prefetches up front and let the
-    /// host overlap what would otherwise be a serial chain of misses. Every
-    /// host line the set's tag and rank rows span is requested: a 12-way
-    /// tag row (96 B) spans two lines and a 20-way one (160 B) three, and a
-    /// rank row (12 or 20 B) one or two. Purely a performance hint: no
-    /// simulated state changes.
+    /// The simulator's set rows (3 MiB for the paper's LLC, plus 128 KiB per
+    /// private L2) are probed at hash-randomized indices, so nearly every
+    /// set probe is a host last-level-cache miss. Callers that know the next
+    /// few blocks they will touch (range accesses, packet delivery) can
+    /// issue prefetches up front and let the host overlap what would
+    /// otherwise be a serial chain of misses. Every host line of the set's
+    /// row is requested: one for a 12-way set, two for a 20-way one. Purely
+    /// a performance hint: no simulated state changes.
     #[inline]
     pub fn prefetch(&self, block: BlockAddr) {
-        let base = self.set_of(block) * self.geometry.ways;
-        prefetch_row(&self.tags[base..base + self.geometry.ways]);
-        prefetch_row(&self.ranks[base..base + self.geometry.ways]);
+        for line in self.tags.lines(self.set_of(block)) {
+            prefetch_line(line);
+        }
     }
 
     /// Looks a block up without updating recency.
     pub fn peek(&self, block: BlockAddr) -> Option<Line> {
-        let set = self.set_of(block);
-        self.tags[self.slot_range(set)]
+        self.tags
+            .row(self.set_of(block))
+            .0
             .iter()
-            .find(|&&t| tag_matches(t, block))
-            .map(|&t| decode_tag(t))
+            .map(|&t| u64::from(t))
+            .find(|&t| tag_matches(t, block))
+            .map(decode_tag)
     }
 
     /// Looks a block up and updates LRU recency; returns the line metadata.
@@ -342,14 +462,15 @@ impl SetAssocCache {
     /// *before* the access, so callers can tell a write to an
     /// already-dirty line from the write that dirtied it.
     pub fn access(&mut self, block: BlockAddr, dirty: bool) -> Option<Line> {
-        let base = self.set_of(block) * self.geometry.ways;
-        for way in 0..self.geometry.ways {
-            let tag = self.tags[base + way];
+        let set = self.set_of(block);
+        let (tags, ranks) = self.tags.row_mut(set);
+        for (way, word) in tags.iter_mut().enumerate() {
+            let tag = u64::from(*word);
             if tag_matches(tag, block) {
                 if dirty {
-                    self.tags[base + way] = tag | TAG_DIRTY;
+                    *word = stored(tag | TAG_DIRTY);
                 }
-                self.touch(base, way, false);
+                touch(self.policy, ranks, way, false);
                 return Some(decode_tag(tag));
             }
         }
@@ -359,10 +480,10 @@ impl SetAssocCache {
     /// Marks a resident block dirty; returns `true` if the block was found.
     pub fn mark_dirty(&mut self, block: BlockAddr) -> bool {
         let set = self.set_of(block);
-        let range = self.slot_range(set);
-        for idx in range {
-            if tag_matches(self.tags[idx], block) {
-                self.tags[idx] |= TAG_DIRTY;
+        for word in self.tags.row_mut(set).0 {
+            let tag = u64::from(*word);
+            if tag_matches(tag, block) {
+                *word = stored(tag | TAG_DIRTY);
                 return true;
             }
         }
@@ -377,7 +498,8 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if `mask` allows none of this cache's ways.
+    /// Panics if `mask` allows none of this cache's ways, or if `block` is
+    /// not below [`MAX_BLOCKS`].
     pub fn insert(
         &mut self,
         block: BlockAddr,
@@ -385,24 +507,23 @@ impl SetAssocCache {
         origin: LineOrigin,
         mask: WayMask,
     ) -> Option<Evicted> {
-        assert!(
-            mask.count_in(self.geometry.ways) > 0,
-            "insertion mask allows no ways"
-        );
-        let base = self.set_of(block) * self.geometry.ways;
         let ways = self.geometry.ways;
+        assert!(mask.count_in(ways) > 0, "insertion mask allows no ways");
+        let set = self.set_of(block);
+        let policy = self.policy;
+        let (tags, ranks) = self.tags.row_mut(set);
 
         // First pass over the packed tags only: a residency hit (checked in
         // *every* way, masked or not) and the first free allowed way. The
         // ranks are not read unless the set turns out to be full.
         let mut free_way = None;
-        for way in 0..ways {
-            let tag = self.tags[base + way];
+        for (way, word) in tags.iter_mut().enumerate() {
+            let tag = u64::from(*word);
             if tag_matches(tag, block) {
                 // Hit: update in place regardless of mask (dirty OR-ed,
                 // origin overwritten).
-                self.tags[base + way] = encode_tag(block, dirty || tag & TAG_DIRTY != 0, origin);
-                self.touch(base, way, false);
+                *word = stored(encode_tag(block, dirty || tag & TAG_DIRTY != 0, origin));
+                touch(policy, ranks, way, false);
                 return None;
             }
             if tag & TAG_PRESENT == 0 && free_way.is_none() && mask.allows(way) {
@@ -411,8 +532,8 @@ impl SetAssocCache {
         }
 
         if let Some(way) = free_way {
-            self.tags[base + way] = encode_tag(block, dirty, origin);
-            self.touch(base, way, true);
+            tags[way] = stored(encode_tag(block, dirty, origin));
+            touch(policy, ranks, way, true);
             self.resident += 1;
             return None;
         }
@@ -420,42 +541,39 @@ impl SetAssocCache {
         // Set full within the mask: evict per the replacement policy. Every
         // allowed way is occupied here (the free scan covered them all), and
         // each was touched when its line was installed.
-        let row = &mut self.ranks[base..base + ways];
         let allowed = (0..ways).filter(|&w| mask.allows(w));
-        let victim = match self.policy {
+        let victim = match policy {
             // The LRU ranks form a permutation, so the maximum is unique.
-            ReplacementPolicy::Lru => allowed.max_by_key(|&w| row[w] ^ w as u8),
+            ReplacementPolicy::Lru => allowed.max_by_key(|&w| ranks[w] ^ w as u8),
             ReplacementPolicy::Srrip => loop {
-                if let Some(w) = allowed.clone().find(|&w| row[w] >= SRRIP_DISTANT) {
+                if let Some(w) = allowed.clone().find(|&w| ranks[w] >= SRRIP_DISTANT) {
                     break Some(w);
                 }
                 // No distant line yet: age every allowed way and rescan.
                 // Aging only runs when every allowed rrpv is below distant,
                 // so no byte passes it.
                 for w in allowed.clone() {
-                    row[w] += 1;
+                    ranks[w] += 1;
                 }
             },
         }
         .expect("mask allows at least one way");
-        let old = decode_tag(self.tags[base + victim]);
-        debug_assert!(
-            self.tags[base + victim] & TAG_PRESENT != 0,
-            "victim way was occupied"
-        );
-        self.tags[base + victim] = encode_tag(block, dirty, origin);
-        self.touch(base, victim, true);
-        Some(Evicted { line: old })
+        let old = u64::from(tags[victim]);
+        debug_assert!(old & TAG_PRESENT != 0, "victim way was occupied");
+        tags[victim] = stored(encode_tag(block, dirty, origin));
+        touch(policy, ranks, victim, true);
+        Some(Evicted {
+            line: decode_tag(old),
+        })
     }
 
     /// Removes a block; returns its metadata if it was resident.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<Line> {
         let set = self.set_of(block);
-        let range = self.slot_range(set);
-        for idx in range {
-            let tag = self.tags[idx];
+        for word in self.tags.row_mut(set).0 {
+            let tag = u64::from(*word);
             if tag_matches(tag, block) {
-                self.tags[idx] = 0;
+                *word = 0;
                 self.resident -= 1;
                 return Some(decode_tag(tag));
             }
@@ -476,28 +594,32 @@ impl SetAssocCache {
 
     /// Iterates over all resident lines (test/diagnostic helper).
     pub fn iter_lines(&self) -> impl Iterator<Item = Line> + '_ {
-        self.tags
-            .iter()
-            .filter(|&&t| t & TAG_PRESENT != 0)
-            .map(|&t| decode_tag(t))
+        self.iter_located_lines().map(|(_, _, line)| line)
     }
 
     /// Iterates over all resident lines together with their `(set, way)`
     /// location — lets the correctness harness verify way-mask confinement
     /// (e.g. NIC-origin lines stay inside the DDIO ways).
     pub fn iter_located_lines(&self) -> impl Iterator<Item = (usize, usize, Line)> + '_ {
-        let ways = self.geometry.ways;
         self.tags
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t & TAG_PRESENT != 0)
-            .map(move |(slot, &t)| (slot / ways, slot % ways, decode_tag(t)))
+            .iter_present()
+            .map(|(set, way, tag)| (set, way, decode_tag(tag)))
     }
 
     /// Drops every resident line without any writeback bookkeeping.
     pub fn flush_all(&mut self) {
-        self.tags.fill(0);
+        self.tags.lines.fill(HostLine([0; HOST_LINE / 4]));
         self.resident = 0;
+    }
+}
+
+/// Records a reference to `way` of a set with replacement bytes `ranks`: a
+/// hit (`fill == false`) or the way's new line being installed.
+#[inline]
+fn touch(policy: ReplacementPolicy, ranks: &mut [u8], way: usize, fill: bool) {
+    match policy {
+        ReplacementPolicy::Lru => promote(ranks, way),
+        ReplacementPolicy::Srrip => ranks[way] = if fill { SRRIP_INSERT } else { 0 },
     }
 }
 
@@ -527,39 +649,25 @@ fn fastmod(a: u64, m: u64, d: u64) -> u64 {
 #[inline]
 fn promote(row: &mut [u8], way: usize) {
     let old = row[way] ^ way as u8;
-    for (w, stored) in row.iter_mut().enumerate() {
-        let rank = *stored ^ w as u8;
-        *stored = (rank + u8::from(rank < old)) ^ w as u8;
+    for (w, byte) in row.iter_mut().enumerate() {
+        let rank = *byte ^ w as u8;
+        *byte = (rank + u8::from(rank < old)) ^ w as u8;
     }
     row[way] = way as u8;
 }
 
-/// Prefetches every host cache line `row` spans into all cache levels.
+/// Prefetches one host cache line into all cache levels.
 #[inline]
-fn prefetch_row<T>(row: &[T]) {
+fn prefetch_line(line: &HostLine) {
     #[cfg(target_arch = "x86_64")]
-    {
+    // SAFETY: `_mm_prefetch` needs only SSE, which every x86-64 CPU has, and
+    // a prefetch never faults.
+    unsafe {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        const LINE: usize = 64;
-        let start = row.as_ptr().cast::<i8>();
-        // Step from the line holding the first byte to the one holding the
-        // last; a row's offset within its first line varies.
-        let misalign = start as usize % LINE;
-        let mut offset = 0;
-        while offset < misalign + std::mem::size_of_val(row) {
-            // SAFETY: `_mm_prefetch` needs only SSE, which every x86-64 CPU
-            // has, and a prefetch never faults, whatever the address.
-            unsafe {
-                _mm_prefetch(
-                    start.wrapping_sub(misalign).wrapping_add(offset),
-                    _MM_HINT_T0,
-                )
-            };
-            offset += LINE;
-        }
+        _mm_prefetch(std::ptr::from_ref(line).cast::<i8>(), _MM_HINT_T0);
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = row;
+    let _ = line;
 }
 
 #[cfg(test)]
@@ -795,17 +903,20 @@ mod tests {
             let mut zeroed = SetAssocCache::with_policy(geometry, policy);
             let mut shuffled = SetAssocCache::with_policy(geometry, policy);
             let mut x = 0x9E37_79B9_7F4A_7C15u64;
-            for row in shuffled.ranks.chunks_mut(4) {
+            for set in 0..shuffled.sets {
                 // A random permutation of the ranks, stored `rank ^ way`.
                 let mut perm = [0u8, 1, 2, 3];
                 for i in (1..4).rev() {
                     perm.swap(i, xorshift(&mut x) as usize % (i + 1));
                 }
-                for (w, byte) in row.iter_mut().enumerate() {
+                for (w, byte) in shuffled.tags.row_mut(set).1.iter_mut().enumerate() {
                     *byte = perm[w] ^ w as u8;
                 }
             }
-            assert_ne!(&zeroed.ranks[..], &shuffled.ranks[..]);
+            let ranks = |c: &SetAssocCache| -> Vec<u8> {
+                (0..c.sets).flat_map(|set| c.tags.row(set).1.to_vec()).collect()
+            };
+            assert_ne!(ranks(&zeroed), ranks(&shuffled));
 
             let set = same_set_blocks(&zeroed, 12);
             let step = |c: &mut SetAssocCache, op: u64, b: BlockAddr| match op % 5 {
@@ -840,7 +951,10 @@ mod tests {
                     "{policy:?}"
                 );
             }
-            assert_eq!(&zeroed.tags[..], &shuffled.tags[..]);
+            assert_eq!(
+                zeroed.iter_located_lines().collect::<Vec<_>>(),
+                shuffled.iter_located_lines().collect::<Vec<_>>()
+            );
         }
     }
 
@@ -1077,6 +1191,53 @@ mod tests {
         assert!(!c.access(b, true).unwrap().dirty, "the line as it was");
         assert!(c.peek(b).unwrap().dirty);
         assert!(c.access(b, true).unwrap().dirty);
+    }
+
+    #[test]
+    fn rows_start_on_host_lines_in_heap_and_mapped_tables() {
+        use crate::hierarchy::MachineConfig;
+        use crate::table::MAPS_LARGE_TABLES;
+        let paper = MachineConfig::paper_default();
+        for (name, g, lines) in [("L1", paper.l1, 1), ("L2", paper.l2, 2), ("LLC", paper.llc, 1)] {
+            // 8 sets stay on the heap; 2048 sets (128 KiB or more) get a
+            // mapping where the target supports one.
+            for (sets, mapped) in [(8, false), (2048, MAPS_LARGE_TABLES)] {
+                let c = SetAssocCache::new(CacheGeometry {
+                    size_bytes: (sets * g.ways) as u64 * crate::BLOCK_BYTES,
+                    ..g
+                });
+                assert_eq!(c.tags.row_lines, lines, "{name}: host lines per set");
+                assert_eq!(c.tags.lines.is_mapped(), mapped, "{name}, {sets} sets");
+                for set in 0..sets {
+                    let row = c.tags.lines(set);
+                    assert_eq!(row.len(), lines);
+                    assert_eq!(row.as_ptr() as usize % HOST_LINE, 0, "{name} set {set}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn largest_allowed_block_round_trips_through_a_tag_word() {
+        let top = BlockAddr(MAX_BLOCKS - 1);
+        for (dirty, origin) in [(true, LineOrigin::Nic), (false, LineOrigin::Cpu)] {
+            let line = Line {
+                block: top,
+                dirty,
+                origin,
+            };
+            let mut c = small();
+            c.insert(top, dirty, origin, WayMask::ALL);
+            assert_eq!(c.peek(top), Some(line));
+            assert_eq!(c.iter_lines().collect::<Vec<_>>(), [line]);
+            assert_eq!(c.invalidate(top), Some(line));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the simulated address limit")]
+    fn tag_words_reject_blocks_past_the_limit() {
+        small().insert(BlockAddr(MAX_BLOCKS), false, LineOrigin::Cpu, WayMask::ALL);
     }
 
     #[test]

@@ -19,8 +19,10 @@
 //! the caches use for set indexing — one multiply instead of SipHash per
 //! probe, and no per-entry boxing. Sharer sets are returned as [`SharerSet`],
 //! a `Copy` 64-bit mask iterated in place, so no coherence operation
-//! allocates. The 16-byte slots live in a table that starts all-zero (an
-//! all-zero slot is empty), so building a directory writes nothing, and the
+//! allocates. Each slot is one 8-byte word (sharer mask, owner and block
+//! packed together), so the paper machine's 2^20 slots take 8 MiB; the
+//! table starts all-zero (an all-zero slot is empty), so building a
+//! directory writes nothing, and the
 //! memory system sizes it once with [`Directory::with_capacity`] for every
 //! private L2 line, so a run never rehashes it. [`ReferenceDirectory`]
 //! preserves the original `HashMap`-backed implementation as the oracle for
@@ -31,8 +33,9 @@ use std::collections::HashMap;
 use crate::addr::BlockAddr;
 use crate::table::{ZeroTable, Zeroable};
 
-/// Maximum cores a sharer bitmask supports.
-pub const MAX_CORES: usize = 64;
+/// Maximum cores a sharer bitmask supports: Table I's 24, the width of a
+/// directory slot's sharer field.
+pub const MAX_CORES: usize = 24;
 
 /// The multiplier of Fibonacci hashing (⌊2^64/φ⌋), shared with the cache set
 /// hash. The *high* product bits are used: the low bits of a multiplicative
@@ -140,34 +143,61 @@ impl Iterator for SharerIter {
 
 impl ExactSizeIterator for SharerIter {}
 
-/// One open-addressed table slot, 16 bytes. The key word packs the block
-/// address above an owner byte (0 = no dirty owner, `c + 1` = core `c`), so
-/// block addresses must fit in 56 bits. `sharers == 0` marks the slot empty
-/// — valid because the directory removes an entry the moment its last
-/// sharer leaves, so a stored entry always has a nonzero mask — and an empty
-/// slot is all-zero, so a fresh table needs no initialisation pass.
+/// One open-addressed table slot: a single `u64` packing, LSB first, the
+/// sharer mask (bits 0..24, bit `c` = core `c`), the dirty-owner code (bits
+/// 24..29: 0 = no dirty owner, `c + 1` = core `c`) and the block address
+/// (bits 29..64, so blocks must fit in 35 bits). A zero sharer mask marks
+/// the slot empty — valid because the directory removes an entry the moment
+/// its last sharer leaves, so a stored entry always has a nonzero mask — and
+/// an empty slot is all-zero, so a fresh table needs no initialisation pass.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    key: u64,
-    sharers: u64,
-}
+struct Slot(u64);
 
-// SAFETY: `Slot` is two `u64`s; all-zero is the valid empty slot.
+// SAFETY: `Slot` is one `u64`; all-zero is the valid empty slot.
 unsafe impl Zeroable for Slot {}
 
-const OWNER_BITS: u32 = 8;
-const OWNER_MASK: u64 = (1 << OWNER_BITS) - 1;
+const SHARER_MASK: u64 = (1 << MAX_CORES) - 1;
+const OWNER_SHIFT: u32 = MAX_CORES as u32;
+const OWNER_BITS: u32 = 5;
+const OWNER_MASK: u64 = ((1 << OWNER_BITS) - 1) << OWNER_SHIFT;
+const BLOCK_SHIFT: u32 = OWNER_SHIFT + OWNER_BITS;
 
-const EMPTY_SLOT: Slot = Slot { key: 0, sharers: 0 };
+const _: () = assert!(MAX_CORES < 1 << OWNER_BITS, "owner codes run to MAX_CORES");
+const _: () = assert!(
+    crate::addr::MAX_BLOCKS <= 1 << (64 - BLOCK_SHIFT),
+    "every block below the address limit has a key"
+);
+
+const EMPTY_SLOT: Slot = Slot(0);
 
 impl Slot {
+    /// A slot for `block` with no sharers yet.
+    fn claimed(block: u64) -> Slot {
+        Slot(block << BLOCK_SHIFT)
+    }
+
     #[inline]
     fn block(self) -> u64 {
-        self.key >> OWNER_BITS
+        self.0 >> BLOCK_SHIFT
+    }
+
+    #[inline]
+    fn sharers(self) -> u64 {
+        self.0 & SHARER_MASK
+    }
+
+    #[inline]
+    fn is_empty(self) -> bool {
+        self.sharers() == 0
+    }
+
+    fn set_sharers(&mut self, mask: u64) {
+        debug_assert!(mask & !SHARER_MASK == 0, "sharer mask wider than MAX_CORES");
+        self.0 = self.0 & !SHARER_MASK | mask;
     }
 
     fn owner(self) -> Option<u16> {
-        match self.key & OWNER_MASK {
+        match (self.0 & OWNER_MASK) >> OWNER_SHIFT {
             0 => None,
             code => Some(code as u16 - 1),
         }
@@ -175,7 +205,7 @@ impl Slot {
 
     fn set_owner(&mut self, owner: Option<u16>) {
         let code = owner.map_or(0, |core| u64::from(core) + 1);
-        self.key = self.key & !OWNER_MASK | code;
+        self.0 = self.0 & !OWNER_MASK | code << OWNER_SHIFT;
     }
 }
 
@@ -241,7 +271,7 @@ impl Directory {
     }
 
     /// Hints the host CPU to pull `block`'s probe neighborhood into cache.
-    /// The paper machine's table is 16 MiB, so an un-prefetched probe is
+    /// The paper machine's table is 8 MiB, so an un-prefetched probe is
     /// usually a host memory stall; see
     /// [`SetAssocCache::prefetch`](crate::cache::SetAssocCache::prefetch)
     /// for the pattern. No simulated state changes.
@@ -263,8 +293,8 @@ impl Directory {
         let mask = self.slots.len() - 1;
         let mut i = self.home(block);
         loop {
-            let s = &self.slots[i];
-            if s.sharers == 0 {
+            let s = self.slots[i];
+            if s.is_empty() {
                 return None;
             }
             if s.block() == block {
@@ -280,7 +310,7 @@ impl Directory {
     #[inline]
     fn find_or_claim(&mut self, block: u64) -> usize {
         assert!(
-            block >> (64 - OWNER_BITS) == 0,
+            block >> (64 - BLOCK_SHIFT) == 0,
             "block address too large for the directory key"
         );
         // Keep load ≤ 7/8 so probe sequences stay short and one empty slot
@@ -292,8 +322,8 @@ impl Directory {
         let mut i = self.home(block);
         loop {
             let s = &mut self.slots[i];
-            if s.sharers == 0 {
-                s.key = block << OWNER_BITS;
+            if s.is_empty() {
+                *s = Slot::claimed(block);
                 self.len += 1;
                 return i;
             }
@@ -308,9 +338,9 @@ impl Directory {
         let doubled = ZeroTable::new(self.slots.len() * 2);
         let old = std::mem::replace(&mut self.slots, doubled);
         let mask = self.slots.len() - 1;
-        for s in old.iter().filter(|s| s.sharers != 0) {
+        for s in old.iter().filter(|s| !s.is_empty()) {
             let mut i = self.home(s.block());
-            while self.slots[i].sharers != 0 {
+            while !self.slots[i].is_empty() {
                 i = (i + 1) & mask;
             }
             self.slots[i] = *s;
@@ -326,7 +356,7 @@ impl Directory {
         loop {
             j = (j + 1) & mask;
             let s = self.slots[j];
-            if s.sharers == 0 {
+            if s.is_empty() {
                 break;
             }
             // Move `s` into the hole unless its home lies in (i, j] — then
@@ -348,7 +378,8 @@ impl Directory {
     pub fn add_sharer(&mut self, block: BlockAddr, core: u16) {
         assert!((core as usize) < MAX_CORES, "core id out of range");
         let i = self.find_or_claim(block.0);
-        self.slots[i].sharers |= 1 << core;
+        let s = &mut self.slots[i];
+        s.set_sharers(s.sharers() | 1 << core);
     }
 
     /// Records that `core` no longer holds `block`; clears dirty ownership if
@@ -356,11 +387,11 @@ impl Directory {
     pub fn remove_sharer(&mut self, block: BlockAddr, core: u16) {
         if let Some(i) = self.find(block.0) {
             let s = &mut self.slots[i];
-            s.sharers &= !(1 << core);
+            s.set_sharers(s.sharers() & !(1 << core));
             if s.owner() == Some(core) {
                 s.set_owner(None);
             }
-            if s.sharers == 0 {
+            if s.is_empty() {
                 self.remove_at(i);
             }
         }
@@ -374,7 +405,7 @@ impl Directory {
     pub fn set_dirty_owner(&mut self, block: BlockAddr, core: u16) {
         assert!((core as usize) < MAX_CORES, "core id out of range");
         let i = self.find_or_claim(block.0);
-        self.slots[i].sharers = 1 << core;
+        self.slots[i].set_sharers(1 << core);
         self.slots[i].set_owner(Some(core));
     }
 
@@ -395,7 +426,7 @@ impl Directory {
     pub fn sharers(&self, block: BlockAddr) -> SharerSet {
         match self.find(block.0) {
             None => SharerSet::EMPTY,
-            Some(i) => SharerSet(self.slots[i].sharers),
+            Some(i) => SharerSet(self.slots[i].sharers()),
         }
     }
 
@@ -420,7 +451,7 @@ impl Directory {
         match self.find(block.0) {
             None => SharerSet::EMPTY,
             Some(i) => {
-                let sharers = self.slots[i].sharers;
+                let sharers = self.slots[i].sharers();
                 self.remove_at(i);
                 SharerSet(sharers)
             }
@@ -438,8 +469,8 @@ impl Directory {
     pub fn iter_entries(&self) -> impl Iterator<Item = (BlockAddr, SharerSet, Option<u16>)> + '_ {
         self.slots
             .iter()
-            .filter(|s| s.sharers != 0)
-            .map(|s| (BlockAddr(s.block()), SharerSet(s.sharers), s.owner()))
+            .filter(|s| !s.is_empty())
+            .map(|s| (BlockAddr(s.block()), SharerSet(s.sharers()), s.owner()))
     }
 }
 
@@ -633,8 +664,8 @@ mod tests {
         assert_eq!(SharerSet::from_mask(0b1010_0001).len(), 3);
         assert_eq!(SharerSet::from_mask(0b11).without(0).to_vec(), vec![1]);
         assert_eq!(SharerSet::from_mask(0b11).iter().len(), 2);
-        assert!(SharerSet::from_mask(1 << 63).contains(63));
-        assert!(!SharerSet::from_mask(u64::MAX).contains(64));
+        assert!(SharerSet::from_mask(1 << 23).contains(23));
+        assert!(!SharerSet::from_mask(u64::MAX).contains(24));
     }
 
     #[test]
@@ -678,7 +709,7 @@ mod tests {
                 d.add_sharer(BlockAddr(i << 15), 0);
             }
             assert_eq!(d.capacity(), cap, "{n} entries fit without a grow");
-            d.add_sharer(BlockAddr(u64::MAX >> OWNER_BITS), 1);
+            d.add_sharer(BlockAddr(u64::MAX >> BLOCK_SHIFT), 1);
             assert!(d.capacity() <= 2 * cap);
         }
         // The paper machine's 24 cores x 20,480 L2 lines fit in 2^20 slots.
@@ -688,7 +719,7 @@ mod tests {
     #[test]
     fn owner_byte_round_trips_every_core_next_to_large_blocks() {
         let mut d = Directory::new();
-        let top = u64::MAX >> OWNER_BITS;
+        let top = u64::MAX >> BLOCK_SHIFT;
         for core in 0..MAX_CORES as u16 {
             let b = BlockAddr(top - u64::from(core));
             d.add_sharer(b, (core + 1) % MAX_CORES as u16);
@@ -708,7 +739,30 @@ mod tests {
         assert_eq!(entries.len(), MAX_CORES);
         assert!(entries
             .iter()
-            .all(|&(b, s, o)| b.0 > top - 64 && s.len() == 1 && o.is_none()));
+            .all(|&(b, s, o)| b.0 > top - MAX_CORES as u64 && s.len() == 1 && o.is_none()));
+    }
+
+    #[test]
+    fn largest_allowed_block_round_trips_with_every_sharer() {
+        let b = BlockAddr(crate::addr::MAX_BLOCKS - 1);
+        let mut d = Directory::new();
+        for core in 0..MAX_CORES as u16 {
+            d.add_sharer(b, core);
+        }
+        assert_eq!(d.sharers(b).len(), MAX_CORES);
+        d.set_dirty_owner(b, MAX_CORES as u16 - 1);
+        let entries: Vec<_> = d.iter_entries().collect();
+        assert_eq!(
+            entries,
+            [(b, SharerSet::from_mask(1 << 23), Some(23))],
+            "block, sharers and owner share one word without overlap"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "too large for the directory key")]
+    fn rejects_blocks_beyond_35_bits() {
+        Directory::new().add_sharer(BlockAddr(1 << 35), 0);
     }
 
     #[test]

@@ -162,7 +162,7 @@ impl MachineConfig {
     }
 
     /// Checks the fields [`MemorySystem::new`] depends on: a core count
-    /// within the directory's 64-core sharer mask, and DDIO ways within the
+    /// within the directory's 24-core sharer mask, and DDIO ways within the
     /// LLC's associativity.
     pub fn validate(&self) -> Result<(), String> {
         let max = crate::coherence::MAX_CORES;

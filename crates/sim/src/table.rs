@@ -1,9 +1,8 @@
 //! Zero-initialised, fixed-length metadata tables.
 //!
-//! The cache tag/rank arrays and the coherence directory (about 25 MiB on
-//! the paper machine) are probed at hash-randomised indices, so two host
-//! effects dominate
-//! their cost: page-table walks on every probe, and the work of writing an
+//! The caches' set rows and the coherence directory (about 14 MiB on the
+//! paper machine) are probed at hash-randomised indices, so two host effects
+//! dominate their cost: page-table walks on every probe, and the work of writing an
 //! initial pattern into memory the run may never touch. [`ZeroTable`] avoids
 //! both. Its element types are ones whose all-zero bytes are a valid (empty)
 //! value, so a table needs no initialisation pass: on Linux, tables of 64 KiB
@@ -33,9 +32,6 @@ pub(crate) unsafe trait Zeroable: Copy + 'static {}
 // SAFETY: an all-zero `u64` is the valid value 0.
 unsafe impl Zeroable for u64 {}
 
-// SAFETY: an all-zero `u8` is the valid value 0.
-unsafe impl Zeroable for u8 {}
-
 /// Tables of at least this many bytes get a mapping of their own, so they
 /// start as untouched zero pages. Smaller ones come from `alloc_zeroed`,
 /// which may have to clear recycled heap memory.
@@ -44,6 +40,11 @@ const MAPPED: usize = 64 << 10;
 /// Mapped tables of at least this many bytes are aligned to and advised for
 /// 2 MiB transparent huge pages.
 const HUGE_PAGE: usize = 2 << 20;
+
+/// Whether this target gives large tables a mapping of their own, so tests
+/// can check both paths.
+#[cfg(test)]
+pub(crate) const MAPS_LARGE_TABLES: bool = mapping::SUPPORTED;
 
 /// A heap table of `len` `T`s that starts all-zero, with a fixed length.
 /// Dereferences to `[T]`; `Clone` makes a deep copy.
@@ -95,7 +96,7 @@ impl<T: Zeroable> ZeroTable<T> {
     /// Whether the table lives in a mapping of its own (tables of 64 KiB or
     /// more on Linux).
     #[cfg(test)]
-    fn is_mapped(&self) -> bool {
+    pub(crate) fn is_mapped(&self) -> bool {
         matches!(self.backing, Backing::Mapped { .. })
     }
 }
@@ -274,14 +275,14 @@ mod tests {
         let small = ZeroTable::<u64>::new(1000);
         assert!(!small.is_mapped());
         assert!(small.iter().all(|&x| x == 0));
-        // 160 KiB, one paper-machine L2 tag table: mapped, not huge.
+        // 160 KiB: mapped, not huge.
         let mid = ZeroTable::<u64>::new(20 << 10);
-        assert_eq!(mid.is_mapped(), mapping::SUPPORTED);
+        assert_eq!(mid.is_mapped(), MAPS_LARGE_TABLES);
         assert!(mid.iter().all(|&x| x == 0));
         // 3 MiB: past the mapping threshold and not a whole number of huge
         // pages.
         let big = ZeroTable::<u64>::new((3 << 20) / 8);
-        assert_eq!(big.is_mapped(), mapping::SUPPORTED);
+        assert_eq!(big.is_mapped(), MAPS_LARGE_TABLES);
         assert_eq!(big.len(), (3 << 20) / 8);
         assert!(big.iter().all(|&x| x == 0));
         if big.is_mapped() {

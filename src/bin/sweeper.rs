@@ -37,7 +37,9 @@ use sweeper::core::telemetry::{
     timeseries_document, OutputFormat, Record, RunManifest, Value, LOADSWEEP_SCHEMA,
 };
 use sweeper::sim::check::{CheckConfig, ViolationKind};
+use sweeper::sim::addr::MAX_BLOCKS;
 use sweeper::sim::hierarchy::MachineConfig;
+use sweeper::sim::BLOCK_BYTES;
 
 const USAGE: &str = "usage: sweeper <run|peak|sweep|trace|check|figures|figure <NAME>|info|help> [flags] — see `sweeper help`";
 
@@ -95,8 +97,8 @@ OTHER FLAGS (all optional):
     --timeseries <PATH>                sample the run and write the time
                                        series (CSV when PATH ends in .csv,
                                        JSON otherwise)
-    --sample-every <CYCLES>            sampling period; implies an enabled
-                                       sampler                [1000000]
+    --sample-every <CYCLES>            sampling period; needs --timeseries
+                                                              [1000000]
     --trace-spans                      record request-level causal spans
                                        (nic_dma, rx_ring_wait, cpu_read, ...)
     --perfetto <PATH>                  write retained spans as a Chrome-
@@ -320,6 +322,10 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             ));
         }
     }
+    if cli.sample_every.is_some() && cli.timeseries.is_none() {
+        // Only the time series file carries samples; no report does.
+        return Err("--sample-every needs --timeseries".to_string());
+    }
     if cli.events == 0 {
         return Err("--events must be positive".to_string());
     }
@@ -363,7 +369,15 @@ fn build_experiment(cli: &Cli) -> Result<Experiment, String> {
         min_warmup_cycles: 0,
         min_measure_cycles: 0,
     });
-    if cli.timeseries.is_some() || cli.sample_every.is_some() {
+    let footprint = cfg.rx_footprint_bytes();
+    let limit = MAX_BLOCKS * BLOCK_BYTES;
+    if footprint > limit {
+        return Err(format!(
+            "RX buffers of {footprint} bytes exceed the simulated address limit of \
+             {limit} bytes (32 GiB); use fewer cores, endpoints, buffers or smaller packets"
+        ));
+    }
+    if cli.timeseries.is_some() {
         let every = cli.sample_every.unwrap_or(1_000_000);
         cfg = cfg.sampling(SamplerConfig::every(every));
     }

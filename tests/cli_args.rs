@@ -268,6 +268,40 @@ fn outliers_without_flight_recorder_is_a_usage_error() {
 }
 
 #[test]
+fn sample_every_without_timeseries_is_a_usage_error() {
+    // The samples reach only the time series file, so a period without one
+    // used to run a sampler whose output went nowhere.
+    for command in ["run", "peak", "trace"] {
+        let args = [command, "--sample-every", "100000"];
+        assert_usage_error(&args);
+        let (_, stderr) = run(&args);
+        assert!(
+            stderr.contains("--sample-every needs --timeseries"),
+            "{args:?} should name both flags, got: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn rx_footprint_past_the_address_limit_is_a_usage_error() {
+    // Each flag is in range, but 24 x 4096 x 2^20 buffers of 64 KiB would
+    // be far past the 32 GiB simulated address space. The point is rejected
+    // before its rings are allocated (they would exhaust host memory).
+    for command in ["run", "peak", "trace", "sweep"] {
+        let args = [
+            command, "--cores", "24", "--endpoints", "4096", "--buffers", "1048576", "--packet",
+            "65536",
+        ];
+        assert_usage_error(&args);
+        let (_, stderr) = run(&args);
+        assert!(
+            stderr.contains("address limit") && stderr.contains("34359738368 bytes"),
+            "{args:?} should name the limit, got: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn trace_reports_its_validate_verdict() {
     let out = Command::new(env!("CARGO_BIN_EXE_sweeper"))
         .args([
