@@ -5,8 +5,9 @@
 
 Builds hostbench at BASE_REV and at HEAD as committed, one after the
 other in one git worktree (.bench_build/tree), then runs `--trace 0` on
-each workload: PAIRS same-seed pairs of SECONDS-long runs, alternating
-which side runs first. Both sides run on the same host, so no recorded
+each workload: RUNS[workload] = (pairs, seconds) gives its number of
+same-seed pairs and the length of each run, alternating which side runs
+first. Both sides run on the same host, so no recorded
 baseline can go stale. Building both at one path keeps identical source
 identical in the binary: cargo hashes a path crate's location into its
 symbols, which moves code around.
@@ -25,9 +26,11 @@ import sys
 import time
 from pathlib import Path
 
-WORKLOADS = ["kvs_sweeper", "kvs_peak"]
-PAIRS = 5
-SECONDS = 8
+# (same-seed pairs, seconds per run) for each workload. One kvs_peak
+# repetition is a whole peak search, so an 8 s run holds only a few and
+# its 5-pair median moved about 7 % between gates of identical commits,
+# which failed about 1 gate in 10; it gets twice the pairs.
+RUNS = {"kvs_sweeper": (5, 8), "kvs_peak": (10, 8)}
 # Largest allowed rise of the head's median over the base's. peak_rss_mb
 # uses BENCHMARK.json's bound; wall_ref is tighter than its 0.25.
 LIMITS = {"wall_ref": 0.10, "peak_rss_mb": 0.05}
@@ -70,7 +73,7 @@ def build(commit, side):
 def run(binary, workload, seed):
     """The result object hostbench prints last, or None if there is none."""
     args = [str(binary), "--workload", workload, "--seed", str(seed),
-            "--seconds", str(SECONDS), "--trace", "0"]
+            "--seconds", str(RUNS[workload][1]), "--trace", "0"]
     out = subprocess.run(args, capture_output=True, text=True).stdout
     try:
         return json.loads(out.splitlines()[-1])
@@ -111,9 +114,9 @@ def main():
     binaries = {side: build(commit, side) for side, commit in commits.items()}
 
     failures = []
-    for workload in WORKLOADS:
+    for workload, (pairs, _) in RUNS.items():
         docs = {"base": [], "head": []}
-        for pair in range(PAIRS):
+        for pair in range(pairs):
             seed = pair + 1
             order = ["base", "head"] if pair % 2 == 0 else ["head", "base"]
             for side in order:
