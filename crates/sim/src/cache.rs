@@ -11,7 +11,7 @@
 use std::fmt;
 
 use crate::addr::{BlockAddr, MAX_BLOCKS};
-use crate::table::{ZeroTable, Zeroable};
+use crate::table::{HostLine, ZeroTable, HOST_LINE};
 
 /// A bitmask over cache ways; bit `i` set means way `i` may be allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -149,7 +149,7 @@ impl CacheGeometry {
 /// bits 3..32  block address
 /// ```
 ///
-/// A row stores each word as a `u32`, which holds every block below
+/// A row stores each word in 4 bytes, which hold every block below
 /// [`MAX_BLOCKS`]; the helpers work on the word widened to `u64`, where it
 /// compares with a [`BlockAddr`] directly.
 const TAG_PRESENT: u64 = 1;
@@ -157,7 +157,10 @@ const TAG_DIRTY: u64 = 1 << 1;
 const TAG_NIC: u64 = 1 << 2;
 const TAG_FLAG_BITS: u32 = 3;
 
-const _: () = assert!(MAX_BLOCKS << TAG_FLAG_BITS <= 1 << 32, "tag words are 32 bits");
+const _: () = assert!(
+    MAX_BLOCKS << TAG_FLAG_BITS <= 1 << 32,
+    "tag words are 32 bits"
+);
 
 fn encode_tag(block: BlockAddr, dirty: bool, origin: LineOrigin) -> u64 {
     assert!(
@@ -189,28 +192,25 @@ fn tag_matches(tag: u64, block: BlockAddr) -> bool {
 /// A tag word as a row stores it; [`encode_tag`] keeps every word below
 /// 2^32.
 #[inline]
-fn stored(tag: u64) -> u32 {
+fn stored(tag: u64) -> [u8; 4] {
     debug_assert!(tag <= u64::from(u32::MAX), "tag word overflows 32 bits");
-    tag as u32
+    (tag as u32).to_ne_bytes()
 }
 
-/// Bytes in a host cache line, the unit a set's row is padded to.
-const HOST_LINE: usize = 64;
-
-/// One host cache line of set metadata, aligned to its own size.
-#[derive(Debug, Clone, Copy)]
-#[repr(C, align(64))]
-struct HostLine([u32; HOST_LINE / 4]);
-
-// SAFETY: sixteen `u32`s and no padding; all-zero is a valid value.
-unsafe impl Zeroable for HostLine {}
+/// The tag word in a row's 4-byte `slot`, widened.
+#[inline]
+fn loaded(slot: &[u8]) -> u64 {
+    u64::from(u32::from_ne_bytes(
+        slot.try_into().expect("a tag slot is 4 bytes"),
+    ))
+}
 
 /// A cache's set metadata, one row per set: the set's `ways` tag words
-/// (`u32`, see [`encode_tag`]), then one replacement byte per way, padded to
-/// whole host lines. A 12-way row (48 + 12 B) is one 64-byte line and a
-/// 20-way row (80 + 20 B) two, and every row starts on a line boundary, so a
-/// set probe touches only its own row's lines. An all-zero row is an empty
-/// set.
+/// (4 bytes each, see [`encode_tag`]), then one replacement byte per way,
+/// padded to whole host lines. A 12-way row (48 + 12 B) is one 64-byte line
+/// and a 20-way row (80 + 20 B) two, and every row starts on a line
+/// boundary, so a set probe touches only its own row's lines. An all-zero
+/// row is an empty set.
 #[derive(Clone)]
 struct SetRows {
     lines: ZeroTable<HostLine>,
@@ -239,39 +239,19 @@ impl SetRows {
         &self.lines[set * self.row_lines..(set + 1) * self.row_lines]
     }
 
-    /// `set`'s tag words and replacement bytes.
+    /// `set`'s tag slots (4 bytes per way) and replacement bytes.
     #[inline]
-    fn row(&self, set: usize) -> (&[u32], &[u8]) {
-        let ptr = self.lines(set).as_ptr().cast::<u8>();
-        // SAFETY: the row's lines are `row_lines * 64` initialised bytes,
-        // borrowed for the returned lifetime. The tag words are its first
-        // `4 * ways` bytes, aligned for `u32` (lines are 64-byte aligned),
-        // and the rank bytes the next `ways`; `5 * ways` fits in the row by
-        // construction. Any bit pattern is a valid `u32` and `u8`.
-        unsafe {
-            (
-                std::slice::from_raw_parts(ptr.cast::<u32>(), self.ways),
-                std::slice::from_raw_parts(ptr.add(4 * self.ways), self.ways),
-            )
-        }
+    fn row(&self, set: usize) -> (&[u8], &[u8]) {
+        self.lines(set).as_flattened()[..5 * self.ways].split_at(4 * self.ways)
     }
 
     /// [`row`](Self::row), for update.
     #[inline]
-    fn row_mut(&mut self, set: usize) -> (&mut [u32], &mut [u8]) {
+    fn row_mut(&mut self, set: usize) -> (&mut [u8], &mut [u8]) {
         let ways = self.ways;
         let start = set * self.row_lines;
-        let ptr = self.lines[start..start + self.row_lines]
-            .as_mut_ptr()
-            .cast::<u8>();
-        // SAFETY: as in `row`, with the lines borrowed exclusively; the two
-        // slices are disjoint.
-        unsafe {
-            (
-                std::slice::from_raw_parts_mut(ptr.cast::<u32>(), ways),
-                std::slice::from_raw_parts_mut(ptr.add(4 * ways), ways),
-            )
-        }
+        self.lines[start..start + self.row_lines].as_flattened_mut()[..5 * ways]
+            .split_at_mut(4 * ways)
     }
 
     /// Every resident tag word with its `(set, way)`, in set order.
@@ -279,9 +259,9 @@ impl SetRows {
         (0..self.sets()).flat_map(move |set| {
             self.row(set)
                 .0
-                .iter()
+                .chunks_exact(4)
                 .enumerate()
-                .map(move |(way, &t)| (set, way, u64::from(t)))
+                .map(move |(way, slot)| (set, way, loaded(slot)))
                 .filter(|&(_, _, t)| t & TAG_PRESENT != 0)
         })
     }
@@ -290,7 +270,10 @@ impl SetRows {
 impl fmt::Debug for SetRows {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list()
-            .entries((0..self.sets()).map(|set| self.row(set)))
+            .entries((0..self.sets()).map(|set| {
+                let (tags, ranks) = self.row(set);
+                (tags.chunks_exact(4).map(loaded).collect::<Vec<_>>(), ranks)
+            }))
             .finish()
     }
 }
@@ -313,8 +296,7 @@ impl PartialEq<[u64]> for SetRows {
     fn eq(&self, flat: &[u64]) -> bool {
         flat.len() == self.sets() * self.ways
             && (0..self.sets())
-                .flat_map(|set| self.row(set).0)
-                .map(|&t| u64::from(t))
+                .flat_map(|set| self.row(set).0.chunks_exact(4).map(loaded))
                 .eq(flat.iter().copied())
     }
 }
@@ -446,8 +428,8 @@ impl SetAssocCache {
         self.tags
             .row(self.set_of(block))
             .0
-            .iter()
-            .map(|&t| u64::from(t))
+            .chunks_exact(4)
+            .map(loaded)
             .find(|&t| tag_matches(t, block))
             .map(decode_tag)
     }
@@ -464,11 +446,11 @@ impl SetAssocCache {
     pub fn access(&mut self, block: BlockAddr, dirty: bool) -> Option<Line> {
         let set = self.set_of(block);
         let (tags, ranks) = self.tags.row_mut(set);
-        for (way, word) in tags.iter_mut().enumerate() {
-            let tag = u64::from(*word);
+        for (way, slot) in tags.chunks_exact_mut(4).enumerate() {
+            let tag = loaded(slot);
             if tag_matches(tag, block) {
                 if dirty {
-                    *word = stored(tag | TAG_DIRTY);
+                    slot.copy_from_slice(&stored(tag | TAG_DIRTY));
                 }
                 touch(self.policy, ranks, way, false);
                 return Some(decode_tag(tag));
@@ -480,10 +462,10 @@ impl SetAssocCache {
     /// Marks a resident block dirty; returns `true` if the block was found.
     pub fn mark_dirty(&mut self, block: BlockAddr) -> bool {
         let set = self.set_of(block);
-        for word in self.tags.row_mut(set).0 {
-            let tag = u64::from(*word);
+        for slot in self.tags.row_mut(set).0.chunks_exact_mut(4) {
+            let tag = loaded(slot);
             if tag_matches(tag, block) {
-                *word = stored(tag | TAG_DIRTY);
+                slot.copy_from_slice(&stored(tag | TAG_DIRTY));
                 return true;
             }
         }
@@ -517,12 +499,16 @@ impl SetAssocCache {
         // *every* way, masked or not) and the first free allowed way. The
         // ranks are not read unless the set turns out to be full.
         let mut free_way = None;
-        for (way, word) in tags.iter_mut().enumerate() {
-            let tag = u64::from(*word);
+        for (way, slot) in tags.chunks_exact_mut(4).enumerate() {
+            let tag = loaded(slot);
             if tag_matches(tag, block) {
                 // Hit: update in place regardless of mask (dirty OR-ed,
                 // origin overwritten).
-                *word = stored(encode_tag(block, dirty || tag & TAG_DIRTY != 0, origin));
+                slot.copy_from_slice(&stored(encode_tag(
+                    block,
+                    dirty || tag & TAG_DIRTY != 0,
+                    origin,
+                )));
                 touch(policy, ranks, way, false);
                 return None;
             }
@@ -532,7 +518,7 @@ impl SetAssocCache {
         }
 
         if let Some(way) = free_way {
-            tags[way] = stored(encode_tag(block, dirty, origin));
+            tags[4 * way..4 * way + 4].copy_from_slice(&stored(encode_tag(block, dirty, origin)));
             touch(policy, ranks, way, true);
             self.resident += 1;
             return None;
@@ -558,9 +544,10 @@ impl SetAssocCache {
             },
         }
         .expect("mask allows at least one way");
-        let old = u64::from(tags[victim]);
+        let slot = &mut tags[4 * victim..4 * victim + 4];
+        let old = loaded(slot);
         debug_assert!(old & TAG_PRESENT != 0, "victim way was occupied");
-        tags[victim] = stored(encode_tag(block, dirty, origin));
+        slot.copy_from_slice(&stored(encode_tag(block, dirty, origin)));
         touch(policy, ranks, victim, true);
         Some(Evicted {
             line: decode_tag(old),
@@ -570,10 +557,10 @@ impl SetAssocCache {
     /// Removes a block; returns its metadata if it was resident.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<Line> {
         let set = self.set_of(block);
-        for word in self.tags.row_mut(set).0 {
-            let tag = u64::from(*word);
+        for slot in self.tags.row_mut(set).0.chunks_exact_mut(4) {
+            let tag = loaded(slot);
             if tag_matches(tag, block) {
-                *word = 0;
+                slot.fill(0);
                 self.resident -= 1;
                 return Some(decode_tag(tag));
             }
@@ -608,7 +595,7 @@ impl SetAssocCache {
 
     /// Drops every resident line without any writeback bookkeeping.
     pub fn flush_all(&mut self) {
-        self.tags.lines.fill(HostLine([0; HOST_LINE / 4]));
+        self.tags.lines.fill([0; HOST_LINE]);
         self.resident = 0;
     }
 }
@@ -914,7 +901,9 @@ mod tests {
                 }
             }
             let ranks = |c: &SetAssocCache| -> Vec<u8> {
-                (0..c.sets).flat_map(|set| c.tags.row(set).1.to_vec()).collect()
+                (0..c.sets)
+                    .flat_map(|set| c.tags.row(set).1.to_vec())
+                    .collect()
             };
             assert_ne!(ranks(&zeroed), ranks(&shuffled));
 
@@ -1198,7 +1187,11 @@ mod tests {
         use crate::hierarchy::MachineConfig;
         use crate::table::MAPS_LARGE_TABLES;
         let paper = MachineConfig::paper_default();
-        for (name, g, lines) in [("L1", paper.l1, 1), ("L2", paper.l2, 2), ("LLC", paper.llc, 1)] {
+        for (name, g, lines) in [
+            ("L1", paper.l1, 1),
+            ("L2", paper.l2, 2),
+            ("LLC", paper.llc, 1),
+        ] {
             // 8 sets stay on the heap; 2048 sets (128 KiB or more) get a
             // mapping where the target supports one.
             for (sets, mapped) in [(8, false), (2048, MAPS_LARGE_TABLES)] {

@@ -2,8 +2,8 @@
 //!
 //! The caches' set rows and the coherence directory (about 14 MiB on the
 //! paper machine) are probed at hash-randomised indices, so two host effects
-//! dominate their cost: page-table walks on every probe, and the work of writing an
-//! initial pattern into memory the run may never touch. [`ZeroTable`] avoids
+//! dominate their cost: page-table walks on every probe, and the work of
+//! writing an initial pattern into memory the run may never touch. [`ZeroTable`] avoids
 //! both. Its element types are ones whose all-zero bytes are a valid (empty)
 //! value, so a table needs no initialisation pass: on Linux, tables of 64 KiB
 //! or more come straight from the kernel's zero pages and are only backed on
@@ -31,6 +31,15 @@ pub(crate) unsafe trait Zeroable: Copy + 'static {}
 
 // SAFETY: an all-zero `u64` is the valid value 0.
 unsafe impl Zeroable for u64 {}
+
+/// Bytes in a host cache line. Every table starts on a line boundary.
+pub(crate) const HOST_LINE: usize = 64;
+
+/// One host cache line of bytes, the element of a table of whole lines.
+pub(crate) type HostLine = [u8; HOST_LINE];
+
+// SAFETY: all-zero bytes are valid bytes.
+unsafe impl Zeroable for HostLine {}
 
 /// Tables of at least this many bytes get a mapping of their own, so they
 /// start as untouched zero pages. Smaller ones come from `alloc_zeroed`,
@@ -66,12 +75,17 @@ enum Backing {
 impl<T: Zeroable> ZeroTable<T> {
     /// A table of `len` all-zero elements.
     ///
+    /// The table starts on a host cache line, so a table of [`HostLine`]s
+    /// keeps each element within one line.
+    ///
     /// # Panics
     ///
     /// Panics if the table would be empty or its size in bytes overflows
     /// `isize`; aborts like `Vec` if the host is out of memory.
     pub(crate) fn new(len: usize) -> Self {
-        let layout = Layout::array::<T>(len).expect("table size overflows isize");
+        let layout = Layout::array::<T>(len)
+            .and_then(|l| l.align_to(HOST_LINE))
+            .expect("table size overflows isize");
         assert!(layout.size() > 0, "a table needs at least one byte");
         if layout.size() >= MAPPED {
             if let Some((ptr, base, map_len)) = mapping::map(layout) {

@@ -36,8 +36,8 @@ use sweeper::core::telemetry::{
     check_document, document, outlier_document, perfetto_document, run_document,
     timeseries_document, OutputFormat, Record, RunManifest, Value, LOADSWEEP_SCHEMA,
 };
-use sweeper::sim::check::{CheckConfig, ViolationKind};
 use sweeper::sim::addr::MAX_BLOCKS;
+use sweeper::sim::check::{CheckConfig, ViolationKind};
 use sweeper::sim::hierarchy::MachineConfig;
 use sweeper::sim::BLOCK_BYTES;
 

@@ -288,10 +288,8 @@ fn rx_footprint_past_the_address_limit_is_a_usage_error() {
     // be far past the 32 GiB simulated address space. The point is rejected
     // before its rings are allocated (they would exhaust host memory).
     for command in ["run", "peak", "trace", "sweep"] {
-        let args = [
-            command, "--cores", "24", "--endpoints", "4096", "--buffers", "1048576", "--packet",
-            "65536",
-        ];
+        let args = [command, "--cores", "24", "--endpoints", "4096"];
+        let args = [&args[..], &["--buffers", "1048576", "--packet", "65536"]].concat();
         assert_usage_error(&args);
         let (_, stderr) = run(&args);
         assert!(
