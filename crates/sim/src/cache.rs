@@ -211,7 +211,7 @@ fn loaded(slot: &[u8]) -> u64 {
 /// and a 20-way row (80 + 20 B) two, and every row starts on a line
 /// boundary, so a set probe touches only its own row's lines. An all-zero
 /// row is an empty set.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 struct SetRows {
     lines: ZeroTable<HostLine>,
     ways: usize,
@@ -264,17 +264,6 @@ impl SetRows {
                 .map(move |(way, slot)| (set, way, loaded(slot)))
                 .filter(|&(_, _, t)| t & TAG_PRESENT != 0)
         })
-    }
-}
-
-impl fmt::Debug for SetRows {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list()
-            .entries((0..self.sets()).map(|set| {
-                let (tags, ranks) = self.row(set);
-                (tags.chunks_exact(4).map(loaded).collect::<Vec<_>>(), ranks)
-            }))
-            .finish()
     }
 }
 

@@ -20,11 +20,11 @@
 //! probe, and no per-entry boxing. Sharer sets are returned as [`SharerSet`],
 //! a `Copy` 64-bit mask iterated in place, so no coherence operation
 //! allocates. Each slot is one 8-byte word (sharer mask, owner and block
-//! packed together), so the paper machine's 2^20 slots take 8 MiB; the
+//! packed together), so the paper machine's 2^20 slots take 8 MiB. The
 //! table starts all-zero (an all-zero slot is empty), so building a
-//! directory writes nothing, and the
-//! memory system sizes it once with [`Directory::with_capacity`] for every
-//! private L2 line, so a run never rehashes it. [`ReferenceDirectory`]
+//! directory writes nothing, and the memory system sizes it once with
+//! [`Directory::with_capacity`] for every private L2 line, so a run never
+//! rehashes it. [`ReferenceDirectory`]
 //! preserves the original `HashMap`-backed implementation as the oracle for
 //! differential tests.
 
