@@ -298,14 +298,9 @@ impl Dram {
     }
 
     /// Histogram of read latencies (cycles) since the last
-    /// [`clear_latencies`](Self::clear_latencies).
+    /// [`reset_counters`](Self::reset_counters).
     pub fn read_latency(&self) -> &Histogram {
         &self.read_latency
-    }
-
-    /// Discards recorded read latencies (e.g. after warmup).
-    pub fn clear_latencies(&mut self) {
-        self.read_latency.clear();
     }
 
     /// Clears latencies plus the per-channel and row-hit counters (end of
@@ -516,8 +511,6 @@ mod tests {
         assert_eq!(d.read_latency().count(), 0);
         d.access(BlockAddr(1), 0, DramOp::Read);
         assert_eq!(d.read_latency().count(), 1);
-        d.clear_latencies();
-        assert_eq!(d.read_latency().count(), 0);
     }
 
     #[test]

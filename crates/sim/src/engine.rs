@@ -183,11 +183,6 @@ impl<T> EventQueue<T> {
         self.heap.pop().map(|Reverse(e)| (e.at, e.payload))
     }
 
-    /// Timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -287,11 +282,9 @@ mod tests {
     fn event_queue_len_and_peek() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.push(3, ());
         q.push(2, ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(2));
     }
 
     #[test]

@@ -209,14 +209,6 @@ impl MemStats {
         self.dram_reads_by_core[idx] += 1;
     }
 
-    /// Demand DRAM reads attributed to `core`.
-    pub fn core_dram_reads(&self, core: u16) -> u64 {
-        self.dram_reads_by_core
-            .get(core as usize)
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Total DRAM transfers (reads + writes).
     pub fn dram_accesses(&self) -> u64 {
         self.dram_reads.total() + self.dram_writes.total()
@@ -564,13 +556,11 @@ mod tests {
     #[test]
     fn per_core_attribution_grows_on_demand() {
         let mut s = MemStats::new();
-        assert_eq!(s.core_dram_reads(5), 0);
+        assert!(s.dram_reads_by_core.is_empty());
         s.note_core_dram_read(5);
         s.note_core_dram_read(5);
         s.note_core_dram_read(0);
-        assert_eq!(s.core_dram_reads(5), 2);
-        assert_eq!(s.core_dram_reads(0), 1);
-        assert_eq!(s.core_dram_reads(99), 0);
+        assert_eq!(s.dram_reads_by_core, [1, 0, 0, 0, 0, 2]);
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!
 //! A run point is one [`Scenario`]: a `--scenario` file sets it first, and
 //! each point flag (`--ddio`, `--buffers`, …) then sets one of its keys
-//! through the same validation. Figures fix their own points, so `figure`
-//! and `check` take only `--seed`. All rates are in Mrps. Run `sweeper help`
-//! for the full flag list.
+//! through the same validation. Every flag is one row of the `FLAGS` table,
+//! which names the commands that read it: any other use is a usage error,
+//! and `sweeper help` prints its flag list from the same table. All rates
+//! are in Mrps.
 
 use std::process::ExitCode;
 
@@ -64,111 +65,125 @@ COMMANDS:
     info     print the simulated machine (Table I)
     help     show this text
 
-POINT FLAGS — each sets one key of the run's scenario (key in parentheses):
-    --workload <kvs|l3fwd|synthetic>   workload model (workload)      [kvs]
-    --policy <dma|ddio|ideal>          injection policy (policy)      [ddio]
-    --ddio <1..12>                     DDIO LLC ways (ddio_ways)      [2]
-    --sweeper                          enable Sweeper, relinquish on RX
-                                       (sweeper)
-    --tx-sweep                         enable NIC-driven TX sweeping, §V-D
-                                       (tx_sweep)
-    --zero-copy                        l3fwd transmits in place (zero_copy)
-    --buffers <N>                      RX ring entries/core (buffers) [1024]
-    --endpoints <N>                    endpoints per core (endpoints) [1]
-    --packet <64..65536>               packet bytes (packet)          [1088]
-    --channels <N>                     DDR4 channels (channels)       [4]
-    --cores <N>                        active cores (cores)           [24]
-    --seed <N>                         RNG seed (seed)                [0x5eed]
-    --rate <MRPS>                      offered load, > 0 (rate_mrps)  [20]
-    --scenario <FILE>                  load a key=value scenario file first;
-                                       point flags override its values
-    `figure` and `check` take only --seed (every figure point runs with
-    it); `figures` and `info` take no point flag.
-
-OTHER FLAGS (all optional):
-    --requests <N>                     measured requests, >= 1  [20000]
-    --lo/--hi <MRPS>, --points <N>     sweep grid, 0 < lo < hi, points >= 2
-                                                                [2..60, 8]
-    --jobs <N>                         worker threads for sweep/figure/check
-                                       [all cores]
-    --profile <full|fast|smoke>        figure/check run lengths   [full]
-    --format <text|json|csv>           output format for run/peak/sweep
-                                       (figure: stdout table format) [text]
-    --timeseries <PATH>                sample the run and write the time
-                                       series (CSV when PATH ends in .csv,
-                                       JSON otherwise)
-    --sample-every <CYCLES>            sampling period; needs --timeseries
-                                                              [1000000]
-    --trace-spans                      record request-level causal spans
-                                       (nic_dma, rx_ring_wait, cpu_read, ...)
-    --perfetto <PATH>                  write retained spans as a Chrome-
-                                       trace-event JSON (open on
-                                       ui.perfetto.dev); implies --trace-spans
-    --profiler                         attribute simulated cycles and DRAM
-                                       accesses per pipeline stage; the tree
-                                       rides the run/peak report in every
-                                       --format (the name avoids the
-                                       run-length --profile flag)
-    --flight-recorder                  snapshot the span window around
-                                       requests beyond the online latency
-                                       quantile into --outliers; implies
-                                       span recording
-    --flight-quantile <Q>              flight-recorder threshold quantile,
-                                       0 < Q < 1               [0.999]
-    --outliers <DIR>                   flight-recorder output directory;
-                                       needs --flight-recorder
-                                                   [results/outliers]
-    --events <N>                       span/trace ring capacity [65536]
-    --validate                         enable the correctness harness
-                                       (shadow-memory oracle + invariant
-                                       walks) for run/peak/sweep/trace;
-                                       violations go to stderr and fail
-                                       the exit code
-    --walk-every <REQUESTS>            completed requests between invariant
-                                       walks in checked mode      [1024]
-    --timeseries, --sample-every, --trace-spans, --perfetto, --profiler,
-    --flight-recorder and --outliers observe one run: only run, peak and
-    trace take them.
-
 JSON and CSV exports carry a run manifest (tool version, config summary,
 workload, seed, wall time; run/peak/sweep/trace add the canonical scenario
 text, which `--scenario` reads back) so artifacts found on disk identify
 their run.
+
+FLAGS, under the commands that take them (figures, info and help take none;
+a point flag's scenario key follows its description in parentheses):
 ";
 
-/// Flags that each set one [`Scenario`] key, and the key they set. The
-/// switches (`--sweeper`, `--tx-sweep`, `--zero-copy`) take no value and set
-/// their key to `true`.
-const POINT_FLAGS: [(&str, &str); 13] = [
-    ("--workload", "workload"),
-    ("--policy", "policy"),
-    ("--ddio", "ddio_ways"),
-    ("--sweeper", "sweeper"),
-    ("--tx-sweep", "tx_sweep"),
-    ("--zero-copy", "zero_copy"),
-    ("--buffers", "buffers"),
-    ("--endpoints", "endpoints"),
-    ("--packet", "packet"),
-    ("--channels", "channels"),
-    ("--cores", "cores"),
-    ("--seed", "seed"),
-    ("--rate", "rate_mrps"),
-];
-
-fn is_switch(flag: &str) -> bool {
-    matches!(flag, "--sweeper" | "--tx-sweep" | "--zero-copy")
+/// One command-line flag. `parse` accepts it only on the commands listed
+/// here, and `sweeper help` prints it from here.
+struct Flag {
+    name: &'static str,
+    /// Value placeholder; `None` for a switch.
+    value: Option<&'static str>,
+    /// The [`Scenario`] key the flag sets; a switch sets it to `true`.
+    key: Option<&'static str>,
+    /// The commands that read the flag.
+    commands: &'static [&'static str],
+    /// One help line, ending with the default where there is one.
+    help: &'static str,
 }
 
-/// Rejects a point flag (or `--scenario`) on a command that has no run
-/// point: figures fix their own points and take only the seed.
-fn check_point_flag(command: &str, flag: &str) -> Result<(), String> {
-    match command {
-        "figure" | "check" if flag != "--seed" => Err(format!(
-            "`{command}` does not take {flag}: figure points are fixed; only --seed applies"
-        )),
-        "figures" | "info" => Err(format!("`{command}` does not take {flag}")),
-        _ => Ok(()),
+const fn flag(
+    name: &'static str,
+    value: Option<&'static str>,
+    key: Option<&'static str>,
+    commands: &'static [&'static str],
+    help: &'static str,
+) -> Flag {
+    Flag { name, value, key, commands, help }
+}
+
+/// Commands that simulate a point of their own.
+const POINT: &[&str] = &["run", "peak", "sweep", "trace"];
+/// Commands that keep one run's samples, spans and profile; a sweep or a
+/// figure keeps per-point summaries only.
+const SINGLE_RUN: &[&str] = &["run", "peak", "trace"];
+
+/// Every flag, grouped by the commands that take it, in help order.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    flag("--scenario", Some("FILE"), None, POINT,
+         "key=value file applied first; the other flags override it"),
+    flag("--workload", Some("kvs|l3fwd|synthetic"), Some("workload"), POINT, "app model [kvs]"),
+    flag("--policy", Some("dma|ddio|ideal"), Some("policy"), POINT, "injection policy [ddio]"),
+    flag("--ddio", Some("1..12"), Some("ddio_ways"), POINT, "DDIO LLC ways [2]"),
+    flag("--sweeper", None, Some("sweeper"), POINT, "enable Sweeper, relinquish on RX"),
+    flag("--tx-sweep", None, Some("tx_sweep"), POINT, "enable NIC-driven TX sweeping, §V-D"),
+    flag("--zero-copy", None, Some("zero_copy"), POINT, "l3fwd transmits in place"),
+    flag("--buffers", Some("N"), Some("buffers"), POINT, "RX ring entries per core [1024]"),
+    flag("--endpoints", Some("N"), Some("endpoints"), POINT, "endpoints per core [1]"),
+    flag("--packet", Some("64..65536"), Some("packet"), POINT, "packet bytes [1088]"),
+    flag("--channels", Some("N"), Some("channels"), POINT, "DDR4 channels [4]"),
+    flag("--cores", Some("N"), Some("cores"), POINT, "active cores [24]"),
+    flag("--rate", Some("MRPS"), Some("rate_mrps"), POINT, "offered load, > 0 [20]"),
+    flag("--requests", Some("N"), None, POINT, "measured requests, >= 1 [20000]"),
+    flag("--validate", None, None, POINT,
+         "check with the shadow-memory oracle and invariant walks"),
+    flag("--seed", Some("N"), Some("seed"), &["run", "peak", "sweep", "trace", "figure", "check"],
+         "RNG seed; figures run every point with it [0x5eed]"),
+    flag("--lo", Some("MRPS"), None, &["sweep"], "lowest rate, 0 < lo < hi [2]"),
+    flag("--hi", Some("MRPS"), None, &["sweep"], "highest rate [60]"),
+    flag("--points", Some("N"), None, &["sweep"], "rates in the grid, >= 2 [8]"),
+    flag("--jobs", Some("N"), None, &["sweep", "figure", "check"], "worker threads [all cores]"),
+    flag("--profile", Some("full|fast|smoke"), None, &["figure", "check"], "run lengths [full]"),
+    flag("--format", Some("text|json|csv"), None, &["run", "peak", "sweep", "figure", "check"],
+         "stdout format; check takes text or json [text]"),
+    flag("--walk-every", Some("REQUESTS"), None, &["run", "peak", "sweep", "trace", "check"],
+         "walk period; needs --validate except on check [1024]"),
+    flag("--timeseries", Some("PATH"), None, SINGLE_RUN,
+         "write the time series (CSV if PATH ends in .csv, else JSON)"),
+    flag("--sample-every", Some("CYCLES"), None, SINGLE_RUN,
+         "sampling period; needs --timeseries [1000000]"),
+    flag("--trace-spans", None, None, SINGLE_RUN,
+         "record request-level causal spans (nic_dma, cpu_read, ...)"),
+    flag("--perfetto", Some("PATH"), None, SINGLE_RUN,
+         "write spans as Perfetto JSON; implies --trace-spans"),
+    flag("--profiler", None, None, SINGLE_RUN,
+         "attribute simulated cycles and DRAM accesses per stage"),
+    flag("--flight-recorder", None, None, SINGLE_RUN,
+         "snapshot the spans around requests past the quantile"),
+    flag("--flight-quantile", Some("Q"), None, SINGLE_RUN,
+         "0 < Q < 1; needs --flight-recorder [0.999]"),
+    flag("--outliers", Some("DIR"), None, SINGLE_RUN,
+         "snapshot directory; needs --flight-recorder [results/outliers]"),
+    flag("--events", Some("N"), None, SINGLE_RUN, "span and memory-trace ring capacity [65536]"),
+];
+
+/// The help text: [`HELP`], then every flag of [`FLAGS`] under the commands
+/// that take it.
+fn help() -> String {
+    let mut out = HELP.to_string();
+    let mut commands: &[&str] = &[];
+    for f in FLAGS {
+        if f.commands != commands {
+            commands = f.commands;
+            out += &format!("  {}:\n", commands.join(", "));
+        }
+        let usage = match f.value {
+            Some(v) => format!("{} <{v}>", f.name),
+            None => f.name.to_string(),
+        };
+        let key = f.key.map(|k| format!(" ({k})")).unwrap_or_default();
+        out += &format!("    {usage:<32}  {}{key}\n", f.help);
     }
+    out
+}
+
+/// Looks `arg` up in [`FLAGS`] and checks that `command` reads it.
+fn flag_of(command: &str, arg: &str) -> Result<&'static Flag, String> {
+    let flag = FLAGS
+        .iter()
+        .find(|f| f.name == arg)
+        .ok_or_else(|| format!("unknown flag '{arg}' (see `sweeper help`)"))?;
+    if !flag.commands.contains(&command) {
+        return Err(format!("`{command}` does not take {arg}"));
+    }
+    Ok(flag)
 }
 
 #[derive(Debug, Clone)]
@@ -177,7 +192,7 @@ struct Cli {
     /// Positional argument of `figure <NAME>`.
     figure: Option<String>,
     jobs: Option<usize>,
-    profile: Option<RunProfile>,
+    profile: RunProfile,
     /// The run point: a `--scenario` file, then the point flags.
     scenario: Scenario,
     requests: u64,
@@ -204,7 +219,7 @@ impl Default for Cli {
             command: "help".into(),
             figure: None,
             jobs: None,
-            profile: None,
+            profile: RunProfile::default(),
             scenario: Scenario::default(),
             requests: 20_000,
             lo: 2.0,
@@ -232,7 +247,7 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     cli.command = it.next().cloned().unwrap_or_else(|| "help".into());
     // A scenario file applies first so explicit flags override it.
     if let Some(i) = args.iter().position(|a| a == "--scenario") {
-        check_point_flag(&cli.command, "--scenario")?;
+        flag_of(&cli.command, "--scenario")?;
         let path = args.get(i + 1).ok_or("flag --scenario needs a value")?;
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -251,44 +266,43 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     if cli.command == "check" && it.peek().is_some_and(|a| !a.starts_with("--")) {
         cli.figure = it.next().cloned();
     }
-    while let Some(flag) = it.next() {
-        let flag = flag.as_str();
-        let mut value = || {
-            it.next()
+    while let Some(arg) = it.next() {
+        let spec = flag_of(&cli.command, arg)?;
+        let flag = spec.name;
+        let value = match spec.value {
+            Some(_) => it
+                .next()
                 .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
+                .ok_or_else(|| format!("flag {flag} needs a value"))?,
+            None => "true".to_string(),
         };
-        if let Some(&(_, key)) = POINT_FLAGS.iter().find(|(f, _)| *f == flag) {
-            check_point_flag(&cli.command, flag)?;
-            let v = if is_switch(flag) { "true".into() } else { value()? };
+        if let Some(key) = spec.key {
             cli.scenario
-                .set(key, &v)
+                .set(key, &value)
                 .map_err(|e| format!("{flag}: {e}"))?;
             continue;
         }
         match flag {
-            "--scenario" => {
-                value()?; // applied before the loop
-            }
-            "--requests" => cli.requests = num(flag, &value()?)?,
-            "--lo" => cli.lo = num(flag, &value()?)?,
-            "--hi" => cli.hi = num(flag, &value()?)?,
-            "--points" => cli.points = num(flag, &value()?)?,
-            "--jobs" => cli.jobs = Some(num(flag, &value()?)?),
-            "--profile" => cli.profile = Some(value()?.parse()?),
+            "--scenario" => {} // applied before the loop
+            "--requests" => cli.requests = num(flag, &value)?,
+            "--lo" => cli.lo = num(flag, &value)?,
+            "--hi" => cli.hi = num(flag, &value)?,
+            "--points" => cli.points = num(flag, &value)?,
+            "--jobs" => cli.jobs = Some(num(flag, &value)?),
+            "--profile" => cli.profile = value.parse()?,
             "--validate" => cli.validate = true,
-            "--walk-every" => cli.walk_every = Some(num(flag, &value()?)?),
-            "--format" => cli.format = value()?.parse()?,
-            "--timeseries" => cli.timeseries = Some(value()?),
-            "--sample-every" => cli.sample_every = Some(num(flag, &value()?)?),
+            "--walk-every" => cli.walk_every = Some(num(flag, &value)?),
+            "--format" => cli.format = value.parse()?,
+            "--timeseries" => cli.timeseries = Some(value),
+            "--sample-every" => cli.sample_every = Some(num(flag, &value)?),
             "--trace-spans" => cli.trace_spans = true,
-            "--perfetto" => cli.perfetto = Some(value()?),
+            "--perfetto" => cli.perfetto = Some(value),
             "--profiler" => cli.profiler = true,
             "--flight-recorder" => cli.flight_recorder = true,
-            "--flight-quantile" => cli.flight_quantile = Some(num(flag, &value()?)?),
-            "--outliers" => cli.outliers = Some(value()?),
-            "--events" => cli.events = num(flag, &value()?)?,
-            other => return Err(format!("unknown flag '{other}' (see `sweeper help`)")),
+            "--flight-quantile" => cli.flight_quantile = Some(num(flag, &value)?),
+            "--outliers" => cli.outliers = Some(value),
+            "--events" => cli.events = num(flag, &value)?,
+            _ => unreachable!("every FLAGS row without a scenario key has an arm"),
         }
     }
     if let Some(q) = cli.flight_quantile {
@@ -302,26 +316,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     if cli.outliers.is_some() && !cli.flight_recorder {
         return Err("--outliers needs --flight-recorder".to_string());
     }
-    if !matches!(cli.command.as_str(), "run" | "peak" | "trace") {
-        // Only a single run keeps its samples, spans and profile; a sweep
-        // or a figure keeps per-point summaries, so these flags would have
-        // nothing to act on.
-        let observers = [
-            ("--timeseries", cli.timeseries.is_some()),
-            ("--sample-every", cli.sample_every.is_some()),
-            ("--trace-spans", cli.trace_spans),
-            ("--perfetto", cli.perfetto.is_some()),
-            ("--profiler", cli.profiler),
-            ("--flight-recorder", cli.flight_recorder),
-            ("--outliers", cli.outliers.is_some()),
-        ];
-        if let Some((flag, _)) = observers.iter().find(|(_, set)| *set) {
-            return Err(format!(
-                "`{}` does not take {flag}: it needs a single-run command (run, peak, trace)",
-                cli.command
-            ));
-        }
-    }
     if cli.sample_every.is_some() && cli.timeseries.is_none() {
         // Only the time series file carries samples; no report does.
         return Err("--sample-every needs --timeseries".to_string());
@@ -331,6 +325,9 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     }
     if cli.requests == 0 {
         return Err("--requests must be at least 1".to_string());
+    }
+    if cli.jobs == Some(0) {
+        return Err("--jobs must be at least 1".to_string());
     }
     if cli.points < 2 {
         return Err(format!("--points must be at least 2, got {}", cli.points));
@@ -343,6 +340,9 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     }
     if cli.walk_every.is_some() && !cli.validate && cli.command != "check" {
         return Err("--walk-every needs --validate (or the check command)".to_string());
+    }
+    if cli.command == "check" && cli.format == OutputFormat::Csv {
+        return Err("`check` takes --format text or json, not csv".to_string());
     }
     Ok(cli)
 }
@@ -433,15 +433,11 @@ fn check_passed(label: &str, report: &RunReport) -> bool {
 
 /// The manifest attached to this invocation's exports.
 fn cli_manifest(cli: &Cli, exp: &Experiment) -> RunManifest {
-    let mut m = RunManifest::new()
+    RunManifest::new()
         .config(exp.config().summary())
         .workload(cli.scenario.workload.name())
         .seed(cli.scenario.seed)
-        .scenario(cli.scenario.to_text());
-    if let Some(profile) = cli.profile {
-        m = m.profile(profile.to_string());
-    }
-    m
+        .scenario(cli.scenario.to_text())
 }
 
 /// `run`, `peak` and `trace`: simulates one operating point (for `peak`, the
@@ -590,7 +586,7 @@ fn write_observability(cli: &Cli, report: &RunReport, manifest: &RunManifest) ->
 /// The fleet/profile/seed context of `sweep`, `figure` and `check`.
 fn fig_context(cli: &Cli) -> FigContext {
     FigContext {
-        profile: cli.profile.unwrap_or_default(),
+        profile: cli.profile,
         seed: cli.scenario.seed,
         fleet: cli.jobs.map(Fleet::new).unwrap_or_default(),
         format: cli.format,
@@ -613,7 +609,7 @@ fn main() -> ExitCode {
     };
     match cli.command.as_str() {
         "help" | "--help" | "-h" => {
-            print!("{HELP}");
+            print!("{}", help());
             ExitCode::SUCCESS
         }
         "info" => {
@@ -846,12 +842,13 @@ mod tests {
         let mut all = args(&["run"]);
         for field in text.lines() {
             let (key, value) = field.split_once(" = ").unwrap();
-            let &(flag, _) = POINT_FLAGS
+            let spec = FLAGS
                 .iter()
-                .find(|(_, k)| *k == key)
+                .find(|f| f.key == Some(key))
                 .unwrap_or_else(|| panic!("scenario key '{key}' has no flag"));
+            let flag = spec.name;
             let mut one = args(&["run", flag]);
-            if is_switch(flag) {
+            if spec.value.is_none() {
                 assert_eq!(value, "true", "{flag} can only set {key} = true");
             } else {
                 one.push(value.to_string());
@@ -866,7 +863,66 @@ mod tests {
         }
         // ... and all of them together.
         assert_eq!(parse(&all).unwrap().scenario, s);
-        assert_eq!(POINT_FLAGS.len(), text.lines().count());
+        let point_flags = FLAGS.iter().filter(|f| f.key.is_some()).count();
+        assert_eq!(point_flags, text.lines().count());
+    }
+
+    /// Every command `main` runs.
+    const COMMANDS: [&str; 9] = [
+        "run", "peak", "sweep", "trace", "figure", "check", "figures", "info", "help",
+    ];
+
+    /// `spec`'s flag with a valid value (none for a switch), then any flag
+    /// it needs alongside on `command`.
+    fn sample(spec: &Flag, command: &str) -> Vec<String> {
+        let mut line = args(&[spec.name]);
+        if spec.value.is_some() {
+            let value = match spec.name {
+                "--scenario" => concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/kvs_1k.scn"),
+                "--workload" => "l3fwd",
+                "--policy" => "ideal",
+                "--packet" => "512",
+                "--profile" => "smoke",
+                "--format" => "json",
+                "--flight-quantile" => "0.5",
+                "--hi" => "30",
+                _ => "3",
+            };
+            line.push(value.to_string());
+        }
+        let companions: &[&str] = match spec.name {
+            "--sample-every" => &["--timeseries", "ts.csv"],
+            "--flight-quantile" | "--outliers" => &["--flight-recorder"],
+            "--walk-every" if command != "check" => &["--validate"],
+            _ => &[],
+        };
+        line.extend(args(companions));
+        line
+    }
+
+    #[test]
+    fn each_flag_parses_on_exactly_its_commands() {
+        for spec in FLAGS {
+            assert!(
+                spec.commands.iter().all(|c| COMMANDS.contains(c)),
+                "{} names an unknown command",
+                spec.name
+            );
+            for command in COMMANDS {
+                let mut line = args(&[command]);
+                if command == "figure" {
+                    line.push("fig2".to_string());
+                }
+                line.extend(sample(spec, command));
+                let parsed = parse(&line);
+                if spec.commands.contains(&command) {
+                    assert!(parsed.is_ok(), "{line:?}: {}", parsed.unwrap_err());
+                } else {
+                    let expected = format!("`{command}` does not take {}", spec.name);
+                    assert_eq!(parsed.unwrap_err(), expected, "{line:?}");
+                }
+            }
+        }
     }
 
     #[test]

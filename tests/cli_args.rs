@@ -319,3 +319,29 @@ fn trace_reports_its_validate_verdict() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("cycle,kind,core,block,blocks,latency"));
 }
+
+#[test]
+fn flags_a_command_does_not_read_are_usage_errors() {
+    // Each of these used to exit 0 with the flag ignored, or for `--jobs 0`
+    // clamped to one worker, or for `check --format csv` printed as text.
+    for (args, flag) in [
+        (&["info", "--events", "10", "--requests", "5", "--points", "3"][..], "--events"),
+        (
+            &[
+                "trace", "--cores", "4", "--buffers", "128", "--requests", "300", "--rate", "5",
+                "--format", "json",
+            ],
+            "--format",
+        ),
+        (&["run", "--profile", "smoke"], "--profile"),
+        (&["run", "--jobs", "2"], "--jobs"),
+        (&["figure", "fig2", "--requests", "5"], "--requests"),
+        (&["sweep", "--jobs", "0"], "--jobs"),
+        (&["figure", "fig2", "--jobs", "0"], "--jobs"),
+        (&["check", "--format", "csv"], "--format"),
+    ] {
+        assert_usage_error(args);
+        let (_, stderr) = run(args);
+        assert!(stderr.contains(flag), "{args:?} should name {flag}, got: {stderr}");
+    }
+}
