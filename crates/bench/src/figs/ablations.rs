@@ -53,20 +53,60 @@ fn variants() -> Vec<Variant> {
     use SweeperMode::{Disabled, Enabled};
     vec![
         v(1, "retain (default)", |_| {}, Disabled),
-        v(1, "strict victim", |m| m.llc_read_hit_retains = false, Disabled),
+        v(
+            1,
+            "strict victim",
+            |m| m.llc_read_hit_retains = false,
+            Disabled,
+        ),
         v(2, "insertion mask (default)", |_| {}, Disabled),
-        v(2, "strict partition", |m| m.ddio_strict_partition = true, Disabled),
+        v(
+            2,
+            "strict partition",
+            |m| m.ddio_strict_partition = true,
+            Disabled,
+        ),
         v(3, "realistic (default), base", |_| {}, Disabled),
         v(3, "realistic (default), sweep", |_| {}, Enabled),
-        v(3, "no turnaround, base", |m| m.dram.t_turnaround = 0, Disabled),
-        v(3, "no turnaround, sweep", |m| m.dram.t_turnaround = 0, Enabled),
-        v(3, "no activation overhead, base", |m| m.dram.t_act_bus = 0, Disabled),
-        v(3, "no activation overhead, sweep", |m| m.dram.t_act_bus = 0, Enabled),
+        v(
+            3,
+            "no turnaround, base",
+            |m| m.dram.t_turnaround = 0,
+            Disabled,
+        ),
+        v(
+            3,
+            "no turnaround, sweep",
+            |m| m.dram.t_turnaround = 0,
+            Enabled,
+        ),
+        v(
+            3,
+            "no activation overhead, base",
+            |m| m.dram.t_act_bus = 0,
+            Disabled,
+        ),
+        v(
+            3,
+            "no activation overhead, sweep",
+            |m| m.dram.t_act_bus = 0,
+            Enabled,
+        ),
         v(3, "no refresh, base", |m| m.dram.t_refi = 0, Disabled),
         v(3, "no refresh, sweep", |m| m.dram.t_refi = 0, Enabled),
         v(4, "LRU (default)", |_| {}, Disabled),
-        v(4, "SRRIP LLC", |m| m.llc_replacement = ReplacementPolicy::Srrip, Disabled),
-        v(4, "L2 next-line prefetch", |m| m.l2_next_line_prefetch = true, Disabled),
+        v(
+            4,
+            "SRRIP LLC",
+            |m| m.llc_replacement = ReplacementPolicy::Srrip,
+            Disabled,
+        ),
+        v(
+            4,
+            "L2 next-line prefetch",
+            |m| m.l2_next_line_prefetch = true,
+            Disabled,
+        ),
     ]
 }
 
@@ -131,7 +171,14 @@ impl Figure for Ablations {
     }
 
     fn render(&self, _profile: RunProfile, outcomes: &[PointOutcome]) {
-        let headers = &["variant", "Mrps", "GB/s", "RxEvct/rq", "CpuRxRd/rq", "dram mean"];
+        let headers = &[
+            "variant",
+            "Mrps",
+            "GB/s",
+            "RxEvct/rq",
+            "CpuRxRd/rq",
+            "dram mean",
+        ];
         let mut tables = [
             Table::new(
                 "Ablation 1 — LLC read-hit policy (baseline DDIO 2-way, 18 Mrps)",

@@ -68,8 +68,7 @@ impl Figure for Fig5 {
     fn render(&self, _profile: RunProfile, outcomes: &[PointOutcome]) {
         let mut rows = outcomes.chunks_exact(BUFFERS.len());
         for item in ITEM_BYTES {
-            let title_a =
-                format!("Figure 5a — KVS peak throughput (Mrps), packet size {item}B");
+            let title_a = format!("Figure 5a — KVS peak throughput (Mrps), packet size {item}B");
             let title_b =
                 format!("Figure 5b — memory bandwidth at peak (GB/s), packet size {item}B");
             let title_c =

@@ -64,8 +64,8 @@ fn emit_cdf(name: &str, label: &str, report: &RunReport) {
     }
     let safe = label.replace([' ', '+'], "_");
     let path = std::path::PathBuf::from("results").join(format!("{name}_{safe}.csv"));
-    if let Err(e) = std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write(&path, csv.to_csv()))
+    if let Err(e) =
+        std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, csv.to_csv()))
     {
         eprintln!("warning: could not write {}: {e}", path.display());
     }

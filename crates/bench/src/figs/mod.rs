@@ -15,13 +15,13 @@
 
 pub mod ablations;
 pub mod fig1;
+pub mod fig10;
 pub mod fig2;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod fig10;
 pub mod outliers;
 pub mod table1;
 
@@ -180,7 +180,10 @@ mod tests {
                 .collect()
         };
         // Fig 1's DDIO {2,4,6} and Ideal points are Fig 5's 1 KB points.
-        assert_eq!(assert_subset(&ddio_or_ideal(fig1::Fig1.points(p, seed)), &fig5), 12);
+        assert_eq!(
+            assert_subset(&ddio_or_ideal(fig1::Fig1.points(p, seed)), &fig5),
+            12
+        );
         // Fig 6's peak stage is four of Fig 5's 1 KB, rx=1024 points.
         assert_eq!(assert_subset(&fig6::Fig6.points(p, seed), &fig5), 4);
         // Fig 8 at Fig 5's 4 channels is 21 of its points.

@@ -151,7 +151,15 @@ impl Figure for Outliers {
     fn render(&self, _profile: RunProfile, outcomes: &[PointOutcome]) {
         let mut table = Table::new(
             "Outlier drill-down — tail snapshots beyond the online p99 (cycles)",
-            &["config", "Mrps", "p50", "p99", "snaps", "worst", "dominant stage"],
+            &[
+                "config",
+                "Mrps",
+                "p50",
+                "p99",
+                "snaps",
+                "worst",
+                "dominant stage",
+            ],
         );
         for (point, outcome) in configs().iter().zip(outcomes) {
             let report = &outcome.report;

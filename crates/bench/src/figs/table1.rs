@@ -71,7 +71,10 @@ pub fn run() {
         "Memory".into(),
         format!(
             "DDR4-3200, {} channels ({} configurable 3..8), {} ranks/channel, {} banks/rank",
-            cfg.dram.channels, cfg.dram.channels, cfg.dram.ranks_per_channel, cfg.dram.banks_per_rank
+            cfg.dram.channels,
+            cfg.dram.channels,
+            cfg.dram.ranks_per_channel,
+            cfg.dram.banks_per_rank
         ),
     ]);
     t.row(vec![

@@ -187,7 +187,9 @@ fn set_output(ctx: &FigContext) {
 
 fn stdout_format() -> OutputFormat {
     let output = OUTPUT.lock().expect("output settings poisoned");
-    output.as_ref().map_or(OutputFormat::Text, |(format, _)| *format)
+    output
+        .as_ref()
+        .map_or(OutputFormat::Text, |(format, _)| *format)
 }
 
 /// The manifest every figure artifact carries: the running figure's
@@ -273,7 +275,11 @@ impl Table {
     /// The table as a schema-tagged JSON document — the `.json` sidecar
     /// written next to each `.csv`.
     pub fn to_document(&self, name: &str) -> Record {
-        let headers: Vec<Value> = self.headers.iter().map(|h| Value::from(h.as_str())).collect();
+        let headers: Vec<Value> = self
+            .headers
+            .iter()
+            .map(|h| Value::from(h.as_str()))
+            .collect();
         let rows: Vec<Value> = self
             .rows
             .iter()
@@ -385,7 +391,9 @@ mod tests {
         assert!(report.completed >= 2_000);
         // KVS items fill the packet after the request header.
         let s = Scenario::parse("workload = kvs\npacket = 576\ncores = 2\nbuffers = 16\n").unwrap();
-        let cfg = s.to_config().run_options(figure_run_options(RunProfile::Smoke, &s));
+        let cfg = s
+            .to_config()
+            .run_options(figure_run_options(RunProfile::Smoke, &s));
         let kvs = KvsConfig::paper_default().with_item_bytes(576 - HEADER_BYTES);
         let by_hand = Experiment::new(cfg.clone(), move || MicaKvs::new(kvs)).run_at_rate(1.0e6);
         let report = scenario_experiment(cfg, &s).run_at_rate(1.0e6);

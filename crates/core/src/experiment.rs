@@ -196,9 +196,7 @@ impl ExperimentConfig {
         };
         format!(
             "{policy}{sweeper} rx={} pkt={} ch={}",
-            self.server.rx_entries,
-            self.server.packet_bytes,
-            self.server.machine.dram.channels,
+            self.server.rx_entries, self.server.packet_bytes, self.server.machine.dram.channels,
         )
     }
 
@@ -404,7 +402,9 @@ impl Experiment {
         opts.measure_requests = (opts.measure_requests / 4).max(200);
         let probe_rate = 1.0e5 * self.cfg.server.active_cores as f64 / 24.0;
         let report = self
-            .build(ArrivalProcess::Poisson { rate: probe_rate.max(1.0e4) })
+            .build(ArrivalProcess::Poisson {
+                rate: probe_rate.max(1.0e4),
+            })
             .run(opts);
         report.service_time.mean().max(1.0)
     }
@@ -424,8 +424,8 @@ impl Experiment {
     pub fn find_peak(&self, criteria: PeakCriteria) -> PeakResult {
         let unloaded = self.unloaded_service_time();
         let slo = (criteria.slo_multiplier * unloaded).ceil() as Cycle;
-        let capacity = self.cfg.server.active_cores as f64 * sweeper_sim::engine::CLOCK_HZ as f64
-            / unloaded;
+        let capacity =
+            self.cfg.server.active_cores as f64 * sweeper_sim::engine::CLOCK_HZ as f64 / unloaded;
 
         // Grow an upper bound that fails.
         let mut lo = capacity * 0.05;
@@ -549,9 +549,8 @@ mod tests {
         assert!(peak.rate > 0.0);
         assert!(peak.throughput_mrps() > 0.0);
         // The peak must not exceed the nominal capacity estimate wildly.
-        let capacity_mrps = 2.0 * sweeper_sim::engine::CLOCK_HZ as f64
-            / peak.unloaded_service_cycles
-            / 1e6;
+        let capacity_mrps =
+            2.0 * sweeper_sim::engine::CLOCK_HZ as f64 / peak.unloaded_service_cycles / 1e6;
         assert!(
             peak.throughput_mrps() <= capacity_mrps * 1.3,
             "peak {} vs capacity {}",
@@ -623,9 +622,8 @@ mod tests {
 
     #[test]
     fn ideal_ddio_has_no_network_traffic() {
-        let exp = echo_experiment(
-            ExperimentConfig::tiny_for_tests().injection(InjectionPolicy::Ideal),
-        );
+        let exp =
+            echo_experiment(ExperimentConfig::tiny_for_tests().injection(InjectionPolicy::Ideal));
         let report = exp.run_at_rate(1.0e6);
         let counts = report.class_counts();
         assert_eq!(counts[TrafficClass::NicRxWr], 0);

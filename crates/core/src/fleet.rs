@@ -80,7 +80,11 @@ impl ExperimentPoint {
 
     /// Peak search under default criteria.
     pub fn peak(label: impl Into<String>, experiment: Experiment) -> Self {
-        Self::new(label, experiment, PointAction::Peak(PeakCriteria::default()))
+        Self::new(
+            label,
+            experiment,
+            PointAction::Peak(PeakCriteria::default()),
+        )
     }
 
     /// Peak search under explicit criteria.
@@ -362,7 +366,9 @@ mod tests {
 
     #[test]
     fn outcomes_keep_declaration_order() {
-        let points = (0..8).map(|i| echo_point(i, 1.0e6 + i as f64 * 1.0e5)).collect();
+        let points = (0..8)
+            .map(|i| echo_point(i, 1.0e6 + i as f64 * 1.0e5))
+            .collect();
         let outcomes = Fleet::new(4).quiet().run(points);
         let labels: Vec<_> = outcomes.iter().map(|o| o.label.as_str()).collect();
         assert_eq!(
@@ -404,8 +410,14 @@ mod tests {
             .collect();
         assert_eq!(prints[0], prints[2]);
         assert_eq!(prints[0], prints[4]);
-        assert_ne!(prints[0], prints[1], "a different rate is a different point");
-        assert_ne!(prints[0], prints[3], "a different seed is a different point");
+        assert_ne!(
+            prints[0], prints[1],
+            "a different rate is a different point"
+        );
+        assert_ne!(
+            prints[0], prints[3],
+            "a different seed is a different point"
+        );
     }
 
     #[test]
@@ -439,7 +451,11 @@ mod tests {
             let mut out = vec![fleet_document(outcomes, &manifest).to_json_pretty()];
             for o in outcomes {
                 let spans = o.report.spans.as_ref().expect("spans enabled");
-                assert!(!spans.is_empty(), "{}: traced run recorded no spans", o.label);
+                assert!(
+                    !spans.is_empty(),
+                    "{}: traced run recorded no spans",
+                    o.label
+                );
                 out.push(perfetto_document(spans, &manifest).to_json_pretty());
                 let ts = o.report.timeseries.as_ref().expect("sampler enabled");
                 out.push(ts.to_record().to_json_pretty());
@@ -453,9 +469,7 @@ mod tests {
 
     #[test]
     fn run_tasks_handles_more_tasks_than_workers() {
-        let tasks: Vec<_> = (0..50)
-            .map(|i| move || i * 2)
-            .collect();
+        let tasks: Vec<_> = (0..50).map(|i| move || i * 2).collect();
         let out = Fleet::new(3).run_tasks(tasks);
         assert_eq!(out, (0..50).map(|i| i * 2).collect::<Vec<_>>());
     }

@@ -47,8 +47,8 @@
 pub mod experiment;
 pub mod fleet;
 pub mod loadsweep;
-pub mod profile;
 pub mod os;
+pub mod profile;
 pub mod report;
 pub mod scenario;
 pub mod server;

@@ -266,8 +266,11 @@ mod tests {
     #[test]
     fn sweep_produces_monotone_offered_rates_and_knee() {
         let exp = tiny_experiment();
-        let (sweep, _) =
-            LoadSweep::run(&exp, &RateGrid::geometric(0.2e6, 12.8e6, 7), &Fleet::sequential());
+        let (sweep, _) = LoadSweep::run(
+            &exp,
+            &RateGrid::geometric(0.2e6, 12.8e6, 7),
+            &Fleet::sequential(),
+        );
         assert!(!sweep.points().is_empty());
         for w in sweep.points().windows(2) {
             assert!(w[1].offered_rate > w[0].offered_rate);
@@ -304,8 +307,7 @@ mod tests {
     fn csv_comments_and_record_share_the_points() {
         let exp = tiny_experiment();
         let (sweep, _) = LoadSweep::run(&exp, &RateGrid::linear(0.5e6, 1.5e6, 2), &Fleet::new(2));
-        let csv =
-            sweep.to_csv_with_comments(&[("artifact".to_string(), "loadsweep".to_string())]);
+        let csv = sweep.to_csv_with_comments(&[("artifact".to_string(), "loadsweep".to_string())]);
         assert!(csv.starts_with("# artifact: loadsweep\noffered_rate,"));
         let rec = sweep.to_record();
         let Some(Value::Array(points)) = rec.get("points") else {

@@ -239,7 +239,9 @@ pub fn probe_page_recycling(mem: &mut MemorySystem, zero_mode: PageZeroMode) -> 
     os.free_page(victim, page).expect("victim owned the page");
 
     // Kernel recycles the page to the attacker (zeroing happens here).
-    let got = os.allocate_page(attacker, mem, 1000).expect("attacker alive");
+    let got = os
+        .allocate_page(attacker, mem, 1000)
+        .expect("attacker alive");
     assert_eq!(got, page, "free list must recycle the page");
 
     // Attack: sweep the freshly-zeroed page, hoping the zeros were still
@@ -356,7 +358,10 @@ mod tests {
 
     #[test]
     fn error_display() {
-        assert_eq!(OsError::ClsweepDenied.to_string(), "clsweep permission not granted");
+        assert_eq!(
+            OsError::ClsweepDenied.to_string(),
+            "clsweep permission not granted"
+        );
         assert_eq!(format!("{}", Pid(3)), "pid:3");
     }
 }

@@ -197,7 +197,9 @@ impl Scenario {
             let key = key.trim();
             let value = value.trim();
             if let Some(first) = seen.insert(key.to_string(), line_no) {
-                return Err(err(format!("duplicate key '{key}' (first at line {first})")));
+                return Err(err(format!(
+                    "duplicate key '{key}' (first at line {first})"
+                )));
             }
             s.set(key, value).map_err(err)?;
         }
@@ -357,7 +359,10 @@ mod tests {
     #[test]
     fn empty_text_is_the_default_scenario() {
         assert_eq!(Scenario::parse("").unwrap(), Scenario::default());
-        assert_eq!(Scenario::parse("# only comments\n\n").unwrap(), Scenario::default());
+        assert_eq!(
+            Scenario::parse("# only comments\n\n").unwrap(),
+            Scenario::default()
+        );
     }
 
     #[test]

@@ -1584,7 +1584,10 @@ mod tests {
         );
         let report = server.run(opts);
         assert!(!report.timed_out);
-        assert_eq!(report.completed, 1_000, "quota still respected after the floor");
+        assert_eq!(
+            report.completed, 1_000,
+            "quota still respected after the floor"
+        );
     }
 
     #[test]
@@ -1644,8 +1647,7 @@ mod tests {
             report.completed
         );
         // Bandwidth deltas agree with the aggregate within sampling slack.
-        let mean_gbps: f64 =
-            ts.iter().map(|s| s.bandwidth_gbps).sum::<f64>() / ts.len() as f64;
+        let mean_gbps: f64 = ts.iter().map(|s| s.bandwidth_gbps).sum::<f64>() / ts.len() as f64;
         assert!((mean_gbps - report.memory_bandwidth_gbps()).abs() < 1.0 + mean_gbps * 0.5);
     }
 
@@ -1678,10 +1680,7 @@ mod tests {
         assert_eq!(base.completed, checked.completed);
         assert_eq!(base.elapsed_cycles, checked.elapsed_cycles);
         assert_eq!(base.mem.dram_accesses(), checked.mem.dram_accesses());
-        assert_eq!(
-            base.request_latency.mean(),
-            checked.request_latency.mean()
-        );
+        assert_eq!(base.request_latency.mean(), checked.request_latency.mean());
         let check = checked.check.expect("check enabled");
         assert!(check.passed(), "echo run violates an invariant: {check:?}");
         assert!(check.events > 0, "oracle mirrored no events");
@@ -1917,7 +1916,10 @@ mod tests {
         // Forcing spans on is part of the contract.
         assert!(report.spans.is_some());
         let outliers = report.outliers.expect("flight recorder enabled");
-        assert!(!outliers.is_empty(), "p90 trigger must fire in 1000 requests");
+        assert!(
+            !outliers.is_empty(),
+            "p90 trigger must fire in 1000 requests"
+        );
         assert!(outliers.len() <= 4);
         for (i, snap) in outliers.iter().enumerate() {
             assert_eq!(snap.seq, i as u64);

@@ -266,7 +266,10 @@ pub fn perfetto_document(spans: &SpanRing, manifest: &RunManifest) -> Record {
         .with("displayTimeUnit", "ns")
         .with("spans_recorded", spans.recorded())
         .with("spans_retained", spans.len() as u64)
-        .with("traceEvents", Value::Array(perfetto_events(&spans.events())))
+        .with(
+            "traceEvents",
+            Value::Array(perfetto_events(&spans.events())),
+        )
 }
 
 /// The JSON document for one flight-recorder outlier snapshot
@@ -442,7 +445,14 @@ pub fn validate_outlier_document(doc: &Record) -> Result<(), String> {
     let manifest = expect_record(doc, "manifest", "document")?;
     expect_str(manifest, "tool", "manifest")?;
     let outlier = expect_record(doc, "outlier", "document")?;
-    for key in ["seq", "trace", "core", "at_cycles", "latency_cycles", "threshold_cycles"] {
+    for key in [
+        "seq",
+        "trace",
+        "core",
+        "at_cycles",
+        "latency_cycles",
+        "threshold_cycles",
+    ] {
         expect_u64(outlier, key, "outlier")?;
     }
     expect_f64(outlier, "quantile", "outlier")?;
@@ -494,7 +504,9 @@ mod tests {
             ]
         );
         let scenario = crate::scenario::Scenario::default();
-        let comments = RunManifest::new().scenario(scenario.to_text()).to_comments();
+        let comments = RunManifest::new()
+            .scenario(scenario.to_text())
+            .to_comments();
         let file: String = comments
             .iter()
             .filter(|(k, _)| k == "scenario")

@@ -325,7 +325,9 @@ mod tests {
     #[test]
     fn echo_replies_with_same_size() {
         let (mut mem, mut rng) = setup();
-        let rx = mem.address_map_mut().alloc(1024, RegionKind::Rx { core: 0 });
+        let rx = mem
+            .address_map_mut()
+            .alloc(1024, RegionKind::Rx { core: 0 });
         mem.nic_write(rx, 1024, 0);
         let pkt = Packet {
             id: PacketId(0),

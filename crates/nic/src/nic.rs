@@ -227,12 +227,8 @@ mod tests {
     use sweeper_sim::stats::TrafficClass;
 
     fn setup(policy: InjectionPolicy, entries: usize) -> (MemorySystem, Nic) {
-        let mut mem =
-            MemorySystem::new(MachineConfig::tiny_for_tests().with_injection(policy));
-        let nic = Nic::new(
-            NicConfig::per_core(entries, 1024, 2),
-            &mut mem,
-        );
+        let mut mem = MemorySystem::new(MachineConfig::tiny_for_tests().with_injection(policy));
+        let nic = Nic::new(NicConfig::per_core(entries, 1024, 2), &mut mem);
         (mem, nic)
     }
 
@@ -339,9 +335,6 @@ mod tests {
     #[should_panic(expected = "more RX rings than cores")]
     fn too_many_rings_rejected() {
         let mut mem = MemorySystem::new(MachineConfig::tiny_for_tests());
-        Nic::new(
-            NicConfig::per_core(1, 64, 99),
-            &mut mem,
-        );
+        Nic::new(NicConfig::per_core(1, 64, 99), &mut mem);
     }
 }

@@ -65,7 +65,10 @@ impl PoissonArrivals {
 
     /// Returns the next arrival timestamp (cycles), strictly increasing.
     pub fn next_arrival(&mut self) -> Cycle {
-        self.next += self.rng.next_exp(self.mean_gap_cycles).max(f64::MIN_POSITIVE);
+        self.next += self
+            .rng
+            .next_exp(self.mean_gap_cycles)
+            .max(f64::MIN_POSITIVE);
         self.next.ceil() as Cycle
     }
 

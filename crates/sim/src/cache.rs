@@ -168,7 +168,11 @@ fn encode_tag(block: BlockAddr, dirty: bool, origin: LineOrigin) -> u64 {
         "block address beyond the simulated address limit"
     );
     (block.0 << TAG_FLAG_BITS)
-        | (if origin == LineOrigin::Nic { TAG_NIC } else { 0 })
+        | (if origin == LineOrigin::Nic {
+            TAG_NIC
+        } else {
+            0
+        })
         | (if dirty { TAG_DIRTY } else { 0 })
         | TAG_PRESENT
 }
@@ -722,7 +726,9 @@ mod tests {
         let b = BlockAddr(7);
         c.insert(b, false, LineOrigin::Cpu, WayMask::ALL);
         // Re-insert dirty via NIC: dirty OR-ed, origin replaced, no eviction.
-        assert!(c.insert(b, true, LineOrigin::Nic, WayMask::first(1)).is_none());
+        assert!(c
+            .insert(b, true, LineOrigin::Nic, WayMask::first(1))
+            .is_none());
         let l = c.peek(b).unwrap();
         assert!(l.dirty);
         assert_eq!(l.origin, LineOrigin::Nic);
@@ -820,7 +826,10 @@ mod tests {
             c.peek(hot).is_some()
         };
         assert!(run(ReplacementPolicy::Srrip), "SRRIP keeps the hot line");
-        assert!(run(ReplacementPolicy::Lru), "LRU also keeps it when touched");
+        assert!(
+            run(ReplacementPolicy::Lru),
+            "LRU also keeps it when touched"
+        );
         // Without re-references during the scan, SRRIP still protects the
         // recently-promoted line while LRU evicts it.
         let run_no_touch = |policy: ReplacementPolicy| {

@@ -610,7 +610,11 @@ mod tests {
         // Core 3 writes: becomes exclusive dirty owner.
         d.set_dirty_owner(B, 3);
         assert_eq!(d.dirty_owner(B), Some(3));
-        assert_eq!(d.sharers(B).to_vec(), vec![3], "set_dirty_owner makes exclusive");
+        assert_eq!(
+            d.sharers(B).to_vec(),
+            vec![3],
+            "set_dirty_owner makes exclusive"
+        );
         // Forwarding downgrades the owner.
         d.clear_dirty(B);
         assert_eq!(d.dirty_owner(B), None);
@@ -691,7 +695,10 @@ mod tests {
         }
         assert_eq!(d.tracked_blocks(), n as usize);
         for i in 0..n {
-            assert_eq!(d.sharers(BlockAddr(i << 15)).to_vec(), vec![(i % 24) as u16]);
+            assert_eq!(
+                d.sharers(BlockAddr(i << 15)).to_vec(),
+                vec![(i % 24) as u16]
+            );
         }
         for i in 0..n {
             d.remove_sharer(BlockAddr(i << 15), (i % 24) as u16);

@@ -214,8 +214,8 @@ impl Dram {
         // cannot resonate onto one bank — the XOR/permutation schemes real
         // controllers use for exactly this reason. Consecutive blocks still
         // share a row, preserving streaming row-buffer locality.
-        let bank =
-            (row_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % self.cfg.banks_per_channel() as u64;
+        let bank = (row_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32)
+            % self.cfg.banks_per_channel() as u64;
         // The row id itself tags the open row: distinct rows never alias.
         (ch, bank as usize, row_id)
     }
@@ -267,9 +267,8 @@ impl Dram {
                 ch.writes_pending += 1;
                 ch.writes += 1;
                 if ch.writes_pending >= WRITE_DRAIN_BATCH {
-                    ch.bus_free = ch.bus_free.max(now)
-                        + ch.write_queue_work
-                        + 2 * self.cfg.t_turnaround;
+                    ch.bus_free =
+                        ch.bus_free.max(now) + ch.write_queue_work + 2 * self.cfg.t_turnaround;
                     ch.write_queue_work = 0;
                     ch.writes_pending = 0;
                 }

@@ -21,7 +21,9 @@
 use std::ops::Range;
 
 use crate::addr::{blocks_of, Addr, AddressMap, BlockAddr, RegionKind};
-use crate::cache::{CacheGeometry, Evicted, Line, LineOrigin, ReplacementPolicy, SetAssocCache, WayMask};
+use crate::cache::{
+    CacheGeometry, Evicted, Line, LineOrigin, ReplacementPolicy, SetAssocCache, WayMask,
+};
 use crate::check::{CheckConfig, CheckReport, CheckState, ViolationKind};
 use crate::coherence::Directory;
 use crate::dram::{Dram, DramConfig, DramOp};
@@ -569,7 +571,8 @@ impl MemorySystem {
         // also dirty in L2, which lets an L1 eviction skip the L2 probe),
         // and the per-block dirty census (at most one dirty copy may exist
         // hierarchy-wide).
-        let mut dirty_copies: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
+        let mut dirty_copies: std::collections::HashMap<u64, u32> =
+            std::collections::HashMap::new();
         for line in self.llc.iter_lines() {
             if chk.is_swept(line.block) {
                 chk.note_violation(ViolationKind::SweptBlockResident, || {
@@ -596,7 +599,10 @@ impl MemorySystem {
             for line in self.l2[c].iter_lines() {
                 if !self.dir.sharers(line.block).contains(c as u16) {
                     chk.note_violation(ViolationKind::DirectoryResidencyMismatch, || {
-                        format!("{}: in core {c}'s L2 but not its directory entry", line.block)
+                        format!(
+                            "{}: in core {c}'s L2 but not its directory entry",
+                            line.block
+                        )
                     });
                 }
                 if chk.is_swept(line.block) {
@@ -624,7 +630,10 @@ impl MemorySystem {
         for (&block, &copies) in &dirty_copies {
             if copies > 1 {
                 chk.note_violation(ViolationKind::MultipleDirtyCopies, || {
-                    format!("{}: {copies} dirty copies in the hierarchy", BlockAddr(block))
+                    format!(
+                        "{}: {copies} dirty copies in the hierarchy",
+                        BlockAddr(block)
+                    )
                 });
             }
         }
@@ -666,13 +675,33 @@ impl MemorySystem {
     }
 
     #[inline]
-    fn trace_event(&mut self, at: Cycle, kind: TraceKind, core: u16, block: BlockAddr, blocks: u32, latency: Cycle) {
+    fn trace_event(
+        &mut self,
+        at: Cycle,
+        kind: TraceKind,
+        core: u16,
+        block: BlockAddr,
+        blocks: u32,
+        latency: Cycle,
+    ) {
         if let Some(obs) = &mut self.obs {
             if let Some(memtrace) = &mut obs.memtrace {
                 // Rows carry the request id only while spans are on, so the
                 // memtrace's golden columns stay otherwise.
-                let trace = if obs.spans.is_some() { obs.request } else { NO_TRACE };
-                memtrace.record(TraceEvent { at, kind, core, block, blocks, latency, trace });
+                let trace = if obs.spans.is_some() {
+                    obs.request
+                } else {
+                    NO_TRACE
+                };
+                memtrace.record(TraceEvent {
+                    at,
+                    kind,
+                    core,
+                    block,
+                    blocks,
+                    latency,
+                    trace,
+                });
             }
         }
     }
@@ -800,7 +829,13 @@ impl MemorySystem {
     /// Handles an L2 eviction: back-invalidates the core's L1 (inclusion),
     /// updates the directory, and spills the line into the LLC. Returns the
     /// write-path stall to charge to the triggering access.
-    fn handle_l2_eviction(&mut self, core: u16, block: BlockAddr, mut dirty: bool, now: Cycle) -> Cycle {
+    fn handle_l2_eviction(
+        &mut self,
+        core: u16,
+        block: BlockAddr,
+        mut dirty: bool,
+        now: Cycle,
+    ) -> Cycle {
         if let Some(l1line) = self.l1[core as usize].invalidate(block) {
             dirty |= l1line.dirty;
         }
@@ -1016,8 +1051,7 @@ impl MemorySystem {
                         chk.on_dram_fill(next);
                     }
                     self.dram.access(next, now, DramOp::Read);
-                    if let Some(ev) =
-                        self.l2[c].insert(next, false, LineOrigin::Cpu, WayMask::ALL)
+                    if let Some(ev) = self.l2[c].insert(next, false, LineOrigin::Cpu, WayMask::ALL)
                     {
                         self.handle_l2_eviction(core, ev.line.block, ev.line.dirty, now);
                     }
@@ -1114,7 +1148,14 @@ impl MemorySystem {
     pub fn cpu_read(&mut self, core: u16, addr: Addr, len: u64, now: Cycle) -> Access {
         assert!((core as usize) < self.cfg.cores, "core id out of range");
         let acc = self.range_access(core, addr, len, now, false);
-        self.trace_event(now, TraceKind::CpuRead, core, addr.block(), acc.blocks as u32, acc.latency);
+        self.trace_event(
+            now,
+            TraceKind::CpuRead,
+            core,
+            addr.block(),
+            acc.blocks as u32,
+            acc.latency,
+        );
         acc
     }
 
@@ -1154,7 +1195,14 @@ impl MemorySystem {
     pub fn cpu_write(&mut self, core: u16, addr: Addr, len: u64, now: Cycle) -> Access {
         assert!((core as usize) < self.cfg.cores, "core id out of range");
         let acc = self.range_access(core, addr, len, now, true);
-        self.trace_event(now, TraceKind::CpuWrite, core, addr.block(), acc.blocks as u32, acc.latency);
+        self.trace_event(
+            now,
+            TraceKind::CpuWrite,
+            core,
+            addr.block(),
+            acc.blocks as u32,
+            acc.latency,
+        );
         acc
     }
 
@@ -1171,7 +1219,14 @@ impl MemorySystem {
     /// NIC delivery of an arriving packet into `[addr, addr+len)` under the
     /// configured injection policy (full-block overwrites).
     pub fn nic_write(&mut self, addr: Addr, len: u64, now: Cycle) -> NicAccess {
-        self.trace_event(now, TraceKind::NicWrite, u16::MAX, addr.block(), crate::addr::blocks_for_len(len) as u32, 0);
+        self.trace_event(
+            now,
+            TraceKind::NicWrite,
+            u16::MAX,
+            addr.block(),
+            crate::addr::blocks_for_len(len) as u32,
+            0,
+        );
         if let Some(obs) = &mut self.obs {
             // One instantaneous marker per delivery: the packet write-
             // allocated into the LLC's DDIO ways.
@@ -1232,7 +1287,14 @@ impl MemorySystem {
 
     /// NIC read of `[addr, addr+len)` on the transmit path.
     pub fn nic_read(&mut self, addr: Addr, len: u64, now: Cycle) -> NicAccess {
-        self.trace_event(now, TraceKind::NicRead, u16::MAX, addr.block(), crate::addr::blocks_for_len(len) as u32, 0);
+        self.trace_event(
+            now,
+            TraceKind::NicRead,
+            u16::MAX,
+            addr.block(),
+            crate::addr::blocks_for_len(len) as u32,
+            0,
+        );
         let mut out = NicAccess::default();
         for block in blocks_of(addr, len) {
             out.blocks += 1;
@@ -1322,7 +1384,14 @@ impl MemorySystem {
             blocks += 1;
         }
         let latency = blocks * self.cfg.sweep_issue_cost;
-        self.trace_event(now, TraceKind::Sweep, u16::MAX, addr.block(), blocks as u32, latency);
+        self.trace_event(
+            now,
+            TraceKind::Sweep,
+            u16::MAX,
+            addr.block(),
+            blocks as u32,
+            latency,
+        );
         self.span(SpanKind::Sweep, u16::MAX, now, now + latency);
         latency
     }
@@ -1446,7 +1515,8 @@ mod tests {
     }
 
     fn rx_region(mem: &mut MemorySystem, bytes: u64) -> Addr {
-        mem.address_map_mut().alloc(bytes, RegionKind::Rx { core: 0 })
+        mem.address_map_mut()
+            .alloc(bytes, RegionKind::Rx { core: 0 })
     }
 
     #[test]
@@ -1505,7 +1575,9 @@ mod tests {
     fn ideal_network_data_never_touches_dram_or_caches() {
         let mut mem = system(InjectionPolicy::Ideal, 2);
         let rx = rx_region(&mut mem, 1024);
-        let tx = mem.address_map_mut().alloc(1024, RegionKind::Tx { core: 0 });
+        let tx = mem
+            .address_map_mut()
+            .alloc(1024, RegionKind::Tx { core: 0 });
         mem.nic_write(rx, 1024, 0);
         mem.cpu_read(0, rx, 1024, 10);
         mem.cpu_write(0, tx, 1024, 20);
@@ -1748,7 +1820,9 @@ mod tests {
         // still be cached dirty, or have been legitimately dropped by a
         // NIC overwrite or a sweep. Unexpected drops must be zero.
         let mut mem = system(InjectionPolicy::Ddio, 2);
-        let tx = mem.address_map_mut().alloc(64 * 64, RegionKind::Tx { core: 0 });
+        let tx = mem
+            .address_map_mut()
+            .alloc(64 * 64, RegionKind::Tx { core: 0 });
         let app = mem.address_map_mut().alloc(64 * 64 * 64, RegionKind::App);
         // Dirty the whole TX region once, then stream several LLC's worth
         // of app data through the hierarchy to flush it out.
@@ -1781,7 +1855,9 @@ mod tests {
         let mut cfg = MachineConfig::tiny_for_tests().with_ddio_ways(2);
         cfg.ddio_strict_partition = true;
         let mut mem = MemorySystem::new(cfg);
-        let rx = mem.address_map_mut().alloc(64 * 64 * 32, RegionKind::Rx { core: 0 });
+        let rx = mem
+            .address_map_mut()
+            .alloc(64 * 64 * 32, RegionKind::Rx { core: 0 });
         // Deliver packets, read them (migrating copies into L2), and churn
         // them out: with the strict partition, CPU spills of RX lines can
         // never enter the 2 DDIO ways.
@@ -1833,10 +1909,7 @@ mod tests {
         let mut cfg = MachineConfig::tiny_for_tests();
         cfg.llc_replacement = crate::cache::ReplacementPolicy::Srrip;
         let mem = MemorySystem::new(cfg);
-        assert_eq!(
-            mem.llc().policy(),
-            crate::cache::ReplacementPolicy::Srrip
-        );
+        assert_eq!(mem.llc().policy(), crate::cache::ReplacementPolicy::Srrip);
     }
 
     #[test]

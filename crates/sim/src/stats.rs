@@ -109,7 +109,9 @@ impl ClassCounts {
 
     /// Per-class counts paired with their class, in legend order.
     pub fn iter(&self) -> impl Iterator<Item = (TrafficClass, u64)> + '_ {
-        TrafficClass::ALL.iter().map(move |&c| (c, self.0[c.index()]))
+        TrafficClass::ALL
+            .iter()
+            .map(move |&c| (c, self.0[c.index()]))
     }
 
     /// Difference `self - earlier`, saturating at zero.
@@ -256,7 +258,10 @@ impl MemStats {
                 "dirty_dropped_by_nic_overwrite",
                 self.dirty_dropped_by_nic_overwrite,
             )
-            .with("dirty_dropped_unexpectedly", self.dirty_dropped_unexpectedly)
+            .with(
+                "dirty_dropped_unexpectedly",
+                self.dirty_dropped_unexpectedly,
+            )
             .with("nic_lines_evicted_by_nic", self.nic_lines_evicted_by_nic)
             .with("nic_lines_evicted_by_cpu", self.nic_lines_evicted_by_cpu)
             .with(

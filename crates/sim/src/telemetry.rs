@@ -369,7 +369,10 @@ impl CsvTable {
             let _ = writeln!(
                 out,
                 "{}",
-                row.iter().map(|c| csv_escape(c)).collect::<Vec<_>>().join(",")
+                row.iter()
+                    .map(|c| csv_escape(c))
+                    .collect::<Vec<_>>()
+                    .join(",")
             );
         }
         out

@@ -89,7 +89,9 @@ impl Trace {
     pub fn to_csv_with_comments(&self, comments: &[(String, String)]) -> String {
         let tagged = self.iter().any(|e| e.trace != NO_TRACE);
         let headers: &[&str] = if tagged {
-            &["cycle", "kind", "core", "block", "blocks", "latency", "trace"]
+            &[
+                "cycle", "kind", "core", "block", "blocks", "latency", "trace",
+            ]
         } else {
             &["cycle", "kind", "core", "block", "blocks", "latency"]
         };
@@ -163,8 +165,7 @@ mod tests {
     fn csv_export_extra_comments() {
         let mut t = Trace::new(2);
         t.record(ev(5));
-        let csv =
-            t.to_csv_with_comments(&[("seed".to_string(), "42".to_string())]);
+        let csv = t.to_csv_with_comments(&[("seed".to_string(), "42".to_string())]);
         assert!(csv.contains("# seed: 42\n"));
     }
 }

@@ -26,7 +26,9 @@ fn checked_system() -> (MemorySystem, Addr, Addr) {
     let rx = mem
         .address_map_mut()
         .alloc(SLOTS * BLOCK, RegionKind::Rx { core: 0 });
-    let app = mem.address_map_mut().alloc(APP_BLOCKS * BLOCK, RegionKind::App);
+    let app = mem
+        .address_map_mut()
+        .alloc(APP_BLOCKS * BLOCK, RegionKind::App);
     (mem, rx, app)
 }
 

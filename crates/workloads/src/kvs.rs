@@ -195,7 +195,8 @@ impl MicaKvs {
     fn bucket_addr(&self, key: u64) -> Addr {
         // Multiplicative hash to a bucket line.
         let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16;
-        self.buckets_base.offset((h % self.cfg.buckets) * BLOCK_BYTES)
+        self.buckets_base
+            .offset((h % self.cfg.buckets) * BLOCK_BYTES)
     }
 
     /// Appends an item at `core`'s log head and returns its new address.
@@ -239,9 +240,10 @@ impl Workload for MicaKvs {
         self.buckets_base = mem
             .address_map_mut()
             .alloc(self.cfg.buckets * BLOCK_BYTES, RegionKind::App);
-        self.log_base = mem
-            .address_map_mut()
-            .alloc(self.cfg.cores as u64 * self.partition_bytes, RegionKind::App);
+        self.log_base = mem.address_map_mut().alloc(
+            self.cfg.cores as u64 * self.partition_bytes,
+            RegionKind::App,
+        );
         // Populate: every item gets an initial log location, spread over the
         // partitions round-robin, as if loaded before the measurement. The
         // locations are `initial_addr`'s closed form; each core's head ends
@@ -311,7 +313,9 @@ mod tests {
     }
 
     fn rx_packet(mem: &mut MemorySystem, bytes: u64) -> Packet {
-        let addr = mem.address_map_mut().alloc(bytes, RegionKind::Rx { core: 0 });
+        let addr = mem
+            .address_map_mut()
+            .alloc(bytes, RegionKind::Rx { core: 0 });
         mem.nic_write(addr, bytes, 0);
         Packet {
             id: PacketId(0),

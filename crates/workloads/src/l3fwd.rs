@@ -168,7 +168,9 @@ mod tests {
     }
 
     fn rx_packet(mem: &mut MemorySystem, bytes: u64) -> Packet {
-        let addr = mem.address_map_mut().alloc(bytes, RegionKind::Rx { core: 0 });
+        let addr = mem
+            .address_map_mut()
+            .alloc(bytes, RegionKind::Rx { core: 0 });
         mem.nic_write(addr, bytes, 0);
         Packet {
             id: PacketId(0),
@@ -205,10 +207,7 @@ mod tests {
         assert_eq!(action, TxAction::ForwardInPlace);
         // The header rewrite dirtied the first packet block in the core's
         // private cache.
-        assert!(mem
-            .l1_of(0)
-            .peek(pkt.addr.block())
-            .is_some_and(|l| l.dirty));
+        assert!(mem.l1_of(0).peek(pkt.addr.block()).is_some_and(|l| l.dirty));
     }
 
     #[test]

@@ -112,7 +112,9 @@ mod tests {
 
     fn run_requests(prob: f64, n: u64) -> (u64, Vec<u64>) {
         let mut mem = MemorySystem::new(MachineConfig::tiny_for_tests());
-        let rx = mem.address_map_mut().alloc(1024, RegionKind::Rx { core: 0 });
+        let rx = mem
+            .address_map_mut()
+            .alloc(1024, RegionKind::Rx { core: 0 });
         mem.nic_write(rx, 1024, 0);
         let pkt = Packet {
             id: PacketId(0),
@@ -134,8 +136,13 @@ mod tests {
         let mut rng = SimRng::seeded(9);
         let mut times = Vec::new();
         for i in 0..n {
-            let (_, elapsed) =
-                sweeper_core::workload::drive_packet(&mut wl, &pkt, &mut mem, &mut rng, i * 1_000_000);
+            let (_, elapsed) = sweeper_core::workload::drive_packet(
+                &mut wl,
+                &pkt,
+                &mut mem,
+                &mut rng,
+                i * 1_000_000,
+            );
             times.push(elapsed);
         }
         (wl.spikes(), times)

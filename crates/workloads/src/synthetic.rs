@@ -163,7 +163,9 @@ mod tests {
     use sweeper_sim::hierarchy::MachineConfig;
 
     fn rx_packet(mem: &mut MemorySystem, bytes: u64) -> Packet {
-        let addr = mem.address_map_mut().alloc(bytes, RegionKind::Rx { core: 0 });
+        let addr = mem
+            .address_map_mut()
+            .alloc(bytes, RegionKind::Rx { core: 0 });
         mem.nic_write(addr, bytes, 0);
         Packet {
             id: PacketId(0),

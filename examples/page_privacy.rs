@@ -41,7 +41,10 @@ fn main() {
         leaked,
         PAGE_BYTES / 64
     );
-    assert!(leaked > 0, "the attack must work against an unprotected kernel");
+    assert!(
+        leaked > 0,
+        "the attack must work against an unprotected kernel"
+    );
 
     // --- The paper's mitigations ---
     for (name, mode) in [

@@ -95,7 +95,13 @@ const fn flag(
     commands: &'static [&'static str],
     help: &'static str,
 ) -> Flag {
-    Flag { name, value, key, commands, help }
+    Flag {
+        name,
+        value,
+        key,
+        commands,
+        help,
+    }
 }
 
 /// Commands that simulate a point of their own.
@@ -249,8 +255,7 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     if let Some(i) = args.iter().position(|a| a == "--scenario") {
         flag_of(&cli.command, "--scenario")?;
         let path = args.get(i + 1).ok_or("flag --scenario needs a value")?;
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         cli.scenario = Scenario::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     }
     if cli.command == "figure" {
@@ -258,7 +263,9 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             it.next()
                 .filter(|a| !a.starts_with("--"))
                 .cloned()
-                .ok_or_else(|| "command `figure` needs a name (see `sweeper figures`)".to_string())?,
+                .ok_or_else(|| {
+                    "command `figure` needs a name (see `sweeper figures`)".to_string()
+                })?,
         );
     }
     // `check` takes an *optional* positional figure name; peek so a flag in
@@ -357,7 +364,8 @@ fn check_config(cli: &Cli) -> CheckConfig {
 }
 
 fn num<T: std::str::FromStr>(flag: &str, s: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("{flag}: invalid number '{s}'"))
+    s.parse()
+        .map_err(|_| format!("{flag}: invalid number '{s}'"))
 }
 
 fn build_experiment(cli: &Cli) -> Result<Experiment, String> {
@@ -389,7 +397,9 @@ fn build_experiment(cli: &Cli) -> Result<Experiment, String> {
     }
     if cli.flight_recorder {
         cfg = cfg.flight(FlightRecorderConfig {
-            quantile: cli.flight_quantile.unwrap_or(FlightRecorderConfig::default().quantile),
+            quantile: cli
+                .flight_quantile
+                .unwrap_or(FlightRecorderConfig::default().quantile),
             ..FlightRecorderConfig::default()
         });
     }
@@ -549,7 +559,11 @@ fn write_timeseries(cli: &Cli, report: &RunReport, manifest: &RunManifest) -> Re
 
 /// Writes the `--perfetto` span export and the flight recorder's outlier
 /// snapshots (`--outliers <DIR>/<n>.json`), when the flags enabled them.
-fn write_observability(cli: &Cli, report: &RunReport, manifest: &RunManifest) -> Result<(), String> {
+fn write_observability(
+    cli: &Cli,
+    report: &RunReport,
+    manifest: &RunManifest,
+) -> Result<(), String> {
     if let Some(path) = &cli.perfetto {
         let spans = report
             .spans
@@ -663,8 +677,7 @@ fn main() -> ExitCode {
                         print!("{}", sweep.to_csv_with_comments(&manifest.to_comments()));
                     }
                     OutputFormat::Json => {
-                        let doc =
-                            document(LOADSWEEP_SCHEMA, &manifest, "sweep", sweep.to_record());
+                        let doc = document(LOADSWEEP_SCHEMA, &manifest, "sweep", sweep.to_record());
                         println!("{}", doc.to_json_pretty());
                     }
                 }
@@ -836,7 +849,11 @@ mod tests {
     fn every_scenario_key_has_a_point_flag() {
         let s = non_default();
         for field in s.to_text().lines() {
-            assert_ne!(Scenario::parse(field).unwrap(), Scenario::default(), "{field}");
+            assert_ne!(
+                Scenario::parse(field).unwrap(),
+                Scenario::default(),
+                "{field}"
+            );
         }
         let text = s.to_text();
         let mut all = args(&["run"]);

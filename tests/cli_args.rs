@@ -12,7 +12,10 @@ fn run(args: &[&str]) -> (std::process::ExitStatus, String) {
         .args(args)
         .output()
         .expect("spawn sweeper");
-    (out.status, String::from_utf8_lossy(&out.stderr).into_owned())
+    (
+        out.status,
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
 }
 
 /// Runs `sweeper` and returns its stdout, failing the test on a non-zero
@@ -141,7 +144,10 @@ fn perf_rejects_malformed_command_lines() {
     // and every command line that once ran it is a usage error.
     assert_usage_error(&["perf"]);
     let (_, stderr) = run(&["perf"]);
-    assert!(stderr.contains("error: unknown command 'perf'"), "got: {stderr}");
+    assert!(
+        stderr.contains("error: unknown command 'perf'"),
+        "got: {stderr}"
+    );
     assert_usage_error(&["perf", "--no-such-flag"]);
     assert_usage_error(&["perf", "--profile", "warp-speed"]);
     assert_usage_error(&["perf", "--json"]);
@@ -153,7 +159,13 @@ fn perf_rejects_malformed_command_lines() {
 fn perf_reports_an_unwritable_json_path() {
     // `--json` went with `perf`: the command line is rejected as a usage
     // error before any path is opened, so there is no write error to report.
-    let args = ["perf", "--profile", "smoke", "--json", "/nonexistent/dir/x.json"];
+    let args = [
+        "perf",
+        "--profile",
+        "smoke",
+        "--json",
+        "/nonexistent/dir/x.json",
+    ];
     assert_usage_error(&args);
     let (_, stderr) = run(&args);
     assert!(!stderr.contains("cannot write"), "got: {stderr}");
@@ -168,8 +180,15 @@ fn flags_override_a_scenario_file() {
     )
     .unwrap();
     let stdout = stdout_of(&[
-        "run", "--scenario", path.to_str().unwrap(), "--ddio", "3", "--requests", "200",
-        "--format", "json",
+        "run",
+        "--scenario",
+        path.to_str().unwrap(),
+        "--ddio",
+        "3",
+        "--requests",
+        "200",
+        "--format",
+        "json",
     ]);
     assert!(
         stdout.contains(r#""config": "ddio3 rx=64 pkt=1088 ch=4""#),
@@ -181,20 +200,41 @@ fn flags_override_a_scenario_file() {
 fn sweep_output_is_independent_of_jobs() {
     let sweep = |jobs: &str| {
         stdout_of(&[
-            "sweep", "--cores", "4", "--buffers", "128", "--requests", "1000", "--lo", "2",
-            "--hi", "200", "--points", "5", "--jobs", jobs,
+            "sweep",
+            "--cores",
+            "4",
+            "--buffers",
+            "128",
+            "--requests",
+            "1000",
+            "--lo",
+            "2",
+            "--hi",
+            "200",
+            "--points",
+            "5",
+            "--jobs",
+            jobs,
         ])
     };
     let one = sweep("1");
     assert_eq!(one.lines().count(), 1 + 5, "every rate is a row:\n{one}");
-    assert_eq!(one, sweep("2"), "--jobs 1 and --jobs 2 must print the same sweep");
+    assert_eq!(
+        one,
+        sweep("2"),
+        "--jobs 1 and --jobs 2 must print the same sweep"
+    );
 }
 
 #[test]
 fn point_flags_are_rejected_where_points_are_fixed() {
     for command in [&["figure", "fig2"][..], &["check"], &["check", "fig2"]] {
-        for flag in [&["--ddio", "7"][..], &["--sweeper"], &["--rate", "5"], &["--scenario", "x.scn"]]
-        {
+        for flag in [
+            &["--ddio", "7"][..],
+            &["--sweeper"],
+            &["--rate", "5"],
+            &["--scenario", "x.scn"],
+        ] {
             assert_usage_error(&[command, flag].concat());
         }
     }
@@ -207,7 +247,15 @@ fn point_flags_are_rejected_where_points_are_fixed() {
 
 #[test]
 fn run_manifest_scenario_reproduces_the_run() {
-    let first = stdout_of(&["run", "--format", "json", "--cores", "4", "--requests", "2000"]);
+    let first = stdout_of(&[
+        "run",
+        "--format",
+        "json",
+        "--cores",
+        "4",
+        "--requests",
+        "2000",
+    ]);
     let key = "\"scenario\": \"";
     let start = first.find(key).expect("manifest carries the scenario") + key.len();
     let end = start + first[start..].find('"').expect("closing quote");
@@ -215,10 +263,20 @@ fn run_manifest_scenario_reproduces_the_run() {
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_args_manifest.scn");
     std::fs::write(&path, &text).unwrap();
     let again = stdout_of(&[
-        "run", "--scenario", path.to_str().unwrap(), "--requests", "2000", "--format", "json",
+        "run",
+        "--scenario",
+        path.to_str().unwrap(),
+        "--requests",
+        "2000",
+        "--format",
+        "json",
     ]);
     let report = |doc: &str| doc[doc.find("\"report\":").expect("report section")..].to_string();
-    assert_eq!(report(&first), report(&again), "the manifest's scenario must replay the run");
+    assert_eq!(
+        report(&first),
+        report(&again),
+        "the manifest's scenario must replay the run"
+    );
 }
 
 #[test]
@@ -230,7 +288,12 @@ fn scenario_files_parse_and_round_trip() {
         if path.extension().is_some_and(|e| e == "scn") {
             let text = std::fs::read_to_string(&path).unwrap();
             let s = Scenario::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            assert_eq!(Scenario::parse(&s.to_text()).unwrap(), s, "{}", path.display());
+            assert_eq!(
+                Scenario::parse(&s.to_text()).unwrap(),
+                s,
+                "{}",
+                path.display()
+            );
             files += 1;
         }
     }
@@ -241,7 +304,13 @@ fn scenario_files_parse_and_round_trip() {
 fn single_run_flags_are_rejected_elsewhere() {
     // Sweeps and figures keep per-point summaries only, so these flags used
     // to be dropped without a word (or fail after the whole build).
-    for command in [&["sweep"][..], &["figure", "fig2"], &["check"], &["figures"], &["info"]] {
+    for command in [
+        &["sweep"][..],
+        &["figure", "fig2"],
+        &["check"],
+        &["figures"],
+        &["info"],
+    ] {
         for flag in [
             &["--timeseries", "ts.csv"][..],
             &["--sample-every", "1000"],
@@ -303,8 +372,18 @@ fn rx_footprint_past_the_address_limit_is_a_usage_error() {
 fn trace_reports_its_validate_verdict() {
     let out = Command::new(env!("CARGO_BIN_EXE_sweeper"))
         .args([
-            "trace", "--cores", "4", "--buffers", "128", "--requests", "500", "--rate", "5",
-            "--events", "1024", "--validate",
+            "trace",
+            "--cores",
+            "4",
+            "--buffers",
+            "128",
+            "--requests",
+            "500",
+            "--rate",
+            "5",
+            "--events",
+            "1024",
+            "--validate",
         ])
         .output()
         .expect("spawn sweeper");
@@ -325,11 +404,23 @@ fn flags_a_command_does_not_read_are_usage_errors() {
     // Each of these used to exit 0 with the flag ignored, or for `--jobs 0`
     // clamped to one worker, or for `check --format csv` printed as text.
     for (args, flag) in [
-        (&["info", "--events", "10", "--requests", "5", "--points", "3"][..], "--events"),
+        (
+            &["info", "--events", "10", "--requests", "5", "--points", "3"][..],
+            "--events",
+        ),
         (
             &[
-                "trace", "--cores", "4", "--buffers", "128", "--requests", "300", "--rate", "5",
-                "--format", "json",
+                "trace",
+                "--cores",
+                "4",
+                "--buffers",
+                "128",
+                "--requests",
+                "300",
+                "--rate",
+                "5",
+                "--format",
+                "json",
             ],
             "--format",
         ),
@@ -342,6 +433,9 @@ fn flags_a_command_does_not_read_are_usage_errors() {
     ] {
         assert_usage_error(args);
         let (_, stderr) = run(args);
-        assert!(stderr.contains(flag), "{args:?} should name {flag}, got: {stderr}");
+        assert!(
+            stderr.contains(flag),
+            "{args:?} should name {flag}, got: {stderr}"
+        );
     }
 }

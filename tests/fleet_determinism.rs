@@ -57,7 +57,10 @@ fn fleet_json_is_byte_identical_across_worker_counts() {
     let one = fleet_document(&Fleet::new(1).quiet().run(points()), &manifest).to_json_pretty();
     let four = fleet_document(&Fleet::new(4).quiet().run(points()), &manifest).to_json_pretty();
     assert!(one.contains("sweeper.fleet/1"));
-    assert!(!one.contains("wall"), "wall time must stay out of fleet JSON");
+    assert!(
+        !one.contains("wall"),
+        "wall time must stay out of fleet JSON"
+    );
     assert_eq!(one, four, "fleet JSON must not depend on --jobs");
 }
 
@@ -71,8 +74,7 @@ fn figure_registry_enumerates_unique_labelled_points() {
             "{} must enumerate at least one point",
             figure.name()
         );
-        let labels: std::collections::HashSet<&str> =
-            points.iter().map(|p| p.label()).collect();
+        let labels: std::collections::HashSet<&str> = points.iter().map(|p| p.label()).collect();
         assert_eq!(
             labels.len(),
             points.len(),

@@ -30,7 +30,11 @@ fn fingerprint(report: &RunReport) -> String {
     let _ = writeln!(out, "dropped             : {}", report.dropped);
     let _ = writeln!(out, "elapsed_cycles      : {}", report.elapsed_cycles);
     let _ = writeln!(out, "llc hits/misses     : {}/{}", m.llc_hits, m.llc_misses);
-    let _ = writeln!(out, "ddio hits/allocs    : {}/{}", m.ddio_hits, m.ddio_allocs);
+    let _ = writeln!(
+        out,
+        "ddio hits/allocs    : {}/{}",
+        m.ddio_hits, m.ddio_allocs
+    );
     let _ = writeln!(
         out,
         "swept/saved_wb      : {}/{}",

@@ -52,7 +52,10 @@ fn consumed_evictions_dominate_premature_at_stable_load() {
     // buffer evictions" at stable operating points.
     let report = at_moderate_load(InjectionPolicy::Ddio, 2, SweeperMode::Disabled);
     let counts = report.class_counts();
-    assert!(counts[TrafficClass::RxEvct] > 0, "leaks must exist at 2-way DDIO");
+    assert!(
+        counts[TrafficClass::RxEvct] > 0,
+        "leaks must exist at 2-way DDIO"
+    );
     assert!(
         counts[TrafficClass::CpuRxRd] * 10 < counts[TrafficClass::RxEvct],
         "premature ({}) must be negligible vs consumed ({})",
@@ -75,7 +78,10 @@ fn sweeper_eliminates_consumed_buffer_evictions() {
     );
     // And the savings are real: one full packet per request.
     let saved = report.mem.sweep_saved_writebacks as f64 / report.completed as f64;
-    assert!(saved > 15.0, "expected ~17 saved writebacks/request, got {saved:.1}");
+    assert!(
+        saved > 15.0,
+        "expected ~17 saved writebacks/request, got {saved:.1}"
+    );
 }
 
 #[test]
@@ -97,7 +103,10 @@ fn sweeper_matches_ideal_ddio_access_count() {
     .iter()
     .map(|&c| swept.class_counts()[c] as f64 / swept.completed as f64)
     .sum();
-    assert!(net_per_req < 1.0, "network traffic {net_per_req:.2}/req should vanish");
+    assert!(
+        net_per_req < 1.0,
+        "network traffic {net_per_req:.2}/req should vanish"
+    );
     let ratio = swept.total_accesses_per_request() / ideal.total_accesses_per_request();
     assert!(
         ratio < 1.6,

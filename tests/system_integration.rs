@@ -41,7 +41,10 @@ fn paper_scale_runs_are_bit_identical() {
     assert_eq!(a.elapsed_cycles, b.elapsed_cycles);
     assert_eq!(a.mem.dram_accesses(), b.mem.dram_accesses());
     assert_eq!(a.dram_latency.mean(), b.dram_latency.mean());
-    assert_eq!(a.request_latency.percentile(0.99), b.request_latency.percentile(0.99));
+    assert_eq!(
+        a.request_latency.percentile(0.99),
+        b.request_latency.percentile(0.99)
+    );
 }
 
 #[test]
@@ -156,7 +159,10 @@ fn tx_sweep_extension_works_at_paper_scale() {
         0,
         "NIC-driven TX sweeping must remove TX writebacks"
     );
-    assert!(base.class_counts()[TrafficClass::TxEvct] > 0, "baseline must leak TX");
+    assert!(
+        base.class_counts()[TrafficClass::TxEvct] > 0,
+        "baseline must leak TX"
+    );
     // Note: sweeping a TX ring that would otherwise stay cache-resident
     // trades writebacks for fresh RFOs, so *total* accesses may rise — the
     // extension pays off when TX buffers would leak (§V-D), which is what
@@ -186,8 +192,7 @@ fn zero_copy_forwarding_sweeps_via_the_work_queue() {
     // §V-D: the NIC sweeps after transmit; consumed (already-transmitted)
     // buffers stop leaking.
     assert!(
-        swept.class_counts()[TrafficClass::RxEvct] * 3
-            < base.class_counts()[TrafficClass::RxEvct],
+        swept.class_counts()[TrafficClass::RxEvct] * 3 < base.class_counts()[TrafficClass::RxEvct],
         "NIC-driven sweeping must remove most RX evictions (swept {} vs base {})",
         swept.class_counts()[TrafficClass::RxEvct],
         base.class_counts()[TrafficClass::RxEvct]
@@ -251,9 +256,10 @@ fn run_reports_are_internally_consistent() {
         .rx_buffers_per_core(512)
         .packet_bytes(512)
         .run_options(quick_opts());
-    let report =
-        Experiment::new(cfg, || MicaKvs::new(KvsConfig::paper_default().with_item_bytes(512)))
-            .run_at_rate(10.0e6);
+    let report = Experiment::new(cfg, || {
+        MicaKvs::new(KvsConfig::paper_default().with_item_bytes(512))
+    })
+    .run_at_rate(10.0e6);
     // Breakdown sums to the total.
     let sum: f64 = report.accesses_per_request().iter().map(|(_, v)| v).sum();
     assert!((sum - report.total_accesses_per_request()).abs() < 1e-9);

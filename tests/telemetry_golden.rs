@@ -14,9 +14,7 @@ use std::path::PathBuf;
 use sweeper::core::experiment::{Experiment, ExperimentConfig};
 use sweeper::core::report::{csv_report, json_record, text_report};
 use sweeper::core::server::RunReport;
-use sweeper::core::telemetry::{
-    run_document, validate_run_document, Record, RunManifest, Value,
-};
+use sweeper::core::telemetry::{run_document, validate_run_document, Record, RunManifest, Value};
 use sweeper::core::workload::EchoWorkload;
 use sweeper::sim::check::CheckConfig;
 
