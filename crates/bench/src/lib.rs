@@ -39,7 +39,6 @@ use sweeper_core::telemetry::{
 };
 use sweeper_workloads::kvs::{KvsConfig, MicaKvs, HEADER_BYTES};
 use sweeper_workloads::l3fwd::{L3Forwarder, L3fwdConfig};
-use sweeper_workloads::synthetic::{Synthetic, SyntheticConfig};
 
 /// Everything a figure needs to execute: the run-length profile, the seed
 /// and the worker fleet. Parsed once from the CLI flags and threaded
@@ -143,9 +142,6 @@ pub fn scenario_experiment(cfg: ExperimentConfig, scenario: &Scenario) -> Experi
                 l3 = l3.with_zero_copy();
             }
             Experiment::new(cfg, move || L3Forwarder::new(l3))
-        }
-        ScenarioWorkload::Synthetic => {
-            Experiment::new(cfg, || Synthetic::new(SyntheticConfig::balanced()))
         }
     }
 }
@@ -384,11 +380,6 @@ mod tests {
 
     #[test]
     fn scenario_experiments_run_each_workload() {
-        let s = Scenario::parse("workload = synthetic\ncores = 2\nbuffers = 16\npacket = 512\n")
-            .unwrap();
-        let report = figure_experiment(RunProfile::Smoke, &s).run_at_rate(1.0e6);
-        assert_eq!(report.workload, "synthetic");
-        assert!(report.completed >= 2_000);
         // KVS items fill the packet after the request header.
         let s = Scenario::parse("workload = kvs\npacket = 576\ncores = 2\nbuffers = 16\n").unwrap();
         let cfg = s

@@ -106,20 +106,6 @@ impl RateGrid {
         }
     }
 
-    /// An explicit list of rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the list is empty or not strictly increasing.
-    pub fn explicit(rates: Vec<f64>) -> Self {
-        assert!(!rates.is_empty(), "need at least one rate");
-        assert!(
-            rates.windows(2).all(|w| w[0] < w[1]),
-            "rates must be strictly increasing"
-        );
-        Self { rates }
-    }
-
     /// The rates, ascending.
     pub fn rates(&self) -> &[f64] {
         &self.rates
@@ -243,18 +229,6 @@ mod tests {
         for w in g.rates().windows(2) {
             assert!((w[1] / w[0] - 2.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn explicit_grid_validates_order() {
-        let g = RateGrid::explicit(vec![1.0, 2.0, 4.0]);
-        assert_eq!(g.rates(), &[1.0, 2.0, 4.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn explicit_grid_rejects_disorder() {
-        RateGrid::explicit(vec![2.0, 1.0]);
     }
 
     #[test]

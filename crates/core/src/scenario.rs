@@ -36,8 +36,6 @@ pub enum ScenarioWorkload {
     Kvs,
     /// L3 forwarder network function.
     L3fwd,
-    /// The synthetic calibration workload.
-    Synthetic,
 }
 
 impl ScenarioWorkload {
@@ -46,7 +44,6 @@ impl ScenarioWorkload {
         match self {
             Self::Kvs => "kvs",
             Self::L3fwd => "l3fwd",
-            Self::Synthetic => "synthetic",
         }
     }
 }
@@ -220,7 +217,6 @@ impl Scenario {
                 self.workload = match value {
                     "kvs" => ScenarioWorkload::Kvs,
                     "l3fwd" => ScenarioWorkload::L3fwd,
-                    "synthetic" => ScenarioWorkload::Synthetic,
                     other => return Err(format!("unknown workload '{other}'")),
                 }
             }
@@ -368,7 +364,7 @@ mod tests {
     #[test]
     fn round_trips_through_text() {
         let s = Scenario {
-            workload: ScenarioWorkload::Synthetic,
+            workload: ScenarioWorkload::L3fwd,
             sweeper: SweeperMode::Enabled,
             zero_copy: true,
             buffers: 777,

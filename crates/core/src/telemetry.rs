@@ -401,70 +401,70 @@ pub fn validate_run_document(doc: &Record) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates the shape of a Perfetto trace document (see
-/// [`perfetto_document`]): schema tag, manifest identity, and that every
-/// trace event carries the Chrome Trace Event Format's required fields.
-pub fn validate_perfetto_document(doc: &Record) -> Result<(), String> {
-    match doc.get("schema") {
-        Some(Value::Str(s)) if s == PERFETTO_SCHEMA => {}
-        Some(Value::Str(s)) => {
-            return Err(format!("schema '{s}' is not '{PERFETTO_SCHEMA}'"));
-        }
-        _ => return Err("document missing string 'schema'".to_string()),
-    }
-    let manifest = expect_record(doc, "manifest", "document")?;
-    expect_str(manifest, "tool", "manifest")?;
-    let Some(Value::Array(events)) = doc.get("traceEvents") else {
-        return Err("document missing array 'traceEvents'".to_string());
-    };
-    for (i, event) in events.iter().enumerate() {
-        let Value::Record(event) = event else {
-            return Err(format!("traceEvents[{i}] is not a record"));
-        };
-        let ctx = format!("traceEvents[{i}]");
-        expect_str(event, "name", &ctx)?;
-        expect_str(event, "ph", &ctx)?;
-        expect_f64(event, "ts", &ctx)?;
-        expect_f64(event, "dur", &ctx)?;
-        expect_u64(event, "pid", &ctx)?;
-        expect_u64(event, "tid", &ctx)?;
-    }
-    Ok(())
-}
-
-/// Validates the shape of a flight-recorder outlier document (see
-/// [`outlier_document`]).
-pub fn validate_outlier_document(doc: &Record) -> Result<(), String> {
-    match doc.get("schema") {
-        Some(Value::Str(s)) if s == OUTLIER_SCHEMA => {}
-        Some(Value::Str(s)) => {
-            return Err(format!("schema '{s}' is not '{OUTLIER_SCHEMA}'"));
-        }
-        _ => return Err("document missing string 'schema'".to_string()),
-    }
-    let manifest = expect_record(doc, "manifest", "document")?;
-    expect_str(manifest, "tool", "manifest")?;
-    let outlier = expect_record(doc, "outlier", "document")?;
-    for key in [
-        "seq",
-        "trace",
-        "core",
-        "at_cycles",
-        "latency_cycles",
-        "threshold_cycles",
-    ] {
-        expect_u64(outlier, key, "outlier")?;
-    }
-    expect_f64(outlier, "quantile", "outlier")?;
-    expect_array(outlier, "spans", "outlier")?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::{Experiment, ExperimentConfig};
     use crate::workload::EchoWorkload;
+
+    /// Validates the shape of a Perfetto trace document (see
+    /// [`perfetto_document`]): schema tag, manifest identity, and that every
+    /// trace event carries the Chrome Trace Event Format's required fields.
+    fn validate_perfetto_document(doc: &Record) -> Result<(), String> {
+        match doc.get("schema") {
+            Some(Value::Str(s)) if s == PERFETTO_SCHEMA => {}
+            Some(Value::Str(s)) => {
+                return Err(format!("schema '{s}' is not '{PERFETTO_SCHEMA}'"));
+            }
+            _ => return Err("document missing string 'schema'".to_string()),
+        }
+        let manifest = expect_record(doc, "manifest", "document")?;
+        expect_str(manifest, "tool", "manifest")?;
+        let Some(Value::Array(events)) = doc.get("traceEvents") else {
+            return Err("document missing array 'traceEvents'".to_string());
+        };
+        for (i, event) in events.iter().enumerate() {
+            let Value::Record(event) = event else {
+                return Err(format!("traceEvents[{i}] is not a record"));
+            };
+            let ctx = format!("traceEvents[{i}]");
+            expect_str(event, "name", &ctx)?;
+            expect_str(event, "ph", &ctx)?;
+            expect_f64(event, "ts", &ctx)?;
+            expect_f64(event, "dur", &ctx)?;
+            expect_u64(event, "pid", &ctx)?;
+            expect_u64(event, "tid", &ctx)?;
+        }
+        Ok(())
+    }
+
+    /// Validates the shape of a flight-recorder outlier document (see
+    /// [`outlier_document`]).
+    fn validate_outlier_document(doc: &Record) -> Result<(), String> {
+        match doc.get("schema") {
+            Some(Value::Str(s)) if s == OUTLIER_SCHEMA => {}
+            Some(Value::Str(s)) => {
+                return Err(format!("schema '{s}' is not '{OUTLIER_SCHEMA}'"));
+            }
+            _ => return Err("document missing string 'schema'".to_string()),
+        }
+        let manifest = expect_record(doc, "manifest", "document")?;
+        expect_str(manifest, "tool", "manifest")?;
+        let outlier = expect_record(doc, "outlier", "document")?;
+        for key in [
+            "seq",
+            "trace",
+            "core",
+            "at_cycles",
+            "latency_cycles",
+            "threshold_cycles",
+        ] {
+            expect_u64(outlier, key, "outlier")?;
+        }
+        expect_f64(outlier, "quantile", "outlier")?;
+        expect_array(outlier, "spans", "outlier")?;
+        Ok(())
+    }
 
     fn report() -> RunReport {
         Experiment::new(ExperimentConfig::tiny_for_tests(), || {

@@ -70,11 +70,6 @@ impl EndpointRings {
         self.rings.iter().map(|r| r.occupancy()).sum()
     }
 
-    /// Whether every endpoint ring is full.
-    pub fn all_full(&self) -> bool {
-        self.rings.iter().all(|r| r.is_full())
-    }
-
     /// Producer side: enqueue `packet` on `endpoint`'s ring; `None` = drop.
     pub fn push(&mut self, endpoint: usize, packet: Packet) -> Option<sweeper_sim::addr::Addr> {
         let idx = endpoint % self.rings.len();
@@ -219,7 +214,6 @@ mod tests {
         assert!(r.push(0, pkt(0)).is_some());
         assert!(r.push(0, pkt(1)).is_some());
         assert!(r.push(0, pkt(2)).is_none(), "hot endpoint overflows");
-        assert!(!r.all_full());
         assert_eq!(r.occupancy(), 2);
     }
 

@@ -119,16 +119,6 @@ impl RxRing {
         self.base.offset(i as u64 * self.entry_bytes)
     }
 
-    /// Address the *next* produced packet would be written to, if a slot is
-    /// free.
-    pub fn next_slot_addr(&self) -> Option<Addr> {
-        if self.is_full() {
-            None
-        } else {
-            Some(self.slot_addr((self.tail % self.capacity() as u64) as usize))
-        }
-    }
-
     /// Producer side: claims the next slot for `packet`.
     ///
     /// Returns the slot's buffer address, or `None` (packet drop) if the
@@ -282,17 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn next_slot_addr_matches_push() {
-        let (_m, mut r) = ring(3);
-        for i in 0..7 {
-            let predicted = r.next_slot_addr().unwrap();
-            let actual = r.push(pkt(i)).unwrap();
-            assert_eq!(predicted, actual);
-            r.pop();
-        }
-    }
-
-    #[test]
     fn occupancy_tracks() {
         let (_m, mut r) = ring(8);
         for i in 0..5 {
@@ -314,9 +293,7 @@ mod tests {
         let mut produced = 0;
         for lap in 0..5 {
             for (i, expected) in first_lap.iter().enumerate() {
-                let predicted = r.next_slot_addr().unwrap();
                 let addr = r.push(pkt(produced)).unwrap();
-                assert_eq!(predicted, addr, "next_slot_addr must match push");
                 assert_eq!(
                     addr, *expected,
                     "lap {lap} slot {i} must reuse the same address"
@@ -325,7 +302,6 @@ mod tests {
             }
             assert!(r.is_full());
             assert_eq!(r.occupancy(), 4);
-            assert!(r.next_slot_addr().is_none());
             // Full-ring drop.
             assert!(r.push(pkt(999)).is_none());
             // Drain fully, in FIFO order, with addresses matching the lap.
@@ -376,11 +352,9 @@ mod tests {
         assert_eq!(r.pending_recycle(), 1);
         assert!(r.is_full(), "popped slot is still reserved");
         assert!(r.push(pkt(2)).is_none(), "producer must drop");
-        assert!(r.next_slot_addr().is_none());
         // Recycling hands exactly that slot back.
         assert!(r.recycle_one());
         assert!(!r.is_full());
-        assert_eq!(r.next_slot_addr(), Some(a0));
         assert_eq!(r.push(pkt(3)).unwrap(), a0);
         // Nothing outstanding: recycle_one reports idle.
         assert!(!r.recycle_one());

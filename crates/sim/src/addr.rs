@@ -24,11 +24,6 @@ impl Addr {
         BlockAddr(self.0 / BLOCK_BYTES)
     }
 
-    /// Byte offset within the containing cache block.
-    pub fn block_offset(self) -> u64 {
-        self.0 % BLOCK_BYTES
-    }
-
     /// Address advanced by `bytes`.
     pub fn offset(self, bytes: u64) -> Addr {
         Addr(self.0 + bytes)
@@ -249,11 +244,6 @@ impl AddressMap {
     pub fn allocated_bytes(&self) -> u64 {
         self.next - ALLOC_BASE
     }
-
-    /// Number of allocated regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
 }
 
 impl Default for AddressMap {
@@ -271,7 +261,6 @@ mod tests {
         assert_eq!(Addr(0).block(), BlockAddr(0));
         assert_eq!(Addr(63).block(), BlockAddr(0));
         assert_eq!(Addr(64).block(), BlockAddr(1));
-        assert_eq!(Addr(130).block_offset(), 2);
         assert_eq!(BlockAddr(5).base(), Addr(320));
         assert_eq!(BlockAddr(5).step(3), BlockAddr(8));
     }
@@ -309,7 +298,6 @@ mod tests {
         assert_eq!(map.classify(c.offset((1 << 16) - 1)), RegionKind::App);
         assert_eq!(map.classify(Addr(0)), RegionKind::Other);
         assert_eq!(map.classify(Addr(u64::MAX)), RegionKind::Other);
-        assert_eq!(map.region_count(), 3);
     }
 
     #[test]

@@ -585,12 +585,6 @@ impl SetAssocCache {
             .iter_present()
             .map(|(set, way, tag)| (set, way, decode_tag(tag)))
     }
-
-    /// Drops every resident line without any writeback bookkeeping.
-    pub fn flush_all(&mut self) {
-        self.tags.lines.fill([0; HOST_LINE]);
-        self.resident = 0;
-    }
 }
 
 /// Records a reference to `way` of a set with replacement bytes `ranks`: a
@@ -792,9 +786,6 @@ mod tests {
         assert_eq!(c.resident_by_origin(LineOrigin::Cpu), 1);
         assert_eq!(c.resident_by_origin(LineOrigin::Nic), 2);
         assert_eq!(c.iter_lines().count(), 3);
-        c.flush_all();
-        assert_eq!(c.resident_lines(), 0);
-        assert_eq!(c.iter_lines().count(), 0);
     }
 
     #[test]
@@ -1014,11 +1005,6 @@ mod tests {
             Some(decode_tag(old))
         }
 
-        fn flush_all(&mut self) {
-            self.tags.fill(0);
-            self.resident = 0;
-        }
-
         fn insert(
             &mut self,
             block: BlockAddr,
@@ -1126,10 +1112,6 @@ mod tests {
                         8..=9 => assert_eq!(ranked.lookup(b), stamped.access(b, false), "{ctx}"),
                         10..=11 => assert_eq!(ranked.invalidate(b), stamped.invalidate(b), "{ctx}"),
                         12 => assert_eq!(ranked.mark_dirty(b), stamped.mark_dirty(b), "{ctx}"),
-                        13 if n % 5000 == 0 => {
-                            ranked.flush_all();
-                            stamped.flush_all();
-                        }
                         _ => assert_eq!(ranked.peek(b), stamped.peek(b), "{ctx}"),
                     }
                     assert_eq!(ranked.resident_lines(), stamped.resident, "{ctx}");

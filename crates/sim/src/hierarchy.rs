@@ -180,12 +180,6 @@ impl MachineConfig {
         Ok(())
     }
 
-    /// Returns a copy with a different DDIO way count.
-    pub fn with_ddio_ways(mut self, ways: u32) -> Self {
-        self.ddio_ways = ways;
-        self
-    }
-
     /// Returns a copy with a different injection policy.
     pub fn with_injection(mut self, policy: InjectionPolicy) -> Self {
         self.injection = policy;
@@ -238,13 +232,6 @@ pub struct LlcOccupancy {
     pub other: u64,
 }
 
-impl LlcOccupancy {
-    /// Total occupied lines across all categories.
-    pub fn total(&self) -> u64 {
-        self.rx + self.tx + self.app + self.other
-    }
-}
-
 /// Incremental per-[`RegionKind`] LLC occupancy counters, updated on every
 /// LLC insert/evict/invalidate so occupancy queries never scan the cache.
 ///
@@ -294,16 +281,6 @@ impl OccupancyCounters {
             "occupancy underflow for {kind}"
         );
         self.counts[i] -= 1;
-    }
-
-    fn total_matching(&self, pred: impl Fn(RegionKind) -> bool) -> u64 {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .filter(|&(i, _)| pred(Self::kind_of(i)))
-            .map(|(_, &c)| c)
-            .sum()
     }
 }
 
@@ -1448,18 +1425,13 @@ impl MemorySystem {
         written
     }
 
-    /// LLC lines currently holding blocks of the given region kind.
-    ///
-    /// O(region kinds), not O(LLC capacity): incremental counters are
-    /// maintained on every LLC insert/evict/invalidate, so periodic
-    /// occupancy sampling costs nothing per line.
-    pub fn llc_occupancy_of(&self, pred: impl Fn(RegionKind) -> bool) -> u64 {
-        self.llc_occ.total_matching(pred)
-    }
-
     /// LLC occupancy split by region category in one pass over the
     /// incremental counters — the shape the in-run telemetry sampler
     /// snapshots every cadence tick.
+    ///
+    /// O(region kinds), not O(LLC capacity): the counters are maintained
+    /// on every LLC insert/evict/invalidate, so periodic occupancy sampling
+    /// costs nothing per line.
     pub fn llc_occupancy_by_region(&self) -> LlcOccupancy {
         let mut occ = LlcOccupancy::default();
         for (i, &count) in self.llc_occ.counts.iter().enumerate() {
@@ -1492,11 +1464,6 @@ impl MemorySystem {
         &self.l1[core as usize]
     }
 
-    /// Direct access to a core's private L2 (tests/diagnostics).
-    pub fn l2_of(&self, core: u16) -> &SetAssocCache {
-        &self.l2[core as usize]
-    }
-
     /// Core id range helper.
     pub fn cores(&self) -> Range<u16> {
         0..self.cfg.cores as u16
@@ -1508,9 +1475,8 @@ mod tests {
     use super::*;
 
     fn system(policy: InjectionPolicy, ddio_ways: u32) -> MemorySystem {
-        let cfg = MachineConfig::tiny_for_tests()
-            .with_injection(policy)
-            .with_ddio_ways(ddio_ways);
+        let mut cfg = MachineConfig::tiny_for_tests().with_injection(policy);
+        cfg.ddio_ways = ddio_ways;
         MemorySystem::new(cfg)
     }
 
@@ -1692,7 +1658,7 @@ mod tests {
         mem.cpu_read(0, rx, 64, 10); // copy now in core 0 private caches
         mem.nic_write(rx, 64, 20); // buffer reuse: overwrite
         assert!(mem.l1_of(0).peek(rx.block()).is_none());
-        assert!(mem.l2_of(0).peek(rx.block()).is_none());
+        assert!(mem.l2[0].peek(rx.block()).is_none());
         assert!(mem.llc.peek(rx.block()).is_some());
     }
 
@@ -1728,7 +1694,7 @@ mod tests {
         mem.cpu_read(1, a, 64, 10);
         mem.cpu_write(1, a, 64, 20);
         assert!(mem.l1_of(0).peek(a.block()).is_none());
-        assert!(mem.l2_of(0).peek(a.block()).is_none());
+        assert!(mem.l2[0].peek(a.block()).is_none());
         assert!(mem.stats().invalidations >= 1);
     }
 
@@ -1756,7 +1722,7 @@ mod tests {
         mem.cpu_read(0, rx, 64, 10);
         let line = mem.llc.peek(rx.block()).expect("line retained");
         assert!(line.dirty, "dirty state stays with the LLC copy");
-        assert!(mem.l2_of(0).peek(rx.block()).is_some_and(|l| !l.dirty));
+        assert!(mem.l2[0].peek(rx.block()).is_some_and(|l| !l.dirty));
     }
 
     #[test]
@@ -1790,28 +1756,24 @@ mod tests {
     }
 
     #[test]
-    fn llc_occupancy_probe() {
-        let mut mem = system(InjectionPolicy::Ddio, 2);
-        let rx = rx_region(&mut mem, 64 * 8);
-        mem.nic_write(rx, 64 * 8, 0);
-        assert_eq!(mem.llc_occupancy_of(|k| k.is_rx()), 8);
-        assert_eq!(mem.llc_occupancy_of(|k| k.is_tx()), 0);
-    }
-
-    #[test]
-    fn llc_occupancy_by_region_agrees_with_predicates() {
+    fn llc_occupancy_by_region_agrees_with_a_recount() {
         let mut mem = system(InjectionPolicy::Ddio, 2);
         let rx = rx_region(&mut mem, 64 * 8);
         mem.nic_write(rx, 64 * 8, 0);
         let app = mem.address_map_mut().alloc(64 * 4, RegionKind::App);
         mem.cpu_read(0, app, 64 * 4, 100);
-        let occ = mem.llc_occupancy_by_region();
-        assert_eq!(occ.rx, mem.llc_occupancy_of(|k| k.is_rx()));
-        assert_eq!(occ.tx, mem.llc_occupancy_of(|k| k.is_tx()));
-        assert_eq!(occ.app, mem.llc_occupancy_of(|k| k == RegionKind::App));
-        assert_eq!(occ.other, mem.llc_occupancy_of(|k| k == RegionKind::Other));
-        assert_eq!(occ.total(), mem.llc_occupancy_of(|_| true));
-        assert_eq!(occ.rx, 8);
+        let mut recount = LlcOccupancy::default();
+        for line in mem.llc.iter_lines() {
+            match mem.address_map().classify_block(line.block) {
+                RegionKind::Rx { .. } => recount.rx += 1,
+                RegionKind::Tx { .. } => recount.tx += 1,
+                RegionKind::App => recount.app += 1,
+                RegionKind::Other => recount.other += 1,
+            }
+        }
+        assert_eq!(mem.llc_occupancy_by_region(), recount);
+        assert_eq!(recount.rx, 8);
+        assert_eq!(recount.tx, 0);
     }
 
     #[test]
@@ -1852,7 +1814,8 @@ mod tests {
 
     #[test]
     fn strict_partition_ablation_confines_cpu_spills() {
-        let mut cfg = MachineConfig::tiny_for_tests().with_ddio_ways(2);
+        let mut cfg = MachineConfig::tiny_for_tests();
+        cfg.ddio_ways = 2;
         cfg.ddio_strict_partition = true;
         let mut mem = MemorySystem::new(cfg);
         let rx = mem
@@ -1883,7 +1846,7 @@ mod tests {
             mem.llc().peek(rx.block()).is_none(),
             "victim ablation: read hit migrates the line out of the LLC"
         );
-        assert!(mem.l2_of(0).peek(rx.block()).is_some_and(|l| l.dirty));
+        assert!(mem.l2[0].peek(rx.block()).is_some_and(|l| l.dirty));
     }
 
     #[test]
@@ -1895,7 +1858,7 @@ mod tests {
         let first = mem.cpu_read(0, a, 64, 0);
         assert_eq!(first.dram_fetches, 1);
         // The prefetcher fetched the next block in the background ...
-        assert!(mem.l2_of(0).peek(a.block().step(1)).is_some());
+        assert!(mem.l2[0].peek(a.block().step(1)).is_some());
         // ... so the demand read of it is now a cheap private hit.
         let second = mem.cpu_read(0, a.offset(64), 64, 1_000);
         assert_eq!(second.dram_fetches, 0);
@@ -2004,7 +1967,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "DDIO ways must be within LLC associativity")]
     fn rejects_bad_ddio_ways() {
-        let cfg = MachineConfig::tiny_for_tests().with_ddio_ways(99);
+        let mut cfg = MachineConfig::tiny_for_tests();
+        cfg.ddio_ways = 99;
         MemorySystem::new(cfg);
     }
 }

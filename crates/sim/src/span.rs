@@ -205,15 +205,6 @@ impl ProfileNode {
         self.children.iter().map(|c| c.cycles).sum()
     }
 
-    /// The child named `label`, created on first use.
-    pub fn child_mut(&mut self, label: &str) -> &mut ProfileNode {
-        if let Some(i) = self.children.iter().position(|c| c.label == label) {
-            return &mut self.children[i];
-        }
-        self.children.push(ProfileNode::new(label));
-        self.children.last_mut().expect("just pushed")
-    }
-
     /// Structured export for the telemetry layer, recursing into children.
     pub fn to_record(&self) -> Record {
         Record::new()
@@ -343,13 +334,14 @@ mod tests {
     }
 
     #[test]
-    fn profile_node_finds_or_creates_children() {
+    fn profile_node_sums_child_cycles() {
         let mut root = ProfileNode::new("request");
-        root.child_mut("service").cycles += 10;
-        root.child_mut("service").cycles += 5;
-        root.child_mut("nic_dma").cycles += 3;
-        assert_eq!(root.children.len(), 2);
-        assert_eq!(root.children[0].cycles, 15);
+        for (label, cycles) in [("service", 15), ("nic_dma", 3)] {
+            root.children.push(ProfileNode {
+                cycles,
+                ..ProfileNode::new(label)
+            });
+        }
         assert_eq!(root.child_cycles(), 18);
     }
 
@@ -358,7 +350,10 @@ mod tests {
         let mut root = ProfileNode::new("request");
         root.cycles = 20;
         root.count = 2;
-        root.child_mut("service").cycles = 20;
+        root.children.push(ProfileNode {
+            cycles: 20,
+            ..ProfileNode::new("service")
+        });
         let rec = root.to_record();
         assert_eq!(rec.get("cycles"), Some(&Value::U64(20)));
         let Some(Value::Array(children)) = rec.get("children") else {

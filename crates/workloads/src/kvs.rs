@@ -88,12 +88,6 @@ impl KvsConfig {
             cores: 2,
         }
     }
-
-    /// The request packet size this configuration implies (SETs carry the
-    /// value).
-    pub fn request_bytes(&self) -> u64 {
-        HEADER_BYTES + self.item_bytes
-    }
 }
 
 /// The MICA-style store.
@@ -335,7 +329,6 @@ mod tests {
         assert_eq!(cfg.log_bytes, 256 << 20);
         assert!((cfg.get_ratio - 0.05).abs() < 1e-12);
         assert!((cfg.zipf_exponent - 0.99).abs() < 1e-12);
-        assert_eq!(cfg.request_bytes(), 1024 + 64);
         assert_eq!(cfg.with_item_bytes(512).item_bytes, 512);
     }
 

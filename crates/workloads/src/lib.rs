@@ -12,9 +12,7 @@
 //!   collocated memory-intensive tenant (§VI-E),
 //! * [`dist`] — the zipf sampler behind the KVS key popularity,
 //! * [`spiky`] — the §VI-F microbenchmark decorator that adds random
-//!   [1, 100] µs processing delays to induce queue-buildup spikes,
-//! * [`synthetic`] — a configurable compute/read/write request mix for
-//!   calibration and for standing in for unavailable applications.
+//!   [1, 100] µs processing delays to induce queue-buildup spikes.
 //!
 //! Each workload issues the same *memory reference pattern* per request as
 //! the original application (buffer reads, index probes, log appends, table
@@ -24,5 +22,4 @@ pub mod dist;
 pub mod kvs;
 pub mod l3fwd;
 pub mod spiky;
-pub mod synthetic;
 pub mod xmem;

@@ -86,11 +86,6 @@ impl Xmem {
     pub fn iterations(&self) -> u64 {
         self.iterations
     }
-
-    /// The dataset base of a core, if set up.
-    pub fn dataset_of(&self, core: u16) -> Option<Addr> {
-        self.datasets.get(&core).copied()
-    }
 }
 
 impl BackgroundTenant for Xmem {
@@ -159,8 +154,8 @@ mod tests {
     #[test]
     fn per_core_datasets_are_private() {
         let (xmem, _mem, _) = setup();
-        let a = xmem.dataset_of(0).unwrap();
-        let b = xmem.dataset_of(1).unwrap();
+        let a = xmem.datasets[&0];
+        let b = xmem.datasets[&1];
         assert_ne!(a, b);
         let bytes = xmem.config().dataset_bytes;
         assert!(a.0 + bytes <= b.0 || b.0 + bytes <= a.0, "must not overlap");

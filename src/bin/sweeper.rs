@@ -115,7 +115,7 @@ const SINGLE_RUN: &[&str] = &["run", "peak", "trace"];
 const FLAGS: &[Flag] = &[
     flag("--scenario", Some("FILE"), None, POINT,
          "key=value file applied first; the other flags override it"),
-    flag("--workload", Some("kvs|l3fwd|synthetic"), Some("workload"), POINT, "app model [kvs]"),
+    flag("--workload", Some("kvs|l3fwd"), Some("workload"), POINT, "app model [kvs]"),
     flag("--policy", Some("dma|ddio|ideal"), Some("policy"), POINT, "injection policy [ddio]"),
     flag("--ddio", Some("1..12"), Some("ddio_ways"), POINT, "DDIO LLC ways [2]"),
     flag("--sweeper", None, Some("sweeper"), POINT, "enable Sweeper, relinquish on RX"),
@@ -157,7 +157,8 @@ const FLAGS: &[Flag] = &[
          "0 < Q < 1; needs --flight-recorder [0.999]"),
     flag("--outliers", Some("DIR"), None, SINGLE_RUN,
          "snapshot directory; needs --flight-recorder [results/outliers]"),
-    flag("--events", Some("N"), None, SINGLE_RUN, "span and memory-trace ring capacity [65536]"),
+    flag("--events", Some("N"), None, SINGLE_RUN,
+         "ring size; needs --trace-spans or --perfetto except on trace [65536]"),
 ];
 
 /// The help text: [`HELP`], then every flag of [`FLAGS`] under the commands
@@ -216,7 +217,7 @@ struct Cli {
     flight_recorder: bool,
     flight_quantile: Option<f64>,
     outliers: Option<String>,
-    events: usize,
+    events: Option<usize>,
 }
 
 impl Default for Cli {
@@ -242,7 +243,7 @@ impl Default for Cli {
             flight_recorder: false,
             flight_quantile: None,
             outliers: None,
-            events: 65_536,
+            events: None,
         }
     }
 }
@@ -308,7 +309,7 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             "--flight-recorder" => cli.flight_recorder = true,
             "--flight-quantile" => cli.flight_quantile = Some(num(flag, &value)?),
             "--outliers" => cli.outliers = Some(value),
-            "--events" => cli.events = num(flag, &value)?,
+            "--events" => cli.events = Some(num(flag, &value)?),
             _ => unreachable!("every FLAGS row without a scenario key has an arm"),
         }
     }
@@ -327,7 +328,12 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         // Only the time series file carries samples; no report does.
         return Err("--sample-every needs --timeseries".to_string());
     }
-    if cli.events == 0 {
+    if cli.events.is_some() && cli.command != "trace" && !cli.trace_spans && cli.perfetto.is_none()
+    {
+        // Off `trace`, only the span ring reads it.
+        return Err("--events needs --trace-spans or --perfetto".to_string());
+    }
+    if cli.events == Some(0) {
         return Err("--events must be positive".to_string());
     }
     if cli.requests == 0 {
@@ -389,8 +395,9 @@ fn build_experiment(cli: &Cli) -> Result<Experiment, String> {
         let every = cli.sample_every.unwrap_or(1_000_000);
         cfg = cfg.sampling(SamplerConfig::every(every));
     }
+    let events = cli.events.unwrap_or(65_536);
     if cli.trace_spans || cli.perfetto.is_some() {
-        cfg = cfg.spans(cli.events);
+        cfg = cfg.spans(events);
     }
     if cli.profiler {
         cfg = cfg.profiler();
@@ -407,7 +414,7 @@ fn build_experiment(cli: &Cli) -> Result<Experiment, String> {
         cfg = cfg.check(check_config(cli));
     }
     if cli.command == "trace" {
-        cfg = cfg.memtrace(cli.events);
+        cfg = cfg.memtrace(events);
     }
     cfg.server_config().validate()?;
     Ok(scenario_experiment(cfg, s))
@@ -911,6 +918,7 @@ mod tests {
             "--sample-every" => &["--timeseries", "ts.csv"],
             "--flight-quantile" | "--outliers" => &["--flight-recorder"],
             "--walk-every" if command != "check" => &["--validate"],
+            "--events" if command != "trace" => &["--trace-spans"],
             _ => &[],
         };
         line.extend(args(companions));

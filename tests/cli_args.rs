@@ -352,6 +352,48 @@ fn sample_every_without_timeseries_is_a_usage_error() {
 }
 
 #[test]
+fn events_without_a_span_ring_is_a_usage_error() {
+    // Off `trace`, only the span ring reads `--events`, so without spans
+    // it used to be dropped without a word.
+    let args = [
+        "run",
+        "--cores",
+        "2",
+        "--buffers",
+        "64",
+        "--requests",
+        "200",
+        "--rate",
+        "2",
+        "--events",
+        "5",
+    ];
+    assert_usage_error(&args);
+    let (_, stderr) = run(&args);
+    assert!(
+        stderr.contains("--events"),
+        "{args:?} should name the flag, got: {stderr}"
+    );
+}
+
+#[test]
+fn removed_synthetic_workload_is_a_usage_error() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_args_synthetic.scn");
+    std::fs::write(&path, "workload = synthetic\n").unwrap();
+    for args in [
+        &["run", "--workload", "synthetic"][..],
+        &["run", "--scenario", path.to_str().unwrap()],
+    ] {
+        assert_usage_error(args);
+        let (_, stderr) = run(args);
+        assert!(
+            stderr.contains("unknown workload"),
+            "{args:?} should reject the workload, got: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn rx_footprint_past_the_address_limit_is_a_usage_error() {
     // Each flag is in range, but 24 x 4096 x 2^20 buffers of 64 KiB would
     // be far past the 32 GiB simulated address space. The point is rejected
