@@ -12,9 +12,10 @@ use std::collections::HashMap;
 
 use sweeper_core::experiment::Experiment;
 use sweeper_core::fleet::{ExperimentPoint, PointOutcome};
+use sweeper_core::observe::FlightRecorderConfig;
 use sweeper_core::profile::RunProfile;
 use sweeper_core::scenario::Scenario;
-use sweeper_core::server::{FlightRecorderConfig, RunReport};
+use sweeper_core::server::RunReport;
 use sweeper_core::telemetry::CsvTable;
 use sweeper_sim::span::{OutlierSnapshot, ProfileNode, SpanKind};
 use sweeper_workloads::kvs::HEADER_BYTES;
@@ -38,7 +39,6 @@ fn recorder() -> FlightRecorderConfig {
     FlightRecorderConfig {
         quantile: 0.99,
         min_samples: 256,
-        window: 256,
         max_snapshots: 16,
     }
 }

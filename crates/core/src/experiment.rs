@@ -116,11 +116,11 @@ impl ExperimentConfig {
         self
     }
 
-    /// Enables in-run time-series sampling (see
-    /// [`SamplerConfig`](crate::server::SamplerConfig)); the resulting
-    /// reports carry a `timeseries`.
-    pub fn sampling(mut self, sampler: crate::server::SamplerConfig) -> Self {
-        self.server.sampler = Some(sampler);
+    /// Enables in-run time-series sampling every `every` cycles (see
+    /// [`TimeSeries`](crate::observe::TimeSeries)); the resulting reports
+    /// carry a `timeseries`.
+    pub fn sampling(mut self, every: Cycle) -> Self {
+        self.server.sample_every = Some(every);
         self
     }
 
@@ -139,9 +139,9 @@ impl ExperimentConfig {
     }
 
     /// Enables the tail-latency flight recorder (see
-    /// [`FlightRecorderConfig`](crate::server::FlightRecorderConfig));
+    /// [`FlightRecorderConfig`](crate::observe::FlightRecorderConfig));
     /// forces span recording on and the resulting reports carry `outliers`.
-    pub fn flight(mut self, cfg: crate::server::FlightRecorderConfig) -> Self {
+    pub fn flight(mut self, cfg: crate::observe::FlightRecorderConfig) -> Self {
         self.server.flight = Some(cfg);
         self
     }

@@ -426,7 +426,6 @@ mod tests {
         // with in-run sampling AND span tracing enabled, the fleet JSON, the
         // per-point Perfetto exports, and the per-point timeseries must all
         // be byte-identical for --jobs 1 and --jobs N.
-        use crate::server::SamplerConfig;
         use crate::telemetry::{fleet_document, perfetto_document, RunManifest};
 
         let build = || -> Vec<ExperimentPoint> {
@@ -435,10 +434,7 @@ mod tests {
                     ExperimentPoint::at_rate(
                         format!("traced#{i}"),
                         ExperimentConfig::tiny_for_tests()
-                            .sampling(SamplerConfig {
-                                every: 50_000,
-                                capacity: 64,
-                            })
+                            .sampling(50_000)
                             .spans(4096)
                             .experiment(|| EchoWorkload::with_think(150)),
                         2.0e6,

@@ -11,6 +11,8 @@
 //! * [`server`] — the 24-core networked server: per-core request loops over
 //!   NIC RX rings, TX through Work Queue entries, optional RX-path
 //!   relinquish and NIC-driven TX sweeping (§V-D),
+//! * [`observe`] — the server's observers: the time-series sampler, the
+//!   cycle-attribution profiler, and the tail-latency flight recorder,
 //! * [`workload`] — the [`Workload`](workload::Workload) and
 //!   [`BackgroundTenant`](workload::BackgroundTenant) traits the paper's
 //!   applications implement,
@@ -47,6 +49,7 @@
 pub mod experiment;
 pub mod fleet;
 pub mod loadsweep;
+pub mod observe;
 pub mod os;
 pub mod profile;
 pub mod report;

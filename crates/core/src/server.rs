@@ -29,15 +29,16 @@ use sweeper_nic::queue::WqEntry;
 use sweeper_nic::traffic::{ArrivalProcess, PoissonArrivals};
 use sweeper_sim::addr::{Addr, RegionKind};
 use sweeper_sim::check::{CheckConfig, CheckReport, ViolationKind};
-use sweeper_sim::engine::{cycles_to_secs, EventQueue, SimRng};
-use sweeper_sim::hierarchy::{LlcOccupancy, MachineConfig, MemorySystem};
-use sweeper_sim::ring::Ring;
+use sweeper_sim::engine::{EventQueue, SimRng};
+use sweeper_sim::hierarchy::{MachineConfig, MemorySystem};
 use sweeper_sim::span::{OutlierSnapshot, ProfileNode, SpanKind, SpanRing};
 use sweeper_sim::stats::{ClassCounts, Histogram, MemStats};
-use sweeper_sim::telemetry::{CsvTable, Record, Value};
 use sweeper_sim::trace::Trace;
 use sweeper_sim::Cycle;
 
+use crate::observe::{
+    nic_stage, ActiveProfile, FlightRecorderConfig, NicStage, Observers, TimeSeries,
+};
 use crate::workload::{execute_op, BackgroundTenant, CoreEnv, Op, TxAction, Workload};
 
 // Re-exported so callers configuring a server find the mode where they need
@@ -71,9 +72,10 @@ pub struct ServerConfig {
     pub tx_sweep: bool,
     /// RNG seed; equal seeds give bit-identical runs.
     pub seed: u64,
-    /// In-run time-series sampling (`None` — the default — disables it and
-    /// keeps the event loop's sampling cost to a single branch).
-    pub sampler: Option<SamplerConfig>,
+    /// In-run time-series sampling period in cycles (`None` — the default
+    /// — disables it and keeps the event loop's sampling cost to a single
+    /// branch).
+    pub sample_every: Option<Cycle>,
     /// Request-level span recording: ring capacity in spans (`None` — the
     /// default — disables it; every hook is one branch when off).
     pub spans: Option<usize>,
@@ -108,7 +110,7 @@ impl ServerConfig {
             sweeper: SweeperMode::Disabled,
             tx_sweep: false,
             seed: 0x5eed,
-            sampler: None,
+            sample_every: None,
             spans: None,
             profiler: false,
             flight: None,
@@ -140,20 +142,12 @@ impl ServerConfig {
                 self.packet_bytes, self.buffer_bytes
             ));
         }
-        if let Some(sampler) = &self.sampler {
-            if sampler.every == 0 {
-                return Err("sampling period must be positive".into());
-            }
-            if sampler.capacity == 0 {
-                return Err("sampler capacity must be positive".into());
-            }
+        if self.sample_every == Some(0) {
+            return Err("sampling period must be positive".into());
         }
         if let Some(flight) = &self.flight {
             if !(flight.quantile > 0.0 && flight.quantile < 1.0) {
                 return Err("flight-recorder quantile must be in (0, 1)".into());
-            }
-            if flight.window == 0 {
-                return Err("flight-recorder window must be positive".into());
             }
             if flight.max_snapshots == 0 {
                 return Err("flight-recorder snapshot budget must be positive".into());
@@ -162,264 +156,16 @@ impl ServerConfig {
         Ok(())
     }
 
-    /// Tiny configuration for fast unit tests.
+    /// Tiny configuration for fast unit tests: the paper defaults on the
+    /// tiny machine, with short rings.
     pub fn tiny_for_tests() -> Self {
         let machine = MachineConfig::tiny_for_tests();
         Self {
             active_cores: machine.cores as u16,
             machine,
             rx_entries: 16,
-            endpoints_per_core: 1,
             tx_entries: 8,
-            buffer_bytes: 1024,
-            packet_bytes: 1024,
-            arrivals: ArrivalProcess::Poisson { rate: 1.0e6 },
-            sweeper: SweeperMode::Disabled,
-            tx_sweep: false,
-            seed: 0x5eed,
-            sampler: None,
-            spans: None,
-            profiler: false,
-            flight: None,
-            memtrace: None,
-            check: None,
-        }
-    }
-}
-
-/// Configuration of the tail-latency flight recorder.
-///
-/// The recorder keeps an online percentile estimate of the end-to-end
-/// request latency and, once enough requests have been measured, snapshots
-/// the span window surrounding any request whose latency exceeds the
-/// estimate ([`RunReport::outliers`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlightRecorderConfig {
-    /// The latency quantile whose online estimate is the trigger threshold.
-    pub quantile: f64,
-    /// Measured requests before the estimate is trusted and triggering
-    /// starts.
-    pub min_samples: u64,
-    /// Spans captured per snapshot (the tail of the span ring).
-    pub window: usize,
-    /// Snapshot budget per run; once exhausted, later outliers are only
-    /// counted in the latency histogram.
-    pub max_snapshots: usize,
-}
-
-impl Default for FlightRecorderConfig {
-    /// p99.9 trigger after 512 requests, 256-span windows, 32 snapshots.
-    fn default() -> Self {
-        Self {
-            quantile: 0.999,
-            min_samples: 512,
-            window: 256,
-            max_snapshots: 32,
-        }
-    }
-}
-
-/// Configuration of the in-run time-series sampler (see [`TimeSeries`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SamplerConfig {
-    /// Simulated cycles between samples.
-    pub every: Cycle,
-    /// Samples retained; when the run outlives the window the oldest
-    /// samples fall out of the ring (`TimeSeries::total_samples` still
-    /// counts them).
-    pub capacity: usize,
-}
-
-impl SamplerConfig {
-    /// Samples every `every` cycles with the default retention window.
-    pub fn every(every: Cycle) -> Self {
-        Self {
-            every,
-            ..Self::default()
-        }
-    }
-}
-
-impl Default for SamplerConfig {
-    /// One sample per million cycles (~312 µs simulated), retaining 4096.
-    fn default() -> Self {
-        Self {
-            every: 1_000_000,
-            capacity: 4096,
-        }
-    }
-}
-
-/// One time-series sample: deltas cover the interval since the previous
-/// sample; occupancy and ring depth are instantaneous at the boundary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sample {
-    /// Cycles since measurement start (a multiple of the sampling period).
-    pub at: Cycle,
-    /// DRAM bandwidth over the interval, GB/s.
-    pub bandwidth_gbps: f64,
-    /// LLC occupancy by region kind at the boundary, in cache lines.
-    pub llc: LlcOccupancy,
-    /// Packets queued across all RX rings at the boundary.
-    pub rx_ring_depth: usize,
-    /// Packets offered during the interval.
-    pub offered_delta: u64,
-    /// Requests completed during the interval.
-    pub completed_delta: u64,
-    /// Packets dropped during the interval.
-    pub dropped_delta: u64,
-    /// DRAM transfers during the interval, per traffic class.
-    pub class_delta: ClassCounts,
-}
-
-impl Sample {
-    /// Structured export for the telemetry layer.
-    pub fn to_record(&self) -> Record {
-        Record::new()
-            .with("at_cycles", self.at)
-            .with("bandwidth_gbps", self.bandwidth_gbps)
-            .with(
-                "llc",
-                Record::new()
-                    .with("rx", self.llc.rx)
-                    .with("tx", self.llc.tx)
-                    .with("app", self.llc.app)
-                    .with("other", self.llc.other),
-            )
-            .with("rx_ring_depth", self.rx_ring_depth)
-            .with("offered_delta", self.offered_delta)
-            .with("completed_delta", self.completed_delta)
-            .with("dropped_delta", self.dropped_delta)
-            .with("class_delta", self.class_delta.to_record())
-    }
-}
-
-/// The sampled time series of one run (attached to [`RunReport`] when
-/// [`ServerConfig::sampler`] is set).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeSeries {
-    every: Cycle,
-    samples: Ring<Sample>,
-}
-
-impl TimeSeries {
-    fn new(cfg: SamplerConfig) -> Self {
-        Self {
-            every: cfg.every,
-            samples: Ring::new(cfg.capacity),
-        }
-    }
-
-    /// The sampling period in cycles.
-    pub fn every(&self) -> Cycle {
-        self.every
-    }
-
-    /// Samples taken over the whole run, including any that fell out of
-    /// the retention window.
-    pub fn total_samples(&self) -> u64 {
-        self.samples.recorded()
-    }
-
-    /// Retained samples, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &Sample> {
-        self.samples.iter()
-    }
-
-    /// Number of retained samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples were retained.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Structured export for the telemetry layer.
-    pub fn to_record(&self) -> Record {
-        Record::new()
-            .with("every_cycles", self.every)
-            .with("total_samples", self.samples.recorded())
-            .with("retained", self.samples.len())
-            .with(
-                "samples",
-                self.samples
-                    .iter()
-                    .map(|s| Value::from(s.to_record()))
-                    .collect::<Vec<_>>(),
-            )
-    }
-
-    /// CSV export in the workspace's shared dialect, one row per sample,
-    /// with extra caller-supplied manifest comment lines.
-    pub fn to_csv_with_comments(&self, comments: &[(String, String)]) -> String {
-        let mut headers = vec![
-            "at_cycles",
-            "bandwidth_gbps",
-            "llc_rx",
-            "llc_tx",
-            "llc_app",
-            "llc_other",
-            "rx_ring_depth",
-            "offered_delta",
-            "completed_delta",
-            "dropped_delta",
-        ];
-        let class_headers: Vec<String> = sweeper_sim::stats::TrafficClass::ALL
-            .iter()
-            .map(|c| format!("delta[{}]", c.label()))
-            .collect();
-        headers.extend(class_headers.iter().map(|s| s.as_str()));
-        let mut table = CsvTable::new(&headers)
-            .comment("artifact", "timeseries")
-            .comment("every_cycles", self.every.to_string())
-            .comment("total_samples", self.samples.recorded().to_string())
-            .comments(comments);
-        for s in self.samples.iter() {
-            let mut row = vec![
-                Value::from(s.at),
-                Value::from(s.bandwidth_gbps),
-                Value::from(s.llc.rx),
-                Value::from(s.llc.tx),
-                Value::from(s.llc.app),
-                Value::from(s.llc.other),
-                Value::from(s.rx_ring_depth),
-                Value::from(s.offered_delta),
-                Value::from(s.completed_delta),
-                Value::from(s.dropped_delta),
-            ];
-            row.extend(s.class_delta.iter().map(|(_, n)| Value::from(n)));
-            table.value_row(row);
-        }
-        table.to_csv()
-    }
-}
-
-/// Live sampler state inside a running server.
-#[derive(Debug, Clone)]
-struct SamplerState {
-    cfg: SamplerConfig,
-    next: Cycle,
-    prev_accesses: u64,
-    prev_classes: ClassCounts,
-    prev_offered: u64,
-    prev_completed: u64,
-    prev_dropped: u64,
-    series: TimeSeries,
-}
-
-impl SamplerState {
-    fn new(cfg: SamplerConfig) -> Self {
-        Self {
-            cfg,
-            next: 0,
-            prev_accesses: 0,
-            prev_classes: ClassCounts::new(),
-            prev_offered: 0,
-            prev_completed: 0,
-            prev_dropped: 0,
-            series: TimeSeries::new(cfg),
+            ..Self::paper_default()
         }
     }
 }
@@ -495,7 +241,8 @@ pub struct RunReport {
     /// Per-channel `(reads, writes)` DRAM transfer counts over the window —
     /// a channel-imbalance diagnostic.
     pub channel_transfers: Vec<(u64, u64)>,
-    /// In-run time series, present when [`ServerConfig::sampler`] was set.
+    /// In-run time series, present when [`ServerConfig::sample_every`] was
+    /// set.
     pub timeseries: Option<TimeSeries>,
     /// Retained request spans, present when [`ServerConfig::spans`] (or the
     /// flight recorder, which forces them on) was set.
@@ -610,165 +357,6 @@ impl TxRing {
     }
 }
 
-/// Cycles, executions, and DRAM-transfer classes attributed to one stage.
-#[derive(Debug, Clone, Copy, Default)]
-struct StageDelta {
-    cycles: u64,
-    count: u64,
-    classes: ClassCounts,
-}
-
-impl StageDelta {
-    fn add(&mut self, cycles: Cycle, classes: ClassCounts) {
-        self.cycles += cycles;
-        self.count += 1;
-        for (class, n) in classes.iter() {
-            self.classes[class] += n;
-        }
-    }
-
-    fn merge(&mut self, other: &StageDelta) {
-        self.cycles += other.cycles;
-        self.count += other.count;
-        for (class, n) in other.classes.iter() {
-            self.classes[class] += n;
-        }
-    }
-
-    fn into_node(self, label: &str) -> ProfileNode {
-        ProfileNode {
-            label: label.to_string(),
-            cycles: self.cycles,
-            count: self.count,
-            classes: self.classes,
-            children: Vec::new(),
-        }
-    }
-}
-
-/// Per-request service-stage accumulator, embedded in [`Active`] so the
-/// hot path stays allocation-free. Folded into [`ProfilerState`] only when
-/// the request finishes inside the measurement window.
-#[derive(Debug, Clone, Copy, Default)]
-struct ActiveProfile {
-    cpu_read: StageDelta,
-    app: StageDelta,
-    sweep: StageDelta,
-}
-
-/// Run-wide cycle-attribution accumulator (the profiler).
-#[derive(Debug, Clone, Default)]
-struct ProfilerState {
-    requests: u64,
-    total_cycles: u64,
-    nic_dma: StageDelta,
-    rx_wait: StageDelta,
-    cpu_read: StageDelta,
-    app: StageDelta,
-    sweep: StageDelta,
-    tx: StageDelta,
-}
-
-impl ProfilerState {
-    /// Builds the report's profile tree. The engine chains a request's
-    /// operation events with no gaps, so the cycle accounting is exact:
-    /// `request.cycles == nic_dma + rx_ring_wait + service` and
-    /// `service.cycles == cpu_read + app_service + sweep + tx`.
-    fn to_tree(&self) -> ProfileNode {
-        let mut service = ProfileNode::new("service");
-        service.count = self.requests;
-        for node in [
-            self.cpu_read.into_node(SpanKind::CpuRead.label()),
-            self.app.into_node(SpanKind::AppService.label()),
-            self.sweep.into_node(SpanKind::Sweep.label()),
-            self.tx.into_node(SpanKind::Tx.label()),
-        ] {
-            service.cycles += node.cycles;
-            for (class, n) in node.classes.iter() {
-                service.classes[class] += n;
-            }
-            service.children.push(node);
-        }
-        let mut root = ProfileNode::new("request");
-        root.cycles = self.total_cycles;
-        root.count = self.requests;
-        for node in [
-            self.nic_dma.into_node(SpanKind::NicDma.label()),
-            self.rx_wait.into_node(SpanKind::RxRingWait.label()),
-            service,
-        ] {
-            for (class, n) in node.classes.iter() {
-                root.classes[class] += n;
-            }
-            root.children.push(node);
-        }
-        root
-    }
-}
-
-/// Live flight-recorder state inside a running server.
-#[derive(Debug, Clone)]
-struct FlightState {
-    cfg: FlightRecorderConfig,
-    snapshots: Vec<OutlierSnapshot>,
-}
-
-/// The server's observers: the sampler, the profiler, and the flight
-/// recorder. The server holds them behind one `Option<Box<…>>`, present
-/// whenever one of them or the memory system's request spans is on (spans
-/// need each op's request context), so with every observer off each hook
-/// costs one branch.
-#[derive(Debug)]
-struct Observers {
-    sampler: Option<SamplerState>,
-    profiler: Option<ProfilerState>,
-    flight: Option<FlightState>,
-}
-
-/// The profiler and the DRAM class counts at the start of a NIC-side stage
-/// it attributes: `Some` only while profiling measured requests.
-fn profile_start<'a>(
-    obs: &'a mut Option<Box<Observers>>,
-    measuring: bool,
-    mem: &MemorySystem,
-) -> Option<(&'a mut ProfilerState, ClassCounts)> {
-    let prof = obs.as_deref_mut()?.profiler.as_mut()?;
-    measuring.then(|| (prof, mem.stats().combined()))
-}
-
-/// Executes one op of `active` under its trace id, so interleaved cores'
-/// memory events stay attributable, and records its span and profile.
-/// Sweeps record their span inside `sweep_range` (shared with the NIC's
-/// zero-copy TX path); the CPU-visible stages are recorded here, after the
-/// fact, when the latency is known.
-fn observed_op(
-    mem: &mut MemorySystem,
-    obs: &Observers,
-    active: &mut Active,
-    core: u16,
-    now: Cycle,
-    op: &Op,
-) -> Cycle {
-    let id = active.pkt.id.0;
-    mem.set_request(id);
-    let before = obs.profiler.as_ref().map(|_| mem.stats().combined());
-    let lat = execute_op(mem, core, now, op);
-    let (kind, stage) = match op {
-        Op::Read { .. } | Op::ReadScatter { .. } => {
-            (Some(SpanKind::CpuRead), &mut active.prof.cpu_read)
-        }
-        Op::Write { .. } | Op::Compute { .. } => (Some(SpanKind::AppService), &mut active.prof.app),
-        Op::Sweep { .. } => (None, &mut active.prof.sweep),
-    };
-    if let Some(kind) = kind {
-        mem.record_span(id, kind, core, now, now + lat);
-    }
-    if let Some(before) = before {
-        stage.add(lat, mem.stats().combined().since(&before));
-    }
-    lat
-}
-
 /// An in-flight request on one core.
 #[derive(Debug)]
 struct Active {
@@ -872,7 +460,7 @@ impl Server {
         // recording on; an explicit capacity wins.
         match (cfg.spans, &cfg.flight) {
             (Some(capacity), _) => mem.enable_spans(capacity),
-            (None, Some(flight)) => mem.enable_spans(flight.window.max(4096)),
+            (None, Some(_)) => mem.enable_spans(4096),
             (None, None) => {}
         }
         if let Some(capacity) = cfg.memtrace {
@@ -892,18 +480,8 @@ impl Server {
                 nic.ring_mut(core).set_defer_recycle(true);
             }
         }
-        let observed = cfg.sampler.is_some() || cfg.profiler || mem.spans().is_some();
         Self {
-            obs: observed.then(|| {
-                Box::new(Observers {
-                    sampler: cfg.sampler.map(SamplerState::new),
-                    profiler: cfg.profiler.then(ProfilerState::default),
-                    flight: cfg.flight.map(|cfg| FlightState {
-                        cfg,
-                        snapshots: Vec::new(),
-                    }),
-                })
-            }),
+            obs: Observers::new(&cfg, mem.spans().is_some()),
             busy: vec![false; cfg.active_cores as usize],
             active: (0..cfg.active_cores).map(|_| None).collect(),
             bg_ops: vec![VecDeque::new(); cores],
@@ -969,21 +547,14 @@ impl Server {
         if self.measuring {
             self.offered += 1;
         }
-        // DMA-stage class attribution is taken at delivery time (the NIC
-        // injection and any writebacks it displaces), so it is per-window
-        // rather than per-finished-request; the boundary slack is at most
-        // the requests in flight when measurement starts or stops.
-        let profiling = profile_start(&mut self.obs, self.measuring, &self.mem);
-        let delivered = self
-            .nic
-            .deliver(core, self.cfg.packet_bytes, now, &mut self.mem)
-            .is_some();
-        if let Some((prof, before)) = profiling {
-            let delta = self.mem.stats().combined().since(&before);
-            for (class, n) in delta.iter() {
-                prof.nic_dma.classes[class] += n;
-            }
-        }
+        let (nic, bytes) = (&mut self.nic, self.cfg.packet_bytes);
+        let delivered = nic_stage(
+            &mut self.obs,
+            self.measuring,
+            &mut self.mem,
+            NicStage::Delivery,
+            |mem| nic.deliver(core, bytes, now, mem).is_some(),
+        );
         if delivered && !self.busy[core as usize] {
             self.busy[core as usize] = true;
             self.events.push(now, Event::CoreStep { core });
@@ -1016,67 +587,10 @@ impl Server {
         self.service_time.clear();
         self.background_iterations = 0;
         // Warmup traffic is not part of any report: drop its spans and
-        // trace events, restart the attribution accumulators.
+        // trace events, restart the observers.
         self.mem.restart_recording();
-        let Some(obs) = self.obs.as_deref_mut() else {
-            return;
-        };
-        if let Some(prof) = &mut obs.profiler {
-            *prof = ProfilerState::default();
-        }
-        if let Some(flight) = &mut obs.flight {
-            flight.snapshots.clear();
-        }
-        if let Some(state) = &mut obs.sampler {
-            // Counters were just reset; the first interval starts here.
-            state.prev_accesses = 0;
-            state.prev_classes = ClassCounts::new();
-            state.prev_offered = 0;
-            state.prev_completed = self.completed;
-            state.prev_dropped = 0;
-            state.next = now + state.cfg.every;
-            state.series = TimeSeries::new(state.cfg);
-        }
-    }
-
-    /// Takes every due sample (stamped at its interval boundary). Deltas
-    /// spanning multiple periods land in the first due sample; later
-    /// boundaries in the same gap record zero deltas, so the series stays
-    /// aligned to the sampling grid regardless of event spacing.
-    fn maybe_sample(&mut self, now: Cycle) {
-        let Some(state) = self.obs.as_deref_mut().and_then(|o| o.sampler.as_mut()) else {
-            return;
-        };
-        while now >= state.next {
-            let at = state.next - self.measure_start;
-            let stats = self.mem.stats();
-            let accesses = stats.dram_accesses();
-            let classes = stats.combined();
-            let dropped = self.nic.stats().dropped;
-            let interval_secs = cycles_to_secs(state.cfg.every);
-            let bandwidth_gbps = (accesses - state.prev_accesses) as f64
-                * sweeper_sim::BLOCK_BYTES as f64
-                / interval_secs
-                / 1e9;
-            let rx_ring_depth = (0..self.cfg.active_cores)
-                .map(|c| self.nic.ring(c).occupancy())
-                .sum::<usize>();
-            state.series.samples.record(Sample {
-                at,
-                bandwidth_gbps,
-                llc: self.mem.llc_occupancy_by_region(),
-                rx_ring_depth,
-                offered_delta: self.offered - state.prev_offered,
-                completed_delta: self.completed - state.prev_completed,
-                dropped_delta: dropped - state.prev_dropped,
-                class_delta: classes.since(&state.prev_classes),
-            });
-            state.prev_accesses = accesses;
-            state.prev_classes = classes;
-            state.prev_offered = self.offered;
-            state.prev_completed = self.completed;
-            state.prev_dropped = dropped;
-            state.next += state.cfg.every;
+        if let Some(obs) = &mut self.obs {
+            obs.restart(now, self.completed);
         }
     }
 
@@ -1164,13 +678,14 @@ impl Server {
     /// Transmits, records metrics, and handles the warmup transition.
     fn finish_request(&mut self, core: u16, active: Active, now: Cycle) {
         if let Some(entry) = active.wq {
-            let profiling = profile_start(&mut self.obs, self.measuring, &self.mem);
-            self.nic.transmit(entry, now, &mut self.mem);
-            if let Some((prof, before)) = profiling {
-                // The transmit is posted — zero cycles on the request's
-                // critical path — but its DRAM traffic is attributed.
-                prof.tx.add(0, self.mem.stats().combined().since(&before));
-            }
+            let nic = &mut self.nic;
+            nic_stage(
+                &mut self.obs,
+                self.measuring,
+                &mut self.mem,
+                NicStage::Transmit,
+                |mem| nic.transmit(entry, now, mem),
+            );
         }
         // Deferred recycling: the buffer (swept by now, including the NIC's
         // zero-copy TX sweep in `transmit` above) goes back to the producer.
@@ -1180,21 +695,18 @@ impl Server {
         if self.measuring {
             self.completed += 1;
             self.measure_left = self.measure_left.saturating_sub(1);
-            let latency = now - active.pkt.arrival;
-            self.request_latency.record(latency);
+            self.request_latency.record(now - active.pkt.arrival);
             self.service_time.record(now - active.start);
-            if let Some(prof) = self.obs.as_deref_mut().and_then(|o| o.profiler.as_mut()) {
-                prof.requests += 1;
-                prof.total_cycles += latency;
-                prof.nic_dma.cycles += active.pkt.delivered - active.pkt.arrival;
-                prof.nic_dma.count += 1;
-                prof.rx_wait
-                    .add(active.start - active.pkt.delivered, ClassCounts::new());
-                prof.cpu_read.merge(&active.prof.cpu_read);
-                prof.app.merge(&active.prof.app);
-                prof.sweep.merge(&active.prof.sweep);
+            if let Some(obs) = &mut self.obs {
+                obs.finish(
+                    &active.pkt,
+                    active.start,
+                    &active.prof,
+                    now,
+                    &self.request_latency,
+                    &self.mem,
+                );
             }
-            self.maybe_snapshot_outlier(&active, latency, now);
             self.maybe_check_walk();
         } else {
             self.warmup_left = self.warmup_left.saturating_sub(1);
@@ -1208,40 +720,6 @@ impl Server {
         }
     }
 
-    /// Snapshots the span window around a tail-latency outlier once the
-    /// online percentile estimate is trustworthy. Off the hot path: one
-    /// `Option` branch per finished request when the recorder is disabled,
-    /// and at most `max_snapshots` window copies per run when enabled.
-    fn maybe_snapshot_outlier(&mut self, active: &Active, latency: Cycle, now: Cycle) {
-        let Some(flight) = self.obs.as_deref_mut().and_then(|o| o.flight.as_mut()) else {
-            return;
-        };
-        if flight.snapshots.len() >= flight.cfg.max_snapshots
-            || self.request_latency.count() < flight.cfg.min_samples
-        {
-            return;
-        }
-        let threshold = self.request_latency.percentile(flight.cfg.quantile);
-        if latency <= threshold {
-            return;
-        }
-        let window = self
-            .mem
-            .spans()
-            .expect("flight recorder forces span recording")
-            .last(flight.cfg.window);
-        flight.snapshots.push(OutlierSnapshot {
-            seq: flight.snapshots.len() as u64,
-            trace: active.pkt.id.0,
-            core: active.pkt.core,
-            at: now,
-            latency,
-            threshold,
-            quantile: flight.cfg.quantile,
-            window,
-        });
-    }
-
     /// Advances one core by one operation (or request boundary).
     fn core_step(&mut self, core: u16, now: Cycle) {
         let c = core as usize;
@@ -1249,7 +727,10 @@ impl Server {
             if let Some(op) = active.ops.pop_front() {
                 let lat = match self.obs.as_deref() {
                     None => execute_op(&mut self.mem, core, now, &op),
-                    Some(obs) => observed_op(&mut self.mem, obs, active, core, now, &op),
+                    Some(obs) => {
+                        let (trace, prof) = (active.pkt.id.0, &mut active.prof);
+                        obs.op(&mut self.mem, trace, prof, core, now, &op)
+                    }
                 };
                 self.events.push(now + lat, Event::CoreStep { core });
                 return;
@@ -1367,8 +848,15 @@ impl Server {
                 Event::CoreStep { core } => self.core_step(core, now),
                 Event::BackgroundStep { core } => self.background_step(core, now),
             }
-            if self.measuring {
-                self.maybe_sample(now);
+            if let Some(obs) = self.obs.as_deref_mut().filter(|_| self.measuring) {
+                obs.sample(
+                    now,
+                    self.measure_start,
+                    &self.mem,
+                    &self.nic,
+                    self.offered,
+                    self.completed,
+                );
             }
             if self.measuring
                 && self.measure_left == 0
@@ -1387,7 +875,10 @@ impl Server {
         // Final drain point: whatever state the run ended in must satisfy
         // every invariant.
         self.run_check_walk();
-        let obs = self.obs.as_deref();
+        let (timeseries, profile, outliers) = self
+            .obs
+            .as_deref()
+            .map_or((None, None, None), Observers::outputs);
         RunReport {
             workload: self.workload.name().to_string(),
             completed: self.completed,
@@ -1401,16 +892,10 @@ impl Server {
             background_iterations: self.background_iterations,
             timed_out,
             channel_transfers: self.mem.dram().channel_counts(),
-            timeseries: obs
-                .and_then(|o| o.sampler.as_ref())
-                .map(|s| s.series.clone()),
+            timeseries,
             spans: self.mem.spans().cloned(),
-            profile: obs
-                .and_then(|o| o.profiler.as_ref())
-                .map(ProfilerState::to_tree),
-            outliers: obs
-                .and_then(|o| o.flight.as_ref())
-                .map(|f| f.snapshots.clone()),
+            profile,
+            outliers,
             memtrace: self.mem.trace().cloned(),
             check: self.mem.check_report(),
         }
@@ -1420,8 +905,10 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::{FLIGHT_WINDOW, SAMPLES_RETAINED};
     use crate::workload::EchoWorkload;
     use sweeper_sim::stats::TrafficClass;
+    use sweeper_sim::telemetry::Value;
 
     fn run_echo(cfg: ServerConfig) -> RunReport {
         let mut server = Server::new(cfg, Box::new(EchoWorkload::with_think(100)));
@@ -1628,18 +1115,22 @@ mod tests {
     #[test]
     fn sampler_snapshots_the_run() {
         let mut cfg = ServerConfig::tiny_for_tests();
-        cfg.sampler = Some(SamplerConfig::every(100_000));
+        cfg.sample_every = Some(100_000);
         let report = run_echo(cfg);
         let ts = report.timeseries.clone().expect("sampler enabled");
-        assert_eq!(ts.every(), 100_000);
-        assert!(!ts.is_empty());
-        assert_eq!(ts.total_samples(), ts.len() as u64, "window not exceeded");
+        assert_eq!(ts.every, 100_000);
+        assert!(!ts.samples.is_empty());
+        assert_eq!(
+            ts.samples.recorded(),
+            ts.samples.len() as u64,
+            "window not exceeded"
+        );
         // Samples land on the sampling grid, strictly increasing.
-        for (i, s) in ts.iter().enumerate() {
+        for (i, s) in ts.samples.iter().enumerate() {
             assert_eq!(s.at, (i as u64 + 1) * 100_000);
         }
         // Interval deltas sum to the run totals the report carries.
-        let completed: u64 = ts.iter().map(|s| s.completed_delta).sum();
+        let completed: u64 = ts.samples.iter().map(|s| s.completed_delta).sum();
         assert!(completed <= report.completed);
         assert!(
             completed >= report.completed * 9 / 10,
@@ -1647,14 +1138,15 @@ mod tests {
             report.completed
         );
         // Bandwidth deltas agree with the aggregate within sampling slack.
-        let mean_gbps: f64 = ts.iter().map(|s| s.bandwidth_gbps).sum::<f64>() / ts.len() as f64;
+        let mean_gbps: f64 =
+            ts.samples.iter().map(|s| s.bandwidth_gbps).sum::<f64>() / ts.samples.len() as f64;
         assert!((mean_gbps - report.memory_bandwidth_gbps()).abs() < 1.0 + mean_gbps * 0.5);
     }
 
     #[test]
     fn sampler_is_deterministic() {
         let mut cfg = ServerConfig::tiny_for_tests();
-        cfg.sampler = Some(SamplerConfig::every(100_000));
+        cfg.sample_every = Some(100_000);
         let a = run_echo(cfg.clone());
         let b = run_echo(cfg);
         assert_eq!(a.timeseries, b.timeseries);
@@ -1664,7 +1156,7 @@ mod tests {
     fn sampler_does_not_perturb_the_simulation() {
         let base = run_echo(ServerConfig::tiny_for_tests());
         let mut cfg = ServerConfig::tiny_for_tests();
-        cfg.sampler = Some(SamplerConfig::every(50_000));
+        cfg.sample_every = Some(50_000);
         let sampled = run_echo(cfg);
         assert_eq!(base.completed, sampled.completed);
         assert_eq!(base.elapsed_cycles, sampled.elapsed_cycles);
@@ -1727,43 +1219,38 @@ mod tests {
     #[test]
     fn sampler_ring_retains_newest() {
         let mut cfg = ServerConfig::tiny_for_tests();
-        cfg.sampler = Some(SamplerConfig {
-            every: 50_000,
-            capacity: 4,
-        });
+        cfg.sample_every = Some(500);
         let report = run_echo(cfg);
         let ts = report.timeseries.expect("sampler enabled");
-        assert!(ts.total_samples() > 4, "run long enough to wrap");
-        assert_eq!(ts.len(), 4);
-        let last = ts.iter().last().expect("non-empty").at;
-        assert_eq!(last, ts.total_samples() * 50_000);
+        let total = ts.samples.recorded();
+        assert!(total > SAMPLES_RETAINED as u64, "run long enough to wrap");
+        assert_eq!(ts.samples.len(), SAMPLES_RETAINED);
+        let last = ts.samples.iter().last().expect("non-empty").at;
+        assert_eq!(last, total * 500);
     }
 
     #[test]
     fn timeseries_exports_are_structured() {
         let mut cfg = ServerConfig::tiny_for_tests();
-        cfg.sampler = Some(SamplerConfig::every(100_000));
+        cfg.sample_every = Some(100_000);
         let report = run_echo(cfg);
         let ts = report.timeseries.expect("sampler enabled");
         let rec = ts.to_record();
         assert_eq!(rec.get("every_cycles"), Some(&Value::U64(100_000)));
-        assert!(matches!(rec.get("samples"), Some(Value::Array(a)) if a.len() == ts.len()));
+        assert!(matches!(rec.get("samples"), Some(Value::Array(a)) if a.len() == ts.samples.len()));
         let csv = ts.to_csv_with_comments(&[("seed".into(), "1".into())]);
         assert!(csv.starts_with("# artifact: timeseries\n"));
         assert!(csv.contains("# seed: 1\n"));
         assert!(csv.contains("\nat_cycles,bandwidth_gbps,llc_rx"));
         // Header + one row per retained sample + 4 comment lines.
-        assert_eq!(csv.lines().count(), 4 + 1 + ts.len());
+        assert_eq!(csv.lines().count(), 4 + 1 + ts.samples.len());
     }
 
     #[test]
     #[should_panic(expected = "sampling period must be positive")]
     fn zero_sampling_period_rejected() {
         let mut cfg = ServerConfig::tiny_for_tests();
-        cfg.sampler = Some(SamplerConfig {
-            every: 0,
-            capacity: 16,
-        });
+        cfg.sample_every = Some(0);
         Server::new(cfg, Box::new(EchoWorkload::default()));
     }
 
@@ -1854,7 +1341,7 @@ mod tests {
             )
         };
         let base = run_echo(cfg.clone());
-        cfg.sampler = Some(SamplerConfig::every(50_000));
+        cfg.sample_every = Some(50_000);
         cfg.spans = Some(4096);
         cfg.profiler = true;
         cfg.flight = Some(FlightRecorderConfig::default());
@@ -1909,7 +1396,6 @@ mod tests {
         cfg.flight = Some(FlightRecorderConfig {
             quantile: 0.9,
             min_samples: 100,
-            window: 64,
             max_snapshots: 4,
         });
         let report = run_echo(cfg);
@@ -1925,7 +1411,7 @@ mod tests {
             assert_eq!(snap.seq, i as u64);
             assert!(snap.latency > snap.threshold);
             assert!(!snap.window.is_empty());
-            assert!(snap.window.len() <= 64);
+            assert!(snap.window.len() <= FLIGHT_WINDOW);
         }
     }
 

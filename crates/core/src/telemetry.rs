@@ -24,8 +24,9 @@ pub use sweeper_sim::telemetry::{csv_escape, CsvTable, Record, Value};
 use sweeper_sim::span::{perfetto_events, OutlierSnapshot, SpanRing};
 
 use crate::fleet::PointOutcome;
+use crate::observe::TimeSeries;
 use crate::report::json_record;
-use crate::server::{RunReport, TimeSeries};
+use crate::server::RunReport;
 
 /// Schema tag of single-run report documents.
 pub const RUN_REPORT_SCHEMA: &str = "sweeper.run-report/1";
@@ -545,8 +546,7 @@ mod tests {
 
     #[test]
     fn timeseries_document_wraps_the_series() {
-        let mut cfg = ExperimentConfig::tiny_for_tests()
-            .sampling(crate::server::SamplerConfig::every(100_000));
+        let mut cfg = ExperimentConfig::tiny_for_tests().sampling(100_000);
         cfg = cfg.seed(9);
         let r = Experiment::new(cfg, || EchoWorkload::with_think(100)).run_at_rate(1.0e6);
         let ts = r.timeseries.expect("sampling enabled");
@@ -579,11 +579,10 @@ mod tests {
 
     #[test]
     fn outlier_document_validates() {
-        use crate::server::FlightRecorderConfig;
+        use crate::observe::FlightRecorderConfig;
         let cfg = ExperimentConfig::tiny_for_tests().flight(FlightRecorderConfig {
             quantile: 0.9,
             min_samples: 100,
-            window: 64,
             max_snapshots: 2,
         });
         let r = Experiment::new(cfg, || EchoWorkload::with_think(100)).run_at_rate(1.0e6);

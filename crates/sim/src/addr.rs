@@ -79,7 +79,7 @@ impl fmt::Display for BlockAddr {
 /// let blocks: Vec<_> = blocks_of(Addr(60), 100).collect();
 /// assert_eq!(blocks.len(), 3);
 /// ```
-pub fn blocks_of(addr: Addr, len: u64) -> impl Iterator<Item = BlockAddr> {
+pub fn blocks_of(addr: Addr, len: u64) -> impl Iterator<Item = BlockAddr> + Clone {
     let first = addr.block().0;
     let last = if len == 0 {
         first

@@ -1,6 +1,5 @@
 //! Simulation correctness harness: a shadow-memory oracle plus the
-//! bookkeeping behind
-//! [`MemorySystem::check_walk`](crate::hierarchy::MemorySystem::check_walk).
+//! invariant walk behind [`MemorySystem::check_walk`].
 //!
 //! Sweeper's headline optimisation is correctness-sensitive: dropping dirty
 //! consumed-buffer blocks without a writeback (§V-B) must never lose live
@@ -23,16 +22,23 @@
 //! * an **invariant checker** walked on demand over the real hierarchy
 //!   (directory vs. private residency, L1 ⊆ L2 inclusion, single-dirty-copy,
 //!   DDIO way confinement, occupancy-counter recounts, RX ring indices,
-//!   DRAM timing-frontier monotonicity). The walk itself lives in
-//!   `hierarchy.rs`, where the caches are; this module owns the
-//!   configuration, the violation ledger, and the report.
+//!   DRAM timing-frontier monotonicity). The walk is [`CheckState::walk`]
+//!   and reads the hierarchy only through its public accessors, so this
+//!   module owns the walk, the configuration, the violation ledger, and the
+//!   report; the memory system only calls its hooks.
 
 use std::collections::HashMap;
 
 use crate::addr::{blocks_of, Addr, BlockAddr};
-use crate::hierarchy::InjectionPolicy;
+use crate::cache::{LineOrigin, WayMask};
+use crate::hierarchy::{InjectionPolicy, LlcOccupancy, MemorySystem};
 use crate::telemetry::Record;
 use crate::Cycle;
+
+/// Maximum retained human-readable violation details. Counts are always
+/// exact; details are a capped sample so a systematically broken run cannot
+/// allocate without bound.
+pub const MAX_DETAILS: usize = 16;
 
 /// Configuration of the correctness harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,17 +47,12 @@ pub struct CheckConfig {
     /// walks at the start of measurement and at the end of the run). Zero
     /// disables periodic walks, keeping only the drain-point ones.
     pub walk_every_requests: u64,
-    /// Maximum retained human-readable violation details. Counts are always
-    /// exact; details are a capped sample so a systematically-broken run
-    /// cannot allocate without bound.
-    pub max_details: usize,
 }
 
 impl Default for CheckConfig {
     fn default() -> Self {
         Self {
             walk_every_requests: 1024,
-            max_details: 16,
         }
     }
 }
@@ -182,7 +183,7 @@ struct BlockObs {
 /// The live harness state owned by a checked `MemorySystem`.
 ///
 /// All hook methods are cheap (one hash probe); the expensive walks happen
-/// only when `check_walk` is called at drain points.
+/// only when [`MemorySystem::check_walk`] is called at drain points.
 #[derive(Debug, Clone)]
 pub struct CheckState {
     cfg: CheckConfig,
@@ -221,14 +222,9 @@ impl CheckState {
     /// Records a violation with a capped human-readable detail.
     pub fn note_violation(&mut self, kind: ViolationKind, detail: impl FnOnce() -> String) {
         self.counts[kind.index()] += 1;
-        if self.details.len() < self.cfg.max_details {
+        if self.details.len() < MAX_DETAILS {
             self.details.push(format!("{}: {}", kind.name(), detail()));
         }
-    }
-
-    /// Counts one completed invariant walk.
-    pub fn note_walk(&mut self) {
-        self.walks += 1;
     }
 
     fn obs(&mut self, block: BlockAddr) -> &mut BlockObs {
@@ -319,7 +315,7 @@ impl CheckState {
 
     /// Whether the oracle currently classifies `block` as swept — used by
     /// the walk to assert swept blocks are resident nowhere.
-    pub fn is_swept(&self, block: BlockAddr) -> bool {
+    fn is_swept(&self, block: BlockAddr) -> bool {
         self.oracle
             .get(&block.0)
             .is_some_and(|o| o.loc == OracleLoc::Swept)
@@ -327,7 +323,7 @@ impl CheckState {
 
     /// Checks a DRAM timing-frontier snapshot against the previous one and
     /// stores it. Each element must be non-decreasing.
-    pub fn check_dram_frontier(&mut self, frontier: Vec<Cycle>) {
+    fn check_dram_frontier(&mut self, frontier: Vec<Cycle>) {
         if self.dram_frontier.len() == frontier.len() {
             let prev = std::mem::take(&mut self.dram_frontier);
             for (i, (&prev, &cur)) in prev.iter().zip(&frontier).enumerate() {
@@ -339,6 +335,131 @@ impl CheckState {
             }
         }
         self.dram_frontier = frontier;
+    }
+
+    /// Walks every hierarchy invariant of `mem`, recording violations into
+    /// the ledger. Expensive — O(resident lines + directory entries) — so
+    /// it runs only at drain points, not per access.
+    pub fn walk(&mut self, mem: &MemorySystem) {
+        self.walks += 1;
+        let cfg = mem.config();
+        let dir = mem.directory();
+
+        // Directory ⊆ residency: every sharer the directory records must
+        // actually hold the block in its L2, and a dirty owner must be in
+        // its own sharer set.
+        for (block, sharers, owner) in dir.iter_entries() {
+            for core in sharers {
+                if mem.l2_of(core).peek(block).is_none() {
+                    self.note_violation(ViolationKind::DirectoryResidencyMismatch, || {
+                        format!("{block}: directory lists core {core} but its L2 misses")
+                    });
+                }
+            }
+            if let Some(o) = owner {
+                if !sharers.contains(o) {
+                    self.note_violation(ViolationKind::DirtyOwnershipMismatch, || {
+                        format!("{block}: dirty owner {o} not in sharer set")
+                    });
+                }
+            }
+        }
+
+        // Residency ⊆ directory, L1 ⊆ L2 inclusion (a line dirty in L1 is
+        // also dirty in L2, which lets an L1 eviction skip the L2 probe),
+        // and the per-block dirty census (at most one dirty copy may exist
+        // hierarchy-wide).
+        let mut dirty_copies: HashMap<u64, u32> = HashMap::new();
+        for line in mem.llc().iter_lines() {
+            if self.is_swept(line.block) {
+                self.note_violation(ViolationKind::SweptBlockResident, || {
+                    format!("{}: swept block still resident in LLC", line.block)
+                });
+            }
+            if line.dirty {
+                *dirty_copies.entry(line.block.0).or_default() += 1;
+            }
+        }
+        for c in mem.cores() {
+            let l2 = mem.l2_of(c);
+            for line in mem.l1_of(c).iter_lines() {
+                match l2.peek(line.block) {
+                    None => self.note_violation(ViolationKind::InclusionViolation, || {
+                        format!("{}: in core {c}'s L1 but not its L2", line.block)
+                    }),
+                    Some(l2) if line.dirty && !l2.dirty => self
+                        .note_violation(ViolationKind::InclusionViolation, || {
+                            format!("{}: dirty in core {c}'s L1 but clean in its L2", line.block)
+                        }),
+                    Some(_) => {}
+                }
+            }
+            for line in l2.iter_lines() {
+                if !dir.sharers(line.block).contains(c) {
+                    self.note_violation(ViolationKind::DirectoryResidencyMismatch, || {
+                        format!(
+                            "{}: in core {c}'s L2 but not its directory entry",
+                            line.block
+                        )
+                    });
+                }
+                if self.is_swept(line.block) {
+                    self.note_violation(ViolationKind::SweptBlockResident, || {
+                        format!("{}: swept block still resident in core {c}", line.block)
+                    });
+                }
+                // The L1 copy's dirty bit is covered by the inclusion check.
+                if line.dirty {
+                    *dirty_copies.entry(line.block.0).or_default() += 1;
+                    // Under the default semantics every dirty private line
+                    // has a registered owner; the strict-victim ablation
+                    // deliberately installs dirty lines without claiming
+                    // ownership, so the subcheck is gated.
+                    if cfg.llc_read_hit_retains && dir.dirty_owner(line.block) != Some(c) {
+                        self.note_violation(ViolationKind::DirtyOwnershipMismatch, || {
+                            format!("{}: dirty in core {c} without dirty ownership", line.block)
+                        });
+                    }
+                }
+            }
+        }
+        for (&block, &copies) in &dirty_copies {
+            if copies > 1 {
+                self.note_violation(ViolationKind::MultipleDirtyCopies, || {
+                    format!(
+                        "{}: {copies} dirty copies in the hierarchy",
+                        BlockAddr(block)
+                    )
+                });
+            }
+        }
+
+        // NIC-origin LLC lines must sit inside the DDIO way mask.
+        let ddio_mask = WayMask::first(cfg.ddio_ways);
+        for (_, way, line) in mem.llc().iter_located_lines() {
+            if line.origin == LineOrigin::Nic && !ddio_mask.allows(way) {
+                self.note_violation(ViolationKind::DdioWayEscape, || {
+                    format!("{}: NIC-origin line in non-DDIO way {way}", line.block)
+                });
+            }
+        }
+
+        // Incremental per-region occupancy counters vs a from-scratch
+        // recount of the LLC.
+        let mut recount = LlcOccupancy::default();
+        for line in mem.llc().iter_lines() {
+            recount.add(mem.address_map().classify_block(line.block));
+        }
+        let incremental = mem.llc_occupancy_by_region();
+        if recount != incremental {
+            self.note_violation(ViolationKind::OccupancyDrift, || {
+                format!("incremental counts {incremental:?}, recount {recount:?}")
+            });
+        }
+
+        // DRAM never schedules an access in the past: the bank/bus frontier
+        // must be elementwise non-decreasing between walks.
+        self.check_dram_frontier(mem.dram().timing_frontier());
     }
 
     /// Snapshot of counts, walks, and details.
@@ -420,6 +541,7 @@ impl CheckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hierarchy::MachineConfig;
 
     fn state() -> CheckState {
         CheckState::new(CheckConfig::default())
@@ -522,22 +644,19 @@ mod tests {
 
     #[test]
     fn details_are_capped_but_counts_exact() {
-        let mut s = CheckState::new(CheckConfig {
-            walk_every_requests: 0,
-            max_details: 2,
-        });
-        for i in 0..10 {
+        let mut s = state();
+        for i in 0..40 {
             s.note_violation(ViolationKind::OccupancyDrift, || format!("drift {i}"));
         }
         let r = s.report();
-        assert_eq!(r.count(ViolationKind::OccupancyDrift), 10);
-        assert_eq!(r.details.len(), 2);
+        assert_eq!(r.count(ViolationKind::OccupancyDrift), 40);
+        assert_eq!(r.details.len(), MAX_DETAILS);
     }
 
     #[test]
     fn report_record_shape() {
         let mut s = state();
-        s.note_walk();
+        s.walk(&MemorySystem::new(MachineConfig::tiny_for_tests()));
         s.on_cpu_write(BlockAddr(1));
         let rec = s.report().to_record();
         assert_eq!(

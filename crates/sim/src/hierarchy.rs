@@ -219,7 +219,9 @@ pub struct NicAccess {
 }
 
 /// LLC occupancy (in 64 B lines) split by region category, as returned by
-/// [`MemorySystem::llc_occupancy_by_region`].
+/// [`MemorySystem::llc_occupancy_by_region`]. The memory system updates it
+/// on every LLC insert/evict/invalidate, so occupancy queries never scan the
+/// cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LlcOccupancy {
     /// Lines holding RX-buffer blocks (any core).
@@ -232,55 +234,25 @@ pub struct LlcOccupancy {
     pub other: u64,
 }
 
-/// Incremental per-[`RegionKind`] LLC occupancy counters, updated on every
-/// LLC insert/evict/invalidate so occupancy queries never scan the cache.
-///
-/// Kinds index a flat vector: `App` = 0, `Other` = 1, then `Rx`/`Tx`
-/// interleaved per core — at most `2 + 2 * MAX_CORES` entries, grown on
-/// demand.
-#[derive(Debug, Clone, Default)]
-struct OccupancyCounters {
-    counts: Vec<u64>,
-}
-
-impl OccupancyCounters {
-    fn idx(kind: RegionKind) -> usize {
+impl LlcOccupancy {
+    fn count_of(&mut self, kind: RegionKind) -> &mut u64 {
         match kind {
-            RegionKind::App => 0,
-            RegionKind::Other => 1,
-            RegionKind::Rx { core } => 2 + 2 * core as usize,
-            RegionKind::Tx { core } => 3 + 2 * core as usize,
+            RegionKind::Rx { .. } => &mut self.rx,
+            RegionKind::Tx { .. } => &mut self.tx,
+            RegionKind::App => &mut self.app,
+            RegionKind::Other => &mut self.other,
         }
     }
 
-    fn kind_of(idx: usize) -> RegionKind {
-        match idx {
-            0 => RegionKind::App,
-            1 => RegionKind::Other,
-            i if i % 2 == 0 => RegionKind::Rx {
-                core: (i as u16 - 2) / 2,
-            },
-            i => RegionKind::Tx {
-                core: (i as u16 - 3) / 2,
-            },
-        }
-    }
-
-    fn add(&mut self, kind: RegionKind) {
-        let i = Self::idx(kind);
-        if self.counts.len() <= i {
-            self.counts.resize(i + 1, 0);
-        }
-        self.counts[i] += 1;
+    /// Counts one more line of `kind`.
+    pub(crate) fn add(&mut self, kind: RegionKind) {
+        *self.count_of(kind) += 1;
     }
 
     fn sub(&mut self, kind: RegionKind) {
-        let i = Self::idx(kind);
-        debug_assert!(
-            self.counts.get(i).is_some_and(|&c| c > 0),
-            "occupancy underflow for {kind}"
-        );
-        self.counts[i] -= 1;
+        let count = self.count_of(kind);
+        debug_assert!(*count > 0, "occupancy underflow for {kind}");
+        *count -= 1;
     }
 }
 
@@ -293,7 +265,7 @@ pub struct MemorySystem {
     l1: Vec<SetAssocCache>,
     l2: Vec<SetAssocCache>,
     llc: SetAssocCache,
-    llc_occ: OccupancyCounters,
+    llc_occ: LlcOccupancy,
     dir: Directory,
     dram: Dram,
     stats: MemStats,
@@ -357,7 +329,7 @@ impl MemorySystem {
             l1,
             l2,
             llc: SetAssocCache::with_policy(cfg.llc, cfg.llc_replacement),
-            llc_occ: OccupancyCounters::default(),
+            llc_occ: LlcOccupancy::default(),
             dir: Directory::with_capacity(cfg.cores * l2_lines),
             dram: Dram::new(cfg.dram),
             stats: MemStats::new(),
@@ -519,136 +491,10 @@ impl MemorySystem {
     /// O(resident lines + directory entries) — so call only at drain
     /// points, not per access.
     pub fn check_walk(&mut self) {
-        let Some(mut chk) = self.obs.as_deref_mut().and_then(|o| o.check.take()) else {
-            return;
-        };
-        chk.note_walk();
-
-        // Directory ⊆ residency: every sharer the directory records must
-        // actually hold the block in its L2, and a dirty owner must be in
-        // its own sharer set.
-        for (block, sharers, owner) in self.dir.iter_entries() {
-            for core in sharers {
-                if self.l2[core as usize].peek(block).is_none() {
-                    chk.note_violation(ViolationKind::DirectoryResidencyMismatch, || {
-                        format!("{block}: directory lists core {core} but its L2 misses")
-                    });
-                }
-            }
-            if let Some(o) = owner {
-                if !sharers.contains(o) {
-                    chk.note_violation(ViolationKind::DirtyOwnershipMismatch, || {
-                        format!("{block}: dirty owner {o} not in sharer set")
-                    });
-                }
-            }
+        if let Some(mut chk) = self.obs.as_deref_mut().and_then(|o| o.check.take()) {
+            chk.walk(self);
+            self.observers().check = Some(chk);
         }
-
-        // Residency ⊆ directory, L1 ⊆ L2 inclusion (a line dirty in L1 is
-        // also dirty in L2, which lets an L1 eviction skip the L2 probe),
-        // and the per-block dirty census (at most one dirty copy may exist
-        // hierarchy-wide).
-        let mut dirty_copies: std::collections::HashMap<u64, u32> =
-            std::collections::HashMap::new();
-        for line in self.llc.iter_lines() {
-            if chk.is_swept(line.block) {
-                chk.note_violation(ViolationKind::SweptBlockResident, || {
-                    format!("{}: swept block still resident in LLC", line.block)
-                });
-            }
-            if line.dirty {
-                *dirty_copies.entry(line.block.0).or_default() += 1;
-            }
-        }
-        for c in 0..self.cfg.cores {
-            for line in self.l1[c].iter_lines() {
-                match self.l2[c].peek(line.block) {
-                    None => chk.note_violation(ViolationKind::InclusionViolation, || {
-                        format!("{}: in core {c}'s L1 but not its L2", line.block)
-                    }),
-                    Some(l2) if line.dirty && !l2.dirty => chk
-                        .note_violation(ViolationKind::InclusionViolation, || {
-                            format!("{}: dirty in core {c}'s L1 but clean in its L2", line.block)
-                        }),
-                    Some(_) => {}
-                }
-            }
-            for line in self.l2[c].iter_lines() {
-                if !self.dir.sharers(line.block).contains(c as u16) {
-                    chk.note_violation(ViolationKind::DirectoryResidencyMismatch, || {
-                        format!(
-                            "{}: in core {c}'s L2 but not its directory entry",
-                            line.block
-                        )
-                    });
-                }
-                if chk.is_swept(line.block) {
-                    chk.note_violation(ViolationKind::SweptBlockResident, || {
-                        format!("{}: swept block still resident in core {c}", line.block)
-                    });
-                }
-                // The L1 copy's dirty bit is covered by the inclusion check.
-                if line.dirty {
-                    *dirty_copies.entry(line.block.0).or_default() += 1;
-                    // Under the default semantics every dirty private line
-                    // has a registered owner; the strict-victim ablation
-                    // deliberately installs dirty lines without claiming
-                    // ownership, so the subcheck is gated.
-                    if self.cfg.llc_read_hit_retains
-                        && self.dir.dirty_owner(line.block) != Some(c as u16)
-                    {
-                        chk.note_violation(ViolationKind::DirtyOwnershipMismatch, || {
-                            format!("{}: dirty in core {c} without dirty ownership", line.block)
-                        });
-                    }
-                }
-            }
-        }
-        for (&block, &copies) in &dirty_copies {
-            if copies > 1 {
-                chk.note_violation(ViolationKind::MultipleDirtyCopies, || {
-                    format!(
-                        "{}: {copies} dirty copies in the hierarchy",
-                        BlockAddr(block)
-                    )
-                });
-            }
-        }
-
-        // NIC-origin LLC lines must sit inside the DDIO way mask.
-        for (_, way, line) in self.llc.iter_located_lines() {
-            if line.origin == LineOrigin::Nic && !self.ddio_mask.allows(way) {
-                chk.note_violation(ViolationKind::DdioWayEscape, || {
-                    format!("{}: NIC-origin line in non-DDIO way {way}", line.block)
-                });
-            }
-        }
-
-        // Incremental per-region occupancy counters vs a from-scratch
-        // recount of the LLC.
-        let mut recount = OccupancyCounters::default();
-        for line in self.llc.iter_lines() {
-            recount.add(self.map.classify_block(line.block));
-        }
-        let width = recount.counts.len().max(self.llc_occ.counts.len());
-        for i in 0..width {
-            let fresh = recount.counts.get(i).copied().unwrap_or(0);
-            let incremental = self.llc_occ.counts.get(i).copied().unwrap_or(0);
-            if fresh != incremental {
-                chk.note_violation(ViolationKind::OccupancyDrift, || {
-                    format!(
-                        "{}: incremental count {incremental}, recount {fresh}",
-                        OccupancyCounters::kind_of(i)
-                    )
-                });
-            }
-        }
-
-        // DRAM never schedules an access in the past: the bank/bus frontier
-        // must be elementwise non-decreasing between walks.
-        chk.check_dram_frontier(self.dram.timing_frontier());
-
-        self.observers().check = Some(chk);
     }
 
     #[inline]
@@ -896,15 +742,7 @@ impl MemorySystem {
         if let Some(line) = self.l1[c].access(block, write) {
             if write && !(line.dirty && dirty_hit_exclusive) {
                 self.l2[c].mark_dirty(block);
-                // RFO upgrade: a retained LLC copy (left behind by a read
-                // hit or another core's L2 eviction) is stale the moment
-                // this write completes. Drop it — without this, a later
-                // LLC lookup would hit the stale line before ever
-                // consulting the dirty owner, and a retained *dirty* line
-                // would make two dirty copies race their writebacks.
-                self.llc_invalidate(block);
-                self.resolve_remote_sharers(core, block, now);
-                self.dir.set_dirty_owner(block, core);
+                self.upgrade(core, block, now);
             }
             return (latency, false);
         }
@@ -915,15 +753,7 @@ impl MemorySystem {
             let ev = self.l1[c].insert(block, line.dirty || write, LineOrigin::Cpu, WayMask::ALL);
             self.debug_assert_l1_victim_dirty_in_l2(c, ev);
             if write && !(line.dirty && dirty_hit_exclusive) {
-                // RFO upgrade: a retained LLC copy (left behind by a read
-                // hit or another core's L2 eviction) is stale the moment
-                // this write completes. Drop it — without this, a later
-                // LLC lookup would hit the stale line before ever
-                // consulting the dirty owner, and a retained *dirty* line
-                // would make two dirty copies race their writebacks.
-                self.llc_invalidate(block);
-                self.resolve_remote_sharers(core, block, now);
-                self.dir.set_dirty_owner(block, core);
+                self.upgrade(core, block, now);
             }
             return (latency, false);
         }
@@ -1039,32 +869,36 @@ impl MemorySystem {
         (latency, true)
     }
 
+    /// RFO upgrade of a private write hit. A retained LLC copy (left behind
+    /// by a read hit or another core's L2 eviction) is stale the moment
+    /// this write completes. Drop it — without this, a later LLC lookup
+    /// would hit the stale line before ever consulting the dirty owner, and
+    /// a retained *dirty* line would make two dirty copies race their
+    /// writebacks.
+    fn upgrade(&mut self, core: u16, block: BlockAddr, now: Cycle) {
+        self.llc_invalidate(block);
+        self.resolve_remote_sharers(core, block, now);
+        self.dir.set_dirty_owner(block, core);
+    }
+
     /// Invalidates other cores' copies before `core` writes (MESI upgrade).
     fn resolve_remote_sharers(&mut self, core: u16, block: BlockAddr, _now: Cycle) {
         for other in self.dir.others(block, core) {
             self.clean_private_copy(other, block);
-            self.invalidate_private(other, block);
+            if self.invalidate_private(other, block) {
+                self.stats.dirty_dropped_unexpectedly += 1;
+            }
             self.dir.remove_sharer(block, other);
             self.stats.invalidations += 1;
         }
     }
 
-    fn invalidate_private(&mut self, core: u16, block: BlockAddr) {
+    /// Drops a core's private copies of `block`; returns whether one of
+    /// them was dirty.
+    fn invalidate_private(&mut self, core: u16, block: BlockAddr) -> bool {
         let d1 = self.l1[core as usize].invalidate(block);
         let d2 = self.l2[core as usize].invalidate(block);
-        if d1.is_some_and(|l| l.dirty) || d2.is_some_and(|l| l.dirty) {
-            self.stats.dirty_dropped_unexpectedly += 1;
-        }
-    }
-
-    /// Invalidates a core's private copies when the NIC fully overwrites the
-    /// block; dropping dirty data is safe here.
-    fn invalidate_private_for_overwrite(&mut self, core: u16, block: BlockAddr) {
-        let d1 = self.l1[core as usize].invalidate(block);
-        let d2 = self.l2[core as usize].invalidate(block);
-        if d1.is_some_and(|l| l.dirty) || d2.is_some_and(|l| l.dirty) {
-            self.stats.dirty_dropped_by_nic_overwrite += 1;
-        }
+        d1.is_some_and(|l| l.dirty) || d2.is_some_and(|l| l.dirty)
     }
 
     /// Clears the dirty bit of a private copy without removing it (used on
@@ -1092,13 +926,19 @@ impl MemorySystem {
         self.dir.prefetch(block);
     }
 
-    fn range_access(&mut self, core: u16, addr: Addr, len: u64, now: Cycle, write: bool) -> Access {
+    fn range_access(
+        &mut self,
+        core: u16,
+        blocks: impl Iterator<Item = BlockAddr> + Clone,
+        now: Cycle,
+        write: bool,
+    ) -> Access {
         let mut out = Access::default();
         let mut max_block_latency = 0;
-        for block in blocks_of(addr, len) {
+        for block in blocks.clone() {
             self.prefetch_block_metadata(core as usize, block);
         }
-        for block in blocks_of(addr, len) {
+        for block in blocks {
             let (lat, dram) = self.cpu_block_access(core, block, now, write);
             // The store is mirrored *after* the access: a write-allocate
             // RFO legitimately fills from DRAM first, then dirties.
@@ -1124,7 +964,7 @@ impl MemorySystem {
     /// Panics if `core` is out of range.
     pub fn cpu_read(&mut self, core: u16, addr: Addr, len: u64, now: Cycle) -> Access {
         assert!((core as usize) < self.cfg.cores, "core id out of range");
-        let acc = self.range_access(core, addr, len, now, false);
+        let acc = self.range_access(core, blocks_of(addr, len), now, false);
         self.trace_event(
             now,
             TraceKind::CpuRead,
@@ -1146,21 +986,7 @@ impl MemorySystem {
     /// Panics if `core` is out of range.
     pub fn cpu_read_scatter(&mut self, core: u16, addrs: &[Addr], now: Cycle) -> Access {
         assert!((core as usize) < self.cfg.cores, "core id out of range");
-        let mut out = Access::default();
-        let mut max_block_latency = 0;
-        for addr in addrs {
-            self.prefetch_block_metadata(core as usize, addr.block());
-        }
-        for addr in addrs {
-            let (lat, dram) = self.cpu_block_access(core, addr.block(), now, false);
-            max_block_latency = max_block_latency.max(lat);
-            out.blocks += 1;
-            if dram {
-                out.dram_fetches += 1;
-            }
-        }
-        out.latency = max_block_latency + out.blocks.saturating_sub(1) * self.cfg.block_issue_cost;
-        out
+        self.range_access(core, addrs.iter().map(|a| a.block()), now, false)
     }
 
     /// CPU write of `[addr, addr+len)` by `core` at cycle `now`
@@ -1171,7 +997,7 @@ impl MemorySystem {
     /// Panics if `core` is out of range.
     pub fn cpu_write(&mut self, core: u16, addr: Addr, len: u64, now: Cycle) -> Access {
         assert!((core as usize) < self.cfg.cores, "core id out of range");
-        let acc = self.range_access(core, addr, len, now, true);
+        let acc = self.range_access(core, blocks_of(addr, len), now, true);
         self.trace_event(
             now,
             TraceKind::CpuWrite,
@@ -1226,7 +1052,9 @@ impl MemorySystem {
             // The NIC fully overwrites the block: all CPU copies become
             // stale and are invalidated without writeback.
             for core in self.dir.drop_block(block) {
-                self.invalidate_private_for_overwrite(core, block);
+                if self.invalidate_private(core, block) {
+                    self.stats.dirty_dropped_by_nic_overwrite += 1;
+                }
                 self.stats.invalidations += 1;
             }
             match self.cfg.injection {
@@ -1333,10 +1161,7 @@ impl MemorySystem {
         }
         let mut saved = 0;
         for core in self.dir.drop_block(block) {
-            let c = core as usize;
-            let d1 = self.l1[c].invalidate(block).is_some_and(|l| l.dirty);
-            let d2 = self.l2[c].invalidate(block).is_some_and(|l| l.dirty);
-            if d1 || d2 {
+            if self.invalidate_private(core, block) {
                 saved += 1;
             }
             self.stats.swept_blocks += 1;
@@ -1412,7 +1237,9 @@ impl MemorySystem {
                 chk.on_dma_zero(block);
             }
             for core in self.dir.drop_block(block) {
-                self.invalidate_private_for_overwrite(core, block);
+                if self.invalidate_private(core, block) {
+                    self.stats.dirty_dropped_by_nic_overwrite += 1;
+                }
                 self.stats.invalidations += 1;
             }
             self.llc_invalidate(block);
@@ -1425,27 +1252,12 @@ impl MemorySystem {
         written
     }
 
-    /// LLC occupancy split by region category in one pass over the
-    /// incremental counters — the shape the in-run telemetry sampler
-    /// snapshots every cadence tick.
-    ///
-    /// O(region kinds), not O(LLC capacity): the counters are maintained
-    /// on every LLC insert/evict/invalidate, so periodic occupancy sampling
-    /// costs nothing per line.
+    /// LLC occupancy split by region category — the shape the in-run
+    /// telemetry sampler snapshots every cadence tick. The counters are
+    /// maintained on every LLC insert/evict/invalidate, so periodic
+    /// occupancy sampling costs nothing per line.
     pub fn llc_occupancy_by_region(&self) -> LlcOccupancy {
-        let mut occ = LlcOccupancy::default();
-        for (i, &count) in self.llc_occ.counts.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            match OccupancyCounters::kind_of(i) {
-                RegionKind::Rx { .. } => occ.rx += count,
-                RegionKind::Tx { .. } => occ.tx += count,
-                RegionKind::App => occ.app += count,
-                RegionKind::Other => occ.other += count,
-            }
-        }
-        occ
+        self.llc_occ
     }
 
     /// Whether a block is resident anywhere in the hierarchy (tests).
@@ -1462,6 +1274,11 @@ impl MemorySystem {
     /// Direct access to a core's private L1 (tests/diagnostics).
     pub fn l1_of(&self, core: u16) -> &SetAssocCache {
         &self.l1[core as usize]
+    }
+
+    /// Direct access to a core's private L2 (tests/diagnostics).
+    pub fn l2_of(&self, core: u16) -> &SetAssocCache {
+        &self.l2[core as usize]
     }
 
     /// Core id range helper.
@@ -1937,7 +1754,6 @@ mod tests {
         let mut mem = system(InjectionPolicy::Ddio, 2);
         mem.enable_check(CheckConfig {
             walk_every_requests: 1,
-            max_details: 4,
         });
         let app = mem.address_map_mut().alloc(4 * 64, RegionKind::App);
         mem.cpu_read(0, app, 64, 0);

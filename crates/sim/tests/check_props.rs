@@ -21,7 +21,6 @@ fn checked_system() -> (MemorySystem, Addr, Addr) {
     let mut mem = MemorySystem::new(MachineConfig::tiny_for_tests());
     mem.enable_check(CheckConfig {
         walk_every_requests: 1,
-        max_details: 16,
     });
     let rx = mem
         .address_map_mut()

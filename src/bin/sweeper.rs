@@ -29,10 +29,11 @@ use sweeper::bench::{run_figure, scenario_experiment, FigContext};
 use sweeper::core::experiment::{Experiment, PeakCriteria};
 use sweeper::core::fleet::Fleet;
 use sweeper::core::loadsweep::{LoadSweep, RateGrid};
+use sweeper::core::observe::FlightRecorderConfig;
 use sweeper::core::profile::RunProfile;
 use sweeper::core::report::{csv_report, text_report};
 use sweeper::core::scenario::Scenario;
-use sweeper::core::server::{FlightRecorderConfig, RunOptions, RunReport, SamplerConfig};
+use sweeper::core::server::{RunOptions, RunReport};
 use sweeper::core::telemetry::{
     check_document, document, outlier_document, perfetto_document, run_document,
     timeseries_document, OutputFormat, Record, RunManifest, Value, LOADSWEEP_SCHEMA,
@@ -333,6 +334,9 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         // Off `trace`, only the span ring reads it.
         return Err("--events needs --trace-spans or --perfetto".to_string());
     }
+    if cli.sample_every == Some(0) {
+        return Err("--sample-every must be positive".to_string());
+    }
     if cli.events == Some(0) {
         return Err("--events must be positive".to_string());
     }
@@ -392,8 +396,7 @@ fn build_experiment(cli: &Cli) -> Result<Experiment, String> {
         ));
     }
     if cli.timeseries.is_some() {
-        let every = cli.sample_every.unwrap_or(1_000_000);
-        cfg = cfg.sampling(SamplerConfig::every(every));
+        cfg = cfg.sampling(cli.sample_every.unwrap_or(1_000_000));
     }
     let events = cli.events.unwrap_or(65_536);
     if cli.trace_spans || cli.perfetto.is_some() {
@@ -560,7 +563,7 @@ fn write_timeseries(cli: &Cli, report: &RunReport, manifest: &RunManifest) -> Re
         format!("{}\n", timeseries_document(ts, manifest).to_json_pretty())
     };
     std::fs::write(path, out).map_err(|e| format!("cannot write {path}: {e}"))?;
-    eprintln!("wrote time series ({} samples) to {path}", ts.len());
+    eprintln!("wrote time series ({} samples) to {path}", ts.samples.len());
     Ok(())
 }
 

@@ -352,6 +352,39 @@ fn sample_every_without_timeseries_is_a_usage_error() {
 }
 
 #[test]
+fn bad_observer_values_name_their_flag() {
+    // `--sample-every 0` used to pass the parser and fail in the server's
+    // configuration check with a message that named no flag.
+    for command in ["run", "peak", "trace"] {
+        for (bad, flag) in [
+            (
+                &["--timeseries", "ts.csv", "--sample-every", "0"][..],
+                "--sample-every",
+            ),
+            (
+                &["--flight-recorder", "--flight-quantile", "0"],
+                "--flight-quantile",
+            ),
+            (
+                &["--flight-recorder", "--flight-quantile", "1"],
+                "--flight-quantile",
+            ),
+            (&["--trace-spans", "--events", "0"], "--events"),
+        ] {
+            let args = [&[command][..], bad].concat();
+            assert_usage_error(&args);
+            let (_, stderr) = run(&args);
+            assert!(
+                stderr
+                    .lines()
+                    .any(|l| l.starts_with("error:") && l.contains(flag)),
+                "{args:?} should name {flag}, got: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
 fn events_without_a_span_ring_is_a_usage_error() {
     // Off `trace`, only the span ring reads `--events`, so without spans
     // it used to be dropped without a word.
