@@ -25,7 +25,7 @@ use sweeper_sim::stats::TrafficClass;
 use sweeper_workloads::kvs::HEADER_BYTES;
 
 use super::Figure;
-use crate::{scenario_experiment, Table};
+use crate::{scenario_experiment, FigContext, Table};
 
 /// Fixed offered load of every ablation run (Mrps).
 const RATE_MRPS: f64 = 18.0;
@@ -170,7 +170,7 @@ impl Figure for Ablations {
             .collect()
     }
 
-    fn render(&self, _profile: RunProfile, outcomes: &[PointOutcome]) {
+    fn render(&self, ctx: &FigContext, outcomes: &[PointOutcome]) {
         let headers = &[
             "variant",
             "Mrps",
@@ -201,23 +201,23 @@ impl Figure for Ablations {
             tables[variant.table - 1].row(row(variant.name, &outcome.report));
         }
 
-        tables[0].emit("ablation_llc_policy");
+        tables[0].emit(ctx, "ablation_llc_policy");
         println!(
             "Retention keeps consumed buffers dirty in the DDIO ways (high RxEvct);\n\
              strict-victim migration shifts the churn into the private caches.\n"
         );
-        tables[1].emit("ablation_ddio_partition");
+        tables[1].emit(ctx, "ablation_ddio_partition");
         println!(
             "The insertion mask lets CPU spills of network lines 'run away' into\n\
              non-DDIO ways (§VI-C); a strict partition confines them.\n"
         );
-        tables[2].emit("ablation_dram");
+        tables[2].emit(ctx, "ablation_dram");
         println!(
             "The DRAM realism knobs set the effective bandwidth ceiling; removing\n\
              them narrows the latency gap between the leaky baseline and Sweeper\n\
              but does not change who wins.\n"
         );
-        tables[3].emit("ablation_llc_policy2");
+        tables[3].emit(ctx, "ablation_llc_policy2");
         println!(
             "SRRIP's scan resistance changes how long dead buffers survive in\n\
              the LLC; the prefetcher trades extra bandwidth for lower demand\n\

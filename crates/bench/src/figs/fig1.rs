@@ -13,8 +13,8 @@ use sweeper_core::profile::RunProfile;
 use sweeper_core::scenario::Scenario;
 use sweeper_workloads::kvs::HEADER_BYTES;
 
-use super::Figure;
-use crate::{f1, figure_experiment, format_breakdown, Table};
+use super::{emit_grid, Figure};
+use crate::{figure_experiment, FigContext};
 
 /// RX ring depths swept on the x-axis.
 pub const BUFFERS: [usize; 3] = [512, 1024, 2048];
@@ -61,40 +61,21 @@ impl Figure for Fig1 {
         out
     }
 
-    fn render(&self, _profile: RunProfile, outcomes: &[PointOutcome]) {
-        let mut fig_a = Table::new(
-            "Figure 1a — KVS peak throughput (Mrps), 1KB items",
-            &["config", "rx=512", "rx=1024", "rx=2048"],
+    fn render(&self, ctx: &FigContext, outcomes: &[PointOutcome]) {
+        let columns = BUFFERS.map(|b| (format!("rx={b}"), b.to_string()));
+        let tables = [
+            ("a", "KVS peak throughput (Mrps), 1KB items"),
+            ("b", "memory bandwidth at peak (GB/s)"),
+            ("c", "memory accesses per KVS request"),
+        ]
+        .map(|(panel, what)| (format!("fig1{panel}"), format!("Figure 1{panel} — {what}")));
+        emit_grid(
+            ctx,
+            outcomes,
+            &configs(),
+            &columns,
+            Some("rx/core"),
+            &tables,
         );
-        let mut fig_b = Table::new(
-            "Figure 1b — memory bandwidth at peak (GB/s)",
-            &["config", "rx=512", "rx=1024", "rx=2048"],
-        );
-        let mut fig_c = Table::new(
-            "Figure 1c — memory accesses per KVS request",
-            &["rx/core", "config", "breakdown"],
-        );
-
-        let mut rows = outcomes.chunks_exact(BUFFERS.len());
-        for point in configs() {
-            let row = rows.next().expect("one outcome row per config");
-            let mut tputs = vec![point.label()];
-            let mut bws = vec![point.label()];
-            for (bufs, peak) in BUFFERS.iter().zip(row) {
-                tputs.push(f1(peak.throughput_mrps()));
-                bws.push(f1(peak.report.memory_bandwidth_gbps()));
-                fig_c.row(vec![
-                    bufs.to_string(),
-                    point.label(),
-                    format_breakdown(&peak.report),
-                ]);
-            }
-            fig_a.row(tputs);
-            fig_b.row(bws);
-        }
-
-        fig_a.emit("fig1a");
-        fig_b.emit("fig1b");
-        fig_c.emit("fig1c");
     }
 }

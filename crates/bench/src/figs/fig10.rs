@@ -18,7 +18,7 @@ use sweeper_workloads::kvs::{KvsConfig, MicaKvs, HEADER_BYTES};
 use sweeper_workloads::spiky::{SpikeConfig, Spiky};
 
 use super::Figure;
-use crate::{f1, figure_run_options, Table};
+use crate::{f1, figure_run_options, FigContext, Table};
 
 /// Buffer depths swept in Figure 10a.
 pub const BUFFERS: [usize; 5] = [128, 256, 512, 1024, 2048];
@@ -95,7 +95,7 @@ impl Figure for Fig10 {
         out
     }
 
-    fn render(&self, _profile: RunProfile, outcomes: &[PointOutcome]) {
+    fn render(&self, ctx: &FigContext, outcomes: &[PointOutcome]) {
         let split = BUFFERS.len() * 2;
         let (raw_a, raw_b) = outcomes.split_at(split);
 
@@ -111,7 +111,7 @@ impl Figure for Fig10 {
                 f1(pair[1].throughput_mrps()),
             ]);
         }
-        fig_a.emit("fig10a");
+        fig_a.emit(ctx, "fig10a");
 
         // ---- (b) drop rate vs arrival rate ----
         let mut fig_b = Table::new(
@@ -130,6 +130,6 @@ impl Figure for Fig10 {
             }
             fig_b.row(cells);
         }
-        fig_b.emit("fig10b");
+        fig_b.emit(ctx, "fig10b");
     }
 }

@@ -10,8 +10,8 @@ use sweeper_core::fleet::{ExperimentPoint, PointOutcome};
 use sweeper_core::profile::RunProfile;
 use sweeper_core::scenario::{Scenario, ScenarioWorkload};
 
-use super::Figure;
-use crate::{f1, figure_experiment, format_breakdown, Table};
+use super::{emit_grid, Figure};
+use crate::{figure_experiment, FigContext};
 
 /// Queued-packets depths swept on the x-axis.
 pub const DEPTHS: [usize; 3] = [50, 250, 450];
@@ -65,40 +65,14 @@ impl Figure for Fig2 {
         out
     }
 
-    fn render(&self, _profile: RunProfile, outcomes: &[PointOutcome]) {
-        let mut fig_a = Table::new(
-            "Figure 2a — L3fwd throughput (Mrps) under queued packets D",
-            &["config", "D=50", "D=250", "D=450"],
-        );
-        let mut fig_b = Table::new(
-            "Figure 2b — memory bandwidth (GB/s)",
-            &["config", "D=50", "D=250", "D=450"],
-        );
-        let mut fig_c = Table::new(
-            "Figure 2c — memory accesses per packet processed",
-            &["D", "config", "breakdown"],
-        );
-
-        let mut rows = outcomes.chunks_exact(DEPTHS.len());
-        for point in configs() {
-            let row = rows.next().expect("one outcome row per config");
-            let mut tputs = vec![point.label()];
-            let mut bws = vec![point.label()];
-            for (depth, outcome) in DEPTHS.iter().zip(row) {
-                tputs.push(f1(outcome.throughput_mrps()));
-                bws.push(f1(outcome.report.memory_bandwidth_gbps()));
-                fig_c.row(vec![
-                    depth.to_string(),
-                    point.label(),
-                    format_breakdown(&outcome.report),
-                ]);
-            }
-            fig_a.row(tputs);
-            fig_b.row(bws);
-        }
-
-        fig_a.emit("fig2a");
-        fig_b.emit("fig2b");
-        fig_c.emit("fig2c");
+    fn render(&self, ctx: &FigContext, outcomes: &[PointOutcome]) {
+        let columns = DEPTHS.map(|d| (format!("D={d}"), d.to_string()));
+        let tables = [
+            ("a", "L3fwd throughput (Mrps) under queued packets D"),
+            ("b", "memory bandwidth (GB/s)"),
+            ("c", "memory accesses per packet processed"),
+        ]
+        .map(|(panel, what)| (format!("fig2{panel}"), format!("Figure 2{panel} — {what}")));
+        emit_grid(ctx, outcomes, &configs(), &columns, Some("D"), &tables);
     }
 }

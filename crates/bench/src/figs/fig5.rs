@@ -12,8 +12,8 @@ use sweeper_core::profile::RunProfile;
 use sweeper_core::scenario::Scenario;
 use sweeper_workloads::kvs::HEADER_BYTES;
 
-use super::Figure;
-use crate::{f1, figure_experiment, format_breakdown, Table};
+use super::{emit_grid, Figure};
+use crate::{figure_experiment, FigContext};
 
 /// RX ring depths swept.
 pub const BUFFERS: [usize; 3] = [512, 1024, 2048];
@@ -65,38 +65,21 @@ impl Figure for Fig5 {
         out
     }
 
-    fn render(&self, _profile: RunProfile, outcomes: &[PointOutcome]) {
-        let mut rows = outcomes.chunks_exact(BUFFERS.len());
-        for item in ITEM_BYTES {
-            let title_a = format!("Figure 5a — KVS peak throughput (Mrps), packet size {item}B");
-            let title_b =
-                format!("Figure 5b — memory bandwidth at peak (GB/s), packet size {item}B");
-            let title_c =
-                format!("Figure 5c — memory accesses per KVS request, packet size {item}B");
-            let mut fig_a = Table::new(&title_a, &["config", "rx=512", "rx=1024", "rx=2048"]);
-            let mut fig_b = Table::new(&title_b, &["config", "rx=512", "rx=1024", "rx=2048"]);
-            let mut fig_c = Table::new(&title_c, &["rx/core", "config", "breakdown"]);
-
-            for point in configs() {
-                let row = rows.next().expect("one outcome row per config");
-                let mut tputs = vec![point.label()];
-                let mut bws = vec![point.label()];
-                for (bufs, peak) in BUFFERS.iter().zip(row) {
-                    tputs.push(f1(peak.throughput_mrps()));
-                    bws.push(f1(peak.report.memory_bandwidth_gbps()));
-                    fig_c.row(vec![
-                        bufs.to_string(),
-                        point.label(),
-                        format_breakdown(&peak.report),
-                    ]);
-                }
-                fig_a.row(tputs);
-                fig_b.row(bws);
-            }
-
-            fig_a.emit(&format!("fig5a_{item}"));
-            fig_b.emit(&format!("fig5b_{item}"));
-            fig_c.emit(&format!("fig5c_{item}"));
+    fn render(&self, ctx: &FigContext, outcomes: &[PointOutcome]) {
+        let systems = configs();
+        let columns = BUFFERS.map(|b| (format!("rx={b}"), b.to_string()));
+        let per_item = outcomes.chunks_exact(systems.len() * BUFFERS.len());
+        for (item, outcomes) in ITEM_BYTES.into_iter().zip(per_item) {
+            let tables = [
+                ("a", "KVS peak throughput (Mrps)"),
+                ("b", "memory bandwidth at peak (GB/s)"),
+                ("c", "memory accesses per KVS request"),
+            ]
+            .map(|(panel, what)| {
+                let title = format!("Figure 5{panel} — {what}, packet size {item}B");
+                (format!("fig5{panel}_{item}"), title)
+            });
+            emit_grid(ctx, outcomes, &systems, &columns, Some("rx/core"), &tables);
         }
     }
 }

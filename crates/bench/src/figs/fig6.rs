@@ -19,7 +19,7 @@ use sweeper_core::telemetry::CsvTable;
 use sweeper_workloads::kvs::HEADER_BYTES;
 
 use super::Figure;
-use crate::{f1, figure_experiment, figure_manifest, FigContext, Table};
+use crate::{f1, figure_experiment, write_result, FigContext, Table};
 
 /// The four §VI-B configurations.
 pub fn configs() -> Vec<Scenario> {
@@ -54,21 +54,16 @@ fn latency_row(label: &str, report: &RunReport) -> Vec<String> {
     ]
 }
 
-fn emit_cdf(name: &str, label: &str, report: &RunReport) {
+fn emit_cdf(ctx: &FigContext, name: &str, label: &str, report: &RunReport) {
     let mut csv = CsvTable::new(&["latency_cycles", "cumulative_fraction"])
-        .comments(&figure_manifest().to_comments())
+        .comments(&ctx.manifest().to_comments())
         .comment("artifact", name)
         .comment("config", label);
     for (v, f) in report.dram_latency.cdf() {
         csv.row(vec![v.to_string(), format!("{f:.6}")]);
     }
     let safe = label.replace([' ', '+'], "_");
-    let path = std::path::PathBuf::from("results").join(format!("{name}_{safe}.csv"));
-    if let Err(e) =
-        std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, csv.to_csv()))
-    {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
+    write_result(&format!("{name}_{safe}.csv"), &csv.to_csv());
 }
 
 /// The §VI-B latency-CDF study.
@@ -119,12 +114,12 @@ impl Figure for Fig6 {
             .peak_rate
             .expect("stage one points are peak searches");
         outcomes.extend(ctx.fleet.run(Self::iso_points(ctx.profile, ctx.seed, iso)));
-        self.render(ctx.profile, &outcomes);
+        self.render(ctx, &outcomes);
     }
 
     /// Expects the four peak outcomes first; the four iso-rate outcomes,
     /// when present, follow.
-    fn render(&self, _profile: RunProfile, outcomes: &[PointOutcome]) {
+    fn render(&self, ctx: &FigContext, outcomes: &[PointOutcome]) {
         let cols = &["config", "Mrps", "mean", "p50", "p90", "p99", "max"];
         let mut left = Table::new(
             "Figure 6 (left) — DRAM access latency at each config's peak load (cycles)",
@@ -138,18 +133,18 @@ impl Figure for Fig6 {
         let n = configs().len();
         for (point, peak) in configs().iter().zip(&outcomes[..n]) {
             left.row(latency_row(&point.label(), &peak.report));
-            emit_cdf("fig6_peak", &point.label(), &peak.report);
+            emit_cdf(ctx, "fig6_peak", &point.label(), &peak.report);
         }
-        left.emit("fig6_left");
+        left.emit(ctx, "fig6_left");
 
         if outcomes.len() > n {
             let iso = outcomes[0].peak_rate.expect("peak stage ran first");
             for (point, outcome) in configs().iter().zip(&outcomes[n..]) {
                 right.row(latency_row(&point.label(), &outcome.report));
-                emit_cdf("fig6_iso", &point.label(), &outcome.report);
+                emit_cdf(ctx, "fig6_iso", &point.label(), &outcome.report);
             }
             println!("(iso-throughput comparison at {:.1} Mrps)", iso / 1e6);
-            right.emit("fig6_right");
+            right.emit(ctx, "fig6_right");
         }
     }
 }

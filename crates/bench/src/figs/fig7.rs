@@ -11,7 +11,7 @@ use sweeper_core::scenario::Scenario;
 use sweeper_sim::stats::TrafficClass;
 
 use super::{fig2, Figure};
-use crate::{f1, figure_experiment, format_breakdown, Table};
+use crate::{f1, figure_experiment, format_breakdown, FigContext, Table};
 
 /// Queued depths revisited from §IV-B.
 pub const DEPTHS: [usize; 2] = [250, 450];
@@ -54,7 +54,7 @@ impl Figure for Fig7 {
         out
     }
 
-    fn render(&self, _profile: RunProfile, outcomes: &[PointOutcome]) {
+    fn render(&self, ctx: &FigContext, outcomes: &[PointOutcome]) {
         let mut fig_a = Table::new(
             "Figure 7a — L3fwd throughput (Mrps) with deep queues",
             &["config", "D=250", "D=450"],
@@ -84,8 +84,8 @@ impl Figure for Fig7 {
             fig_a.row(tputs);
         }
 
-        fig_a.emit("fig7a");
-        fig_b.emit("fig7b");
+        fig_a.emit(ctx, "fig7a");
+        fig_b.emit(ctx, "fig7b");
         println!(
             "Check (§VI-C): with Sweeper, 'RX Evct' ≈ 'CPU RX Rd' — all residual\n\
              leaks are premature evictions; consumed-buffer evictions are gone."

@@ -10,8 +10,8 @@ use sweeper_core::profile::RunProfile;
 use sweeper_core::scenario::Scenario;
 use sweeper_workloads::kvs::HEADER_BYTES;
 
-use super::Figure;
-use crate::{f1, figure_experiment, Table};
+use super::{emit_grid, Figure};
+use crate::{figure_experiment, FigContext};
 
 /// The three workload scenarios `(item_bytes, rx_buffers)`.
 pub const SCENARIOS: [(u64, usize); 3] = [(512, 512), (1024, 512), (1024, 2048)];
@@ -64,30 +64,20 @@ impl Figure for Fig8 {
         out
     }
 
-    fn render(&self, _profile: RunProfile, outcomes: &[PointOutcome]) {
-        let mut rows = outcomes.chunks_exact(CHANNELS.len());
-        for (item, bufs) in SCENARIOS {
-            let title_a =
-                format!("Figure 8a — KVS peak throughput (Mrps), {item}B packets, rx={bufs}");
-            let title_b =
-                format!("Figure 8b — memory bandwidth at peak (GB/s), {item}B packets, rx={bufs}");
-            let mut fig_a = Table::new(&title_a, &["config", "3ch", "4ch", "8ch"]);
-            let mut fig_b = Table::new(&title_b, &["config", "3ch", "4ch", "8ch"]);
-
-            for point in configs() {
-                let row = rows.next().expect("one outcome row per config");
-                let mut tputs = vec![point.label()];
-                let mut bws = vec![point.label()];
-                for peak in row {
-                    tputs.push(f1(peak.throughput_mrps()));
-                    bws.push(f1(peak.report.memory_bandwidth_gbps()));
-                }
-                fig_a.row(tputs);
-                fig_b.row(bws);
-            }
-
-            fig_a.emit(&format!("fig8a_{item}_{bufs}"));
-            fig_b.emit(&format!("fig8b_{item}_{bufs}"));
+    fn render(&self, ctx: &FigContext, outcomes: &[PointOutcome]) {
+        let systems = configs();
+        let columns = CHANNELS.map(|c| (format!("{c}ch"), c.to_string()));
+        let per_scenario = outcomes.chunks_exact(systems.len() * CHANNELS.len());
+        for ((item, bufs), outcomes) in SCENARIOS.into_iter().zip(per_scenario) {
+            let tables = [
+                ("a", "KVS peak throughput (Mrps)"),
+                ("b", "memory bandwidth at peak (GB/s)"),
+            ]
+            .map(|(panel, what)| {
+                let title = format!("Figure 8{panel} — {what}, {item}B packets, rx={bufs}");
+                (format!("fig8{panel}_{item}_{bufs}"), title)
+            });
+            emit_grid(ctx, outcomes, &systems, &columns, None, &tables);
         }
     }
 }

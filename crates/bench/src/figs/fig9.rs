@@ -17,7 +17,7 @@ use sweeper_core::scenario::{Scenario, ScenarioWorkload};
 use sweeper_sim::cache::WayMask;
 
 use super::Figure;
-use crate::{f1, figure_run_options, Table};
+use crate::{f1, figure_run_options, FigContext, Table};
 use sweeper_workloads::l3fwd::{L3Forwarder, L3fwdConfig};
 use sweeper_workloads::xmem::{Xmem, XmemConfig};
 
@@ -145,7 +145,7 @@ impl Figure for Fig9 {
         out
     }
 
-    fn render(&self, _profile: RunProfile, outcomes: &[PointOutcome]) {
+    fn render(&self, ctx: &FigContext, outcomes: &[PointOutcome]) {
         let split = DISJOINT_WAYS.len() * 2;
         let (raw_a, raw_b) = outcomes.split_at(split);
 
@@ -186,7 +186,7 @@ impl Figure for Fig9 {
                 ]);
             }
         }
-        fig_a.emit("fig9a");
+        fig_a.emit(ctx, "fig9a");
 
         // ---- (b) overlapping partitions: X-Mem uses the whole LLC ----
         let mut fig_b = Table::new(
@@ -226,6 +226,6 @@ impl Figure for Fig9 {
                 ]);
             }
         }
-        fig_b.emit("fig9b");
+        fig_b.emit(ctx, "fig9b");
     }
 }

@@ -1,8 +1,7 @@
 //! One module per paper table/figure, unified behind the [`Figure`] trait:
-//! each figure *declares* its sweep as a list of
-//! [`ExperimentPoint`]s, each built from one
-//! [`Scenario`](sweeper_core::scenario::Scenario), and *renders* the
-//! collected [`PointOutcome`]s into the paper's tables. Execution —
+//! each figure *declares* its sweep as a list of [`ExperimentPoint`]s, each
+//! built from one [`Scenario`], and *renders* the collected
+//! [`PointOutcome`]s into the paper's tables. Execution —
 //! parallelism, progress, timing — lives in the
 //! [`Fleet`](sweeper_core::fleet::Fleet), not in the figures; every point
 //! runs with its scenario's seed, so the same machine gives the same
@@ -11,7 +10,8 @@
 //! [`registry`] lists every runnable figure; the `sweeper` CLI's `figure`
 //! and `check` commands dispatch through it (via
 //! [`run_figure`](crate::run_figure) for `figure`). `table1` is a parameter
-//! listing with no experiment points and stays a plain module.
+//! listing with no experiment points: a plain module that builds its
+//! [`Table`].
 
 pub mod ablations;
 pub mod fig1;
@@ -27,8 +27,9 @@ pub mod table1;
 
 use sweeper_core::fleet::{ExperimentPoint, PointOutcome};
 use sweeper_core::profile::RunProfile;
+use sweeper_core::scenario::Scenario;
 
-use crate::FigContext;
+use crate::{f1, format_breakdown, FigContext, Table};
 
 /// A reproducible paper figure: a declarative point sweep plus a renderer.
 ///
@@ -49,14 +50,62 @@ pub trait Figure: Sync {
     /// order is the render order.
     fn points(&self, profile: RunProfile, seed: u64) -> Vec<ExperimentPoint>;
 
-    /// Renders outcomes (in declaration order) into the paper's tables and
-    /// CSVs.
-    fn render(&self, profile: RunProfile, outcomes: &[PointOutcome]);
+    /// Renders outcomes (in declaration order) into the paper's tables,
+    /// printed in `ctx`'s format and written under `results/` with `ctx`'s
+    /// manifest.
+    fn render(&self, ctx: &FigContext, outcomes: &[PointOutcome]);
 
     /// Executes the figure end-to-end.
     fn run(&self, ctx: &FigContext) {
         let outcomes = ctx.fleet.run(self.points(ctx.profile, ctx.seed));
-        self.render(ctx.profile, &outcomes);
+        self.render(ctx, &outcomes);
+    }
+}
+
+/// Emits a grid figure (Figures 1, 2, 5 and 8), whose `outcomes` hold one
+/// row of `columns.len()` points per system: (a) throughput and (b) memory
+/// bandwidth, a row per system under each column's header, then — when
+/// `key_header` is given — (c) the per-request breakdown, a row per point
+/// under its column's key. `tables` holds each table's artifact name and
+/// title, (a) first.
+pub(crate) fn emit_grid(
+    ctx: &FigContext,
+    outcomes: &[PointOutcome],
+    systems: &[Scenario],
+    columns: &[(String, String)],
+    key_header: Option<&str>,
+    tables: &[(String, String)],
+) {
+    assert_eq!(outcomes.len(), systems.len() * columns.len());
+    let rows: Vec<_> = systems
+        .iter()
+        .zip(outcomes.chunks_exact(columns.len()))
+        .collect();
+    let mut headers = vec!["config"];
+    headers.extend(columns.iter().map(|(header, _)| header.as_str()));
+    let grid = |(name, title): &(String, String), metric: fn(&PointOutcome) -> f64| {
+        let mut table = Table::new(title, &headers);
+        for (system, row) in &rows {
+            let cells = row.iter().map(|o| f1(metric(o)));
+            table.row(std::iter::once(system.label()).chain(cells).collect());
+        }
+        table.emit(ctx, name);
+    };
+    grid(&tables[0], PointOutcome::throughput_mrps);
+    grid(&tables[1], |o| o.report.memory_bandwidth_gbps());
+    if let Some(key_header) = key_header {
+        let (name, title) = &tables[2];
+        let mut table = Table::new(title, &[key_header, "config", "breakdown"]);
+        for (system, row) in &rows {
+            for ((_, key), o) in columns.iter().zip(*row) {
+                table.row(vec![
+                    key.clone(),
+                    system.label(),
+                    format_breakdown(&o.report),
+                ]);
+            }
+        }
+        table.emit(ctx, name);
     }
 }
 
@@ -118,6 +167,7 @@ mod tests {
 
     #[test]
     fn registry_figures_enumerate_unique_labelled_points() {
+        assert!(!registry().is_empty());
         for figure in registry() {
             let points = figure.points(RunProfile::Smoke, 1);
             assert!(
@@ -222,7 +272,7 @@ mod tests {
 
     #[test]
     fn table1_asserts_the_preset() {
-        // Running it exercises all the hard assertions.
-        table1::run();
+        // Building it exercises all the hard assertions.
+        assert!(table1::table().render().contains("DDR4-3200, 4 channels"));
     }
 }

@@ -21,7 +21,7 @@ use sweeper_sim::span::{OutlierSnapshot, ProfileNode, SpanKind};
 use sweeper_workloads::kvs::HEADER_BYTES;
 
 use super::Figure;
-use crate::{f1, figure_manifest, figure_run_options, scenario_experiment, Table};
+use crate::{f1, figure_run_options, scenario_experiment, write_result, FigContext, Table};
 
 /// Offered load for the drill-down, Mrps: high enough that queueing shapes
 /// the tail, low enough that every configuration still sustains it.
@@ -81,7 +81,7 @@ fn mean_cycles_per_request(profile: &ProfileNode, stage: SpanKind) -> f64 {
     find(profile, stage.label()).map_or(0.0, |n| n.cycles as f64 / requests)
 }
 
-fn emit_drilldown(label: &str, report: &RunReport) {
+fn emit_drilldown(ctx: &FigContext, label: &str, report: &RunReport) {
     let Some(snapshots) = &report.outliers else {
         return;
     };
@@ -94,7 +94,7 @@ fn emit_drilldown(label: &str, report: &RunReport) {
         "events",
         "mean_cyc_per_req",
     ])
-    .comments(&figure_manifest().to_comments())
+    .comments(&ctx.manifest().to_comments())
     .comment("artifact", "outliers")
     .comment("config", label)
     .comment("snapshots", snapshots.len().to_string().as_str());
@@ -113,12 +113,7 @@ fn emit_drilldown(label: &str, report: &RunReport) {
         ]);
     }
     let safe = label.replace([' ', '+'], "_");
-    let path = std::path::PathBuf::from("results").join(format!("outliers_{safe}.csv"));
-    if let Err(e) =
-        std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, csv.to_csv()))
-    {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
+    write_result(&format!("outliers_{safe}.csv"), &csv.to_csv());
 }
 
 /// The flight-recorder tail-attribution study.
@@ -148,7 +143,7 @@ impl Figure for Outliers {
             .collect()
     }
 
-    fn render(&self, _profile: RunProfile, outcomes: &[PointOutcome]) {
+    fn render(&self, ctx: &FigContext, outcomes: &[PointOutcome]) {
         let mut table = Table::new(
             "Outlier drill-down — tail snapshots beyond the online p99 (cycles)",
             &[
@@ -178,8 +173,8 @@ impl Figure for Outliers {
                 worst.to_string(),
                 dominant,
             ]);
-            emit_drilldown(&point.label(), report);
+            emit_drilldown(ctx, &point.label(), report);
         }
-        table.emit("outliers");
+        table.emit(ctx, "outliers");
     }
 }

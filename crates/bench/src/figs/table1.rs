@@ -1,14 +1,18 @@
 //! Table I — *System parameters for simulation on zSim* (Appendix A).
 //!
-//! Prints the simulated machine's parameters and asserts that the
+//! Tabulates the simulated machine's parameters and asserts that the
 //! `paper_default` preset matches the paper exactly.
 
 use sweeper_sim::hierarchy::MachineConfig;
 
 use crate::Table;
 
-/// Prints and validates the Table I preset.
-pub fn run() {
+/// The Table I preset, validated against the paper.
+///
+/// # Panics
+///
+/// Panics if `MachineConfig::paper_default` differs from Table I.
+pub fn table() -> Table {
     let cfg = MachineConfig::paper_default();
 
     // Hard assertions: the preset *is* Table I.
@@ -81,6 +85,5 @@ pub fn run() {
         "DDIO".into(),
         format!("{} LLC ways (default), configurable 1..12", cfg.ddio_ways),
     ]);
-    t.emit("table1");
-    println!("Table I preset verified against the paper. ✓");
+    t
 }

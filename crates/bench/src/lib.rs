@@ -20,14 +20,18 @@
 //!   tables print to stdout; the on-disk artifacts are written regardless,
 //! * **timing** — per-point wall time on stderr and per-figure totals.
 //!
+//! Rendering reads all of that from the [`FigContext`] handed to
+//! [`Figure::render`](figs::Figure::render); nothing is process-wide. Its
+//! [`FigContext::manifest`] (profile and seed) heads every artifact, and
+//! Figures 1, 2, 5 and 8 share one systems × columns grid renderer.
+//!
 //! The simulator's own host speed is measured outside this crate, by the
 //! `hostbench/` package.
 
 pub mod figs;
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::sync::Mutex;
+use std::path::Path;
 
 use sweeper_core::experiment::{Experiment, ExperimentConfig};
 use sweeper_core::fleet::Fleet;
@@ -56,6 +60,15 @@ pub struct FigContext {
     pub format: OutputFormat,
 }
 
+impl FigContext {
+    /// The manifest every figure artifact carries: the profile and seed.
+    pub fn manifest(&self) -> RunManifest {
+        RunManifest::new()
+            .profile(self.profile.to_string())
+            .seed(self.seed)
+    }
+}
+
 /// Runs one registered figure, `table1`, or `all` (table1, then the
 /// registry in order) under `ctx`. The entry point behind the CLI's
 /// `figure` command.
@@ -64,7 +77,6 @@ pub struct FigContext {
 ///
 /// Returns a message listing the valid names when `name` is none of them.
 pub fn run_figure(name: &str, ctx: &FigContext) -> Result<(), String> {
-    set_output(ctx);
     if name == "all" {
         let t = std::time::Instant::now();
         let names = std::iter::once("table1").chain(figs::registry().iter().map(|f| f.name()));
@@ -76,7 +88,8 @@ pub fn run_figure(name: &str, ctx: &FigContext) -> Result<(), String> {
         return Ok(());
     }
     if name == "table1" {
-        figs::table1::run();
+        figs::table1::table().emit(ctx, "table1");
+        println!("Table I preset verified against the paper. ✓");
         return Ok(());
     }
     let figure = figs::find(name).ok_or_else(|| {
@@ -167,34 +180,15 @@ pub fn format_breakdown(report: &RunReport) -> String {
     out
 }
 
-/// Stdout format and artifact manifest of the figure being run, set by
-/// [`run_figure`] from its [`FigContext`]. A process-wide knob (rather
-/// than a parameter) so the figure implementations keep calling
-/// `table.emit(name)` without threading the context through every
-/// `render`.
-static OUTPUT: Mutex<Option<(OutputFormat, RunManifest)>> = Mutex::new(None);
-
-fn set_output(ctx: &FigContext) {
-    let manifest = RunManifest::new()
-        .profile(ctx.profile.to_string())
-        .seed(ctx.seed);
-    *OUTPUT.lock().expect("output settings poisoned") = Some((ctx.format, manifest));
-}
-
-fn stdout_format() -> OutputFormat {
-    let output = OUTPUT.lock().expect("output settings poisoned");
-    output
-        .as_ref()
-        .map_or(OutputFormat::Text, |(format, _)| *format)
-}
-
-/// The manifest every figure artifact carries: the running figure's
-/// profile and seed (just the tool identity outside [`run_figure`]).
-pub(crate) fn figure_manifest() -> RunManifest {
-    let output = OUTPUT.lock().expect("output settings poisoned");
-    output
-        .as_ref()
-        .map_or_else(RunManifest::new, |(_, manifest)| manifest.clone())
+/// Writes `results/<file>`, creating `results/` if needed. A failure is
+/// reported on stderr rather than silently dropped.
+pub(crate) fn write_result(file: &str, contents: &str) {
+    let path = Path::new("results").join(file);
+    if let Err(e) =
+        std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, contents))
+    {
+        eprintln!("warning: could not write {}: {e}", path.display());
+    }
 }
 
 /// Simple fixed-width table printer for the figures.
@@ -255,11 +249,11 @@ impl Table {
         out
     }
 
-    /// The table as manifest-commented CSV in the shared dialect.
-    pub fn to_csv(&self, name: &str) -> String {
+    /// The table as `manifest`-commented CSV in the shared dialect.
+    pub fn to_csv(&self, name: &str, manifest: &RunManifest) -> String {
         let headers: Vec<&str> = self.headers.iter().map(String::as_str).collect();
         let mut csv = CsvTable::new(&headers)
-            .comments(&figure_manifest().to_comments())
+            .comments(&manifest.to_comments())
             .comment("artifact", name)
             .comment("title", self.title.as_str());
         for row in &self.rows {
@@ -270,7 +264,7 @@ impl Table {
 
     /// The table as a schema-tagged JSON document — the `.json` sidecar
     /// written next to each `.csv`.
-    pub fn to_document(&self, name: &str) -> Record {
+    pub fn to_document(&self, name: &str, manifest: &RunManifest) -> Record {
         let headers: Vec<Value> = self
             .headers
             .iter()
@@ -292,32 +286,23 @@ impl Table {
             .with("title", self.title.as_str())
             .with("headers", headers)
             .with("rows", rows);
-        document(FIGURE_TABLE_SCHEMA, &figure_manifest(), "table", body)
+        document(FIGURE_TABLE_SCHEMA, manifest, "table", body)
     }
 
-    /// Writes `results/<name>.csv` and its `results/<name>.json` sidecar,
-    /// creating `results/` if needed.
-    pub fn write_artifacts(&self, name: &str) -> std::io::Result<()> {
-        let dir = PathBuf::from("results");
-        std::fs::create_dir_all(&dir)?;
-        std::fs::write(dir.join(format!("{name}.csv")), self.to_csv(name))?;
-        let json = format!("{}\n", self.to_document(name).to_json_pretty());
-        std::fs::write(dir.join(format!("{name}.json")), json)?;
-        Ok(())
-    }
-
-    /// Prints the table to stdout (in the process-wide `--format`) and
-    /// writes the `results/` artifacts. Write failures are reported on
-    /// stderr rather than silently dropped.
-    pub fn emit(&self, name: &str) {
-        match stdout_format() {
+    /// Prints the table to stdout in `ctx`'s format and writes
+    /// `results/<name>.csv` plus its `results/<name>.json` sidecar, both
+    /// carrying `ctx`'s manifest.
+    pub fn emit(&self, ctx: &FigContext, name: &str) {
+        let manifest = ctx.manifest();
+        let csv = self.to_csv(name, &manifest);
+        let json = self.to_document(name, &manifest).to_json_pretty();
+        match ctx.format {
             OutputFormat::Text => println!("{}", self.render()),
-            OutputFormat::Json => println!("{}", self.to_document(name).to_json_pretty()),
-            OutputFormat::Csv => print!("{}", self.to_csv(name)),
+            OutputFormat::Json => println!("{json}"),
+            OutputFormat::Csv => print!("{csv}"),
         }
-        if let Err(e) = self.write_artifacts(name) {
-            eprintln!("warning: could not write results/{name}.csv|json: {e}");
-        }
+        write_result(&format!("{name}.csv"), &csv);
+        write_result(&format!("{name}.json"), &format!("{json}\n"));
     }
 }
 
@@ -393,15 +378,18 @@ mod tests {
         assert_eq!(report.mem.block_accesses, by_hand.mem.block_accesses);
     }
 
-    #[test]
-    fn run_figure_rejects_unknown_names() {
-        let ctx = FigContext {
+    fn smoke_context(seed: u64) -> FigContext {
+        FigContext {
             profile: RunProfile::Smoke,
-            seed: 1,
+            seed,
             fleet: Fleet::sequential().quiet(),
             format: OutputFormat::Text,
-        };
-        let err = run_figure("fig99", &ctx).unwrap_err();
+        }
+    }
+
+    #[test]
+    fn run_figure_rejects_unknown_names() {
+        let err = run_figure("fig99", &smoke_context(1)).unwrap_err();
         assert!(err.contains("fig1"), "error should list figures: {err}");
     }
 
@@ -409,18 +397,24 @@ mod tests {
     fn table_artifacts_share_the_manifest() {
         let mut t = Table::new("demo, with comma", &["config", "Mrps"]);
         t.row(vec!["DDIO 2 Ways".into(), "26.10".into()]);
+        let manifest = smoke_context(7).manifest();
 
-        let csv = t.to_csv("demo");
+        let csv = t.to_csv("demo", &manifest);
         assert!(csv.starts_with("# tool: sweeper\n"));
+        assert!(csv.contains("# profile: smoke\n# seed: 7\n"));
         assert!(csv.contains("# artifact: demo\n"));
         assert!(csv.contains("# title: demo, with comma\n"));
         assert!(csv.contains("\nconfig,Mrps\n"));
         assert!(csv.ends_with("DDIO 2 Ways,26.10\n"));
 
-        let doc = t.to_document("demo");
+        let doc = t.to_document("demo", &manifest);
         assert_eq!(
             doc.get("schema"),
             Some(&Value::Str(FIGURE_TABLE_SCHEMA.into()))
+        );
+        assert_eq!(
+            doc.get("manifest"),
+            Some(&Value::from(manifest.to_record()))
         );
         let Some(Value::Record(table)) = doc.get("table") else {
             panic!("missing table section");

@@ -165,20 +165,6 @@ impl PointOutcome {
     pub fn throughput_mrps(&self) -> f64 {
         self.report.throughput_mrps()
     }
-
-    /// Structured export for the telemetry layer.
-    ///
-    /// Wall-clock time is deliberately excluded: fleet JSON must be
-    /// byte-identical for any `--jobs` value, and `wall` depends on host
-    /// scheduling. `peak_rate` appears only for peak points.
-    pub fn to_record(&self) -> sweeper_sim::telemetry::Record {
-        let mut rec = sweeper_sim::telemetry::Record::new().with("label", self.label.as_str());
-        if let Some(rate) = self.peak_rate {
-            rec.push("peak_rate", rate);
-        }
-        rec.push("report", crate::report::json_record(&self.report));
-        rec
-    }
 }
 
 /// A worker pool executing [`ExperimentPoint`]s.
@@ -423,10 +409,11 @@ mod tests {
     #[test]
     fn sampled_and_traced_fleet_is_byte_identical_across_job_counts() {
         // The observability layer must not break determinism-by-construction:
-        // with in-run sampling AND span tracing enabled, the fleet JSON, the
-        // per-point Perfetto exports, and the per-point timeseries must all
-        // be byte-identical for --jobs 1 and --jobs N.
-        use crate::telemetry::{fleet_document, perfetto_document, RunManifest};
+        // with in-run sampling AND span tracing enabled, each point's label,
+        // peak rate and report JSON, its Perfetto export, and its timeseries
+        // must all be byte-identical for --jobs 1 and --jobs N.
+        use crate::report::json_record;
+        use crate::telemetry::{perfetto_document, RunManifest};
 
         let build = || -> Vec<ExperimentPoint> {
             (0..4)
@@ -444,8 +431,10 @@ mod tests {
         };
         let manifest = RunManifest::new();
         let artifacts = |outcomes: &[PointOutcome]| -> Vec<String> {
-            let mut out = vec![fleet_document(outcomes, &manifest).to_json_pretty()];
+            let mut out = Vec::new();
             for o in outcomes {
+                out.push(format!("{} {:?}", o.label, o.peak_rate));
+                out.push(json_record(&o.report).to_json_pretty());
                 let spans = o.report.spans.as_ref().expect("spans enabled");
                 assert!(
                     !spans.is_empty(),

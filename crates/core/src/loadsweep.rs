@@ -78,20 +78,6 @@ pub struct RateGrid {
 }
 
 impl RateGrid {
-    /// Linear grid of `points` rates from `lo` to `hi` (packets/second).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bounds are not positive and increasing or `points < 2`.
-    pub fn linear(lo: f64, hi: f64, points: usize) -> Self {
-        assert!(lo > 0.0 && hi > lo, "need 0 < lo < hi");
-        assert!(points >= 2, "need at least two points");
-        let step = (hi - lo) / (points - 1) as f64;
-        Self {
-            rates: (0..points).map(|i| lo + step * i as f64).collect(),
-        }
-    }
-
     /// Geometric grid of `points` rates from `lo` to `hi`.
     ///
     /// # Panics
@@ -215,15 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_grid_has_exact_endpoints() {
-        let g = RateGrid::linear(1e6, 5e6, 5);
-        assert_eq!(g.rates().len(), 5);
-        assert!((g.rates()[0] - 1e6).abs() < 1.0);
-        assert!((g.rates()[4] - 5e6).abs() < 1.0);
-        assert!((g.rates()[2] - 3e6).abs() < 1.0);
-    }
-
-    #[test]
     fn geometric_grid_has_constant_ratio() {
         let g = RateGrid::geometric(1e6, 16e6, 5);
         for w in g.rates().windows(2) {
@@ -233,8 +210,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "0 < lo < hi")]
-    fn linear_grid_rejects_bad_bounds() {
-        RateGrid::linear(5e6, 1e6, 3);
+    fn geometric_grid_rejects_bad_bounds() {
+        RateGrid::geometric(5e6, 1e6, 3);
     }
 
     #[test]
@@ -271,7 +248,8 @@ mod tests {
     #[test]
     fn csv_has_header_and_rows() {
         let exp = tiny_experiment();
-        let (sweep, _) = LoadSweep::run(&exp, &RateGrid::linear(0.5e6, 1.5e6, 2), &Fleet::new(2));
+        let (sweep, _) =
+            LoadSweep::run(&exp, &RateGrid::geometric(0.5e6, 1.5e6, 2), &Fleet::new(2));
         let csv = sweep.to_csv();
         assert!(csv.starts_with("offered_rate,"));
         assert_eq!(csv.lines().count(), 1 + sweep.points().len());
@@ -280,7 +258,8 @@ mod tests {
     #[test]
     fn csv_comments_and_record_share_the_points() {
         let exp = tiny_experiment();
-        let (sweep, _) = LoadSweep::run(&exp, &RateGrid::linear(0.5e6, 1.5e6, 2), &Fleet::new(2));
+        let (sweep, _) =
+            LoadSweep::run(&exp, &RateGrid::geometric(0.5e6, 1.5e6, 2), &Fleet::new(2));
         let csv = sweep.to_csv_with_comments(&[("artifact".to_string(), "loadsweep".to_string())]);
         assert!(csv.starts_with("# artifact: loadsweep\noffered_rate,"));
         let rec = sweep.to_record();

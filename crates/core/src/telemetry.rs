@@ -10,20 +10,19 @@
 //!   run that produced it;
 //! * document builders wrap a payload section together with its manifest
 //!   and a `schema` tag (`sweeper.run-report/1`, `sweeper.timeseries/1`,
-//!   `sweeper.fleet/1`, `sweeper.load-sweep/1`);
+//!   `sweeper.load-sweep/1`);
 //! * [`validate_run_document`] checks the run-report shape — the golden
 //!   schema test and CI's artifact validation both go through it.
 //!
-//! Wall-clock time never enters determinism-sensitive sections: fleet
-//! documents exclude per-point wall time so `--jobs 1` and `--jobs N`
-//! produce byte-identical JSON, and `wall_secs` lives only in the manifest
-//! where callers opt in.
+//! Wall-clock time never enters determinism-sensitive sections: run
+//! reports carry no wall time, so `--jobs 1` and `--jobs N` produce
+//! byte-identical JSON, and `wall_secs` lives only in the manifest where
+//! callers opt in.
 
 pub use sweeper_sim::telemetry::{csv_escape, CsvTable, Record, Value};
 
 use sweeper_sim::span::{perfetto_events, OutlierSnapshot, SpanRing};
 
-use crate::fleet::PointOutcome;
 use crate::observe::TimeSeries;
 use crate::report::json_record;
 use crate::server::RunReport;
@@ -32,8 +31,6 @@ use crate::server::RunReport;
 pub const RUN_REPORT_SCHEMA: &str = "sweeper.run-report/1";
 /// Schema tag of time-series documents.
 pub const TIMESERIES_SCHEMA: &str = "sweeper.timeseries/1";
-/// Schema tag of fleet (multi-point) documents.
-pub const FLEET_SCHEMA: &str = "sweeper.fleet/1";
 /// Schema tag of load-sweep documents.
 pub const LOADSWEEP_SCHEMA: &str = "sweeper.load-sweep/1";
 /// Schema tag of figure-table sidecar documents.
@@ -285,22 +282,6 @@ pub fn outlier_document(snapshot: &OutlierSnapshot, manifest: &RunManifest) -> R
 /// [`CheckReport`](sweeper_sim::check::CheckReport) record.
 pub fn check_document(checks: Vec<Value>, manifest: &RunManifest) -> Record {
     document(CHECK_SCHEMA, manifest, "checks", checks)
-}
-
-/// The JSON document for a fleet of point outcomes.
-///
-/// Per-point wall-clock times are excluded (see [`PointOutcome::to_record`])
-/// so the document is byte-identical for any `--jobs` value.
-pub fn fleet_document(outcomes: &[PointOutcome], manifest: &RunManifest) -> Record {
-    document(
-        FLEET_SCHEMA,
-        manifest,
-        "points",
-        outcomes
-            .iter()
-            .map(|o| Value::from(o.to_record()))
-            .collect::<Vec<_>>(),
-    )
 }
 
 fn expect_str(rec: &Record, key: &str, ctx: &str) -> Result<(), String> {

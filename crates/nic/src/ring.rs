@@ -185,8 +185,10 @@ impl RxRing {
                 self.capacity()
             ));
         }
+        let cap = self.capacity() as u64;
         for (i, slot) in self.slots.iter().enumerate() {
-            let queued = (self.head..self.tail).any(|k| (k % self.capacity() as u64) as usize == i);
+            // Slot `i` sits `(i − head) mod cap` places past the head.
+            let queued = (i as u64 + cap - self.head % cap) % cap < self.tail - self.head;
             if queued != slot.is_some() {
                 return Err(format!(
                     "slot {i} {} but window [head {}, tail {}) says it should {}be",
@@ -337,6 +339,27 @@ mod tests {
             assert_eq!(r.occupancy(), expected_occupancy);
             r.check_consistency().unwrap();
         }
+    }
+
+    #[test]
+    fn check_names_the_slot_a_wrapped_window_disagrees_with() {
+        // Nine pushes and seven pops on four slots: head 7, tail 9, so the
+        // window wraps past the last slot to cover slots 3 and 0.
+        let (_m, mut r) = ring(4);
+        for id in 0..9 {
+            r.push(pkt(id)).unwrap();
+            if id < 7 {
+                r.pop().unwrap();
+            }
+        }
+        r.check_consistency().unwrap();
+        let queued = r.slots[0].take();
+        let err = r.check_consistency().unwrap_err();
+        assert!(err.starts_with("slot 0 empty"), "{err}");
+        r.slots[0] = queued;
+        r.slots[2] = Some(pkt(9));
+        let err = r.check_consistency().unwrap_err();
+        assert!(err.starts_with("slot 2 occupied"), "{err}");
     }
 
     #[test]

@@ -1,13 +1,9 @@
 //! The fleet's hard guarantee: results are a function of the point list
-//! alone, never of the worker count — plus the figure-registry contract the
-//! `sweeper figure` command relies on.
+//! alone, never of the worker count.
 
-use sweeper::bench::figs;
 use sweeper::core::experiment::ExperimentConfig;
 use sweeper::core::fleet::{ExperimentPoint, Fleet, PointOutcome};
-use sweeper::core::profile::RunProfile;
-use sweeper::core::report::text_report;
-use sweeper::core::telemetry::{fleet_document, RunManifest};
+use sweeper::core::report::{json_record, text_report};
 use sweeper::core::workload::EchoWorkload;
 
 /// A mixed-action point list over the tiny test machine: open-loop points
@@ -48,38 +44,26 @@ fn fleet_outcomes_are_byte_identical_across_worker_counts() {
     assert_eq!(one, four, "--jobs 1 and --jobs 4 must render identically");
 }
 
-/// The structured export inherits the guarantee: fleet JSON documents are
-/// byte-identical for any worker count (per-point wall time is deliberately
-/// excluded from `PointOutcome::to_record`).
-#[test]
-fn fleet_json_is_byte_identical_across_worker_counts() {
-    let manifest = RunManifest::new().profile("test").seed(1);
-    let one = fleet_document(&Fleet::new(1).quiet().run(points()), &manifest).to_json_pretty();
-    let four = fleet_document(&Fleet::new(4).quiet().run(points()), &manifest).to_json_pretty();
-    assert!(one.contains("sweeper.fleet/1"));
-    assert!(
-        !one.contains("wall"),
-        "wall time must stay out of fleet JSON"
-    );
-    assert_eq!(one, four, "fleet JSON must not depend on --jobs");
+/// Each outcome's label, peak rate and report JSON.
+fn json_fingerprint(outcomes: &[PointOutcome]) -> Vec<String> {
+    outcomes
+        .iter()
+        .map(|o| {
+            let report = json_record(&o.report).to_json_pretty();
+            format!("{} {:?}\n{report}", o.label, o.peak_rate)
+        })
+        .collect()
 }
 
+/// The structured export inherits the guarantee: each outcome's JSON is
+/// byte-identical for any worker count (reports carry no wall time).
 #[test]
-fn figure_registry_enumerates_unique_labelled_points() {
-    assert!(!figs::registry().is_empty());
-    for figure in figs::registry() {
-        let points = figure.points(RunProfile::Smoke, 1);
-        assert!(
-            !points.is_empty(),
-            "{} must enumerate at least one point",
-            figure.name()
-        );
-        let labels: std::collections::HashSet<&str> = points.iter().map(|p| p.label()).collect();
-        assert_eq!(
-            labels.len(),
-            points.len(),
-            "{} has duplicate point labels",
-            figure.name()
-        );
-    }
+fn fleet_json_is_byte_identical_across_worker_counts() {
+    let one = json_fingerprint(&Fleet::new(1).quiet().run(points()));
+    let four = json_fingerprint(&Fleet::new(4).quiet().run(points()));
+    assert!(
+        one.iter().all(|json| !json.contains("wall")),
+        "wall time must stay out of report JSON"
+    );
+    assert_eq!(one, four, "report JSON must not depend on --jobs");
 }
