@@ -14,7 +14,10 @@ symbols, which moves code around.
 
 Fails (exit 1) when any run has `correct` false, `failed` > 0 or
 `attempted` < 2 (then no digests were compared), or when the head's median
-of a LIMITS metric exceeds the base's median by more than its bound.
+of a LIMITS metric exceeds the base's median by more than its bound. For
+each workload's `wall_ref` it also prints how many same-seed pairs the head
+won and the base's quartiles, so a change can be read against the base's
+own spread; these lines decide nothing.
 """
 
 import json
@@ -103,6 +106,15 @@ def shown(doc):
     return ", ".join(f"{name} {value(doc, name)}" for name in SHOWN)
 
 
+def spread(workload, values):
+    """How many pairs the head won on `wall_ref` (lower is better), and the
+    base's quartiles."""
+    won = sum(head < base for base, head in zip(values["base"], values["head"]))
+    q1, _, q3 = statistics.quantiles(values["base"], n=4)
+    return (f"{workload} wall_ref: head won {won} of {len(values['head'])} pairs; "
+            f"base quartiles {q1:.4g}-{q3:.4g}")
+
+
 def main():
     if len(sys.argv) != 2:
         sys.exit(__doc__)
@@ -137,6 +149,8 @@ def main():
             print(line)
             if rise > limit:
                 failures.append(line)
+            if name == "wall_ref":
+                print(spread(workload, values))
 
     print(f"gate wall time {time.monotonic() - start:.0f} s")
     for failure in failures:

@@ -189,9 +189,16 @@ fn decode_tag(tag: u64) -> Line {
     }
 }
 
-fn tag_matches(tag: u64, block: BlockAddr) -> bool {
-    tag & TAG_PRESENT != 0 && tag >> TAG_FLAG_BITS == block.0
+/// The word a scan compares with `tag | TAG_DIRTY | TAG_NIC`: equal exactly
+/// when the way is present and holds `block`. Wraps for blocks at or past
+/// [`MAX_BLOCKS`], which [`SetRows::scan`] therefore never reports as hits.
+#[inline]
+fn scan_key(block: BlockAddr) -> u32 {
+    (block.0 << TAG_FLAG_BITS | TAG_DIRTY | TAG_NIC | TAG_PRESENT) as u32
 }
+
+/// Tag words a scan compares per host line.
+const LINE_WAYS: usize = HOST_LINE / 4;
 
 /// A tag word as a row stores it; [`encode_tag`] keeps every word below
 /// 2^32.
@@ -256,6 +263,26 @@ impl SetRows {
         let start = set * self.row_lines;
         self.lines[start..start + self.row_lines].as_flattened_mut()[..5 * ways]
             .split_at_mut(4 * ways)
+    }
+
+    /// The ways of `set` that hold `block` (`hits`) and that are empty
+    /// (`empty`), as bitmasks: bit `w` stands for way `w`.
+    ///
+    /// One branch-free pass over the row's tag words, 16 ways per host line;
+    /// lanes at or past `ways` (rank bytes and padding) are masked off.
+    #[inline]
+    fn scan(&self, set: usize, block: BlockAddr) -> (u64, u64) {
+        let lines = &self.lines(set)[..self.ways.div_ceil(LINE_WAYS)];
+        let (hits, empty) = scan_lines(lines, scan_key(block));
+        let ways = u64::MAX >> (64 - self.ways);
+        let hit_ways = if block.0 < MAX_BLOCKS { ways } else { 0 };
+        (hits & hit_ways, empty & ways)
+    }
+
+    /// The tag word in `way` of `set`.
+    #[inline]
+    fn tag(&self, set: usize, way: usize) -> u64 {
+        loaded(&self.row(set).0[4 * way..4 * way + 4])
     }
 
     /// Every resident tag word with its `(set, way)`, in set order.
@@ -418,13 +445,9 @@ impl SetAssocCache {
 
     /// Looks a block up without updating recency.
     pub fn peek(&self, block: BlockAddr) -> Option<Line> {
-        self.tags
-            .row(self.set_of(block))
-            .0
-            .chunks_exact(4)
-            .map(loaded)
-            .find(|&t| tag_matches(t, block))
-            .map(decode_tag)
+        let set = self.set_of(block);
+        let (hits, _) = self.tags.scan(set, block);
+        (hits != 0).then(|| decode_tag(self.tags.tag(set, first_way(hits))))
     }
 
     /// Looks a block up and updates LRU recency; returns the line metadata.
@@ -438,31 +461,32 @@ impl SetAssocCache {
     /// already-dirty line from the write that dirtied it.
     pub fn access(&mut self, block: BlockAddr, dirty: bool) -> Option<Line> {
         let set = self.set_of(block);
-        let (tags, ranks) = self.tags.row_mut(set);
-        for (way, slot) in tags.chunks_exact_mut(4).enumerate() {
-            let tag = loaded(slot);
-            if tag_matches(tag, block) {
-                if dirty {
-                    slot.copy_from_slice(&stored(tag | TAG_DIRTY));
-                }
-                touch(self.policy, ranks, way, false);
-                return Some(decode_tag(tag));
-            }
+        let (hits, _) = self.tags.scan(set, block);
+        if hits == 0 {
+            return None;
         }
-        None
+        let way = first_way(hits);
+        let (tags, ranks) = self.tags.row_mut(set);
+        let slot = &mut tags[4 * way..4 * way + 4];
+        let tag = loaded(slot);
+        if dirty {
+            slot.copy_from_slice(&stored(tag | TAG_DIRTY));
+        }
+        touch(self.policy, ranks, way, false);
+        Some(decode_tag(tag))
     }
 
     /// Marks a resident block dirty; returns `true` if the block was found.
     pub fn mark_dirty(&mut self, block: BlockAddr) -> bool {
         let set = self.set_of(block);
-        for slot in self.tags.row_mut(set).0.chunks_exact_mut(4) {
-            let tag = loaded(slot);
-            if tag_matches(tag, block) {
-                slot.copy_from_slice(&stored(tag | TAG_DIRTY));
-                return true;
-            }
+        let (hits, _) = self.tags.scan(set, block);
+        if hits == 0 {
+            return false;
         }
-        false
+        let way = first_way(hits);
+        let slot = &mut self.tags.row_mut(set).0[4 * way..4 * way + 4];
+        slot.copy_from_slice(&stored(loaded(slot) | TAG_DIRTY));
+        true
     }
 
     /// Inserts (or updates in place) a block, allocating only within `mask`.
@@ -486,31 +510,26 @@ impl SetAssocCache {
         assert!(mask.count_in(ways) > 0, "insertion mask allows no ways");
         let set = self.set_of(block);
         let policy = self.policy;
+        // One scan of the packed tags: a residency hit (checked in *every*
+        // way, masked or not) and the free ways. The ranks are not read
+        // unless the set turns out to be full within the mask.
+        let (hits, empty) = self.tags.scan(set, block);
         let (tags, ranks) = self.tags.row_mut(set);
 
-        // First pass over the packed tags only: a residency hit (checked in
-        // *every* way, masked or not) and the first free allowed way. The
-        // ranks are not read unless the set turns out to be full.
-        let mut free_way = None;
-        for (way, slot) in tags.chunks_exact_mut(4).enumerate() {
-            let tag = loaded(slot);
-            if tag_matches(tag, block) {
-                // Hit: update in place regardless of mask (dirty OR-ed,
-                // origin overwritten).
-                slot.copy_from_slice(&stored(encode_tag(
-                    block,
-                    dirty || tag & TAG_DIRTY != 0,
-                    origin,
-                )));
-                touch(policy, ranks, way, false);
-                return None;
-            }
-            if tag & TAG_PRESENT == 0 && free_way.is_none() && mask.allows(way) {
-                free_way = Some(way);
-            }
+        if hits != 0 {
+            // Hit: update in place regardless of mask (dirty OR-ed, origin
+            // overwritten).
+            let way = first_way(hits);
+            let slot = &mut tags[4 * way..4 * way + 4];
+            let was_dirty = loaded(slot) & TAG_DIRTY != 0;
+            slot.copy_from_slice(&stored(encode_tag(block, dirty || was_dirty, origin)));
+            touch(policy, ranks, way, false);
+            return None;
         }
 
-        if let Some(way) = free_way {
+        let free = empty & mask.0;
+        if free != 0 {
+            let way = first_way(free);
             tags[4 * way..4 * way + 4].copy_from_slice(&stored(encode_tag(block, dirty, origin)));
             touch(policy, ranks, way, true);
             self.resident += 1;
@@ -518,8 +537,8 @@ impl SetAssocCache {
         }
 
         // Set full within the mask: evict per the replacement policy. Every
-        // allowed way is occupied here (the free scan covered them all), and
-        // each was touched when its line was installed.
+        // allowed way is occupied here (no allowed way was empty), and each
+        // was touched when its line was installed.
         let allowed = (0..ways).filter(|&w| mask.allows(w));
         let victim = match policy {
             // The LRU ranks form a permutation, so the maximum is unique.
@@ -550,15 +569,16 @@ impl SetAssocCache {
     /// Removes a block; returns its metadata if it was resident.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<Line> {
         let set = self.set_of(block);
-        for slot in self.tags.row_mut(set).0.chunks_exact_mut(4) {
-            let tag = loaded(slot);
-            if tag_matches(tag, block) {
-                slot.fill(0);
-                self.resident -= 1;
-                return Some(decode_tag(tag));
-            }
+        let (hits, _) = self.tags.scan(set, block);
+        if hits == 0 {
+            return None;
         }
-        None
+        let way = first_way(hits);
+        let slot = &mut self.tags.row_mut(set).0[4 * way..4 * way + 4];
+        let tag = loaded(slot);
+        slot.fill(0);
+        self.resident -= 1;
+        Some(decode_tag(tag))
     }
 
     /// Number of resident lines.
@@ -596,6 +616,68 @@ fn touch(policy: ReplacementPolicy, ranks: &mut [u8], way: usize, fill: bool) {
         ReplacementPolicy::Srrip => ranks[way] = if fill { SRRIP_INSERT } else { 0 },
     }
 }
+
+/// The lowest way in a nonzero way bitmask.
+#[inline]
+fn first_way(ways: u64) -> usize {
+    ways.trailing_zeros() as usize
+}
+
+/// Which of the tag words in `lines` (at most four lines, 64 words) equal
+/// `key` (`hits`) and which are empty (`empty`), as bitmasks over the words
+/// in order; words past a row's ways are compared too and left for the
+/// caller to mask off.
+///
+/// The portable body of [`SetRows::scan`]: the implementation off x86-64
+/// and the oracle its SSE2 body is tested against.
+#[cfg_attr(all(target_arch = "x86_64", not(test)), allow(dead_code))]
+fn scan_lines_portable(lines: &[HostLine], key: u32) -> (u64, u64) {
+    let mut hits = 0;
+    let mut empty = 0;
+    for (lane, slot) in lines.as_flattened().chunks_exact(4).enumerate() {
+        let tag = loaded(slot);
+        hits |= u64::from(tag | TAG_DIRTY | TAG_NIC == u64::from(key)) << lane;
+        empty |= u64::from(tag & TAG_PRESENT == 0) << lane;
+    }
+    (hits, empty)
+}
+
+/// [`scan_lines_portable`] in SSE2, four lanes per compare.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn scan_lines(lines: &[HostLine], key: u32) -> (u64, u64) {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_castsi128_ps, _mm_cmpeq_epi32, _mm_loadu_si128,
+        _mm_movemask_ps, _mm_or_si128, _mm_set1_epi32, _mm_setzero_si128,
+    };
+    let mut hits = 0;
+    let mut empty = 0;
+    // SAFETY: SSE2 is part of the x86-64 baseline, and every load reads 16
+    // bytes inside one of the borrowed host lines (`_mm_loadu_si128` needs
+    // no alignment; rows start on line boundaries, so the loads never split
+    // a line).
+    unsafe {
+        let key = _mm_set1_epi32(key as i32);
+        let flags = _mm_set1_epi32((TAG_DIRTY | TAG_NIC) as i32);
+        let present = _mm_set1_epi32(TAG_PRESENT as i32);
+        let zero = _mm_setzero_si128();
+        for (i, line) in lines.iter().enumerate() {
+            let words = line.as_ptr().cast::<__m128i>();
+            for quad in 0..4 {
+                let v = _mm_loadu_si128(words.add(quad));
+                let hit = _mm_cmpeq_epi32(_mm_or_si128(v, flags), key);
+                let free = _mm_cmpeq_epi32(_mm_and_si128(v, present), zero);
+                let lane = 16 * i + 4 * quad;
+                hits |= (_mm_movemask_ps(_mm_castsi128_ps(hit)) as u64) << lane;
+                empty |= (_mm_movemask_ps(_mm_castsi128_ps(free)) as u64) << lane;
+            }
+        }
+    }
+    (hits, empty)
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+use scan_lines_portable as scan_lines;
 
 /// The multiplier `fastmod` needs to reduce modulo `d`: `ceil(2^64 / d)`,
 /// which wraps to 0 for `d == 1`.
@@ -854,6 +936,12 @@ mod tests {
         assert_eq!(c.policy(), ReplacementPolicy::Srrip);
     }
 
+    /// The per-way residency test the scan replaces: `tag` is present and
+    /// holds `block`.
+    fn holds(tag: u64, block: BlockAddr) -> bool {
+        tag & TAG_PRESENT != 0 && tag >> TAG_FLAG_BITS == block.0
+    }
+
     /// One xorshift64 step: the tests' deterministic operation stream.
     fn xorshift(x: &mut u64) -> u64 {
         *x ^= *x << 13;
@@ -970,8 +1058,7 @@ mod tests {
         }
 
         fn find(&self, block: BlockAddr) -> Option<usize> {
-            self.slots(block)
-                .find(|&i| tag_matches(self.tags[i], block))
+            self.slots(block).find(|&i| holds(self.tags[i], block))
         }
 
         fn peek(&self, block: BlockAddr) -> Option<Line> {
@@ -1117,6 +1204,66 @@ mod tests {
                     assert_eq!(ranked.resident_lines(), stamped.resident, "{ctx}");
                 }
                 assert_eq!(&ranked.tags[..], &stamped.tags[..], "{policy:?} {ways}-way");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn scan_matches_the_per_way_reference(
+            geometry in 0usize..9,
+            target in 0u64..6,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let ways = [1, 2, 3, 4, 12, 16, 17, 20, 64][geometry];
+            let mut rows = SetRows::new(3, ways);
+            let mut x = seed | 1;
+            let stored_block = BlockAddr(xorshift(&mut x) % MAX_BLOCKS);
+            let block = BlockAddr(match target {
+                0 => 0,
+                1 => MAX_BLOCKS - 1,
+                2 => MAX_BLOCKS,
+                // Its 32-bit key wraps onto `stored_block`'s.
+                3 => stored_block.0 + MAX_BLOCKS,
+                4 => u64::MAX >> TAG_FLAG_BITS,
+                _ => stored_block.0,
+            });
+            let key = scan_key(block);
+            let row_lines = rows.row_lines;
+            let row_bytes = row_lines * HOST_LINE;
+            for set in 0..3 {
+                let bytes = rows.lines[set * row_lines..(set + 1) * row_lines].as_flattened_mut();
+                // Every lane of the row, tag words and rank bytes alike:
+                // empty ways, `block` or `stored_block` under any flags,
+                // other blocks, and words with the present bit clear.
+                for lane in 0..row_bytes / 4 {
+                    let r = xorshift(&mut x);
+                    let flags = r >> 8 & 7;
+                    let word = match r % 6 {
+                        0 => 0,
+                        1 => u64::from(key) & !7 | flags,
+                        2 => stored_block.0 << TAG_FLAG_BITS | flags,
+                        3 => (r >> 16 & 0xFFFF_FFFF) & !TAG_PRESENT,
+                        _ => (r >> 16 & 0xFFFF_FFFF) | TAG_PRESENT,
+                    };
+                    bytes[4 * lane..4 * lane + 4].copy_from_slice(&stored(word));
+                }
+                let (mut hits, mut empty) = (0u64, 0u64);
+                for way in 0..ways {
+                    let tag = rows.tag(set, way);
+                    hits |= u64::from(holds(tag, block)) << way;
+                    empty |= u64::from(tag & TAG_PRESENT == 0) << way;
+                }
+                let ctx = format!("{ways} ways, set {set}, block {block:?}");
+                proptest::prop_assert_eq!(rows.scan(set, block), (hits, empty), "{}", ctx);
+                // Both bodies agree on every lane they read, masked or not.
+                let lines = &rows.lines(set)[..ways.div_ceil(LINE_WAYS)];
+                proptest::prop_assert_eq!(
+                    scan_lines(lines, key),
+                    scan_lines_portable(lines, key),
+                    "{}",
+                    ctx
+                );
             }
         }
     }
