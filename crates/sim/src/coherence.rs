@@ -224,7 +224,7 @@ const MIN_CAPACITY: usize = 16;
 /// dir.add_sharer(b, 0);
 /// dir.add_sharer(b, 3);
 /// assert_eq!(dir.sharers(b).to_vec(), vec![0, 3]);
-/// assert_eq!(dir.others(b, 0).to_vec(), vec![3]);
+/// assert_eq!(dir.sharers(b).without(0).to_vec(), vec![3]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Directory {
@@ -400,7 +400,7 @@ impl Directory {
     /// Marks `core` as holding the only dirty private copy.
     ///
     /// The caller must have already invalidated other sharers (see
-    /// [`Directory::others`]); this method enforces that by resetting the
+    /// [`Directory::sharers`]); this method enforces that by resetting the
     /// sharer set to `{core}`.
     pub fn set_dirty_owner(&mut self, block: BlockAddr, core: u16) {
         assert!((core as usize) < MAX_CORES, "core id out of range");
@@ -428,21 +428,6 @@ impl Directory {
             None => SharerSet::EMPTY,
             Some(i) => SharerSet(self.slots[i].sharers()),
         }
-    }
-
-    /// Cores other than `exclude` holding the block, ascending.
-    pub fn others(&self, block: BlockAddr, exclude: u16) -> SharerSet {
-        self.sharers(block).without(exclude)
-    }
-
-    /// Whether any core other than `exclude` holds the block.
-    pub fn shared_elsewhere(&self, block: BlockAddr, exclude: u16) -> bool {
-        !self.others(block, exclude).is_empty()
-    }
-
-    /// Whether any core holds the block.
-    pub fn any_sharer(&self, block: BlockAddr) -> bool {
-        self.find(block.0).is_some()
     }
 
     /// Removes all tracking for the block, returning the previous sharers.
@@ -550,21 +535,6 @@ impl ReferenceDirectory {
         }
     }
 
-    /// See [`Directory::others`].
-    pub fn others(&self, block: BlockAddr, exclude: u16) -> SharerSet {
-        self.sharers(block).without(exclude)
-    }
-
-    /// See [`Directory::shared_elsewhere`].
-    pub fn shared_elsewhere(&self, block: BlockAddr, exclude: u16) -> bool {
-        !self.others(block, exclude).is_empty()
-    }
-
-    /// See [`Directory::any_sharer`].
-    pub fn any_sharer(&self, block: BlockAddr) -> bool {
-        self.entries.contains_key(&block.0)
-    }
-
     /// See [`Directory::drop_block`].
     pub fn drop_block(&mut self, block: BlockAddr) -> SharerSet {
         match self.entries.remove(&block.0) {
@@ -588,17 +558,17 @@ mod tests {
     #[test]
     fn add_remove_sharers() {
         let mut d = Directory::new();
-        assert!(!d.any_sharer(B));
+        assert!(d.sharers(B).is_empty());
         d.add_sharer(B, 1);
         d.add_sharer(B, 5);
         d.add_sharer(B, 5); // idempotent
         assert_eq!(d.sharers(B).to_vec(), vec![1, 5]);
-        assert!(d.shared_elsewhere(B, 1));
+        assert!(!d.sharers(B).without(1).is_empty());
         d.remove_sharer(B, 1);
         assert_eq!(d.sharers(B).to_vec(), vec![5]);
-        assert!(!d.shared_elsewhere(B, 5));
+        assert!(d.sharers(B).without(5).is_empty());
         d.remove_sharer(B, 5);
-        assert!(!d.any_sharer(B));
+        assert!(d.sharers(B).is_empty());
         assert_eq!(d.tracked_blocks(), 0);
     }
 
@@ -627,7 +597,7 @@ mod tests {
         d.set_dirty_owner(B, 4);
         d.remove_sharer(B, 4);
         assert_eq!(d.dirty_owner(B), None);
-        assert!(!d.any_sharer(B));
+        assert!(d.sharers(B).is_empty());
     }
 
     #[test]
@@ -636,9 +606,9 @@ mod tests {
         for c in [0u16, 7, 23] {
             d.add_sharer(B, c);
         }
-        assert_eq!(d.others(B, 7).to_vec(), vec![0, 23]);
-        assert_eq!(d.others(B, 1).to_vec(), vec![0, 7, 23]);
-        assert!(d.others(BlockAddr(123), 0).is_empty());
+        assert_eq!(d.sharers(B).without(7).to_vec(), vec![0, 23]);
+        assert_eq!(d.sharers(B).without(1).to_vec(), vec![0, 7, 23]);
+        assert!(d.sharers(BlockAddr(123)).without(0).is_empty());
     }
 
     #[test]
@@ -649,7 +619,7 @@ mod tests {
         d.set_dirty_owner(B, 9);
         let dropped = d.drop_block(B);
         assert_eq!(dropped.to_vec(), vec![9], "owner was exclusive");
-        assert!(!d.any_sharer(B));
+        assert!(d.sharers(B).is_empty());
         assert!(d.drop_block(B).is_empty());
     }
 
@@ -678,10 +648,10 @@ mod tests {
         // block 0 must round-trip like any other key.
         let mut d = Directory::new();
         d.add_sharer(BlockAddr(0), 2);
-        assert!(d.any_sharer(BlockAddr(0)));
+        assert!(!d.sharers(BlockAddr(0)).is_empty());
         assert_eq!(d.sharers(BlockAddr(0)).to_vec(), vec![2]);
         assert_eq!(d.drop_block(BlockAddr(0)).to_vec(), vec![2]);
-        assert!(!d.any_sharer(BlockAddr(0)));
+        assert!(d.sharers(BlockAddr(0)).is_empty());
     }
 
     #[test]
@@ -826,8 +796,7 @@ mod tests {
         r.set_dirty_owner(B, 1);
         assert_eq!(r.dirty_owner(B), Some(1));
         assert_eq!(r.sharers(B).to_vec(), vec![1]);
-        assert!(r.any_sharer(B));
-        assert!(!r.shared_elsewhere(B, 1));
+        assert!(r.sharers(B).without(1).is_empty());
         r.clear_dirty(B);
         assert_eq!(r.dirty_owner(B), None);
         assert_eq!(r.drop_block(B).to_vec(), vec![1]);

@@ -65,3 +65,26 @@ pub type Cycle = u64;
 
 /// The cache block (line) size in bytes, fixed at 64 B as in Table I.
 pub const BLOCK_BYTES: u64 = 64;
+
+/// Hashes a `u64` key (a block number, an item key) with one Fibonacci
+/// multiply, for `HashMap`s on the simulator's hot paths: keys are already
+/// uniform-ish integers, and a fixed function keeps the map deterministic
+/// and cheaper than the default SipHash.
+#[derive(Debug, Default)]
+pub struct KeyHasher(u64);
+
+impl std::hash::Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (self.0 ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}

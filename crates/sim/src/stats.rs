@@ -177,8 +177,10 @@ pub struct MemStats {
     /// Dirty private copies discarded because the NIC fully overwrote the
     /// block (safe by construction — the data was dead).
     pub dirty_dropped_by_nic_overwrite: u64,
-    /// Dirty data discarded anywhere else (would indicate a modelling bug;
-    /// asserted zero by the conservation tests).
+    /// Dirty private copies a CPU write invalidated in another core. That
+    /// core was not the dirty owner (an owner is written back and cleaned
+    /// before the write), so nothing wrote the data back: a modelling bug,
+    /// asserted zero by the conservation tests.
     pub dirty_dropped_unexpectedly: u64,
     /// Dirty NIC-origin LLC lines evicted by NIC write-allocations.
     pub nic_lines_evicted_by_nic: u64,

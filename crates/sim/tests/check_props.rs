@@ -148,7 +148,6 @@ proptest! {
             ViolationKind::InclusionViolation,
             ViolationKind::MultipleDirtyCopies,
             ViolationKind::DdioWayEscape,
-            ViolationKind::OccupancyDrift,
             ViolationKind::RingInconsistency,
             ViolationKind::DramTimingRegression,
         ];

@@ -191,14 +191,12 @@ proptest! {
             }
             prop_assert_eq!(dir.sharers(b).to_vec(), reference.sharers(b).to_vec());
             prop_assert_eq!(dir.dirty_owner(b), reference.dirty_owner(b));
-            prop_assert_eq!(dir.any_sharer(b), reference.any_sharer(b));
             prop_assert_eq!(dir.tracked_blocks(), reference.tracked_blocks());
             for ex in 0..12 {
                 prop_assert_eq!(
-                    dir.others(b, ex).to_vec(),
-                    reference.others(b, ex).to_vec()
+                    dir.sharers(b).without(ex).to_vec(),
+                    reference.sharers(b).without(ex).to_vec()
                 );
-                prop_assert_eq!(dir.shared_elsewhere(b, ex), reference.shared_elsewhere(b, ex));
             }
         }
     }

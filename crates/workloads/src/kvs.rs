@@ -19,14 +19,13 @@
 //! recently written log block.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
 use sweeper_core::workload::{CoreEnv, TxAction, Workload};
 use sweeper_nic::packet::Packet;
 use sweeper_sim::addr::{Addr, RegionKind};
 use sweeper_sim::hierarchy::MemorySystem;
-use sweeper_sim::Cycle;
-use sweeper_sim::BLOCK_BYTES;
+use sweeper_sim::{Cycle, KeyHasher, BLOCK_BYTES};
 
 use crate::dist::Zipf;
 
@@ -107,28 +106,6 @@ pub struct MicaKvs {
     moved: HashMap<u64, u64, BuildHasherDefault<KeyHasher>>,
     zipf: Zipf,
     stats: KvsStats,
-}
-
-/// Hashes an item key with one Fibonacci multiply: keys are already
-/// uniform-ish integers, and a fixed function keeps the map deterministic
-/// and cheaper than the default SipHash.
-#[derive(Debug, Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        self.0 = (self.0 ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
 }
 
 /// Operation counters.

@@ -1,7 +1,7 @@
 //! Determinism guard: golden snapshots of figure-1-scenario statistics.
 //!
 //! The hot-path work in `sweeper-sim` (open-addressed directory, `SharerSet`
-//! bitmasks, incremental occupancy counters, single-pass insert) is pure
+//! bitmasks, single-pass insert, one path per coherence action) is pure
 //! optimization — simulated behaviour must not move by even one counter.
 //! These tests pin the full statistics fingerprint of representative runs to
 //! committed golden files; any divergence (ordering, victim choice, sharer
