@@ -30,15 +30,24 @@ use crate::{scenario_experiment, FigContext, Table};
 /// Fixed offered load of every ablation run (Mrps).
 const RATE_MRPS: f64 = 18.0;
 
-type Mutator = fn(&mut MachineConfig);
+/// A variant's one machine toggle; `None` keeps the default machine.
+type Mutator = Option<fn(&mut MachineConfig)>;
 
-/// One ablation run: which table it belongs to, its row name, the single
+/// One ablation row: which table it belongs to, its row name, the single
 /// modelling toggle it applies, and the Sweeper mode.
 struct Variant {
     table: usize,
     name: &'static str,
     mutate: Mutator,
     sweeper: SweeperMode,
+}
+
+impl Variant {
+    /// The default machine without Sweeper: the baseline row of tables 1,
+    /// 2 and 4 and the base row of table 3's defaults, all one point.
+    fn is_baseline(&self) -> bool {
+        self.mutate.is_none() && self.sweeper == SweeperMode::Disabled
+    }
 }
 
 fn variants() -> Vec<Variant> {
@@ -52,59 +61,59 @@ fn variants() -> Vec<Variant> {
     }
     use SweeperMode::{Disabled, Enabled};
     vec![
-        v(1, "retain (default)", |_| {}, Disabled),
+        v(1, "retain (default)", None, Disabled),
         v(
             1,
             "strict victim",
-            |m| m.llc_read_hit_retains = false,
+            Some(|m| m.llc_read_hit_retains = false),
             Disabled,
         ),
-        v(2, "insertion mask (default)", |_| {}, Disabled),
+        v(2, "insertion mask (default)", None, Disabled),
         v(
             2,
             "strict partition",
-            |m| m.ddio_strict_partition = true,
+            Some(|m| m.ddio_strict_partition = true),
             Disabled,
         ),
-        v(3, "realistic (default), base", |_| {}, Disabled),
-        v(3, "realistic (default), sweep", |_| {}, Enabled),
+        v(3, "realistic (default), base", None, Disabled),
+        v(3, "realistic (default), sweep", None, Enabled),
         v(
             3,
             "no turnaround, base",
-            |m| m.dram.t_turnaround = 0,
+            Some(|m| m.dram.t_turnaround = 0),
             Disabled,
         ),
         v(
             3,
             "no turnaround, sweep",
-            |m| m.dram.t_turnaround = 0,
+            Some(|m| m.dram.t_turnaround = 0),
             Enabled,
         ),
         v(
             3,
             "no activation overhead, base",
-            |m| m.dram.t_act_bus = 0,
+            Some(|m| m.dram.t_act_bus = 0),
             Disabled,
         ),
         v(
             3,
             "no activation overhead, sweep",
-            |m| m.dram.t_act_bus = 0,
+            Some(|m| m.dram.t_act_bus = 0),
             Enabled,
         ),
-        v(3, "no refresh, base", |m| m.dram.t_refi = 0, Disabled),
-        v(3, "no refresh, sweep", |m| m.dram.t_refi = 0, Enabled),
-        v(4, "LRU (default)", |_| {}, Disabled),
+        v(3, "no refresh, base", Some(|m| m.dram.t_refi = 0), Disabled),
+        v(3, "no refresh, sweep", Some(|m| m.dram.t_refi = 0), Enabled),
+        v(4, "LRU (default)", None, Disabled),
         v(
             4,
             "SRRIP LLC",
-            |m| m.llc_replacement = ReplacementPolicy::Srrip,
+            Some(|m| m.llc_replacement = ReplacementPolicy::Srrip),
             Disabled,
         ),
         v(
             4,
             "L2 next-line prefetch",
-            |m| m.l2_next_line_prefetch = true,
+            Some(|m| m.l2_next_line_prefetch = true),
             Disabled,
         ),
     ]
@@ -127,7 +136,9 @@ fn ablation_experiment(profile: RunProfile, variant: &Variant, seed: u64) -> Exp
         min_measure_cycles: 0,
     });
     let mut machine = *cfg.machine();
-    (variant.mutate)(&mut machine);
+    if let Some(mutate) = variant.mutate {
+        mutate(&mut machine);
+    }
     scenario_experiment(cfg.with_machine(machine), &s)
 }
 
@@ -157,9 +168,14 @@ impl Figure for Ablations {
         "Modelling-decision ablations at fixed 18 Mrps load (DESIGN.md)"
     }
 
+    /// The baseline point first (under its first row's label), then one
+    /// point per other variant.
     fn points(&self, profile: RunProfile, seed: u64) -> Vec<ExperimentPoint> {
-        variants()
+        let variants = variants();
+        let (baseline, others): (Vec<_>, Vec<_>) = variants.iter().partition(|v| v.is_baseline());
+        baseline[..1]
             .iter()
+            .chain(&others)
             .map(|variant| {
                 ExperimentPoint::at_rate(
                     format!("t{} {}", variant.table, variant.name),
@@ -197,7 +213,14 @@ impl Figure for Ablations {
                 headers,
             ),
         ];
-        for (variant, outcome) in variants().iter().zip(outcomes) {
+        let (baseline, others) = outcomes.split_first().expect("the baseline point ran");
+        let mut others = others.iter();
+        for variant in variants() {
+            let outcome = if variant.is_baseline() {
+                baseline
+            } else {
+                others.next().expect("one outcome per variant")
+            };
             tables[variant.table - 1].row(row(variant.name, &outcome.report));
         }
 

@@ -382,7 +382,7 @@ mod tests {
         FigContext {
             profile: RunProfile::Smoke,
             seed,
-            fleet: Fleet::sequential().quiet(),
+            fleet: Fleet::new(1),
             format: OutputFormat::Text,
         }
     }

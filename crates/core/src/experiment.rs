@@ -24,7 +24,7 @@ use crate::workload::{BackgroundTenant, Workload};
 /// size, memory channels, and Sweeper mode.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
-    server: ServerConfig,
+    pub(crate) server: ServerConfig,
     options: RunOptions,
 }
 
@@ -232,6 +232,15 @@ impl ExperimentConfig {
     }
 }
 
+/// Minimum completed/offered ratio a passing rate needs. A coarse overload
+/// guard only — the binding rule is the p99 SLO, exactly as in Appendix A.
+/// A tight goodput bound would make the search knife-edge on transient
+/// backlog drift.
+const MIN_GOODPUT: f64 = 0.90;
+
+/// Relative rate precision at which the peak bisection stops.
+const RATE_TOLERANCE: f64 = 0.03;
+
 /// Pass/fail criteria for the peak-throughput search.
 #[derive(Debug, Clone, Copy)]
 pub struct PeakCriteria {
@@ -242,10 +251,6 @@ pub struct PeakCriteria {
     /// effectively require no drops; Figure 10a explicitly reports "peak
     /// throughput achievable without packet drops" (use 0.0 there).
     pub max_drop_rate: f64,
-    /// Minimum completed/offered ratio (stability guard).
-    pub min_goodput: f64,
-    /// Relative rate precision at which bisection stops.
-    pub rate_tolerance: f64,
 }
 
 impl Default for PeakCriteria {
@@ -253,11 +258,6 @@ impl Default for PeakCriteria {
         Self {
             slo_multiplier: 100.0,
             max_drop_rate: 0.001,
-            // Coarse overload guard only — the binding rule is the p99 SLO,
-            // exactly as in Appendix A. A tight goodput bound would make the
-            // search knife-edge on transient backlog drift.
-            min_goodput: 0.90,
-            rate_tolerance: 0.03,
         }
     }
 }
@@ -271,7 +271,6 @@ impl PeakCriteria {
         Self {
             max_drop_rate: 0.0,
             slo_multiplier: f64::INFINITY,
-            ..Self::default()
         }
     }
 }
@@ -307,7 +306,7 @@ type ServerHook = Box<dyn Fn(&mut Server) + Send + Sync>;
 /// Each run builds a fresh, independent server so that load points do not
 /// contaminate each other.
 pub struct Experiment {
-    cfg: ExperimentConfig,
+    pub(crate) cfg: ExperimentConfig,
     make_workload: WorkloadFactory,
     make_background: Option<BackgroundFactory>,
     hook: Option<ServerHook>,
@@ -362,12 +361,6 @@ impl Experiment {
         &self.cfg
     }
 
-    /// Enables the correctness harness in place (`--validate` and
-    /// `sweeper check` retrofit existing experiments this way).
-    pub fn enable_check(&mut self, check: sweeper_sim::check::CheckConfig) {
-        self.cfg.server.check = Some(check);
-    }
-
     fn build(&self, arrivals: ArrivalProcess) -> Server {
         let mut server_cfg = self.cfg.server.clone();
         server_cfg.arrivals = arrivals;
@@ -411,7 +404,7 @@ impl Experiment {
 
     fn passes(&self, report: &RunReport, slo: Cycle, criteria: &PeakCriteria) -> bool {
         !report.timed_out
-            && report.goodput_ratio() >= criteria.min_goodput
+            && report.goodput_ratio() >= MIN_GOODPUT
             && report.drop_rate() <= criteria.max_drop_rate
             && report.request_latency.percentile(0.99) <= slo
     }
@@ -420,7 +413,7 @@ impl Experiment {
     ///
     /// The search brackets the knee geometrically from a capacity estimate
     /// (`cores / unloaded service time`) and then bisects to
-    /// `criteria.rate_tolerance` relative precision. Cost: ~10 full runs.
+    /// `RATE_TOLERANCE` (3 %) relative precision. Cost: ~10 full runs.
     pub fn find_peak(&self, criteria: PeakCriteria) -> PeakResult {
         let unloaded = self.unloaded_service_time();
         let slo = (criteria.slo_multiplier * unloaded).ceil() as Cycle;
@@ -446,7 +439,7 @@ impl Experiment {
         }
 
         // Bisect the knee.
-        while hi - lo > criteria.rate_tolerance * hi {
+        while hi - lo > RATE_TOLERANCE * hi {
             let mid = 0.5 * (lo + hi);
             let report = self.run_at_rate(mid);
             if self.passes(&report, slo, &criteria) {

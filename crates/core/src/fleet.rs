@@ -18,6 +18,12 @@
 //! fleet, or `--jobs 1`, degrades to plain sequential execution on the
 //! calling thread.
 //!
+//! [`Fleet::run`] is the one way to run a batch: `figure` renders its
+//! outcomes, `sweep` declares one at-rate point per offered rate, and
+//! `check` runs a figure's points after [`ExperimentPoint::checked`] turned
+//! each into a checked point. Each finished point prints one progress line
+//! on stderr.
+//!
 //! ```
 //! use sweeper_core::experiment::ExperimentConfig;
 //! use sweeper_core::fleet::{ExperimentPoint, Fleet};
@@ -32,7 +38,7 @@
 //!         )
 //!     })
 //!     .collect();
-//! let outcomes = Fleet::new(2).quiet().run(points);
+//! let outcomes = Fleet::new(2).run(points);
 //! assert_eq!(outcomes.len(), 4);
 //! assert!(outcomes.iter().all(|o| o.report.completed > 0));
 //! ```
@@ -41,6 +47,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+use sweeper_sim::check::CheckConfig;
 
 use crate::experiment::{Experiment, PeakCriteria};
 use crate::server::RunReport;
@@ -121,15 +129,23 @@ impl ExperimentPoint {
         self.action
     }
 
-    /// Runs the point. A validation pass (`validate`) runs rate and
-    /// keep-queued points exactly as declared but a peak point as a single
-    /// closed-loop keep-queued pass instead of the full ~10-run bisection,
-    /// because a correctness check needs the configuration's memory paths
-    /// exercised once, not the search repeated.
-    fn execute(self, validate: bool) -> PointOutcome {
+    /// The same point in checked mode: the correctness harness runs under
+    /// `check`, so the report carries a `check` section, and a peak point
+    /// becomes a single closed-loop keep-queued pass at depth 8 instead of
+    /// the full ~10-run bisection, because a correctness check needs the
+    /// configuration's memory paths exercised once, not the search
+    /// repeated. Rate and keep-queued points keep their action.
+    pub fn checked(mut self, check: CheckConfig) -> Self {
+        self.experiment.cfg.server.check = Some(check);
+        if let PointAction::Peak(_) = self.action {
+            self.action = PointAction::KeepQueued(8);
+        }
+        self
+    }
+
+    fn execute(self) -> PointOutcome {
         let start = Instant::now();
         let (report, peak_rate) = match self.action {
-            PointAction::Peak(_) if validate => (self.experiment.run_keep_queued(8), None),
             PointAction::Peak(criteria) => {
                 let peak = self.experiment.find_peak(criteria);
                 (peak.report, Some(peak.rate))
@@ -165,13 +181,36 @@ impl PointOutcome {
     pub fn throughput_mrps(&self) -> f64 {
         self.report.throughput_mrps()
     }
+
+    /// The stderr progress line of the `finished`-th of `total` points: its
+    /// harness verdict for a checked point, its throughput otherwise.
+    fn progress_line(&self, finished: usize, total: usize) -> String {
+        match &self.report.check {
+            Some(c) => {
+                let status = if c.passed() {
+                    "pass".to_string()
+                } else {
+                    format!("FAIL ({} violations)", c.total_violations())
+                };
+                format!(
+                    "[check {finished}/{total}] {}: {status} in {:.1?}",
+                    self.label, self.wall
+                )
+            }
+            None => format!(
+                "[fleet {finished}/{total}] {}: {:.2} Mrps in {:.1?}",
+                self.label,
+                self.throughput_mrps(),
+                self.wall
+            ),
+        }
+    }
 }
 
 /// A worker pool executing [`ExperimentPoint`]s.
 #[derive(Debug, Clone)]
 pub struct Fleet {
     jobs: usize,
-    progress: bool,
 }
 
 impl Default for Fleet {
@@ -188,21 +227,7 @@ impl Default for Fleet {
 impl Fleet {
     /// A fleet with an explicit worker count (clamped to ≥ 1).
     pub fn new(jobs: usize) -> Self {
-        Self {
-            jobs: jobs.max(1),
-            progress: true,
-        }
-    }
-
-    /// A single-worker (sequential) fleet.
-    pub fn sequential() -> Self {
-        Self::new(1)
-    }
-
-    /// Disables per-point progress lines on stderr.
-    pub fn quiet(mut self) -> Self {
-        self.progress = false;
-        self
+        Self { jobs: jobs.max(1) }
     }
 
     /// The worker count.
@@ -211,100 +236,33 @@ impl Fleet {
     }
 
     /// Executes the points and returns their outcomes **in declaration
-    /// order**, regardless of worker count or completion order. Every point
-    /// runs with its own configured seed.
+    /// order**, regardless of worker count or completion order, printing a
+    /// progress line per finished point. Every point runs with its own
+    /// configured seed.
     pub fn run(&self, points: Vec<ExperimentPoint>) -> Vec<PointOutcome> {
-        self.execute(points, None)
-    }
-
-    /// Executes every point once in checked mode and returns outcomes in
-    /// declaration order. Like [`Fleet::run`], except that every point
-    /// gets the correctness harness enabled (so each report carries a
-    /// `check` section) and peak points run one keep-queued pass instead of
-    /// the full bisection. `sweeper check` drives the figure registry
-    /// through this.
-    pub fn run_validation(
-        &self,
-        points: Vec<ExperimentPoint>,
-        check: sweeper_sim::check::CheckConfig,
-    ) -> Vec<PointOutcome> {
-        self.execute(points, Some(check))
-    }
-
-    /// The one execution path behind [`Fleet::run`] and
-    /// [`Fleet::run_validation`]: optionally enables the harness, runs, and
-    /// prints a progress line per finished point.
-    fn execute(
-        &self,
-        points: Vec<ExperimentPoint>,
-        check: Option<sweeper_sim::check::CheckConfig>,
-    ) -> Vec<PointOutcome> {
         let total = points.len();
         let done = AtomicUsize::new(0);
-        let progress = self.progress;
-        let tasks: Vec<_> = points
-            .into_iter()
-            .map(|mut point| {
-                if let Some(check) = check {
-                    point.experiment.enable_check(check);
-                }
-                let done = &done;
-                move || {
-                    let outcome = point.execute(check.is_some());
-                    let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if !progress {
-                        return outcome;
-                    }
-                    if check.is_none() {
-                        eprintln!(
-                            "[fleet {finished}/{total}] {}: {:.2} Mrps in {:.1?}",
-                            outcome.label,
-                            outcome.throughput_mrps(),
-                            outcome.wall,
-                        );
-                    } else {
-                        let status = match &outcome.report.check {
-                            Some(c) if c.passed() => "pass".to_string(),
-                            Some(c) => format!("FAIL ({} violations)", c.total_violations()),
-                            None => "unchecked".to_string(),
-                        };
-                        eprintln!(
-                            "[check {finished}/{total}] {}: {status} in {:.1?}",
-                            outcome.label, outcome.wall,
-                        );
-                    }
-                    outcome
-                }
-            })
-            .collect();
-        self.run_tasks(tasks)
-    }
-
-    /// Low-level entry point: executes arbitrary closures across the worker
-    /// pool, returning results in declaration order. Used by [`Fleet::run`]
-    /// and by callers whose work units are not [`ExperimentPoint`]s (e.g.
-    /// parallel load sweeps).
-    pub fn run_tasks<T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let n = tasks.len();
-        let workers = self.jobs.min(n.max(1));
+        let execute = |point: ExperimentPoint| {
+            let outcome = point.execute();
+            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+            eprintln!("{}", outcome.progress_line(finished, total));
+            outcome
+        };
+        let workers = self.jobs.min(total);
         if workers <= 1 {
-            return tasks.into_iter().map(|f| f()).collect();
+            return points.into_iter().map(execute).collect();
         }
 
-        let queue: Mutex<VecDeque<(usize, F)>> =
-            Mutex::new(tasks.into_iter().enumerate().collect());
-        let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let queue = Mutex::new(points.into_iter().enumerate().collect::<VecDeque<_>>());
+        let results: Vec<Mutex<Option<PointOutcome>>> =
+            (0..total).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
                     let job = queue.lock().expect("fleet queue poisoned").pop_front();
-                    let Some((index, task)) = job else { break };
-                    let value = task();
-                    *results[index].lock().expect("fleet slot poisoned") = Some(value);
+                    let Some((index, point)) = job else { break };
+                    let outcome = execute(point);
+                    *results[index].lock().expect("fleet slot poisoned") = Some(outcome);
                 });
             }
         });
@@ -313,7 +271,7 @@ impl Fleet {
             .map(|slot| {
                 slot.into_inner()
                     .expect("fleet slot poisoned")
-                    .expect("every task ran to completion")
+                    .expect("every point ran to completion")
             })
             .collect()
     }
@@ -355,7 +313,7 @@ mod tests {
         let points = (0..8)
             .map(|i| echo_point(i, 1.0e6 + i as f64 * 1.0e5))
             .collect();
-        let outcomes = Fleet::new(4).quiet().run(points);
+        let outcomes = Fleet::new(4).run(points);
         let labels: Vec<_> = outcomes.iter().map(|o| o.label.as_str()).collect();
         assert_eq!(
             labels,
@@ -366,9 +324,9 @@ mod tests {
     #[test]
     fn results_are_identical_for_any_worker_count() {
         let build = || (0..6).map(|i| echo_point(i, 2.0e6)).collect::<Vec<_>>();
-        let sequential = fingerprint(&Fleet::sequential().quiet().run(build()));
-        let parallel = fingerprint(&Fleet::new(4).quiet().run(build()));
-        let oversubscribed = fingerprint(&Fleet::new(64).quiet().run(build()));
+        let sequential = fingerprint(&Fleet::new(1).run(build()));
+        let parallel = fingerprint(&Fleet::new(4).run(build()));
+        let oversubscribed = fingerprint(&Fleet::new(64).run(build()));
         assert_eq!(sequential, parallel);
         assert_eq!(sequential, oversubscribed);
     }
@@ -390,7 +348,7 @@ mod tests {
             ),
             echo_point(4, 2.0e6),
         ];
-        let prints: Vec<String> = fingerprint(&Fleet::new(2).quiet().run(points))
+        let prints: Vec<String> = fingerprint(&Fleet::new(2).run(points))
             .into_iter()
             .map(|p| p.split_once('|').unwrap().1.to_string())
             .collect();
@@ -447,16 +405,9 @@ mod tests {
             }
             out
         };
-        let sequential = artifacts(&Fleet::sequential().quiet().run(build()));
-        let parallel = artifacts(&Fleet::new(4).quiet().run(build()));
+        let sequential = artifacts(&Fleet::new(1).run(build()));
+        let parallel = artifacts(&Fleet::new(4).run(build()));
         assert_eq!(sequential, parallel);
-    }
-
-    #[test]
-    fn run_tasks_handles_more_tasks_than_workers() {
-        let tasks: Vec<_> = (0..50).map(|i| move || i * 2).collect();
-        let out = Fleet::new(3).run_tasks(tasks);
-        assert_eq!(out, (0..50).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]
@@ -487,9 +438,37 @@ mod tests {
                 PeakCriteria::default(),
             ),
         ];
-        let outcomes = Fleet::new(2).quiet().run(points);
+        let outcomes = Fleet::new(2).run(points);
         assert!(outcomes[0].peak_rate.is_none());
         assert!(outcomes[1].peak_rate.is_some());
         assert!(outcomes.iter().all(|o| o.report.completed > 0));
+    }
+
+    #[test]
+    fn checked_points_run_the_harness_and_search_no_peak() {
+        let experiment =
+            || ExperimentConfig::tiny_for_tests().experiment(|| EchoWorkload::with_think(150));
+        let check = CheckConfig::default();
+        let points = vec![
+            ExperimentPoint::peak("pk", experiment()).checked(check),
+            ExperimentPoint::at_rate("ar", experiment(), 2.0e6).checked(check),
+            ExperimentPoint::keep_queued("kq", experiment(), 4).checked(check),
+        ];
+        let actions: Vec<String> = points.iter().map(|p| format!("{:?}", p.action())).collect();
+        assert_eq!(
+            actions,
+            ["KeepQueued(8)", "AtRate(2000000.0)", "KeepQueued(4)"]
+        );
+        let outcomes = Fleet::new(2).run(points);
+        for o in &outcomes {
+            assert!(o.peak_rate.is_none(), "{}: searched a peak", o.label);
+            let c = o.report.check.as_ref().expect("a checked report");
+            assert!(c.passed() && c.events > 0, "{}: {c:?}", o.label);
+        }
+        // The peak point ran one keep-queued pass at depth 8, which the
+        // harness observes without perturbing.
+        let (checked, plain) = (&outcomes[0].report, experiment().run_keep_queued(8));
+        assert_eq!(checked.completed, plain.completed);
+        assert_eq!(checked.elapsed_cycles, plain.elapsed_cycles);
     }
 }

@@ -18,9 +18,10 @@
 //!   applications implement,
 //! * [`experiment`] — the p99-SLO rule of Appendix A and peak-throughput
 //!   search,
-//! * [`fleet`] — the parallel experiment runner: independent sweep points
-//!   fan out across a worker pool with per-point derived seeds, so results
-//!   are identical for any worker count,
+//! * [`fleet`] — the parallel experiment runner, the one way to run a
+//!   batch of points (figures, load sweeps, checked points): independent
+//!   points fan out across a worker pool, each with its own seed, so
+//!   results are identical for any worker count,
 //! * [`profile`] — typed run-length profiles (full / fast / smoke), set
 //!   by the CLI's `--profile` flag,
 //! * [`loadsweep`] — full load–latency ("hockey-stick") characterizations,

@@ -2,13 +2,14 @@
 //!
 //! The paper reports peak throughput under an SLO (Appendix A); operators
 //! usually also want the whole curve — throughput, latency percentiles,
-//! memory bandwidth, and leak counts as functions of offered load. A
-//! [`LoadSweep`] drives an [`Experiment`]
-//! across a rate grid and returns one [`LoadPoint`] per rate, ready for
-//! plotting or CSV export.
+//! memory bandwidth, and leak counts as functions of offered load. A sweep
+//! is one [`ExperimentPoint::at_rate`](crate::fleet::ExperimentPoint::at_rate)
+//! per offered rate (usually [`geometric_rates`]), run through
+//! [`Fleet::run`](crate::fleet::Fleet::run) like any other batch;
+//! [`LoadSweep::new`] summarizes the outcomes into one [`LoadPoint`] per
+//! rate, ready for plotting or CSV export.
 
-use crate::experiment::Experiment;
-use crate::fleet::Fleet;
+use crate::fleet::PointOutcome;
 use crate::server::RunReport;
 use sweeper_sim::stats::TrafficClass;
 use sweeper_sim::telemetry::{CsvTable, Record, Value};
@@ -71,61 +72,39 @@ impl LoadPoint {
     }
 }
 
-/// A rate grid to sweep.
-#[derive(Debug, Clone)]
-pub struct RateGrid {
-    rates: Vec<f64>,
+/// Geometric grid of `points` offered rates from `lo` to `hi`, ascending.
+///
+/// # Panics
+///
+/// Panics if the bounds are not positive and increasing or `points < 2`.
+pub fn geometric_rates(lo: f64, hi: f64, points: usize) -> Vec<f64> {
+    assert!(lo > 0.0 && hi > lo, "need 0 < lo < hi");
+    assert!(points >= 2, "need at least two points");
+    let ratio = (hi / lo).powf(1.0 / (points - 1) as f64);
+    (0..points).map(|i| lo * ratio.powi(i as i32)).collect()
 }
 
-impl RateGrid {
-    /// Geometric grid of `points` rates from `lo` to `hi`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bounds are not positive and increasing or `points < 2`.
-    pub fn geometric(lo: f64, hi: f64, points: usize) -> Self {
-        assert!(lo > 0.0 && hi > lo, "need 0 < lo < hi");
-        assert!(points >= 2, "need at least two points");
-        let ratio = (hi / lo).powf(1.0 / (points - 1) as f64);
-        Self {
-            rates: (0..points).map(|i| lo * ratio.powi(i as i32)).collect(),
-        }
-    }
-
-    /// The rates, ascending.
-    pub fn rates(&self) -> &[f64] {
-        &self.rates
-    }
-}
-
-/// Result of sweeping an experiment across a rate grid.
+/// A measured load–latency curve.
 #[derive(Debug, Clone)]
 pub struct LoadSweep {
     points: Vec<LoadPoint>,
 }
 
 impl LoadSweep {
-    /// Runs `experiment` at every rate of `grid`, fanning the rates out
-    /// across `fleet`'s workers, and returns the sweep together with each
-    /// rate's full report (in rate order; `sweep --validate` inspects their
-    /// check sections).
+    /// Summarizes the outcomes of one at-rate point per entry of `rates`,
+    /// in the same order.
     ///
-    /// Every rate reuses the experiment's own seed and every rate runs, so
-    /// the result is the same for any worker count.
-    pub fn run(experiment: &Experiment, grid: &RateGrid, fleet: &Fleet) -> (Self, Vec<RunReport>) {
-        let tasks: Vec<_> = grid
-            .rates()
+    /// # Panics
+    ///
+    /// Panics if `rates` and `outcomes` differ in length.
+    pub fn new(rates: &[f64], outcomes: &[PointOutcome]) -> Self {
+        assert_eq!(rates.len(), outcomes.len(), "one outcome per rate");
+        let points = rates
             .iter()
-            .map(|&rate| move || experiment.run_at_rate(rate))
+            .zip(outcomes)
+            .map(|(&rate, outcome)| LoadPoint::from_report(rate, &outcome.report))
             .collect();
-        let reports = fleet.run_tasks(tasks);
-        let points = grid
-            .rates()
-            .iter()
-            .zip(&reports)
-            .map(|(&rate, report)| LoadPoint::from_report(rate, report))
-            .collect();
-        (Self { points }, reports)
+        Self { points }
     }
 
     /// The measured points, in offered-rate order.
@@ -192,36 +171,42 @@ impl LoadSweep {
 mod tests {
     use super::*;
     use crate::experiment::ExperimentConfig;
+    use crate::fleet::{ExperimentPoint, Fleet};
     use crate::workload::EchoWorkload;
 
-    fn tiny_experiment() -> Experiment {
-        Experiment::new(ExperimentConfig::tiny_for_tests(), || {
-            EchoWorkload::with_think(200)
-        })
+    /// Sweeps the tiny echo experiment over `rates` on `jobs` workers.
+    fn sweep(rates: &[f64], jobs: usize) -> LoadSweep {
+        let points = rates
+            .iter()
+            .map(|&rate| {
+                ExperimentPoint::at_rate(
+                    format!("{:.1} Mrps", rate / 1e6),
+                    ExperimentConfig::tiny_for_tests().experiment(|| EchoWorkload::with_think(200)),
+                    rate,
+                )
+            })
+            .collect();
+        LoadSweep::new(rates, &Fleet::new(jobs).run(points))
     }
 
     #[test]
-    fn geometric_grid_has_constant_ratio() {
-        let g = RateGrid::geometric(1e6, 16e6, 5);
-        for w in g.rates().windows(2) {
+    fn geometric_rates_have_constant_ratio() {
+        let rates = geometric_rates(1e6, 16e6, 5);
+        assert_eq!(rates.len(), 5);
+        for w in rates.windows(2) {
             assert!((w[1] / w[0] - 2.0).abs() < 1e-9);
         }
     }
 
     #[test]
     #[should_panic(expected = "0 < lo < hi")]
-    fn geometric_grid_rejects_bad_bounds() {
-        RateGrid::geometric(5e6, 1e6, 3);
+    fn geometric_rates_reject_bad_bounds() {
+        geometric_rates(5e6, 1e6, 3);
     }
 
     #[test]
     fn sweep_produces_monotone_offered_rates_and_knee() {
-        let exp = tiny_experiment();
-        let (sweep, _) = LoadSweep::run(
-            &exp,
-            &RateGrid::geometric(0.2e6, 12.8e6, 7),
-            &Fleet::sequential(),
-        );
+        let sweep = sweep(&geometric_rates(0.2e6, 12.8e6, 7), 1);
         assert!(!sweep.points().is_empty());
         for w in sweep.points().windows(2) {
             assert!(w[1].offered_rate > w[0].offered_rate);
@@ -237,19 +222,15 @@ mod tests {
 
     #[test]
     fn parallel_sweep_matches_sequential() {
-        let exp = tiny_experiment();
-        let grid = RateGrid::geometric(0.5e6, 8.0e6, 5);
-        let (sequential, reports) = LoadSweep::run(&exp, &grid, &Fleet::sequential());
-        let (parallel, _) = LoadSweep::run(&exp, &grid, &Fleet::new(4));
-        assert_eq!(sequential.to_csv(), parallel.to_csv());
-        assert_eq!(reports.len(), grid.rates().len());
+        let rates = geometric_rates(0.5e6, 8.0e6, 5);
+        let sequential = sweep(&rates, 1);
+        assert_eq!(sequential.to_csv(), sweep(&rates, 4).to_csv());
+        assert_eq!(sequential.points().len(), rates.len());
     }
 
     #[test]
     fn csv_has_header_and_rows() {
-        let exp = tiny_experiment();
-        let (sweep, _) =
-            LoadSweep::run(&exp, &RateGrid::geometric(0.5e6, 1.5e6, 2), &Fleet::new(2));
+        let sweep = sweep(&geometric_rates(0.5e6, 1.5e6, 2), 2);
         let csv = sweep.to_csv();
         assert!(csv.starts_with("offered_rate,"));
         assert_eq!(csv.lines().count(), 1 + sweep.points().len());
@@ -257,9 +238,7 @@ mod tests {
 
     #[test]
     fn csv_comments_and_record_share_the_points() {
-        let exp = tiny_experiment();
-        let (sweep, _) =
-            LoadSweep::run(&exp, &RateGrid::geometric(0.5e6, 1.5e6, 2), &Fleet::new(2));
+        let sweep = sweep(&geometric_rates(0.5e6, 1.5e6, 2), 2);
         let csv = sweep.to_csv_with_comments(&[("artifact".to_string(), "loadsweep".to_string())]);
         assert!(csv.starts_with("# artifact: loadsweep\noffered_rate,"));
         let rec = sweep.to_record();

@@ -1181,14 +1181,17 @@ impl MemorySystem {
     /// lines on each call (O(LLC lines)), so only a sampled run pays for it.
     pub fn llc_occupancy_by_region(&self) -> LlcOccupancy {
         let mut occ = LlcOccupancy::default();
-        for line in self.llc.iter_lines() {
-            match self.map.classify_block(line.block) {
+        // `for_each` runs the per-set iterator of `iter_lines` as nested
+        // loops; a `for` loop steps it through `Flatten::next`, which took
+        // about three times as long over the paper machine's 589,824 ways.
+        self.llc
+            .iter_lines()
+            .for_each(|line| match self.map.classify_block(line.block) {
                 RegionKind::Rx { .. } => occ.rx += 1,
                 RegionKind::Tx { .. } => occ.tx += 1,
                 RegionKind::App => occ.app += 1,
                 RegionKind::Other => occ.other += 1,
-            }
-        }
+            });
         occ
     }
 

@@ -27,8 +27,8 @@ use std::process::ExitCode;
 
 use sweeper::bench::{run_figure, scenario_experiment, FigContext};
 use sweeper::core::experiment::{Experiment, PeakCriteria};
-use sweeper::core::fleet::Fleet;
-use sweeper::core::loadsweep::{LoadSweep, RateGrid};
+use sweeper::core::fleet::{ExperimentPoint, Fleet};
+use sweeper::core::loadsweep::{geometric_rates, LoadSweep};
 use sweeper::core::observe::FlightRecorderConfig;
 use sweeper::core::profile::RunProfile;
 use sweeper::core::report::{csv_report, text_report};
@@ -672,40 +672,49 @@ fn main() -> ExitCode {
             Ok(exp) => run_point(&cli, &exp),
             Err(e) => usage_error(&e),
         },
-        "sweep" => match build_experiment(&cli) {
-            Ok(exp) => {
-                let grid = RateGrid::geometric(cli.lo * 1e6, cli.hi * 1e6, cli.points);
-                let t = std::time::Instant::now();
-                // Every rate runs, whatever the worker count; the reports
-                // carry the check sections of a validated sweep.
-                let (sweep, reports) = LoadSweep::run(&exp, &grid, &fig_context(&cli).fleet);
-                let manifest = cli_manifest(&cli, &exp).wall_secs(t.elapsed().as_secs_f64());
-                match cli.format {
-                    // `text` keeps the historical bare-CSV stdout contract.
-                    OutputFormat::Text => print!("{}", sweep.to_csv()),
-                    OutputFormat::Csv => {
-                        print!("{}", sweep.to_csv_with_comments(&manifest.to_comments()));
-                    }
-                    OutputFormat::Json => {
-                        let doc = document(LOADSWEEP_SCHEMA, &manifest, "sweep", sweep.to_record());
-                        println!("{}", doc.to_json_pretty());
-                    }
-                }
-                if let Some(knee) = sweep.knee() {
-                    eprintln!("knee at ~{:.1} Mrps offered", knee.offered_rate / 1e6);
-                }
-                let mut all_pass = true;
-                for (&rate, report) in grid.rates().iter().zip(&reports) {
+        "sweep" => {
+            let rates = geometric_rates(cli.lo * 1e6, cli.hi * 1e6, cli.points);
+            let points: Result<Vec<_>, String> = rates
+                .iter()
+                .map(|&rate| {
                     let label = format!("{:.1} Mrps", rate / 1e6);
-                    all_pass &= check_passed(&label, report);
+                    build_experiment(&cli).map(|exp| ExperimentPoint::at_rate(label, exp, rate))
+                })
+                .collect();
+            let points = match points {
+                Ok(points) => points,
+                Err(e) => return usage_error(&e),
+            };
+            let manifest = cli_manifest(&cli, points[0].experiment());
+            let t = std::time::Instant::now();
+            // Every rate runs, whatever the worker count; the reports
+            // carry the check sections of a validated sweep.
+            let outcomes = fig_context(&cli).fleet.run(points);
+            let sweep = LoadSweep::new(&rates, &outcomes);
+            let manifest = manifest.wall_secs(t.elapsed().as_secs_f64());
+            match cli.format {
+                // `text` keeps the historical bare-CSV stdout contract.
+                OutputFormat::Text => print!("{}", sweep.to_csv()),
+                OutputFormat::Csv => {
+                    print!("{}", sweep.to_csv_with_comments(&manifest.to_comments()));
                 }
-                if !all_pass {
-                    return ExitCode::FAILURE;
+                OutputFormat::Json => {
+                    let doc = document(LOADSWEEP_SCHEMA, &manifest, "sweep", sweep.to_record());
+                    println!("{}", doc.to_json_pretty());
                 }
-                ExitCode::SUCCESS
             }
-            Err(e) => usage_error(&e),
-        },
+            if let Some(knee) = sweep.knee() {
+                eprintln!("knee at ~{:.1} Mrps offered", knee.offered_rate / 1e6);
+            }
+            let mut all_pass = true;
+            for outcome in &outcomes {
+                all_pass &= check_passed(&outcome.label, &outcome.report);
+            }
+            if !all_pass {
+                return ExitCode::FAILURE;
+            }
+            ExitCode::SUCCESS
+        }
         "figures" => {
             println!("{:<10} Table I — simulated machine parameters", "table1");
             for figure in sweeper::bench::figs::registry() {
@@ -742,17 +751,19 @@ fn main() -> ExitCode {
             let mut totals = [0u64; ViolationKind::ALL.len()];
             let mut figure_records: Vec<Value> = Vec::new();
             for figure in figures {
-                let points = figure.points(ctx.profile, ctx.seed);
+                let points: Vec<_> = figure
+                    .points(ctx.profile, ctx.seed)
+                    .into_iter()
+                    .map(|p| p.checked(check))
+                    .collect();
                 let n = points.len();
-                let outcomes = ctx.fleet.run_validation(points, check);
+                let outcomes = ctx.fleet.run(points);
                 let mut counts = [0u64; ViolationKind::ALL.len()];
                 let (mut events, mut walks) = (0u64, 0u64);
                 let mut failed: Vec<String> = Vec::new();
                 let mut details: Vec<String> = Vec::new();
                 for outcome in &outcomes {
-                    let Some(c) = &outcome.report.check else {
-                        continue;
-                    };
+                    let c = outcome.report.check.as_ref().expect("a checked report");
                     events += c.events;
                     walks += c.walks;
                     if !c.passed() {

@@ -38,8 +38,8 @@ fn fingerprint(outcomes: &[PointOutcome]) -> String {
 
 #[test]
 fn fleet_outcomes_are_byte_identical_across_worker_counts() {
-    let one = fingerprint(&Fleet::new(1).quiet().run(points()));
-    let four = fingerprint(&Fleet::new(4).quiet().run(points()));
+    let one = fingerprint(&Fleet::new(1).run(points()));
+    let four = fingerprint(&Fleet::new(4).run(points()));
     assert!(!one.is_empty());
     assert_eq!(one, four, "--jobs 1 and --jobs 4 must render identically");
 }
@@ -59,8 +59,8 @@ fn json_fingerprint(outcomes: &[PointOutcome]) -> Vec<String> {
 /// byte-identical for any worker count (reports carry no wall time).
 #[test]
 fn fleet_json_is_byte_identical_across_worker_counts() {
-    let one = json_fingerprint(&Fleet::new(1).quiet().run(points()));
-    let four = json_fingerprint(&Fleet::new(4).quiet().run(points()));
+    let one = json_fingerprint(&Fleet::new(1).run(points()));
+    let four = json_fingerprint(&Fleet::new(4).run(points()));
     assert!(
         one.iter().all(|json| !json.contains("wall")),
         "wall time must stay out of report JSON"
