@@ -185,25 +185,12 @@ impl PointOutcome {
     /// The stderr progress line of the `finished`-th of `total` points: its
     /// harness verdict for a checked point, its throughput otherwise.
     fn progress_line(&self, finished: usize, total: usize) -> String {
-        match &self.report.check {
-            Some(c) => {
-                let status = if c.passed() {
-                    "pass".to_string()
-                } else {
-                    format!("FAIL ({} violations)", c.total_violations())
-                };
-                format!(
-                    "[check {finished}/{total}] {}: {status} in {:.1?}",
-                    self.label, self.wall
-                )
-            }
-            None => format!(
-                "[fleet {finished}/{total}] {}: {:.2} Mrps in {:.1?}",
-                self.label,
-                self.throughput_mrps(),
-                self.wall
-            ),
-        }
+        let (kind, status) = match &self.report.check {
+            Some(c) => ("check", c.verdict()),
+            None => ("fleet", format!("{:.2} Mrps", self.throughput_mrps())),
+        };
+        let (label, wall) = (&self.label, self.wall);
+        format!("[{kind} {finished}/{total}] {label}: {status} in {wall:.1?}")
     }
 }
 

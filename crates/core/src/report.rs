@@ -180,10 +180,8 @@ fn lines(report: &RunReport) -> Vec<Line> {
                 check.total_violations()
             ),
         ));
-        for (kind, n) in &check.violations {
-            if *n > 0 {
-                lines.push(Line::Warning(format!("check: {n}x {kind}")));
-            }
+        for (kind, n) in check.violations() {
+            lines.push(Line::Warning(format!("check: {n}x {kind}")));
         }
     }
     lines

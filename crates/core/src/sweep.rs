@@ -82,7 +82,7 @@ pub fn relinquish(mem: &mut MemorySystem, addr: Addr, len: u64, now: Cycle) -> C
 mod tests {
     use super::*;
     use sweeper_sim::addr::RegionKind;
-    use sweeper_sim::hierarchy::{InjectionPolicy, MachineConfig};
+    use sweeper_sim::hierarchy::{InjectionPolicy, MachineConfig, SWEEP_ISSUE_COST};
     use sweeper_sim::stats::TrafficClass;
 
     fn mem() -> MemorySystem {
@@ -105,7 +105,7 @@ mod tests {
         m.nic_write(rx, 1024, 0);
         m.cpu_read(0, rx, 1024, 10);
         let cost = relinquish(&mut m, rx, 1024, 20);
-        assert_eq!(cost, 16 * m.config().sweep_issue_cost);
+        assert_eq!(cost, 16 * SWEEP_ISSUE_COST);
         for i in 0..16 {
             assert!(!m.resident_anywhere(rx.block().step(i)));
         }

@@ -11,8 +11,8 @@
 //! * document builders wrap a payload section together with its manifest
 //!   and a `schema` tag (`sweeper.run-report/1`, `sweeper.timeseries/1`,
 //!   `sweeper.load-sweep/1`);
-//! * [`validate_run_document`] checks the run-report shape — the golden
-//!   schema test and CI's artifact validation both go through it.
+//! * [`validate_run_document`] checks the run-report shape for the golden
+//!   schema test; CI checks the artifacts it writes with Python.
 //!
 //! Wall-clock time never enters determinism-sensitive sections: run
 //! reports carry no wall time, so `--jobs 1` and `--jobs N` produce
@@ -276,10 +276,10 @@ pub fn outlier_document(snapshot: &OutlierSnapshot, manifest: &RunManifest) -> R
     document(OUTLIER_SCHEMA, manifest, "outlier", snapshot.to_record())
 }
 
-/// The JSON document for a `sweeper check` validation sweep: one entry per
-/// checked configuration, each a record carrying the figure name, the point
-/// label, and the run's
-/// [`CheckReport`](sweeper_sim::check::CheckReport) record.
+/// The JSON document for a `sweeper check` validation sweep: one record per
+/// figure, built by the caller from the figure's summed
+/// [`CheckReport`](sweeper_sim::check::CheckReport) (points, events, walks,
+/// violation counts and the labels of the failing points).
 pub fn check_document(checks: Vec<Value>, manifest: &RunManifest) -> Record {
     document(CHECK_SCHEMA, manifest, "checks", checks)
 }

@@ -257,7 +257,7 @@ mod tests {
     use super::*;
     use sweeper_nic::packet::PacketId;
     use sweeper_sim::addr::RegionKind;
-    use sweeper_sim::hierarchy::MachineConfig;
+    use sweeper_sim::hierarchy::{MachineConfig, SWEEP_ISSUE_COST};
 
     fn setup() -> (MemorySystem, SimRng) {
         (
@@ -318,7 +318,7 @@ mod tests {
         let a = mem.address_map_mut().alloc(64, RegionKind::App);
         execute_op(&mut mem, 0, 0, &Op::Write { addr: a, len: 64 });
         let cost = execute_op(&mut mem, 0, 10, &Op::Sweep { addr: a, len: 64 });
-        assert_eq!(cost, mem.config().sweep_issue_cost);
+        assert_eq!(cost, SWEEP_ISSUE_COST);
         assert!(!mem.resident_anywhere(a.block()));
     }
 

@@ -51,6 +51,12 @@ impl std::fmt::Display for InjectionPolicy {
     }
 }
 
+/// Per-block pipelined issue cost within a multi-block range access.
+pub const BLOCK_ISSUE_COST: Cycle = 1;
+
+/// Cost charged to the issuing core per `clsweep` (pipelined).
+pub const SWEEP_ISSUE_COST: Cycle = 2;
+
 /// Full machine configuration (Table I defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
@@ -70,10 +76,6 @@ pub struct MachineConfig {
     pub injection: InjectionPolicy,
     /// DRAM configuration.
     pub dram: DramConfig,
-    /// Per-block pipelined issue cost within a multi-block range access.
-    pub block_issue_cost: Cycle,
-    /// Cost charged to the issuing core per `clsweep` (pipelined).
-    pub sweep_issue_cost: Cycle,
     /// Whether a CPU *read* hit leaves the (possibly dirty) line resident in
     /// the LLC (Intel-style non-inclusive behaviour, the default) or
     /// migrates it out like a strict victim cache. Ablation knob for the
@@ -120,8 +122,6 @@ impl MachineConfig {
             ddio_ways: 2,
             injection: InjectionPolicy::Ddio,
             dram: DramConfig::paper_default(),
-            block_issue_cost: 1,
-            sweep_issue_cost: 2,
             llc_read_hit_retains: true,
             ddio_strict_partition: false,
             llc_replacement: ReplacementPolicy::Lru,
@@ -148,16 +148,7 @@ impl MachineConfig {
                 ways: 4,
                 latency: 35,
             },
-            noc_latency: 8,
-            ddio_ways: 2,
-            injection: InjectionPolicy::Ddio,
-            dram: DramConfig::paper_default(),
-            block_issue_cost: 1,
-            sweep_issue_cost: 2,
-            llc_read_hit_retains: true,
-            ddio_strict_partition: false,
-            llc_replacement: ReplacementPolicy::Lru,
-            l2_next_line_prefetch: false,
+            ..Self::paper_default()
         }
     }
 
@@ -920,7 +911,7 @@ impl MemorySystem {
                 out.dram_fetches += 1;
             }
         }
-        out.latency = max_block_latency + out.blocks.saturating_sub(1) * self.cfg.block_issue_cost;
+        out.latency = max_block_latency + out.blocks.saturating_sub(1) * BLOCK_ISSUE_COST;
         out
     }
 
@@ -1126,7 +1117,7 @@ impl MemorySystem {
             self.sweep_block(block);
             blocks += 1;
         }
-        let latency = blocks * self.cfg.sweep_issue_cost;
+        let latency = blocks * SWEEP_ISSUE_COST;
         self.trace_event(
             now,
             TraceKind::Sweep,
@@ -1727,7 +1718,7 @@ mod tests {
         mem.check_walk();
         let report = mem.check_report().unwrap();
         assert_eq!(report.count(ViolationKind::InclusionViolation), 1);
-        assert_eq!(report.total_violations(), 1, "{:?}", report.violations);
+        assert_eq!(report.total_violations(), 1, "{:?}", report.details);
     }
 
     #[test]

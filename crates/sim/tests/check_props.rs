@@ -89,7 +89,7 @@ proptest! {
         prop_assert!(
             report.passed(),
             "disciplined lifecycle flagged: {:?}",
-            report.violations
+            report.violations().collect::<Vec<_>>()
         );
         prop_assert!(report.events > 0);
         prop_assert!(report.walks > 0);

@@ -25,6 +25,7 @@
 
 use std::process::ExitCode;
 
+use sweeper::bench::figs::table1;
 use sweeper::bench::{run_figure, scenario_experiment, FigContext};
 use sweeper::core::experiment::{Experiment, PeakCriteria};
 use sweeper::core::fleet::{ExperimentPoint, Fleet};
@@ -39,7 +40,7 @@ use sweeper::core::telemetry::{
     timeseries_document, OutputFormat, Record, RunManifest, Value, LOADSWEEP_SCHEMA,
 };
 use sweeper::sim::addr::MAX_BLOCKS;
-use sweeper::sim::check::{CheckConfig, ViolationKind};
+use sweeper::sim::check::{CheckConfig, CheckReport, ViolationKind};
 use sweeper::sim::hierarchy::MachineConfig;
 use sweeper::sim::BLOCK_BYTES;
 
@@ -423,32 +424,20 @@ fn build_experiment(cli: &Cli) -> Result<Experiment, String> {
     Ok(scenario_experiment(cfg, s))
 }
 
-/// Prints the `--validate` verdict for one report to stderr; `false` means
-/// the harness saw violations (the caller fails the exit code).
+/// Prints the `--validate` verdict for one report, and a failure's kinds and
+/// details, to stderr; `false` means violations (the exit code fails).
 fn check_passed(label: &str, report: &RunReport) -> bool {
     let Some(check) = &report.check else {
         return true;
     };
-    if check.passed() {
-        eprintln!(
-            "validate [{label}]: pass ({} events mirrored, {} walks)",
-            check.events, check.walks
-        );
-        return true;
-    }
-    eprintln!(
-        "validate [{label}]: FAIL — {} violation(s)",
-        check.total_violations()
-    );
-    for (kind, n) in &check.violations {
-        if *n > 0 {
-            eprintln!("  {n} x {kind}");
-        }
+    eprintln!("validate [{label}]: {}", check.verdict());
+    for (kind, n) in check.violations() {
+        eprintln!("  {n} x {kind}");
     }
     for detail in &check.details {
         eprintln!("  {detail}");
     }
-    false
+    check.passed()
 }
 
 /// The manifest attached to this invocation's exports.
@@ -637,34 +626,11 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "info" => {
-            let m = MachineConfig::paper_default();
-            println!("cores      : {} @ 3.2 GHz", m.cores);
+            // Table I, plus the one derived figure it does not list.
+            print!("{}", table1::table().render());
             println!(
-                "L1d        : {} KB {}-way, {} cycles",
-                m.l1.size_bytes / 1024,
-                m.l1.ways,
-                m.l1.latency
-            );
-            println!(
-                "L2         : {:.2} MB {}-way, {} cycles",
-                m.l2.size_bytes as f64 / 1048576.0,
-                m.l2.ways,
-                m.l2.latency
-            );
-            println!(
-                "LLC        : {} MB {}-way, {} cycles (+{} NoC), DDIO {} ways",
-                m.llc.size_bytes / 1048576,
-                m.llc.ways,
-                m.llc.latency,
-                m.noc_latency,
-                m.ddio_ways
-            );
-            println!(
-                "memory     : DDR4-3200, {} channels x {} ranks x {} banks ({:.1} GB/s peak)",
-                m.dram.channels,
-                m.dram.ranks_per_channel,
-                m.dram.banks_per_rank,
-                m.dram.peak_bandwidth_gbps()
+                "DDR4 peak bandwidth: {:.1} GB/s",
+                MachineConfig::paper_default().dram.peak_bandwidth_gbps()
             );
             ExitCode::SUCCESS
         }
@@ -706,9 +672,13 @@ fn main() -> ExitCode {
             if let Some(knee) = sweep.knee() {
                 eprintln!("knee at ~{:.1} Mrps offered", knee.offered_rate / 1e6);
             }
+            // The fleet's `[check i/n]` lines gave every point's verdict;
+            // only the failing ones are spelled out.
             let mut all_pass = true;
             for outcome in &outcomes {
-                all_pass &= check_passed(&outcome.label, &outcome.report);
+                if outcome.report.check.as_ref().is_some_and(|c| !c.passed()) {
+                    all_pass &= check_passed(&outcome.label, &outcome.report);
+                }
             }
             if !all_pass {
                 return ExitCode::FAILURE;
@@ -748,7 +718,10 @@ fn main() -> ExitCode {
                 "checked mode: profile {}, walk every {} requests",
                 ctx.profile, check.walk_every_requests
             );
-            let mut totals = [0u64; ViolationKind::ALL.len()];
+            // Text goes to stdout figure by figure; under `--format json`
+            // stdout carries only the `sweeper.check/1` document.
+            let text = cli.format == OutputFormat::Text;
+            let mut total = CheckReport::default();
             let mut figure_records: Vec<Value> = Vec::new();
             for figure in figures {
                 let points: Vec<_> = figure
@@ -757,86 +730,61 @@ fn main() -> ExitCode {
                     .map(|p| p.checked(check))
                     .collect();
                 let n = points.len();
-                let outcomes = ctx.fleet.run(points);
-                let mut counts = [0u64; ViolationKind::ALL.len()];
-                let (mut events, mut walks) = (0u64, 0u64);
-                let mut failed: Vec<String> = Vec::new();
-                let mut details: Vec<String> = Vec::new();
-                for outcome in &outcomes {
-                    let c = outcome.report.check.as_ref().expect("a checked report");
-                    events += c.events;
-                    walks += c.walks;
+                let mut sum = CheckReport::default();
+                let mut failed: Vec<Value> = Vec::new();
+                for outcome in ctx.fleet.run(points) {
+                    let mut c = outcome.report.check.expect("a checked report");
                     if !c.passed() {
-                        failed.push(outcome.label.clone());
+                        failed.push(Value::from(outcome.label.as_str()));
                     }
-                    for (kind, count) in &c.violations {
-                        counts[kind.index()] += count;
+                    for detail in &mut c.details {
+                        *detail = format!("{}: {detail}", outcome.label);
                     }
-                    for detail in &c.details {
-                        if details.len() < 8 {
-                            details.push(format!("{}: {detail}", outcome.label));
-                        }
-                    }
+                    sum.merge(&c);
                 }
-                let total: u64 = counts.iter().sum();
-                for (sum, &count) in totals.iter_mut().zip(&counts) {
-                    *sum += count;
-                }
-                if total == 0 {
+                let (name, events, walks) = (figure.name(), sum.events, sum.walks);
+                let (violations, k) = (sum.total_violations(), failed.len());
+                if text && violations == 0 {
                     println!(
-                        "{:<10} pass  ({n} points, {events} events mirrored, {walks} walks)",
-                        figure.name()
+                        "{name:<10} pass  ({n} points, {events} events mirrored, {walks} walks)"
                     );
-                } else {
-                    println!(
-                        "{:<10} FAIL  ({total} violations across {} of {n} points)",
-                        figure.name(),
-                        failed.len()
-                    );
-                    for detail in &details {
+                } else if text {
+                    println!("{name:<10} FAIL  ({violations} violations across {k} of {n} points)");
+                    for detail in &sum.details {
                         println!("    {detail}");
-                    }
-                }
-                let mut violations = Record::new();
-                for (kind, &count) in ViolationKind::ALL.iter().zip(&counts) {
-                    if count > 0 {
-                        violations.push(kind.name(), count);
                     }
                 }
                 figure_records.push(Value::from(
                     Record::new()
-                        .with("figure", figure.name())
+                        .with("figure", name)
                         .with("points", n as u64)
                         .with("events", events)
                         .with("walks", walks)
-                        .with("violations_total", total)
-                        .with("violations", violations)
-                        .with(
-                            "failed_points",
-                            failed
-                                .iter()
-                                .map(|label| Value::from(label.as_str()))
-                                .collect::<Vec<_>>(),
-                        ),
+                        .with("violations_total", violations)
+                        .with("violations", sum.violations_record())
+                        .with("failed_points", failed),
                 ));
+                total.merge(&sum);
             }
-            println!("per-invariant summary:");
-            for (kind, &total) in ViolationKind::ALL.iter().zip(&totals) {
-                if total == 0 {
-                    println!("  {:<30} pass", kind.name());
-                } else {
-                    println!("  {:<30} FAIL ({total})", kind.name());
+            if text {
+                println!("per-invariant summary:");
+                for kind in ViolationKind::ALL {
+                    match total.count(kind) {
+                        0 => println!("  {:<30} pass", kind.name()),
+                        n => println!("  {:<30} FAIL ({n})", kind.name()),
+                    }
                 }
-            }
-            if cli.format == OutputFormat::Json {
+                if total.passed() {
+                    println!("check: all invariants pass");
+                }
+            } else {
                 let manifest = RunManifest::new()
                     .profile(ctx.profile.to_string())
                     .seed(ctx.seed);
                 let doc = check_document(figure_records, &manifest);
-                println!("{}", doc.to_json_pretty());
+                print!("{}", doc.to_json_pretty());
             }
-            if totals.iter().all(|&n| n == 0) {
-                println!("check: all invariants pass");
+            if total.passed() {
                 ExitCode::SUCCESS
             } else {
                 eprintln!("check: FAIL");

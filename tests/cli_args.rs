@@ -475,6 +475,18 @@ fn trace_reports_its_validate_verdict() {
 }
 
 #[test]
+fn check_json_stdout_is_one_document() {
+    let args: Vec<&str> = "check outliers --profile smoke --jobs 1 --format json"
+        .split(' ')
+        .collect();
+    let stdout = stdout_of(&args);
+    let one_document = stdout.starts_with('{') && stdout.ends_with("}\n");
+    let tagged = stdout.contains(r#""schema": "sweeper.check/1""#);
+    let has_text = stdout.contains("per-invariant summary:");
+    assert!(one_document && tagged && !has_text, "{stdout}");
+}
+
+#[test]
 fn flags_a_command_does_not_read_are_usage_errors() {
     // Each of these used to exit 0 with the flag ignored, or for `--jobs 0`
     // clamped to one worker, or for `check --format csv` printed as text.
