@@ -171,10 +171,8 @@ pub fn figure_experiment(profile: RunProfile, scenario: &Scenario) -> Experiment
 /// Formats a breakdown as the paper's stacked-bar data.
 pub fn format_breakdown(report: &RunReport) -> String {
     let mut out = String::new();
-    for (class, v) in report.accesses_per_request() {
-        if v >= 0.005 {
-            let _ = write!(out, "{class}={v:.2} ");
-        }
+    for (class, v) in report.breakdown() {
+        let _ = write!(out, "{class}={v:.2} ");
     }
     let _ = write!(out, "| total={:.1}", report.total_accesses_per_request());
     out
@@ -298,11 +296,11 @@ impl Table {
         let json = self.to_document(name, &manifest).to_json_pretty();
         match ctx.format {
             OutputFormat::Text => println!("{}", self.render()),
-            OutputFormat::Json => println!("{json}"),
+            OutputFormat::Json => print!("{json}"),
             OutputFormat::Csv => print!("{csv}"),
         }
         write_result(&format!("{name}.csv"), &csv);
-        write_result(&format!("{name}.json"), &format!("{json}\n"));
+        write_result(&format!("{name}.json"), &json);
     }
 }
 
@@ -314,6 +312,30 @@ pub fn f1(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn figure_rows_and_run_reports_share_one_breakdown_cut() {
+        use sweeper_core::report::text_report;
+        use sweeper_core::workload::EchoWorkload;
+        use sweeper_sim::stats::{ClassCounts, TrafficClass};
+
+        let mut r = Experiment::new(ExperimentConfig::tiny_for_tests(), || {
+            EchoWorkload::with_think(100)
+        })
+        .run_at_rate(1.0e6);
+        // 10 accesses in 2,000 requests sit exactly on the cut; 11 are above.
+        r.completed = 2000;
+        r.mem.dram_writes = ClassCounts::new();
+        r.mem.dram_reads = ClassCounts::new();
+        r.mem.dram_reads[TrafficClass::RxEvct] = 10;
+        r.mem.dram_reads[TrafficClass::CpuRxRd] = 11;
+        let (row, text) = (format_breakdown(&r), text_report(&r));
+        assert!(row.starts_with("CPU RX Rd=0.01 |"), "{row}");
+        assert!(
+            text.contains("CPU RX Rd") && !text.contains("RX Evct"),
+            "{text}"
+        );
+    }
 
     #[test]
     fn table_renders_aligned() {

@@ -26,10 +26,6 @@ use sweeper_sim::telemetry::{CsvTable, Record, Value};
 
 use crate::server::RunReport;
 
-/// Breakdown classes at or below this many accesses per request are left
-/// out of every rendering.
-const MIN_CLASS: f64 = 0.005;
-
 /// One line of the report as the text shows it.
 enum Line {
     /// A named scalar: `key` is the stable machine identifier (JSON/CSV
@@ -148,11 +144,7 @@ fn lines(report: &RunReport) -> Vec<Line> {
             format!("{apr:.2}"),
         ),
     ];
-    for (class, v) in report.accesses_per_request() {
-        if v > MIN_CLASS {
-            lines.push(Line::Class(class, v));
-        }
-    }
+    lines.extend(report.breakdown().map(|(class, v)| Line::Class(class, v)));
     if report.mem.sweep_saved_writebacks > 0 {
         let per = report.mem.sweep_saved_writebacks as f64 / report.completed.max(1) as f64;
         lines.push(scalar(
@@ -348,6 +340,7 @@ fn profile_columns(columns: &mut Vec<(String, Value)>, node: &ProfileNode, path:
 mod tests {
     use super::*;
     use crate::experiment::{Experiment, ExperimentConfig};
+    use crate::server::MIN_CLASS;
     use crate::workload::EchoWorkload;
 
     fn report() -> RunReport {

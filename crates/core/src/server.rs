@@ -213,6 +213,10 @@ impl RunOptions {
     }
 }
 
+/// Breakdown classes at or below this many accesses per request are left
+/// out of [`RunReport::breakdown`].
+pub(crate) const MIN_CLASS: f64 = 0.005;
+
 /// Measured results of one run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -282,6 +286,15 @@ impl RunReport {
         let combined = self.mem.combined();
         let n = self.completed.max(1) as f64;
         combined.iter().map(|(c, v)| (c, v as f64 / n)).collect()
+    }
+
+    /// The breakdown every report and figure renders: the classes of
+    /// [`accesses_per_request`](Self::accesses_per_request) above 0.005
+    /// accesses per request.
+    pub fn breakdown(&self) -> impl Iterator<Item = (sweeper_sim::stats::TrafficClass, f64)> {
+        self.accesses_per_request()
+            .into_iter()
+            .filter(|&(_, v)| v > MIN_CLASS)
     }
 
     /// Total memory accesses per completed request.

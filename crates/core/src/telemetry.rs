@@ -21,6 +21,7 @@
 
 pub use sweeper_sim::telemetry::{csv_escape, CsvTable, Record, Value};
 
+use sweeper_sim::check::CheckReport;
 use sweeper_sim::span::{perfetto_events, OutlierSnapshot, SpanRing};
 
 use crate::observe::TimeSeries;
@@ -276,12 +277,37 @@ pub fn outlier_document(snapshot: &OutlierSnapshot, manifest: &RunManifest) -> R
     document(OUTLIER_SCHEMA, manifest, "outlier", snapshot.to_record())
 }
 
-/// The JSON document for a `sweeper check` validation sweep: one record per
-/// figure, built by the caller from the figure's summed
-/// [`CheckReport`](sweeper_sim::check::CheckReport) (points, events, walks,
-/// violation counts and the labels of the failing points).
+/// The JSON document for a `sweeper check` validation sweep: one
+/// [`check_figure_record`] per figure.
 pub fn check_document(checks: Vec<Value>, manifest: &RunManifest) -> Record {
     document(CHECK_SCHEMA, manifest, "checks", checks)
+}
+
+/// One figure's record in a [`check_document`], from the ledger summed over
+/// its `points` points: events, walks, violation counts, the labels of the
+/// failing points, and the summed ledger's label-prefixed details (at most
+/// [`MAX_DETAILS`](sweeper_sim::check::MAX_DETAILS)), so a failing document
+/// names what broke.
+pub fn check_figure_record(
+    figure: &str,
+    points: usize,
+    sum: &CheckReport,
+    failed_points: &[String],
+) -> Record {
+    let strings = |v: &[String]| {
+        v.iter()
+            .map(|s| Value::from(s.as_str()))
+            .collect::<Vec<_>>()
+    };
+    Record::new()
+        .with("figure", figure)
+        .with("points", points as u64)
+        .with("events", sum.events)
+        .with("walks", sum.walks)
+        .with("violations_total", sum.total_violations())
+        .with("violations", sum.violations_record())
+        .with("failed_points", strings(failed_points))
+        .with("details", strings(&sum.details))
 }
 
 fn expect_str(rec: &Record, key: &str, ctx: &str) -> Result<(), String> {
@@ -388,6 +414,40 @@ mod tests {
     use super::*;
     use crate::experiment::{Experiment, ExperimentConfig};
     use crate::workload::EchoWorkload;
+    use sweeper_sim::check::ViolationKind;
+
+    #[test]
+    fn check_figure_record_names_what_broke() {
+        let mut point = CheckReport {
+            walks: 3,
+            events: 40,
+            ..CheckReport::default()
+        };
+        point.counts[ViolationKind::SweptLiveRx as usize] = 1;
+        point
+            .details
+            .push("1KB DDIO 2: swept live RX block 0x40".to_string());
+        let mut sum = CheckReport::default();
+        sum.merge(&CheckReport::default());
+        sum.merge(&point);
+        let rec = check_figure_record("fig1", 2, &sum, &["1KB DDIO 2".to_string()]);
+        let strs = |v: &[&str]| Value::Array(v.iter().map(|s| Value::from(*s)).collect());
+        assert_eq!(rec.get("points"), Some(&Value::U64(2)));
+        assert_eq!(rec.get("walks"), Some(&Value::U64(3)));
+        assert_eq!(rec.get("events"), Some(&Value::U64(40)));
+        assert_eq!(rec.get("violations_total"), Some(&Value::U64(1)));
+        assert_eq!(
+            rec.get("violations"),
+            Some(&Value::from(Record::new().with("swept_live_rx", 1u64)))
+        );
+        assert_eq!(rec.get("failed_points"), Some(&strs(&["1KB DDIO 2"])));
+        assert_eq!(
+            rec.get("details"),
+            Some(&strs(&["1KB DDIO 2: swept live RX block 0x40"]))
+        );
+        let passing = check_figure_record("fig1", 2, &CheckReport::default(), &[]);
+        assert_eq!(passing.get("details"), Some(&strs(&[])));
+    }
 
     /// Validates the shape of a Perfetto trace document (see
     /// [`perfetto_document`]): schema tag, manifest identity, and that every

@@ -1,8 +1,8 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! Implements the API subset the workspace's property tests use, with
-//! deterministic, seedable case generation and no external dependencies
-//! beyond the workspace's own `rand` shim. Differences from upstream:
+//! deterministic, seedable case generation and no external dependencies:
+//! cases draw from the workspace's own [`SimRng`]. Differences from upstream:
 //!
 //! * **No shrinking.** A failing case prints its case index; cases are a
 //!   pure function of `(test name, case index)`, so re-running the test
@@ -10,8 +10,7 @@
 //! * **Case count** defaults to 64 and is overridable with the standard
 //!   `PROPTEST_CASES` environment variable.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use sweeper_rng::SimRng;
 
 pub mod strategy;
 
@@ -46,7 +45,7 @@ impl std::fmt::Display for TestCaseError {
 }
 
 /// The per-case random source handed to strategies.
-pub type TestRng = SmallRng;
+pub type TestRng = SimRng;
 
 /// Number of cases each property runs (`PROPTEST_CASES`, default 64).
 pub fn cases() -> u32 {
@@ -65,14 +64,13 @@ pub fn case_rng(test_name: &str, case: u32) -> TestRng {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
-    SmallRng::seed_from_u64(h ^ ((case as u64) << 32 | 0x9E37_79B9))
+    SimRng::seeded(h ^ ((case as u64) << 32 | 0x9E37_79B9))
 }
 
 /// Collection strategies, mirroring `proptest::collection`.
 pub mod collection {
     use crate::strategy::Strategy;
     use crate::TestRng;
-    use rand::Rng;
 
     /// Strategy producing `Vec`s of `elem` with a length drawn from `len`.
     pub struct VecStrategy<S> {
@@ -88,7 +86,7 @@ pub mod collection {
     impl<S: Strategy> Strategy for VecStrategy<S> {
         type Value = Vec<S::Value>;
         fn generate(&self, rng: &mut TestRng) -> Self::Value {
-            let n = rng.gen_range(self.len.clone());
+            let n = self.len.generate(rng);
             (0..n).map(|_| self.elem.generate(rng)).collect()
         }
     }
@@ -237,5 +235,38 @@ mod tests {
         assert_eq!(a, b);
         let c = s.generate(&mut crate::case_rng("t", 6));
         assert_ne!(a, c);
+    }
+
+    /// Every strategy kind from one case stream: the values were recorded
+    /// before cases drew from `SimRng` and must never change, or every
+    /// property test in the workspace would run different inputs.
+    #[test]
+    fn case_draws_are_pinned() {
+        let mut rng = crate::case_rng("sweeper::pinned", 3);
+        let raw = (any::<u64>(), any::<u64>()).generate(&mut rng);
+        assert_eq!(raw, (0x8e0895c9ae2abef1, 0x20675d81348dccfa));
+        let signed = (
+            -1000i32..1000,
+            -1_000_000i64..1_000_000,
+            any::<u8>(),
+            any::<u16>(),
+        );
+        assert_eq!(signed.generate(&mut rng), (426, -330599, 208, 16073));
+        let (word, coin, f) = (any::<u32>(), any::<bool>(), 0.5f64..1.5).generate(&mut rng);
+        assert_eq!(
+            (word, coin, f.to_bits()),
+            (2194674148, false, 0x3ff7e1165a256485)
+        );
+        assert_eq!(crate::collection::vec(3u8..9, 1..6).generate(&mut rng), [7]);
+        let union = prop_oneof![
+            (0u64..10).prop_map(|x| x * 2),
+            (100u64..110).prop_map(|x| x + 1),
+        ];
+        let picks: Vec<u64> = (0..4).map(|_| union.generate(&mut rng)).collect();
+        assert_eq!(picks, [14, 6, 102, 6]);
+        assert_eq!(
+            (0usize..100, 7u64..1_000_000_007).generate(&mut rng),
+            (93, 13981171)
+        );
     }
 }

@@ -1,7 +1,6 @@
 //! Value-generation strategies: ranges, tuples, `map`, unions, and `any`.
 
 use crate::TestRng;
-use rand::Rng;
 
 /// Something that can generate values of one type from a [`TestRng`].
 ///
@@ -58,7 +57,7 @@ impl<T> Union<T> {
 impl<T> Strategy for Union<T> {
     type Value = T;
     fn generate(&self, rng: &mut TestRng) -> T {
-        let idx = rng.gen_range(0..self.0.len());
+        let idx = (0..self.0.len()).generate(rng);
         self.0[idx].generate(rng)
     }
 }
@@ -80,18 +79,30 @@ where
     }
 }
 
-macro_rules! impl_range_strategy {
+macro_rules! impl_int_range_strategy {
     ($($t:ty),*) => {$(
         impl Strategy for core::ops::Range<$t> {
             type Value = $t;
             fn generate(&self, rng: &mut TestRng) -> $t {
-                rng.gen_range(self.clone())
+                assert!(self.start < self.end, "cannot sample empty range");
+                // The span is taken in wrapping u64 arithmetic, so a signed
+                // range maps onto the same offsets as an unsigned one.
+                let span = (self.end as u64).wrapping_sub(self.start as u64);
+                self.start.wrapping_add(rng.next_u64_in(span) as $t)
             }
         }
     )*};
 }
 
-impl_range_strategy!(u8, u16, u32, u64, usize, i32, i64, f64);
+impl_int_range_strategy!(u8, u16, u32, u64, usize, i32, i64);
+
+impl Strategy for core::ops::Range<f64> {
+    type Value = f64;
+    fn generate(&self, rng: &mut TestRng) -> f64 {
+        assert!(self.start < self.end, "cannot sample empty range");
+        self.start + rng.next_f64() * (self.end - self.start)
+    }
+}
 
 impl<A: Strategy, B: Strategy> Strategy for (A, B) {
     type Value = (A::Value, B::Value);
@@ -131,31 +142,31 @@ pub trait Arbitrary: Sized {
 
 impl Arbitrary for bool {
     fn arbitrary(rng: &mut TestRng) -> Self {
-        rng.gen()
+        rng.next_u64() & 1 == 1
     }
 }
 
 impl Arbitrary for u64 {
     fn arbitrary(rng: &mut TestRng) -> Self {
-        rng.gen()
+        rng.next_u64()
     }
 }
 
 impl Arbitrary for u32 {
     fn arbitrary(rng: &mut TestRng) -> Self {
-        rng.gen()
+        (rng.next_u64() >> 32) as u32
     }
 }
 
 impl Arbitrary for u16 {
     fn arbitrary(rng: &mut TestRng) -> Self {
-        (rng.gen::<u64>() >> 48) as u16
+        (rng.next_u64() >> 48) as u16
     }
 }
 
 impl Arbitrary for u8 {
     fn arbitrary(rng: &mut TestRng) -> Self {
-        (rng.gen::<u64>() >> 56) as u8
+        (rng.next_u64() >> 56) as u8
     }
 }
 

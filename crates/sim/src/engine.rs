@@ -7,9 +7,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
 use crate::Cycle;
 
 /// CPU clock frequency of the simulated server, in Hz (Table I: 3.2 GHz).
@@ -45,66 +42,9 @@ pub fn us_to_cycles(us: f64) -> Cycle {
     ns_to_cycles(us * 1e3)
 }
 
-/// Deterministic simulation RNG.
-///
-/// Every stochastic component (traffic generator, key popularity, service-time
-/// spikes) draws from a [`SimRng`] seeded from the experiment configuration,
-/// so a simulation run is exactly reproducible.
-///
-/// ```
-/// use sweeper_sim::engine::SimRng;
-/// let mut a = SimRng::seeded(7);
-/// let mut b = SimRng::seeded(7);
-/// assert_eq!(a.next_u64_in(100), b.next_u64_in(100));
-/// ```
-#[derive(Debug, Clone)]
-pub struct SimRng {
-    inner: SmallRng,
-}
-
-impl SimRng {
-    /// Creates an RNG from a 64-bit seed.
-    pub fn seeded(seed: u64) -> Self {
-        Self {
-            inner: SmallRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Derives an independent child RNG; useful to give each simulated
-    /// component its own stream without correlation.
-    pub fn fork(&mut self) -> Self {
-        Self::seeded(self.inner.gen())
-    }
-
-    /// Uniform integer in `[0, bound)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound == 0`.
-    pub fn next_u64_in(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be positive");
-        self.inner.gen_range(0..bound)
-    }
-
-    /// Uniform float in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        self.inner.gen::<f64>()
-    }
-
-    /// Exponentially distributed sample with the given mean.
-    ///
-    /// Used for Poisson inter-arrival times of the traffic generator
-    /// (Appendix A: "injects packets at configurable Poisson arrival rate").
-    pub fn next_exp(&mut self, mean: f64) -> f64 {
-        let u: f64 = self.inner.gen_range(f64::EPSILON..1.0);
-        -mean * u.ln()
-    }
-
-    /// Returns `true` with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.inner.gen::<f64>() < p
-    }
-}
+/// The deterministic simulation RNG, re-exported from `sweeper-rng` so that
+/// every component draws through `sweeper_sim::engine`.
+pub use sweeper_rng::SimRng;
 
 /// A time-ordered event queue.
 ///
@@ -220,45 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn rng_is_deterministic() {
-        let mut a = SimRng::seeded(42);
-        let mut b = SimRng::seeded(42);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64_in(1000), b.next_u64_in(1000));
-        }
-    }
-
-    #[test]
-    fn rng_fork_decorrelates() {
-        let mut a = SimRng::seeded(42);
-        let mut child = a.fork();
-        // The child stream must differ from the parent's subsequent stream.
-        let parent_draws: Vec<u64> = (0..8).map(|_| a.next_u64_in(u64::MAX)).collect();
-        let child_draws: Vec<u64> = (0..8).map(|_| child.next_u64_in(u64::MAX)).collect();
-        assert_ne!(parent_draws, child_draws);
-    }
-
-    #[test]
-    fn exp_mean_is_approximately_right() {
-        let mut rng = SimRng::seeded(1);
-        let n = 100_000;
-        let mean = 50.0;
-        let sum: f64 = (0..n).map(|_| rng.next_exp(mean)).sum();
-        let observed = sum / n as f64;
-        assert!(
-            (observed - mean).abs() < mean * 0.05,
-            "observed mean {observed} too far from {mean}"
-        );
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut rng = SimRng::seeded(9);
-        assert!(!rng.chance(0.0));
-        assert!(rng.chance(1.0));
-    }
-
-    #[test]
     fn event_queue_orders_by_time() {
         let mut q = EventQueue::new();
         q.push(5, 'b');
@@ -285,11 +186,5 @@ mod tests {
         q.push(3, ());
         q.push(2, ());
         assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "bound must be positive")]
-    fn rng_zero_bound_panics() {
-        SimRng::seeded(0).next_u64_in(0);
     }
 }

@@ -90,30 +90,6 @@ impl Zipf {
     }
 }
 
-/// Uniform ranks in `1..=n`; the unskewed counterpart used by tests and the
-/// X-Mem tenant.
-#[derive(Debug, Clone, Copy)]
-pub struct Uniform {
-    n: u64,
-}
-
-impl Uniform {
-    /// Creates a sampler over `1..=n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(n: u64) -> Self {
-        assert!(n > 0, "population must be non-empty");
-        Self { n }
-    }
-
-    /// Draws one rank in `1..=n`.
-    pub fn sample(&self, rng: &mut SimRng) -> u64 {
-        1 + rng.next_u64_in(self.n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,18 +176,6 @@ mod tests {
             (0..100).map(|_| zipf.sample(&mut rng)).collect()
         };
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn uniform_covers_range() {
-        let u = Uniform::new(10);
-        let mut rng = SimRng::seeded(8);
-        let mut seen = [false; 11];
-        for _ in 0..1000 {
-            seen[u.sample(&mut rng) as usize] = true;
-        }
-        assert!(seen[1..=10].iter().all(|&s| s));
-        assert!(!seen[0]);
     }
 
     #[test]

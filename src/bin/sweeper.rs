@@ -36,8 +36,8 @@ use sweeper::core::report::{csv_report, text_report};
 use sweeper::core::scenario::Scenario;
 use sweeper::core::server::{RunOptions, RunReport};
 use sweeper::core::telemetry::{
-    check_document, document, outlier_document, perfetto_document, run_document,
-    timeseries_document, OutputFormat, Record, RunManifest, Value, LOADSWEEP_SCHEMA,
+    check_document, check_figure_record, document, outlier_document, perfetto_document,
+    run_document, timeseries_document, OutputFormat, Record, RunManifest, Value, LOADSWEEP_SCHEMA,
 };
 use sweeper::sim::addr::MAX_BLOCKS;
 use sweeper::sim::check::{CheckConfig, CheckReport, ViolationKind};
@@ -515,7 +515,7 @@ fn run_point(cli: &Cli, exp: &Experiment) -> ExitCode {
                             .with("unloaded_service_cycles", peak.unloaded_service_cycles),
                     );
                 }
-                println!("{}", doc.to_json_pretty());
+                print!("{}", doc.to_json_pretty());
             }
             OutputFormat::Csv => {
                 let mut comments = manifest.to_comments();
@@ -549,7 +549,7 @@ fn write_timeseries(cli: &Cli, report: &RunReport, manifest: &RunManifest) -> Re
     let out = if path.ends_with(".csv") {
         ts.to_csv_with_comments(&manifest.to_comments())
     } else {
-        format!("{}\n", timeseries_document(ts, manifest).to_json_pretty())
+        timeseries_document(ts, manifest).to_json_pretty()
     };
     std::fs::write(path, out).map_err(|e| format!("cannot write {path}: {e}"))?;
     eprintln!("wrote time series ({} samples) to {path}", ts.samples.len());
@@ -569,7 +569,7 @@ fn write_observability(
             .as_ref()
             .ok_or("run produced no spans (span recording was not enabled)")?;
         let doc = perfetto_document(spans, manifest);
-        std::fs::write(path, format!("{}\n", doc.to_json_pretty()))
+        std::fs::write(path, doc.to_json_pretty())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!(
             "wrote perfetto trace ({} spans retained of {} recorded) to {path}",
@@ -584,7 +584,7 @@ fn write_observability(
         for snapshot in outliers {
             let path = dir.join(format!("{}.json", snapshot.seq));
             let doc = outlier_document(snapshot, manifest);
-            std::fs::write(&path, format!("{}\n", doc.to_json_pretty()))
+            std::fs::write(&path, doc.to_json_pretty())
                 .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         }
         eprintln!(
@@ -666,7 +666,7 @@ fn main() -> ExitCode {
                 }
                 OutputFormat::Json => {
                     let doc = document(LOADSWEEP_SCHEMA, &manifest, "sweep", sweep.to_record());
-                    println!("{}", doc.to_json_pretty());
+                    print!("{}", doc.to_json_pretty());
                 }
             }
             if let Some(knee) = sweep.knee() {
@@ -731,11 +731,11 @@ fn main() -> ExitCode {
                     .collect();
                 let n = points.len();
                 let mut sum = CheckReport::default();
-                let mut failed: Vec<Value> = Vec::new();
+                let mut failed: Vec<String> = Vec::new();
                 for outcome in ctx.fleet.run(points) {
                     let mut c = outcome.report.check.expect("a checked report");
                     if !c.passed() {
-                        failed.push(Value::from(outcome.label.as_str()));
+                        failed.push(outcome.label.clone());
                     }
                     for detail in &mut c.details {
                         *detail = format!("{}: {detail}", outcome.label);
@@ -754,16 +754,7 @@ fn main() -> ExitCode {
                         println!("    {detail}");
                     }
                 }
-                figure_records.push(Value::from(
-                    Record::new()
-                        .with("figure", name)
-                        .with("points", n as u64)
-                        .with("events", events)
-                        .with("walks", walks)
-                        .with("violations_total", violations)
-                        .with("violations", sum.violations_record())
-                        .with("failed_points", failed),
-                ));
+                figure_records.push(Value::from(check_figure_record(name, n, &sum, &failed)));
                 total.merge(&sum);
             }
             if text {
@@ -778,10 +769,7 @@ fn main() -> ExitCode {
                     println!("check: all invariants pass");
                 }
             } else {
-                let manifest = RunManifest::new()
-                    .profile(ctx.profile.to_string())
-                    .seed(ctx.seed);
-                let doc = check_document(figure_records, &manifest);
+                let doc = check_document(figure_records, &ctx.manifest());
                 print!("{}", doc.to_json_pretty());
             }
             if total.passed() {

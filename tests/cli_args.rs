@@ -487,6 +487,21 @@ fn check_json_stdout_is_one_document() {
 }
 
 #[test]
+fn run_json_stdout_ends_in_one_newline() {
+    // The document already ends in a newline; printing it with `println!`
+    // left a blank line after the closing brace.
+    let args: Vec<&str> = "run --cores 4 --requests 500 --format json"
+        .split(' ')
+        .collect();
+    let stdout = stdout_of(&args);
+    assert!(
+        stdout.ends_with("}\n") && !stdout.ends_with("}\n\n"),
+        "{:?}",
+        &stdout[stdout.len().saturating_sub(8)..]
+    );
+}
+
+#[test]
 fn flags_a_command_does_not_read_are_usage_errors() {
     // Each of these used to exit 0 with the flag ignored, or for `--jobs 0`
     // clamped to one worker, or for `check --format csv` printed as text.
