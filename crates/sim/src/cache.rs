@@ -216,12 +216,17 @@ fn loaded(slot: &[u8]) -> u64 {
     ))
 }
 
+/// Replacement bytes one SSE2 vector holds: [`promote`] and [`lru_victim`]
+/// work on a row's rank bytes 16 ways at a time.
+const RANK_LANES: usize = 16;
+
 /// A cache's set metadata, one row per set: the set's `ways` tag words
 /// (4 bytes each, see [`encode_tag`]), then one replacement byte per way,
-/// padded to whole host lines. A 12-way row (48 + 12 B) is one 64-byte line
-/// and a 20-way row (80 + 20 B) two, and every row starts on a line
-/// boundary, so a set probe touches only its own row's lines. An all-zero
-/// row is an empty set.
+/// the rank area padded to a multiple of [`RANK_LANES`] bytes, then padded
+/// to whole host lines. A 12-way row (48 + 16 B) is one 64-byte line and a
+/// 20-way row (80 + 32 B) two, and every row starts on a line boundary, so
+/// a set probe touches only its own row's lines and a rank vector never
+/// reaches past its own row. An all-zero row is an empty set.
 #[derive(Debug, Clone)]
 struct SetRows {
     lines: ZeroTable<HostLine>,
@@ -232,12 +237,18 @@ struct SetRows {
 
 impl SetRows {
     fn new(sets: usize, ways: usize) -> Self {
-        let row_lines = (5 * ways).div_ceil(HOST_LINE);
+        let row_lines = (4 * ways + ways.next_multiple_of(RANK_LANES)).div_ceil(HOST_LINE);
         Self {
             lines: ZeroTable::new(sets * row_lines),
             ways,
             row_lines,
         }
+    }
+
+    /// Bytes of a row that hold tag words and the padded rank area.
+    #[inline]
+    fn meta_bytes(&self) -> usize {
+        4 * self.ways + self.ways.next_multiple_of(RANK_LANES)
     }
 
     fn sets(&self) -> usize {
@@ -250,19 +261,21 @@ impl SetRows {
         &self.lines[set * self.row_lines..(set + 1) * self.row_lines]
     }
 
-    /// `set`'s tag slots (4 bytes per way) and replacement bytes.
+    /// `set`'s tag slots (4 bytes per way) and its padded rank area: one
+    /// replacement byte per way, then zero bytes up to a multiple of
+    /// [`RANK_LANES`].
     #[inline]
     fn row(&self, set: usize) -> (&[u8], &[u8]) {
-        self.lines(set).as_flattened()[..5 * self.ways].split_at(4 * self.ways)
+        self.lines(set).as_flattened()[..self.meta_bytes()].split_at(4 * self.ways)
     }
 
     /// [`row`](Self::row), for update.
     #[inline]
     fn row_mut(&mut self, set: usize) -> (&mut [u8], &mut [u8]) {
-        let ways = self.ways;
+        let (tag_bytes, meta_bytes) = (4 * self.ways, self.meta_bytes());
         let start = set * self.row_lines;
-        self.lines[start..start + self.row_lines].as_flattened_mut()[..5 * ways]
-            .split_at_mut(4 * ways)
+        self.lines[start..start + self.row_lines].as_flattened_mut()[..meta_bytes]
+            .split_at_mut(tag_bytes)
     }
 
     /// The ways of `set` that hold `block` (`hits`) and that are empty
@@ -329,12 +342,13 @@ impl PartialEq<[u64]> for SetRows {
 /// selection. Under LRU a set's bytes hold its recency order as a
 /// permutation of the ways, each way storing `rank ^ way` (rank 0 = most
 /// recent): a hit or fill moves the way to rank 0, and the victim is the
-/// allowed way with the highest rank. Under SRRIP the byte is the way's
-/// re-reference prediction value. Rows start all-zero: an empty tag word is
-/// an empty way, zero rank bytes are the identity permutation, and an empty
-/// way's byte is never read (victim selection only runs once every allowed
-/// way is occupied, and every insertion writes its way's byte), so building
-/// a cache writes nothing.
+/// allowed way with the highest rank. On x86-64 both are one branch-free
+/// SSE2 pass over the rank bytes, 16 ways per vector. Under SRRIP the byte
+/// is the way's re-reference prediction value. Rows start all-zero: an
+/// empty tag word is an empty way, zero rank bytes are the identity
+/// permutation, and an empty way's byte is never read (victim selection
+/// only runs once every allowed way is occupied, and every insertion writes
+/// its way's byte), so building a cache writes nothing.
 ///
 /// ```
 /// use sweeper_sim::cache::{CacheGeometry, LineOrigin, SetAssocCache, WayMask};
@@ -472,7 +486,7 @@ impl SetAssocCache {
         if dirty {
             slot.copy_from_slice(&stored(tag | TAG_DIRTY));
         }
-        touch(self.policy, ranks, way, false);
+        touch(self.policy, ranks, self.geometry.ways, way, false);
         Some(decode_tag(tag))
     }
 
@@ -523,7 +537,7 @@ impl SetAssocCache {
             let slot = &mut tags[4 * way..4 * way + 4];
             let was_dirty = loaded(slot) & TAG_DIRTY != 0;
             slot.copy_from_slice(&stored(encode_tag(block, dirty || was_dirty, origin)));
-            touch(policy, ranks, way, false);
+            touch(policy, ranks, ways, way, false);
             return None;
         }
 
@@ -531,7 +545,7 @@ impl SetAssocCache {
         if free != 0 {
             let way = first_way(free);
             tags[4 * way..4 * way + 4].copy_from_slice(&stored(encode_tag(block, dirty, origin)));
-            touch(policy, ranks, way, true);
+            touch(policy, ranks, ways, way, true);
             self.resident += 1;
             return None;
         }
@@ -541,11 +555,10 @@ impl SetAssocCache {
         // was touched when its line was installed.
         let allowed = (0..ways).filter(|&w| mask.allows(w));
         let victim = match policy {
-            // The LRU ranks form a permutation, so the maximum is unique.
-            ReplacementPolicy::Lru => allowed.max_by_key(|&w| ranks[w] ^ w as u8),
+            ReplacementPolicy::Lru => lru_victim(ranks, ways, mask),
             ReplacementPolicy::Srrip => loop {
                 if let Some(w) = allowed.clone().find(|&w| ranks[w] >= SRRIP_DISTANT) {
-                    break Some(w);
+                    break w;
                 }
                 // No distant line yet: age every allowed way and rescan.
                 // Aging only runs when every allowed rrpv is below distant,
@@ -554,13 +567,12 @@ impl SetAssocCache {
                     ranks[w] += 1;
                 }
             },
-        }
-        .expect("mask allows at least one way");
+        };
         let slot = &mut tags[4 * victim..4 * victim + 4];
         let old = loaded(slot);
         debug_assert!(old & TAG_PRESENT != 0, "victim way was occupied");
         slot.copy_from_slice(&stored(encode_tag(block, dirty, origin)));
-        touch(policy, ranks, victim, true);
+        touch(policy, ranks, ways, victim, true);
         Some(Evicted {
             line: decode_tag(old),
         })
@@ -607,12 +619,12 @@ impl SetAssocCache {
     }
 }
 
-/// Records a reference to `way` of a set with replacement bytes `ranks`: a
-/// hit (`fill == false`) or the way's new line being installed.
+/// Records a reference to `way` of a `ways`-way set with padded rank area
+/// `ranks`: a hit (`fill == false`) or the way's new line being installed.
 #[inline]
-fn touch(policy: ReplacementPolicy, ranks: &mut [u8], way: usize, fill: bool) {
+fn touch(policy: ReplacementPolicy, ranks: &mut [u8], ways: usize, way: usize, fill: bool) {
     match policy {
-        ReplacementPolicy::Lru => promote(ranks, way),
+        ReplacementPolicy::Lru => promote(ranks, ways, way),
         ReplacementPolicy::Srrip => ranks[way] = if fill { SRRIP_INSERT } else { 0 },
     }
 }
@@ -700,17 +712,145 @@ fn fastmod(a: u64, m: u64, d: u64) -> u64 {
     ((m.wrapping_mul(a) as u128 * d as u128) >> 64) as u64
 }
 
-/// Moves `way` to rank 0 of an LRU rank row (`rank ^ way` per way), one
-/// rank down for every way that was more recent, in one branch-free pass.
-#[inline]
-fn promote(row: &mut [u8], way: usize) {
-    let old = row[way] ^ way as u8;
-    for (w, byte) in row.iter_mut().enumerate() {
+/// Moves `way` to rank 0 of the first `ways` bytes of an LRU rank row
+/// (`rank ^ way` per way), one rank down for every way that was more recent.
+///
+/// The portable body of [`promote`]: the implementation off x86-64 and the
+/// oracle its SSE2 body is tested against.
+#[cfg_attr(all(target_arch = "x86_64", not(test)), allow(dead_code))]
+fn promote_portable(ranks: &mut [u8], ways: usize, way: usize) {
+    let old = ranks[way] ^ way as u8;
+    for (w, byte) in ranks[..ways].iter_mut().enumerate() {
         let rank = *byte ^ w as u8;
         *byte = (rank + u8::from(rank < old)) ^ w as u8;
     }
-    row[way] = way as u8;
+    ranks[way] = way as u8;
 }
+
+/// The allowed way with the highest rank in the first `ways` bytes of an LRU
+/// rank row: the least recently used line `mask` may replace. The ranks form
+/// a permutation, so the maximum is unique.
+///
+/// The portable body of [`lru_victim`], and its test oracle.
+#[cfg_attr(all(target_arch = "x86_64", not(test)), allow(dead_code))]
+fn lru_victim_portable(ranks: &[u8], ways: usize, mask: WayMask) -> usize {
+    (0..ways)
+        .filter(|&w| mask.allows(w))
+        .max_by_key(|&w| ranks[w] ^ w as u8)
+        .expect("mask allows at least one way")
+}
+
+/// The way number of each byte lane in the `chunk`th rank vector of a row.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn lane_ways(chunk: usize) -> std::arch::x86_64::__m128i {
+    use std::arch::x86_64::{_mm_add_epi8, _mm_set1_epi8, _mm_setr_epi8};
+    // SAFETY: SSE2 is part of the x86-64 baseline.
+    unsafe {
+        _mm_add_epi8(
+            _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+            _mm_set1_epi8((RANK_LANES * chunk) as i8),
+        )
+    }
+}
+
+/// [`promote_portable`] in SSE2, [`RANK_LANES`] ways per vector: decode
+/// `byte ^ way`, add 1 where the rank is below the touched way's, give the
+/// touched way rank 0 and re-encode. Ranks are below 64, so a signed byte
+/// compare is exact; lanes at or past `ways` are stored back unchanged.
+/// `ranks` must hold the row's whole padded rank area.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn promote(ranks: &mut [u8], ways: usize, way: usize) {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_andnot_si128, _mm_cmpeq_epi8, _mm_cmplt_epi8, _mm_loadu_si128,
+        _mm_set1_epi8, _mm_storeu_si128, _mm_sub_epi8, _mm_xor_si128,
+    };
+    let old = ranks[way] ^ way as u8;
+    let (vectors, _) = ranks[..ways.next_multiple_of(RANK_LANES)].as_chunks_mut::<RANK_LANES>();
+    // SAFETY: SSE2 is part of the x86-64 baseline, and every load and store
+    // covers exactly one borrowed 16-byte chunk (`_mm_loadu_si128` and
+    // `_mm_storeu_si128` need no alignment).
+    unsafe {
+        let old = _mm_set1_epi8(old as i8);
+        let ways = _mm_set1_epi8(ways as i8);
+        let way = _mm_set1_epi8(way as i8);
+        for (chunk, bytes) in vectors.iter_mut().enumerate() {
+            let lanes = lane_ways(chunk);
+            let rank = _mm_xor_si128(_mm_loadu_si128(bytes.as_ptr().cast::<__m128i>()), lanes);
+            let newer = _mm_and_si128(_mm_cmplt_epi8(rank, old), _mm_cmplt_epi8(lanes, ways));
+            // `newer` is -1 where the way moves down a rank.
+            let rank = _mm_andnot_si128(_mm_cmpeq_epi8(lanes, way), _mm_sub_epi8(rank, newer));
+            _mm_storeu_si128(
+                bytes.as_mut_ptr().cast::<__m128i>(),
+                _mm_xor_si128(rank, lanes),
+            );
+        }
+    }
+}
+
+/// [`lru_victim_portable`] in SSE2, [`RANK_LANES`] ways per vector: each
+/// allowed way's key is its rank plus one and every other lane's is 0, and
+/// the victim is the lane whose key equals the keys' maximum. `ranks` must
+/// hold the row's whole padded rank area.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn lru_victim(ranks: &[u8], ways: usize, mask: WayMask) -> usize {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi8, _mm_and_si128, _mm_cmpeq_epi8, _mm_loadu_si128, _mm_max_epu8,
+        _mm_movemask_epi8, _mm_or_si128, _mm_set1_epi64x, _mm_set1_epi8, _mm_set_epi64x,
+        _mm_setzero_si128, _mm_shuffle_epi32, _mm_slli_epi16, _mm_slli_epi32, _mm_srli_epi16,
+        _mm_srli_epi32, _mm_xor_si128,
+    };
+    let allowed = mask.0 & u64::MAX >> (64 - ways);
+    debug_assert!(allowed != 0, "mask allows at least one way");
+    let (vectors, _) = ranks[..ways.next_multiple_of(RANK_LANES)].as_chunks::<RANK_LANES>();
+    // SAFETY: SSE2 is part of the x86-64 baseline, and every load covers
+    // exactly one borrowed 16-byte chunk (`_mm_loadu_si128` needs no
+    // alignment).
+    unsafe {
+        // Byte lane `i % 8` of each half tests bit `i % 8` of its mask byte.
+        let bit = _mm_set1_epi64x(0x8040_2010_0804_0201_u64 as i64);
+        let one = _mm_set1_epi8(1);
+        let mut keys = [_mm_setzero_si128(); 64 / RANK_LANES];
+        let mut top = _mm_setzero_si128();
+        for ((chunk, bytes), key) in vectors.iter().enumerate().zip(&mut keys) {
+            let mask = allowed >> (RANK_LANES * chunk);
+            let spread = _mm_set_epi64x(
+                ((mask >> 8 & 0xFF) * 0x0101_0101_0101_0101) as i64,
+                ((mask & 0xFF) * 0x0101_0101_0101_0101) as i64,
+            );
+            let allows = _mm_cmpeq_epi8(_mm_and_si128(spread, bit), bit);
+            let rank = _mm_xor_si128(
+                _mm_loadu_si128(bytes.as_ptr().cast::<__m128i>()),
+                lane_ways(chunk),
+            );
+            *key = _mm_and_si128(_mm_add_epi8(rank, one), allows);
+            top = _mm_max_epu8(top, *key);
+        }
+        // Spread the maximum to every lane: swap halves, then 32-bit words,
+        // then 16-bit halves, then bytes, taking the maximum at each step.
+        top = _mm_max_epu8(top, _mm_shuffle_epi32::<0b01_00_11_10>(top));
+        top = _mm_max_epu8(top, _mm_shuffle_epi32::<0b10_11_00_01>(top));
+        top = _mm_max_epu8(
+            top,
+            _mm_or_si128(_mm_srli_epi32::<16>(top), _mm_slli_epi32::<16>(top)),
+        );
+        top = _mm_max_epu8(
+            top,
+            _mm_or_si128(_mm_srli_epi16::<8>(top), _mm_slli_epi16::<8>(top)),
+        );
+        let mut victims = 0u64;
+        for (chunk, key) in keys[..vectors.len()].iter().enumerate() {
+            let hit = _mm_movemask_epi8(_mm_cmpeq_epi8(*key, top)) as u64;
+            victims |= hit << (RANK_LANES * chunk);
+        }
+        first_way(victims)
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+use {lru_victim_portable as lru_victim, promote_portable as promote};
 
 /// Prefetches one host cache line into all cache levels.
 #[inline]
@@ -973,7 +1113,7 @@ mod tests {
                 for i in (1..4).rev() {
                     perm.swap(i, xorshift(&mut x) as usize % (i + 1));
                 }
-                for (w, byte) in shuffled.tags.row_mut(set).1.iter_mut().enumerate() {
+                for (w, byte) in shuffled.tags.row_mut(set).1[..4].iter_mut().enumerate() {
                     *byte = perm[w] ^ w as u8;
                 }
             }
@@ -1145,9 +1285,11 @@ mod tests {
         // Random operation streams over a few hot sets, so sets fill,
         // evict under every mask shape and get partly invalidated, run
         // against the stamp model: every return value, every eviction and
-        // the final contents must agree.
+        // the final contents must agree. Beside the paper's 12 and 20 ways,
+        // 16 ways end the rank bytes on a vector boundary, 17 one byte past
+        // it, and 64 fill four vectors.
         for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Srrip] {
-            for ways in [12, 20] {
+            for ways in [12, 16, 17, 20, 64] {
                 let geometry = CacheGeometry {
                     size_bytes: (8 * ways) as u64 * crate::BLOCK_BYTES,
                     ways,
@@ -1266,6 +1408,65 @@ mod tests {
                 );
             }
         }
+
+        #[test]
+        fn rank_vectors_match_the_portable_bodies(
+            geometry in 0usize..11,
+            mask_kind in 0usize..5,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let ways = [1, 2, 3, 4, 12, 16, 17, 20, 25, 32, 64][geometry];
+            let mut rows = SetRows::new(1, ways);
+            let mut x = seed | 1;
+            // Random bytes everywhere, padding included, then a random
+            // permutation of the ranks in the first `ways` rank bytes.
+            for byte in rows.lines.as_flattened_mut() {
+                *byte = xorshift(&mut x) as u8;
+            }
+            let mut perm: Vec<u8> = (0..ways as u8).collect();
+            for i in (1..ways).rev() {
+                perm.swap(i, xorshift(&mut x) as usize % (i + 1));
+            }
+            for (w, byte) in rows.row_mut(0).1[..ways].iter_mut().enumerate() {
+                *byte = perm[w] ^ w as u8;
+            }
+            let in_row = u64::MAX >> (64 - ways);
+            let mask = match mask_kind {
+                0 => WayMask::ALL,
+                1 => WayMask::first(1),
+                2 => WayMask::first(2),
+                3 => WayMask(1 << (xorshift(&mut x) % ways as u64)),
+                // Any non-empty mask, bits past `ways` included.
+                _ => WayMask(
+                    std::iter::repeat_with(|| xorshift(&mut x))
+                        .find(|m| m & in_row != 0)
+                        .expect("an endless stream finds a mask"),
+                ),
+            };
+            // A short stream as `insert` runs it: pick the victim, promote a
+            // random way as a hit would, then the victim as its fill does (so
+            // a one-way mask next finds its way at rank 0).
+            for step in 0..8 {
+                let ctx = format!("{ways} ways, {mask}, step {step}");
+                let before = rows.lines.as_flattened().to_vec();
+                let ranks = rows.row(0).1;
+                let victim = lru_victim(ranks, ways, mask);
+                let expected = lru_victim_portable(ranks, ways, mask);
+                proptest::prop_assert_eq!(victim, expected, "{}", ctx);
+                proptest::prop_assert!(mask.allows(victim) && victim < ways, "{}", ctx);
+                for way in [xorshift(&mut x) as usize % ways, victim] {
+                    let mut expected = rows.row(0).1.to_vec();
+                    promote_portable(&mut expected, ways, way);
+                    promote(rows.row_mut(0).1, ways, way);
+                    proptest::prop_assert_eq!(rows.row(0).1, &expected[..], "{} way {}", ctx, way);
+                }
+                // Only the first `ways` rank bytes may change.
+                let after = rows.lines.as_flattened();
+                let (tag_end, rank_end) = (4 * ways, 5 * ways);
+                proptest::prop_assert_eq!(&after[..tag_end], &before[..tag_end], "{}", ctx);
+                proptest::prop_assert_eq!(&after[rank_end..], &before[rank_end..], "{}", ctx);
+            }
+        }
     }
 
     #[test]
@@ -1319,6 +1520,14 @@ mod tests {
             ("L2", paper.l2, 2),
             ("LLC", paper.llc, 1),
         ] {
+            // Padding the rank bytes to whole vectors keeps the paper's rows
+            // at 64 B (12 ways) and 128 B (20 ways).
+            let rows = SetRows::new(1, g.ways);
+            assert_eq!(rows.row_lines * HOST_LINE, lines * 64, "{name}: row bytes");
+            assert!(
+                rows.meta_bytes() <= lines * 64,
+                "{name}: rank vectors fit the row"
+            );
             // 8 sets stay on the heap; 2048 sets (128 KiB or more) get a
             // mapping where the target supports one.
             for (sets, mapped) in [(8, false), (2048, MAPS_LARGE_TABLES)] {

@@ -103,7 +103,7 @@ fn text_value<'a>(text: &'a str, label: &str) -> &'a str {
 fn run_report_json_matches_golden_and_schema() {
     let doc = run_document(&report(), &manifest());
     validate_run_document(&doc).expect("run document must satisfy the schema");
-    check_golden("run_report.json", &format!("{}\n", doc.to_json_pretty()));
+    check_golden("run_report.json", &doc.to_json_pretty());
 }
 
 /// The one-row CSV, manifest comments included, with every optional
